@@ -279,7 +279,6 @@ def laplacian_residual(basis, k, grid_n=401, margin=0.1):
         interior = np.hypot(x, y) <= 1.0 - margin
     else:
         interior = np.maximum(np.abs(x), np.abs(y)) <= 1.0 - margin
-    interior &= np.zeros_like(vals, dtype=bool) | True
     interior[0, :] = interior[-1, :] = interior[:, 0] = interior[:, -1] = False
     mu = e.eigenvalue
     num = np.sqrt(np.sum((lap[interior] + mu * vals[interior]) ** 2))

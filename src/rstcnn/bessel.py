@@ -168,8 +168,6 @@ def bessel_j_over_x(order, x):
     out = np.zeros_like(xa)
     tiny = xa < 1e-8
     if m >= 1 and np.any(tiny):
-        import math
-
         # leading term of J_m(x)/x = (x/2)^{m-1} / (2 m!)
         out[tiny] = m * (0.5 * xa[tiny]) ** (m - 1) / (2.0 * math.factorial(m))
     if np.any(~tiny):

@@ -9,9 +9,10 @@ Subcommands::
     rstcnn bounds report    quadrature filter bounds vs. amplitude bound
     rstcnn data rs-make     rotate/rescale/upsample an IDX dataset
 
-Exit codes: 0 success, 2 configuration error, 3 certificate violation,
-4 parse error (IDX or container). Relative dataset paths resolve against
-$RSTCNN_DATA_DIR when it is set.
+Exit codes: 0 success, 2 bad input (configuration, off-lattice group
+element, failed certificate precondition, exhausted basis pool, unsupported
+Bessel order), 3 certificate violation, 4 parse error (IDX or container).
+Relative dataset paths resolve against $RSTCNN_DATA_DIR when it is set.
 """
 
 from __future__ import annotations
@@ -22,12 +23,25 @@ import os
 import sys
 
 from . import experiments
+from .analysis import AssumptionError
+from .basis import PoolExhaustionError
+from .bessel import UnsupportedOrderError
 from .config import load_network_config
 from .container import ContainerFormatError, save_bank
 from .data import IdxParseError, make_rs_dataset, read_idx, write_idx
+from .group import OffLatticeError
 from .net import ConfigError, init_coeffs, layer_bank
 
 DATA_DIR_VAR = "RSTCNN_DATA_DIR"
+
+# Bad input found past argument parsing: exit 2, prefixed with the cause.
+_EXIT_2_CAUSES = {
+    ConfigError: "config error",
+    OffLatticeError: "off-lattice group element",
+    AssumptionError: "certificate assumption violated",
+    PoolExhaustionError: "basis pool exhausted",
+    UnsupportedOrderError: "unsupported Bessel order",
+}
 
 
 def _data_path(path):
@@ -269,8 +283,8 @@ def main(argv=None):
         return 2 if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except ConfigError as e:
-        sys.stderr.write(f"config error: {e}\n")
+    except tuple(_EXIT_2_CAUSES) as e:
+        sys.stderr.write(f"{_EXIT_2_CAUSES[type(e)]}: {e}\n")
         return 2
     except (IdxParseError, ContainerFormatError) as e:
         sys.stderr.write(f"parse error: {e}\n")

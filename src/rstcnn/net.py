@@ -11,7 +11,16 @@ so the layer's filter-amplitude bound A_l is at most one, which makes
 every layer non-expansive in the feature norm.
 
 All convolutions are cross-correlations with "same" zero padding and unit
-pixel pitch, evaluated as batched matrix products over im2col windows.
+pixel pitch, evaluated on Fourier spectra.  Each input slice is zero-padded
+by (L-1)/2 on every side to (H+L-1, W+L-1), so a circular correlation of
+that size never wraps data into the H x W output and equals the padded
+linear one; its rfft2 is multiplied by the conjugate spectra of the filters
+and one irfft2 per output slice, cropped to H x W, gives the spatial sums.
+The rotation sum is a cyclic roll of the spectrum stack (tap l_theta reads
+rotation r + l_theta * N_r / L_theta mod N_r); the scale sum is an upward
+shift of it (tap l_alpha reads scale s + l_alpha, and reads above the top
+channel contribute nothing, which is the zero fill).  Every tap's spectrum
+product carries the same quadrature weight as in the defining sum.
 """
 
 from __future__ import annotations
@@ -21,7 +30,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .bank import FilterBank, default_layer_scale, sample_filter_bank, scale_channel_grid
 from .basis import BasisSet, angular_matrix, build_basis, scale_matrix
@@ -96,6 +104,10 @@ class NetworkConfig:
             raise ConfigError("network needs at least one layer")
         if self.n_rotations < 1 or self.n_scales < 1:
             raise ConfigError("n_rotations and n_scales must be >= 1")
+        if self.n_scales > 1 and not self.scale_range > 0:
+            raise ConfigError(
+                f"scale_range must be > 0 for {self.n_scales} scale channels, got {self.scale_range}"
+            )
         if self.spatial_kind not in ("fb", "sl"):
             raise ConfigError(f"unknown spatial kind {self.spatial_kind!r}")
         for prev, nxt in zip(self.layers, self.layers[1:]):
@@ -270,12 +282,40 @@ def init_coeffs(net, seed=None):
     return out
 
 
-def _image_windows(vals, stencil):
-    # [..., H, W] -> [..., H, W, L, L] same-padded sliding windows (a view)
-    p = (stencil - 1) // 2
-    pad = [(0, 0)] * (vals.ndim - 2) + [(p, p), (p, p)]
-    xp = np.pad(vals, pad)
-    return sliding_window_view(xp, (stencil, stencil), axis=(-2, -1))
+def _group_correlate(vals, filters, d_step, w_alpha, bias):
+    """relu(bias + tap-weighted spatial correlations), evaluated on rfft2 spectra.
+
+    vals [M_in, R, S, H, W] (R, S the input's group sizes, or 1 to broadcast
+    one image over every output channel); filters [M_in, M_out, N_r, L_theta,
+    N_s, L_alpha, L, L].  Tap t reads rotation (r + t * d_step) mod R, tap q
+    reads scale s + q (nothing above the top channel) and carries weight
+    w_alpha[q] / L_theta.  Returns [M_out, N_r, N_s, H, W].
+    """
+    m_in, m_out, n_r, l_th, n_s, l_al, L, _ = filters.shape
+    H, W = vals.shape[-2:]
+    p = (L - 1) // 2
+    P, Q = H + 2 * p, W + 2 * p
+    xf = np.fft.rfft2(np.pad(vals, [(0, 0)] * 3 + [(p, p), (p, p)]))
+    # Conjugated DFT rows restricted to the L-tap support: ey @ f @ ex is the
+    # conjugate rfft2 of f zero-padded to (P, Q), so products with xf correlate.
+    taps = np.arange(L)
+    ey = np.exp(2j * math.pi * (np.outer(np.arange(P), taps) % P) / P)
+    ex = np.exp(2j * math.pi * (np.outer(taps, np.arange(Q // 2 + 1)) % Q) / Q)
+    acc = np.zeros((m_out, n_r, n_s) + xf.shape[-2:], dtype=complex)
+    for t in range(l_th):
+        rolled = np.roll(xf, -t * d_step, axis=1)
+        for q in range(min(l_al, n_s)):
+            n_val = n_s - q
+            # Spectra of one tap slice at a time: all slices of a fig3 K=10,
+            # L_alpha=3 layer at 56x56 together would take about 117 MB.
+            spec = ey @ (filters[:, :, :, t, :n_val, q] @ (w_alpha[q] / l_th * ex))
+            spec *= rolled[:, None, :, q : q + n_val]
+            for i in range(m_in):
+                acc[:, :, :n_val] += spec[i]
+    out = np.fft.irfft2(acc, s=(P, Q))[..., :H, :W]
+    out += bias[:, None, None, None, None]
+    np.maximum(out, 0.0, out=out)
+    return np.ascontiguousarray(out)
 
 
 def lifting_conv(x, filters, bias, scale_grid):
@@ -284,20 +324,13 @@ def lifting_conv(x, filters, bias, scale_grid):
     x^{(1)}(u, theta_r, alpha_s, out) = relu(sum_in sum_{u'} x(u+u', in) *
     filters[in, out, r, s, u'] + bias[out]), "same" zero padding.
     """
-    m_in, m_out, n_r, n_s, L, _ = filters.shape
+    m_in, _, n_r = filters.shape[:3]
     vals = x.values
     if vals.shape[0] != m_in:
         raise ConfigError(f"input channels {vals.shape[0]} != filter in_channels {m_in}")
-    H, W = vals.shape[1], vals.shape[2]
-    win = _image_windows(vals, L)  # [M_in, H, W, L, L]
-    A = np.ascontiguousarray(win.transpose(1, 2, 0, 3, 4)).reshape(H * W, m_in * L * L)
-    B = np.ascontiguousarray(filters.transpose(2, 3, 0, 4, 5, 1)).reshape(
-        n_r, n_s, m_in * L * L, m_out
+    out = _group_correlate(
+        vals[:, None, None], filters[:, :, :, None, :, None], 0, alpha_weights(1), bias
     )
-    out = A[None, None] @ B  # [N_r, N_s, H*W, M_out]
-    out += bias
-    np.maximum(out, 0.0, out=out)
-    out = np.ascontiguousarray(out.transpose(3, 0, 1, 2)).reshape(m_out, n_r, n_s, H, W)
     return FeatureMap(out, 2.0 * math.pi / n_r, np.asarray(scale_grid, dtype=np.float64))
 
 
@@ -310,9 +343,9 @@ def joint_conv(x, filters, bias, spec):
     [:, :, r, l_theta, s, l_alpha, :, :], and accumulate with quadrature
     weight (1/L_theta) * trapezoid(l_alpha); then bias and ReLU.
     """
-    m_in, m_out, n_r_f, l_th, n_s_f, l_al, L, _ = filters.shape
+    m_in, _, n_r_f, l_th, n_s_f, l_al = filters.shape[:6]
     vals = x.values
-    m_x, n_r, n_s, H, W = vals.shape
+    m_x, n_r, n_s = vals.shape[:3]
     if m_x != m_in or n_r_f != n_r or n_s_f != n_s:
         raise ConfigError(
             f"filter group shape {(m_in, n_r_f, n_s_f)} does not match input {(m_x, n_r, n_s)}"
@@ -321,28 +354,7 @@ def joint_conv(x, filters, bias, spec):
         raise ConfigError("filter tap axes do not match the layer spec")
     if n_r % l_th != 0:
         raise ConfigError(f"L_theta={l_th} does not divide N_r={n_r}")
-    d_step = n_r // l_th
-    w_theta = 1.0 / l_th
-    w_alpha = alpha_weights(l_al)
-    p = (L - 1) // 2
-    xp = np.pad(vals, [(0, 0), (0, 0), (0, 0), (p, p), (p, p)])
-    # filter lookup as Ft[r_out, l_theta, s_out, l_alpha, M_in, L, L, M_out]
-    Ft = np.ascontiguousarray(filters.transpose(2, 3, 4, 5, 0, 6, 7, 1))
-    acc = np.zeros((n_r, n_s, H * W, m_out))
-    for r_in in range(n_r):
-        win = sliding_window_view(xp[:, r_in], (L, L), axis=(-2, -1))  # [M_in, N_s, H, W, L, L]
-        A = np.ascontiguousarray(win.transpose(1, 2, 3, 0, 4, 5)).reshape(n_s, H * W, m_in * L * L)
-        for t in range(l_th):
-            r_out = (r_in - t * d_step) % n_r
-            for q in range(l_al):
-                n_val = n_s - q
-                if n_val <= 0:
-                    continue
-                B = Ft[r_out, t, :n_val, q].reshape(n_val, m_in * L * L, m_out)
-                acc[r_out, :n_val] += (w_theta * w_alpha[q]) * (A[q:] @ B)
-    acc += bias
-    np.maximum(acc, 0.0, out=acc)
-    out = np.ascontiguousarray(acc.transpose(3, 0, 1, 2)).reshape(m_out, n_r, n_s, H, W)
+    out = _group_correlate(vals, filters, n_r // l_th, alpha_weights(l_al), bias)
     return FeatureMap(out, x.rotation_step, x.scale_grid.copy())
 
 

@@ -175,3 +175,31 @@ def test_missing_file_exits_four(tmp_path, capsys):
     )
     assert code == 4
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, cause, detail",
+    [
+        (["equi", "sweep", "--beta", "0.3", "--height", "24", "--width", "24"], "off-lattice group element", "beta=0.3"),
+        (["stab", "trials", "--trials", "1", "--grad-levels", "0.3"], "certificate assumption violated", "(A3)"),
+        (["equi", "sweep", "--k-list", "600", "--height", "24", "--width", "24"], "basis pool exhausted", "K=600"),
+    ],
+    ids=["off-lattice", "assumption", "pool-exhaustion"],
+)
+def test_bad_input_exits_two_naming_the_cause(net_cfg, capsys, argv, cause, detail):
+    assert main(argv + ["--config", net_cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{cause}:") and detail in err
+    assert err.count("\n") == 1
+
+
+def test_unsupported_bessel_order_exits_two(net_cfg, monkeypatch, capsys):
+    from rstcnn import experiments
+    from rstcnn.bessel import MAX_ORDER, bessel_j
+
+    # no CLI flag reaches an order past MAX_ORDER, so the sweep calls one directly
+    monkeypatch.setattr(experiments, "run_equivariance_sweep", lambda cfg: bessel_j(MAX_ORDER + 1, 1.0))
+    assert main(["equi", "sweep", "--config", net_cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("unsupported Bessel order:") and str(MAX_ORDER + 1) in err
+    assert err.count("\n") == 1

@@ -169,6 +169,68 @@ def test_joint_conv_scale_taps_read_upward_with_zero_fill():
     assert np.all(out.values[0, :, 1:] == 0.0)
 
 
+@pytest.mark.parametrize(
+    "m_in, m_out, n_r, n_s, H, W, L",
+    [
+        (1, 2, 2, 3, 6, 9, 5),  # H != W, even x odd
+        (2, 1, 2, 2, 7, 4, 3),  # H != W, odd x even
+        (1, 1, 2, 2, 3, 4, 7),  # stencil wider than the image
+        (3, 2, 2, 1, 5, 5, 3),  # M_in != M_out
+    ],
+)
+def test_lifting_conv_edge_shapes_match_loop_oracle(m_in, m_out, n_r, n_s, H, W, L):
+    rng = np.random.default_rng(31)
+    x = rng.standard_normal((m_in, H, W))
+    filters = rng.standard_normal((m_in, m_out, n_r, n_s, L, L))
+    bias = rng.standard_normal(m_out)
+    out = lifting_conv(ImageTensor(x), filters, bias, np.linspace(-1.0, 1.0, n_s)).values
+    assert out.shape == (m_out, n_r, n_s, H, W)
+    for pos in np.ndindex(out.shape):
+        assert out[pos] == pytest.approx(reference.naive_lifting_at(x, filters, bias, *pos), abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "m_in, m_out, n_r, n_s, H, W, L, L_theta, L_alpha",
+    [
+        (2, 2, 4, 3, 6, 9, 3, 2, 2),  # H != W, even x odd
+        (2, 2, 4, 3, 7, 4, 3, 2, 2),  # H != W, odd x even
+        (1, 2, 2, 2, 3, 4, 7, 1, 1),  # stencil wider than the image
+        (2, 1, 2, 2, 4, 5, 3, 2, 4),  # L_alpha > N_s: taps q >= N_s read only zeros
+        (1, 1, 4, 2, 5, 5, 3, 1, 2),  # L_theta = 1
+        (1, 1, 4, 2, 5, 5, 3, 4, 2),  # L_theta = N_r
+        (3, 2, 4, 2, 5, 6, 3, 2, 1),  # M_in != M_out
+    ],
+)
+def test_joint_conv_edge_shapes_match_loop_oracle(m_in, m_out, n_r, n_s, H, W, L, L_theta, L_alpha):
+    rng = np.random.default_rng(32)
+    spec = LayerSpec(m_in, m_out, 1, L, L_theta=L_theta, L_alpha=L_alpha)
+    vals = rng.standard_normal((m_in, n_r, n_s, H, W))
+    feat = FeatureMap(vals, 2.0 * math.pi / n_r, np.linspace(-1.0, 1.0, n_s))
+    filters = rng.standard_normal((m_in, m_out, n_r, L_theta, n_s, L_alpha, L, L))
+    bias = rng.standard_normal(m_out)
+    out = joint_conv(feat, filters, bias, spec).values
+    assert out.shape == (m_out, n_r, n_s, H, W)
+    for pos in np.ndindex(out.shape):
+        assert out[pos] == pytest.approx(reference.naive_joint_at(vals, filters, bias, *pos), abs=1e-10)
+
+
+def test_convolutions_of_zero_input_are_exactly_relu_bias():
+    rng = np.random.default_rng(33)
+    bias = np.array([-0.5, 0.0, 0.75])
+    want = np.broadcast_to(np.maximum(bias, 0.0)[:, None, None, None, None], (3, 4, 3, 6, 7))
+    lifted = lifting_conv(
+        ImageTensor(np.zeros((2, 6, 7))),
+        rng.standard_normal((2, 3, 4, 3, 5, 5)),
+        bias,
+        np.linspace(-1.0, 1.0, 3),
+    )
+    np.testing.assert_array_equal(lifted.values, want)
+    spec = LayerSpec(2, 3, 1, 5, L_theta=2, L_alpha=2)
+    feat = FeatureMap(np.zeros((2, 4, 3, 6, 7)), math.pi / 2, np.linspace(-1.0, 1.0, 3))
+    joint = joint_conv(feat, rng.standard_normal((2, 3, 4, 2, 3, 2, 5, 5)), bias, spec)
+    np.testing.assert_array_equal(joint.values, want)
+
+
 def test_filter_amplitude_single_element_closed_form():
     net = small_net()
     spec = net.layers[0]
@@ -289,6 +351,14 @@ def test_group_pool_takes_max_over_group_axes():
 def test_config_errors(make):
     with pytest.raises(ConfigError):
         make()
+
+
+def test_nonpositive_scale_range_rejected_with_several_scale_channels():
+    for bad in (0.0, -1.0, float("nan")):
+        with pytest.raises(ConfigError, match="scale_range"):
+            NetworkConfig((LayerSpec(1, 1, 3, 5),), 4, 9, scale_range=bad)
+    # a single scale channel sits at 0 whatever the range
+    assert NetworkConfig((LayerSpec(1, 1, 3, 5),), 4, 1, scale_range=0.0).scale_grid.tolist() == [0.0]
 
 
 def test_synthesize_rejects_mismatched_coefficients():
