@@ -114,105 +114,3 @@ from .net import (
 from .norms import fb_norm, fb_norm_joint, feature_norm
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AssumptionError",
-    "BankArchive",
-    "BasisElement",
-    "BasisSet",
-    "CoeffTensor",
-    "ConfigError",
-    "ContainerFormatError",
-    "DeformationField",
-    "EquivarianceCurve",
-    "ExperimentConfig",
-    "FeatureMap",
-    "FilterBank",
-    "FilterBoundReport",
-    "GroupElement",
-    "IdxParseError",
-    "ImageTensor",
-    "LabeledImageSet",
-    "LayerSpec",
-    "NetworkConfig",
-    "NonexpansivenessReport",
-    "OffLatticeError",
-    "PoolExhaustionError",
-    "StabilityReport",
-    "UndefinedEquivarianceError",
-    "UnsupportedOrderError",
-    "act_on_feature",
-    "act_on_image",
-    "alpha_taps",
-    "alpha_weights",
-    "angular_matrix",
-    "apply_deformation",
-    "bessel_j",
-    "bessel_j_derivative",
-    "bessel_zero",
-    "build_basis",
-    "build_network",
-    "compose",
-    "config_echo",
-    "default_layer_scale",
-    "dump_bank",
-    "dump_idx_images",
-    "dump_idx_labels",
-    "equivariance_curve",
-    "equivariance_error",
-    "eval_angular",
-    "eval_scale",
-    "eval_spatial",
-    "eval_spatial_grad",
-    "fb_norm",
-    "fb_norm_joint",
-    "feature_norm",
-    "fig3_config",
-    "filter_amplitude",
-    "filter_bound_report",
-    "forward",
-    "gram_matrix",
-    "group_pool",
-    "init_coeffs",
-    "inverse",
-    "isometry_deviation",
-    "joint_conv",
-    "laplacian_residual",
-    "layer_bank",
-    "layer_basis",
-    "lifting_conv",
-    "load_bank",
-    "load_network_config",
-    "make_rs_dataset",
-    "make_tau",
-    "make_tau_targeting_grad",
-    "nonexpansiveness_report",
-    "normalize_coeffs_A2",
-    "parse_config_text",
-    "parse_idx_images",
-    "parse_idx_labels",
-    "parse_sweep_csv",
-    "read_bank",
-    "read_idx",
-    "run_basis_validate",
-    "run_bounds_report",
-    "run_equivariance_sweep",
-    "run_stability_trials",
-    "sample_filter_bank",
-    "save_bank",
-    "scale_channel_grid",
-    "scale_matrix",
-    "smooth_feature_values",
-    "stability_certificate",
-    "stability_config",
-    "stability_json",
-    "sweep_input",
-    "synthesize_filters",
-    "synthetic_blob_set",
-    "synthetic_blobs",
-    "tau_norms",
-    "theta_taps",
-    "unit_grid",
-    "upsample",
-    "write_idx",
-]

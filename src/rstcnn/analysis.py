@@ -17,7 +17,7 @@ import numpy as np
 
 from .basis import eval_angular, eval_spatial, eval_spatial_grad
 from .deform import apply_deformation, tau_norms
-from .group import ImageTensor, act_on_feature, act_on_image
+from .group import FeatureMap, ImageTensor, act_on_feature, act_on_image
 from .net import filter_amplitude, forward, layer_basis
 from .norms import fb_norm, fb_norm_joint, feature_norm
 
@@ -40,25 +40,29 @@ def _slice_error(feat_direct, feat_reference, n_scales, margin):
     return num, den
 
 
+def _forward_pair(net, coeffs, a, b):
+    """Every layer's features for the images a and b ([M, H, W] values) from one batch of 2."""
+    feats = forward(net, coeffs, ImageTensor(np.stack([a, b])), return_all=True)
+    return tuple([FeatureMap(f.values[i], f.rotation_step, f.scale_grid) for f in feats] for i in (0, 1))
+
+
 def equivariance_error(net, coeffs, x, g, layer, margin=4):
     """Relative L2 error of Eq.-style equivariance at one layer.
 
     ||(x^(l)[D_g x] - D_g x^(l)[x])|| / ||D_g x^(l)[x]|| on the spatial slice
     at rotation index 0 and the middle scale channel, restricted to an
     interior margin (pixels) to exclude padding artifacts.  layer is
-    1-indexed.  Raises UndefinedEquivarianceError when the reference slice
-    is identically zero.
+    1-indexed; the value is entry layer - 1 of equivariance_curve.  Raises
+    UndefinedEquivarianceError when the reference slice is identically zero.
     """
     if not 1 <= layer <= net.depth:
         raise ValueError(f"layer must be in 1..{net.depth}, got {layer}")
-    direct = forward(net, coeffs, act_on_image(g, x), return_all=True)[layer - 1]
-    reference = act_on_feature(g, forward(net, coeffs, x, return_all=True)[layer - 1])
-    num, den = _slice_error(direct, reference, net.n_scales, margin)
-    if den == 0.0:
+    err = equivariance_curve(net, coeffs, x, g, margin=margin).errors[layer - 1]
+    if math.isinf(err):
         raise UndefinedEquivarianceError(
             f"reference slice is zero at layer {layer}; the relative error is undefined"
         )
-    return num / den
+    return err
 
 
 @dataclass(frozen=True)
@@ -81,9 +85,8 @@ class EquivarianceCurve:
 
 
 def equivariance_curve(net, coeffs, x, g, margin=4):
-    """Per-layer equivariance errors from a single forward pass pair."""
-    direct_all = forward(net, coeffs, act_on_image(g, x), return_all=True)
-    plain_all = forward(net, coeffs, x, return_all=True)
+    """Per-layer equivariance errors from one forward pass over the pair (D_g x, x)."""
+    direct_all, plain_all = _forward_pair(net, coeffs, act_on_image(g, x).values, x.values)
     errors = []
     for direct, plain in zip(direct_all, plain_all):
         num, den = _slice_error(direct, act_on_feature(g, plain), net.n_scales, margin)
@@ -164,8 +167,7 @@ def stability_certificate(net, coeffs, x, g, tau, allowance_rel=0.1, allowance_a
         )
 
     deformed = act_on_image(g, apply_deformation(tau, x))
-    got = forward(net, coeffs, deformed, return_all=True)
-    plain = forward(net, coeffs, x, return_all=True)
+    got, plain = _forward_pair(net, coeffs, deformed.values, x.values)
     per_layer = tuple(
         feature_norm(f.values - act_on_feature(g, p).values) for f, p in zip(got, plain)
     )
@@ -238,8 +240,7 @@ def nonexpansiveness_report(net, coeffs, n_trials, seed, height=28, width=28):
         if d0 == 0.0:
             continue
         scored += 1
-        f1 = forward(net, coeffs, ImageTensor(x1), return_all=True)
-        f2 = forward(net, coeffs, ImageTensor(x2), return_all=True)
+        f1, f2 = _forward_pair(net, coeffs, x1, x2)
         for l in range(net.depth):
             ratio = feature_norm(f1[l].values - f2[l].values) / d0
             per_layer[l] = max(per_layer[l], ratio)

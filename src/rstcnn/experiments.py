@@ -8,8 +8,10 @@ round-trip), so reruns with identical configs emit identical bytes.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -82,6 +84,10 @@ class ExperimentConfig:
             raise ConfigError("idx images and labels must be given together")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        if self.kind == "equivariance-sweep":
+            side = self.upsize if self.idx_images is not None else min(self.height, self.width)
+            if not 0 <= 2 * self.margin < side:
+                raise ConfigError(f"margin={self.margin} must be >= 0 and below half the {side}-pixel image side")
 
     @property
     def group_element(self):
@@ -149,16 +155,24 @@ def build_network(cfg, K, L_alpha, seed=0):
     )
 
 
-def sweep_input(cfg, seed, _cache={}):
+def _file_stamp(path):
+    st = os.stat(path)
+    return st.st_size, st.st_mtime_ns
+
+
+@functools.lru_cache(maxsize=4)
+def _idx_dataset(images, labels, upsize, stamps):
+    # stamps (size and mtime of both files) is in the key so a rewritten file is read again
+    return make_rs_dataset(read_idx(images, labels), seed=INPUT_SALT, upsize=upsize)
+
+
+def sweep_input(cfg, seed):
     """The input image for one sweep seed (IDX-derived or synthetic)."""
     if cfg.idx_images is None:
         return ImageTensor(synthetic_blobs(cfg.height, cfg.width, np.random.default_rng([seed, INPUT_SALT])))
-    key = (cfg.idx_images, cfg.idx_labels, cfg.upsize)
-    if key not in _cache:
-        raw = read_idx(cfg.idx_images, cfg.idx_labels)
-        _cache[key] = make_rs_dataset(raw, seed=INPUT_SALT, upsize=cfg.upsize)
-    data = _cache[key]
-    return ImageTensor(data.images[seed % len(data)])
+    stamps = (_file_stamp(cfg.idx_images), _file_stamp(cfg.idx_labels))
+    data = _idx_dataset(cfg.idx_images, cfg.idx_labels, cfg.upsize, stamps)
+    return ImageTensor(data.images[seed % len(data)].copy())  # callers never write into the cache
 
 
 def _sweep_cell(cfg, K, L_alpha, seed):

@@ -71,20 +71,25 @@ def inverse(g):
 
 @dataclass
 class ImageTensor:
-    """Planar image stack, values[channel, row, col], finite float64."""
+    """Planar image stack, values[channel, row, col], finite float64.
+
+    A batch of images adds a leading sample axis: values[n, channel, row, col].
+    """
 
     values: np.ndarray
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 3:
-            raise ValueError(f"image values must be [channels, H, W], got {self.values.shape}")
+        if self.values.ndim not in (3, 4):
+            raise ValueError(
+                f"image values must be [channels, H, W] or [N, channels, H, W], got {self.values.shape}"
+            )
         if not np.all(np.isfinite(self.values)):
             raise ValueError("image values must be finite")
 
     @property
     def channels(self):
-        return self.values.shape[0]
+        return self.values.shape[-3]
 
     @property
     def shape(self):
@@ -97,7 +102,8 @@ class FeatureMap:
 
     rotation_step is the angular spacing 2*pi/N_r of the cyclic rotation
     axis; scale_grid holds the log2-scale of each scale channel (uniform,
-    ascending).
+    ascending).  A batch adds a leading sample axis: values[n, channel,
+    rotation, scale, row, col]; the group sizes are read from the trailing axes.
     """
 
     values: np.ndarray
@@ -107,11 +113,11 @@ class FeatureMap:
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
         self.scale_grid = np.asarray(self.scale_grid, dtype=np.float64)
-        if self.values.ndim != 5:
+        if self.values.ndim not in (5, 6):
             raise ValueError(
-                f"feature values must be [channels, N_r, N_s, H, W], got {self.values.shape}"
+                f"feature values must be [(N,) channels, N_r, N_s, H, W], got {self.values.shape}"
             )
-        n_r, n_s = self.values.shape[1], self.values.shape[2]
+        n_r, n_s = self.values.shape[-4:-2]
         if not math.isclose(self.rotation_step * n_r, 2.0 * math.pi, rel_tol=1e-12):
             raise ValueError("rotation_step must equal 2*pi / N_r")
         if self.scale_grid.shape != (n_s,):
@@ -210,15 +216,15 @@ def act_on_feature(g, feat):
     """
     d_rot = _lattice_steps(g.eta, feat.rotation_step, "eta")
     d_sc = _lattice_steps(g.beta, feat.scale_step, "beta")
-    vals = np.roll(feat.values, d_rot, axis=1)
+    vals = np.roll(feat.values, d_rot, axis=-4)
     if d_sc != 0:
         shifted = np.zeros_like(vals)
-        n_s = vals.shape[2]
+        n_s = vals.shape[-3]
         # output channel s reads input channel s - d_sc
         src_lo = max(0, -d_sc)
         src_hi = min(n_s, n_s - d_sc)
         if src_hi > src_lo:
-            shifted[:, :, src_lo + d_sc : src_hi + d_sc] = vals[:, :, src_lo:src_hi]
+            shifted[..., src_lo + d_sc : src_hi + d_sc, :, :] = vals[..., src_lo:src_hi, :, :]
         vals = shifted
     H, W = vals.shape[-2], vals.shape[-1]
     sx, sy = _warp_grid(g, H, W)

@@ -16,11 +16,19 @@ by (L-1)/2 on every side to (H+L-1, W+L-1), so a circular correlation of
 that size never wraps data into the H x W output and equals the padded
 linear one; its rfft2 is multiplied by the conjugate spectra of the filters
 and one irfft2 per output slice, cropped to H x W, gives the spatial sums.
-The rotation sum is a cyclic roll of the spectrum stack (tap l_theta reads
-rotation r + l_theta * N_r / L_theta mod N_r); the scale sum is an upward
-shift of it (tap l_alpha reads scale s + l_alpha, and reads above the top
-channel contribute nothing, which is the zero fill).  Every tap's spectrum
-product carries the same quadrature weight as in the defining sum.
+The rotation sum reads the spectrum stack cyclically (tap l_theta reads
+rotation r + l_theta * N_r / L_theta mod N_r, as two contiguous slices of
+the stack rather than a rolled copy); the scale sum is an upward shift of it
+(tap l_alpha reads scale s + l_alpha, and reads above the top channel
+contribute nothing, which is the zero fill).  Every tap's spectrum product
+carries the same quadrature weight as in the defining sum.
+
+The convolutions and forward also take a leading batch axis: images [N, M,
+H, W] give feature maps [N, M, N_r, N_s, H, W].  Each filter spectrum is
+built once per call and multiplied into every sample, in the same order as
+for a single sample, so each sample's output is bit-identical whatever else
+is in the batch.  The analysis runners send each image pair they compare
+through forward as one batch of 2.
 """
 
 from __future__ import annotations
@@ -285,33 +293,41 @@ def init_coeffs(net, seed=None):
 def _group_correlate(vals, filters, d_step, w_alpha, bias):
     """relu(bias + tap-weighted spatial correlations), evaluated on rfft2 spectra.
 
-    vals [M_in, R, S, H, W] (R, S the input's group sizes, or 1 to broadcast
-    one image over every output channel); filters [M_in, M_out, N_r, L_theta,
-    N_s, L_alpha, L, L].  Tap t reads rotation (r + t * d_step) mod R, tap q
-    reads scale s + q (nothing above the top channel) and carries weight
-    w_alpha[q] / L_theta.  Returns [M_out, N_r, N_s, H, W].
+    vals [N, M_in, R, S, H, W] (N samples; R, S the input's group sizes, or 1
+    to broadcast one image over every output channel); filters [M_in, M_out,
+    N_r, L_theta, N_s, L_alpha, L, L].  Tap t reads rotation (r + t * d_step)
+    mod R, tap q reads scale s + q (nothing above the top channel) and carries
+    weight w_alpha[q] / L_theta.  Returns [N, M_out, N_r, N_s, H, W].
     """
     m_in, m_out, n_r, l_th, n_s, l_al, L, _ = filters.shape
+    n = vals.shape[0]
     H, W = vals.shape[-2:]
     p = (L - 1) // 2
     P, Q = H + 2 * p, W + 2 * p
-    xf = np.fft.rfft2(np.pad(vals, [(0, 0)] * 3 + [(p, p), (p, p)]))
+    xf = np.fft.rfft2(np.pad(vals, [(0, 0)] * 4 + [(p, p), (p, p)]))
     # Conjugated DFT rows restricted to the L-tap support: ey @ f @ ex is the
     # conjugate rfft2 of f zero-padded to (P, Q), so products with xf correlate.
     taps = np.arange(L)
     ey = np.exp(2j * math.pi * (np.outer(np.arange(P), taps) % P) / P)
     ex = np.exp(2j * math.pi * (np.outer(taps, np.arange(Q // 2 + 1)) % Q) / Q)
-    acc = np.zeros((m_out, n_r, n_s) + xf.shape[-2:], dtype=complex)
+    acc = np.zeros((n, m_out, n_r, n_s) + xf.shape[-2:], dtype=complex)
+    prod = np.empty_like(acc)
     for t in range(l_th):
-        rolled = np.roll(xf, -t * d_step, axis=1)
+        # Output rotation r reads input rotation (r + shift) mod N_r: rows
+        # [shift, N_r) feed r < N_r - shift and rows [0, shift) the rest.
+        shift = t * d_step % n_r
         for q in range(min(l_al, n_s)):
             n_val = n_s - q
-            # Spectra of one tap slice at a time: all slices of a fig3 K=10,
-            # L_alpha=3 layer at 56x56 together would take about 117 MB.
-            spec = ey @ (filters[:, :, :, t, :n_val, q] @ (w_alpha[q] / l_th * ex))
-            spec *= rolled[:, None, :, q : q + n_val]
             for i in range(m_in):
-                acc[:, :, :n_val] += spec[i]
+                # Spectra of one (tap, input channel) slice at a time, shared
+                # by every sample: all slices of a fig3 K=10, L_alpha=3 layer
+                # at 56x56 together would take about 117 MB.
+                spec = ey @ (filters[i, :, :, t, :n_val, q] @ (w_alpha[q] / l_th * ex))
+                split = n_r - shift
+                np.multiply(spec[:, :split], xf[:, None, i, shift:, q : q + n_val], out=prod[:, :, :split, :n_val])
+                np.multiply(spec[:, split:], xf[:, None, i, :shift, q : q + n_val], out=prod[:, :, split:, :n_val])
+                acc[:, :, :, :n_val] += prod[:, :, :, :n_val]
+    del xf, prod  # freed before the inverse transforms allocate theirs
     out = np.fft.irfft2(acc, s=(P, Q))[..., :H, :W]
     out += bias[:, None, None, None, None]
     np.maximum(out, 0.0, out=out)
@@ -322,15 +338,16 @@ def lifting_conv(x, filters, bias, scale_grid):
     """Lift an image to a feature map: one 2-d correlation per (rotation, scale).
 
     x^{(1)}(u, theta_r, alpha_s, out) = relu(sum_in sum_{u'} x(u+u', in) *
-    filters[in, out, r, s, u'] + bias[out]), "same" zero padding.
+    filters[in, out, r, s, u'] + bias[out]), "same" zero padding.  A batch
+    [N, M, H, W] of images gives a batch [N, M_out, N_r, N_s, H, W].
     """
     m_in, _, n_r = filters.shape[:3]
     vals = x.values
-    if vals.shape[0] != m_in:
-        raise ConfigError(f"input channels {vals.shape[0]} != filter in_channels {m_in}")
-    out = _group_correlate(
-        vals[:, None, None], filters[:, :, :, None, :, None], 0, alpha_weights(1), bias
-    )
+    if vals.shape[-3] != m_in:
+        raise ConfigError(f"input channels {vals.shape[-3]} != filter in_channels {m_in}")
+    batch = vals.reshape((-1,) + vals.shape[-3:])[:, :, None, None]
+    out = _group_correlate(batch, filters[:, :, :, None, :, None], 0, alpha_weights(1), bias)
+    out = out.reshape(vals.shape[:-3] + out.shape[1:])
     return FeatureMap(out, 2.0 * math.pi / n_r, np.asarray(scale_grid, dtype=np.float64))
 
 
@@ -341,11 +358,12 @@ def joint_conv(x, filters, bias, spec):
     l_theta * N_r / L_theta channels (cyclic) and up l_alpha scale channels
     (zero beyond the top), correlate spatially with the filter slice
     [:, :, r, l_theta, s, l_alpha, :, :], and accumulate with quadrature
-    weight (1/L_theta) * trapezoid(l_alpha); then bias and ReLU.
+    weight (1/L_theta) * trapezoid(l_alpha); then bias and ReLU.  A batched
+    feature map [N, M, N_r, N_s, H, W] gives a batch of the same rank.
     """
     m_in, _, n_r_f, l_th, n_s_f, l_al = filters.shape[:6]
     vals = x.values
-    m_x, n_r, n_s = vals.shape[:3]
+    m_x, n_r, n_s = vals.shape[-5:-2]
     if m_x != m_in or n_r_f != n_r or n_s_f != n_s:
         raise ConfigError(
             f"filter group shape {(m_in, n_r_f, n_s_f)} does not match input {(m_x, n_r, n_s)}"
@@ -354,17 +372,25 @@ def joint_conv(x, filters, bias, spec):
         raise ConfigError("filter tap axes do not match the layer spec")
     if n_r % l_th != 0:
         raise ConfigError(f"L_theta={l_th} does not divide N_r={n_r}")
-    out = _group_correlate(vals, filters, n_r // l_th, alpha_weights(l_al), bias)
+    out = _group_correlate(
+        vals.reshape((-1,) + vals.shape[-5:]), filters, n_r // l_th, alpha_weights(l_al), bias
+    )
+    out = out.reshape(vals.shape[:-5] + out.shape[1:])
     return FeatureMap(out, x.rotation_step, x.scale_grid.copy())
 
 
 def group_pool(x):
     """Max over the whole group (space, rotation, scale) per channel."""
-    return x.values.max(axis=(1, 2, 3, 4))
+    return x.values.max(axis=(-4, -3, -2, -1))
 
 
 def forward(net, coeffs, x, return_all=False):
-    """Run the full network; returns the last FeatureMap (or all of them)."""
+    """Run the full network; returns the last FeatureMap (or all of them).
+
+    x may hold one image [M, H, W] or a batch [N, M, H, W]; a batch runs every
+    layer once for all N samples, and each sample's features are bit-identical
+    to its own single-image run.
+    """
     if len(coeffs) != net.depth:
         raise ConfigError(f"expected {net.depth} coefficient tensors, got {len(coeffs)}")
     feats = []

@@ -183,8 +183,10 @@ def test_missing_file_exits_four(tmp_path, capsys):
         (["equi", "sweep", "--beta", "0.3", "--height", "24", "--width", "24"], "off-lattice group element", "beta=0.3"),
         (["stab", "trials", "--trials", "1", "--grad-levels", "0.3"], "certificate assumption violated", "(A3)"),
         (["equi", "sweep", "--k-list", "600", "--height", "24", "--width", "24"], "basis pool exhausted", "K=600"),
+        (["equi", "sweep", "--height", "16", "--width", "16", "--margin", "8"], "config error", "margin=8"),
+        (["equi", "sweep", "--margin", "-3"], "config error", "margin=-3"),
     ],
-    ids=["off-lattice", "assumption", "pool-exhaustion"],
+    ids=["off-lattice", "assumption", "pool-exhaustion", "margin-too-wide", "margin-negative"],
 )
 def test_bad_input_exits_two_naming_the_cause(net_cfg, capsys, argv, cause, detail):
     assert main(argv + ["--config", net_cfg]) == 2

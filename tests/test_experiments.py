@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -151,6 +152,46 @@ def test_sweep_input_idx_source(tmp_path):
     want = make_rs_dataset(read_idx(ip, lp), seed=INPUT_SALT, upsize=16).images[2]
     np.testing.assert_array_equal(x5.values, want)
     np.testing.assert_array_equal(sweep_input(cfg, 5).values, x5.values)
+
+
+def test_sweep_input_rereads_rewritten_idx_files(tmp_path):
+    from rstcnn import make_rs_dataset, read_idx
+
+    ip, lp = str(tmp_path / "im.idx"), str(tmp_path / "lb.idx")
+    write_idx(ip, lp, synthetic_blob_set(3, 12, 12, seed=1))
+    cfg = tiny_sweep_config(idx_images=ip, idx_labels=lp, upsize=16)
+    before = sweep_input(cfg, 0).values
+    stamp = os.stat(ip)
+    write_idx(ip, lp, synthetic_blob_set(3, 12, 12, seed=2))  # same sizes, new pixels
+    # a distinct mtime even where the file clock is coarser than the rewrite
+    os.utime(ip, ns=(stamp.st_atime_ns, stamp.st_mtime_ns + 10**9))
+    after = sweep_input(cfg, 0).values
+    want = make_rs_dataset(read_idx(ip, lp), seed=INPUT_SALT, upsize=16).images[0]
+    np.testing.assert_array_equal(after, want)
+    assert not np.array_equal(after, before)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(height=16, width=16, margin=8),  # 2 * margin == side: empty interior
+        dict(height=24, width=12, margin=6),  # the shorter side counts
+        dict(margin=-3),
+        dict(idx_images="a.idx", idx_labels="b.idx", upsize=16, margin=8),  # IDX input is upsize^2
+    ],
+)
+def test_sweep_rejects_margins_without_interior(overrides):
+    with pytest.raises(ConfigError, match="margin"):
+        tiny_sweep_config(**overrides)
+
+
+def test_margin_checked_against_the_image_the_sweep_uses():
+    assert tiny_sweep_config(height=16, width=16, margin=7).margin == 7
+    assert tiny_sweep_config(margin=0).margin == 0
+    # IDX input is upsize x upsize whatever height and width say
+    tiny_sweep_config(idx_images="a.idx", idx_labels="b.idx", upsize=56, height=8, width=8, margin=20)
+    # stability trials do not read the margin
+    stability_config(height=8, width=8, margin=4)
 
 
 def stability_test_config(**overrides):

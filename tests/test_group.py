@@ -197,3 +197,12 @@ def test_feature_translation_exact():
     expected = np.zeros_like(feat.values)
     expected[..., : 13 - 2, 1:] = feat.values[..., 2:, : 13 - 1]
     assert np.abs(out.values - expected).max() < 1e-13
+
+
+def test_feature_action_on_a_batch_acts_on_each_sample():
+    samples = [make_feature(seed=s) for s in range(2)]
+    batch = FeatureMap(np.stack([f.values for f in samples]), samples[0].rotation_step, samples[0].scale_grid)
+    g = GroupElement(math.pi / 2, -1.0, (1.0, 0.5))  # rotation, scale and translation together
+    out = act_on_feature(g, batch)
+    for b, f in enumerate(samples):
+        assert np.array_equal(out.values[b], act_on_feature(g, f).values)

@@ -169,15 +169,25 @@ def test_joint_conv_scale_taps_read_upward_with_zero_fill():
     assert np.all(out.values[0, :, 1:] == 0.0)
 
 
-@pytest.mark.parametrize(
-    "m_in, m_out, n_r, n_s, H, W, L",
-    [
-        (1, 2, 2, 3, 6, 9, 5),  # H != W, even x odd
-        (2, 1, 2, 2, 7, 4, 3),  # H != W, odd x even
-        (1, 1, 2, 2, 3, 4, 7),  # stencil wider than the image
-        (3, 2, 2, 1, 5, 5, 3),  # M_in != M_out
-    ],
-)
+LIFTING_EDGE_SHAPES = [
+    (1, 2, 2, 3, 6, 9, 5),  # H != W, even x odd
+    (2, 1, 2, 2, 7, 4, 3),  # H != W, odd x even
+    (1, 1, 2, 2, 3, 4, 7),  # stencil wider than the image
+    (3, 2, 2, 1, 5, 5, 3),  # M_in != M_out
+]
+
+JOINT_EDGE_SHAPES = [
+    (2, 2, 4, 3, 6, 9, 3, 2, 2),  # H != W, even x odd
+    (2, 2, 4, 3, 7, 4, 3, 2, 2),  # H != W, odd x even
+    (1, 2, 2, 2, 3, 4, 7, 1, 1),  # stencil wider than the image
+    (2, 1, 2, 2, 4, 5, 3, 2, 4),  # L_alpha > N_s: taps q >= N_s read only zeros
+    (1, 1, 4, 2, 5, 5, 3, 1, 2),  # L_theta = 1
+    (1, 1, 4, 2, 5, 5, 3, 4, 2),  # L_theta = N_r
+    (3, 2, 4, 2, 5, 6, 3, 2, 1),  # M_in != M_out
+]
+
+
+@pytest.mark.parametrize("m_in, m_out, n_r, n_s, H, W, L", LIFTING_EDGE_SHAPES)
 def test_lifting_conv_edge_shapes_match_loop_oracle(m_in, m_out, n_r, n_s, H, W, L):
     rng = np.random.default_rng(31)
     x = rng.standard_normal((m_in, H, W))
@@ -189,18 +199,7 @@ def test_lifting_conv_edge_shapes_match_loop_oracle(m_in, m_out, n_r, n_s, H, W,
         assert out[pos] == pytest.approx(reference.naive_lifting_at(x, filters, bias, *pos), abs=1e-10)
 
 
-@pytest.mark.parametrize(
-    "m_in, m_out, n_r, n_s, H, W, L, L_theta, L_alpha",
-    [
-        (2, 2, 4, 3, 6, 9, 3, 2, 2),  # H != W, even x odd
-        (2, 2, 4, 3, 7, 4, 3, 2, 2),  # H != W, odd x even
-        (1, 2, 2, 2, 3, 4, 7, 1, 1),  # stencil wider than the image
-        (2, 1, 2, 2, 4, 5, 3, 2, 4),  # L_alpha > N_s: taps q >= N_s read only zeros
-        (1, 1, 4, 2, 5, 5, 3, 1, 2),  # L_theta = 1
-        (1, 1, 4, 2, 5, 5, 3, 4, 2),  # L_theta = N_r
-        (3, 2, 4, 2, 5, 6, 3, 2, 1),  # M_in != M_out
-    ],
-)
+@pytest.mark.parametrize("m_in, m_out, n_r, n_s, H, W, L, L_theta, L_alpha", JOINT_EDGE_SHAPES)
 def test_joint_conv_edge_shapes_match_loop_oracle(m_in, m_out, n_r, n_s, H, W, L, L_theta, L_alpha):
     rng = np.random.default_rng(32)
     spec = LayerSpec(m_in, m_out, 1, L, L_theta=L_theta, L_alpha=L_alpha)
@@ -212,6 +211,88 @@ def test_joint_conv_edge_shapes_match_loop_oracle(m_in, m_out, n_r, n_s, H, W, L
     assert out.shape == (m_out, n_r, n_s, H, W)
     for pos in np.ndindex(out.shape):
         assert out[pos] == pytest.approx(reference.naive_joint_at(vals, filters, bias, *pos), abs=1e-10)
+
+
+# sample orders of a batch drawn from three inputs, reversed and partial ones included
+BATCH_ORDERS = ([0], [0, 1], [0, 1, 2], [2, 1, 0], [1, 2])
+
+
+@pytest.mark.parametrize("m_in, m_out, n_r, n_s, H, W, L", LIFTING_EDGE_SHAPES)
+def test_lifting_conv_batch_is_bit_identical_per_sample(m_in, m_out, n_r, n_s, H, W, L):
+    rng = np.random.default_rng(41)
+    xs = rng.standard_normal((3, m_in, H, W))
+    filters = rng.standard_normal((m_in, m_out, n_r, n_s, L, L))
+    bias = rng.standard_normal(m_out)
+    grid = np.linspace(-1.0, 1.0, n_s)
+    singles = [lifting_conv(ImageTensor(x), filters, bias, grid).values for x in xs]
+    for order in BATCH_ORDERS:
+        out = lifting_conv(ImageTensor(xs[order]), filters, bias, grid).values
+        assert out.shape == (len(order), m_out, n_r, n_s, H, W)
+        for b, i in enumerate(order):
+            assert np.array_equal(out[b], singles[i])
+
+
+@pytest.mark.parametrize("m_in, m_out, n_r, n_s, H, W, L, L_theta, L_alpha", JOINT_EDGE_SHAPES)
+def test_joint_conv_batch_is_bit_identical_per_sample(m_in, m_out, n_r, n_s, H, W, L, L_theta, L_alpha):
+    rng = np.random.default_rng(42)
+    spec = LayerSpec(m_in, m_out, 1, L, L_theta=L_theta, L_alpha=L_alpha)
+    vals = rng.standard_normal((3, m_in, n_r, n_s, H, W))
+    step, grid = 2.0 * math.pi / n_r, np.linspace(-1.0, 1.0, n_s)
+    filters = rng.standard_normal((m_in, m_out, n_r, L_theta, n_s, L_alpha, L, L))
+    bias = rng.standard_normal(m_out)
+    singles = [joint_conv(FeatureMap(v, step, grid), filters, bias, spec).values for v in vals]
+    for order in BATCH_ORDERS:
+        out = joint_conv(FeatureMap(vals[order], step, grid), filters, bias, spec).values
+        assert out.shape == (len(order), m_out, n_r, n_s, H, W)
+        for b, i in enumerate(order):
+            assert np.array_equal(out[b], singles[i])
+
+
+def test_forward_batch_is_bit_identical_per_sample():
+    net = small_net(layers=3, channels=2, L_alpha=2, max_angular=2)
+    coeffs = init_coeffs(net, seed=1)
+    xs = np.stack([interior_image(height=15, width=17, margin=4, seed=s).values for s in range(3)])
+    singles = [forward(net, coeffs, ImageTensor(x), return_all=True) for x in xs]
+    for order in BATCH_ORDERS:
+        feats = forward(net, coeffs, ImageTensor(xs[order]), return_all=True)
+        assert len(feats) == 3
+        for layer, f in enumerate(feats):
+            assert f.values.shape == (len(order), 2, 4, 3, 15, 17)
+            for b, i in enumerate(order):
+                assert np.array_equal(f.values[b], singles[i][layer].values)
+
+
+def test_batched_shape_mismatches_raise():
+    # a batch of two one-channel maps must not pass for one two-channel map
+    rng = np.random.default_rng(0)
+    spec = LayerSpec(1, 1, 1, 3, L_theta=2, L_alpha=1)
+    feat = FeatureMap(rng.standard_normal((2, 1, 4, 2, 5, 5)), math.pi / 2, np.array([-1.0, 1.0]))
+    for bad in ((2, 1, 4, 2, 2, 1, 3, 3), (1, 1, 8, 2, 2, 1, 3, 3), (1, 1, 4, 2, 3, 1, 3, 3)):
+        with pytest.raises(ConfigError, match="group shape"):
+            joint_conv(feat, rng.standard_normal(bad), np.zeros(1), spec)
+    with pytest.raises(ConfigError, match="input channels"):
+        lifting_conv(ImageTensor(np.zeros((2, 1, 5, 5))), np.zeros((2, 1, 4, 2, 3, 3)), np.zeros(1), np.array([0.0, 1.0]))
+
+
+def test_batched_containers_read_group_sizes_from_trailing_axes():
+    assert ImageTensor(np.zeros((3, 2, 5, 4))).channels == 2
+    FeatureMap(np.zeros((3, 2, 4, 2, 5, 5)), math.pi / 2, np.array([-1.0, 1.0]))
+    with pytest.raises(ValueError, match="rotation_step"):
+        FeatureMap(np.zeros((4, 2, 3, 2, 5, 5)), math.pi / 2, np.array([-1.0, 1.0]))
+    with pytest.raises(ValueError, match="scale_grid"):
+        FeatureMap(np.zeros((2, 2, 4, 3, 5, 5)), math.pi / 2, np.array([-1.0, 1.0]))
+
+
+@pytest.mark.parametrize("ndim", [0, 1, 2, 5, 6])
+def test_image_tensor_rejects_other_ranks(ndim):
+    with pytest.raises(ValueError, match="image values"):
+        ImageTensor(np.zeros((2,) * ndim))
+
+
+@pytest.mark.parametrize("ndim", [0, 1, 2, 3, 4, 7])
+def test_feature_map_rejects_other_ranks(ndim):
+    with pytest.raises(ValueError, match="feature values"):
+        FeatureMap(np.zeros((2,) * ndim), math.pi, np.array([-1.0, 1.0]))
 
 
 def test_convolutions_of_zero_input_are_exactly_relu_bias():
