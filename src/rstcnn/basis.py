@@ -11,8 +11,9 @@ zero on and outside their domain boundary.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,20 +71,21 @@ class BasisSet:
         return len(self.scale)
 
 
+@functools.cache
 def _fb_pool():
+    # Every "fb" build_basis call draws from these candidates, so they are
+    # enumerated once per process: one zero search and one normalization
+    # call per order.
     pool = []
+    qs = np.arange(1, FB_POOL_MAX_Q + 1)
     for m in range(FB_POOL_MAX_M + 1):
-        for q in range(1, FB_POOL_MAX_Q + 1):
-            lam = bessel_zero(m, q)
-            mu = lam * lam
-            if m == 0:
-                c = 1.0 / (math.sqrt(math.pi) * abs(bessel_j(1, lam)))
-                pool.append(BasisElement("fb-disk", (m, q), "cos", mu, c))
-            else:
-                c = math.sqrt(2.0) / (math.sqrt(math.pi) * abs(bessel_j(m + 1, lam)))
-                pool.append(BasisElement("fb-disk", (m, q), "cos", mu, c))
-                pool.append(BasisElement("fb-disk", (m, q), "sin", mu, c))
-    return pool
+        lams = bessel_zero(m, qs)
+        jnext = np.abs(bessel_j(m + 1, lams))
+        harmonics = ("cos",) if m == 0 else ("cos", "sin")
+        for q, lam, jn in zip(qs.tolist(), lams.tolist(), jnext.tolist()):
+            c = (1.0 if m == 0 else math.sqrt(2.0)) / (math.sqrt(math.pi) * jn)
+            pool.extend(BasisElement("fb-disk", (m, q), h, lam * lam, c) for h in harmonics)
+    return tuple(pool)
 
 
 def _sl_pool():

@@ -1,16 +1,16 @@
 """Bessel functions of the first kind for integer orders.
 
 Self-contained evaluation of J_m(x) and its zeros, vectorized over numpy
-arrays.  Two regimes: an ascending power series where its terms are
-non-increasing (no cancellation), and Miller's downward recurrence with
-normalization J_0(x) + 2*sum_t J_{2t}(x) = 1 elsewhere.  Accuracy is
-~1e-12 absolute over the supported order range, which is what the filter
-bank construction needs; nothing here chases the last ulp.
+arrays; Python floats take the same array path.  Two regimes: an ascending
+power series where its terms are non-increasing (no cancellation), and
+Miller's downward recurrence with normalization J_0(x) + 2*sum_t J_{2t}(x) = 1
+elsewhere.  Accuracy is ~1e-12 absolute for J_m over the supported order
+range, and ~1e-14 for its zeros, which are found for a whole array of
+indices in one call.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -50,21 +50,6 @@ def _series(m, x):
     return out
 
 
-def _series_scalar(m, x):
-    # Same recurrence as _series, in plain floats: the zero finder calls this
-    # thousands of times and per-call ndarray overhead dominates otherwise.
-    half = 0.5 * x
-    term = half**m / math.factorial(m)
-    out = term
-    q = half * half
-    for t in range(400):
-        term = -term * q / ((t + 1.0) * (m + t + 1.0))
-        out += term
-        if abs(term) <= _SERIES_TOL * (abs(out) + 1e-300):
-            break
-    return out
-
-
 def _miller(m, x):
     # Downward recurrence J_{n-1} = (2n/x) J_n - J_{n+1} from a start order
     # well above both m and x, normalized by J_0 + 2*sum J_{2t} = 1.
@@ -92,44 +77,12 @@ def _miller(m, x):
     return want / ssum
 
 
-def _miller_scalar(m, x):
-    # Same recurrence as _miller, in plain floats (same operation order, so
-    # the result is bit-identical to the one-element-array path).
-    nstart = max(m, int(math.ceil(x))) + 60 + int(math.ceil(0.5 * x))
-    jp = 0.0
-    jc = 1e-30
-    ssum = 0.0
-    want = 0.0
-    for n in range(nstart, 0, -1):
-        jm = (2.0 * n / x) * jc - jp
-        jp, jc = jc, jm
-        if n - 1 == m:
-            want = jc
-        if (n - 1) >= 2 and (n - 1) % 2 == 0:
-            ssum = ssum + 2.0 * jc
-        if abs(jc) > _RENORM_AT:
-            jp = jp * 1e-250
-            jc = jc * 1e-250
-            ssum = ssum * 1e-250
-            want = want * 1e-250
-    return want / (ssum + jc)
-
-
 def bessel_j(order, x):
     """J_order(x) for integer 0 <= order <= MAX_ORDER and x >= 0.
 
     Accepts scalars or arrays; returns a matching float64 result.
     """
     m = _check_order(order)
-    if isinstance(x, (float, int)) and not isinstance(x, bool):
-        xf = float(x)
-        if not math.isfinite(xf):
-            raise ValueError("bessel_j requires finite x")
-        if xf < 0.0:
-            raise ValueError("bessel_j requires x >= 0")
-        if xf <= 2.0 * math.sqrt(m + 1.0):
-            return float(_series_scalar(m, xf))
-        return float(_miller_scalar(m, xf))
     xa = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(xa)):
         raise ValueError("bessel_j requires finite x")
@@ -145,8 +98,7 @@ def bessel_j(order, x):
     hi = ~lo
     if np.any(hi):
         out[hi] = _miller(m, xa[hi])
-    shaped = out.reshape(np.shape(x)) if not scalar else out[0]
-    return float(shaped) if scalar else shaped
+    return float(out[0]) if scalar else out.reshape(np.shape(x))
 
 
 def bessel_j_derivative(order, x):
@@ -175,44 +127,32 @@ def bessel_j_over_x(order, x):
     return float(out[0]) if scalar else out.reshape(np.shape(x))
 
 
-@functools.lru_cache(maxsize=4096)
 def bessel_zero(order, q):
-    """q-th positive zero of J_order (q >= 1), accurate to ~1e-10.
+    """q-th positive zero of J_order (q >= 1), accurate to ~1e-14.
 
-    Bracket by scanning for sign changes, then bisect and polish with two
-    Newton steps.  Consecutive zeros of J_m are separated by more than 2.9,
-    so a 0.2 scan step cannot skip a pair.
+    q is an int (returns a float) or an integer array (returns an array of
+    the same shape).  One bessel_j call on a 0.2-step grid that runs one pi
+    past McMahon's estimate (q + order/2 - 1/4)*pi of the largest requested
+    zero, and so past that zero, brackets them all: consecutive zeros of J_m
+    are separated by more than 2.9, so the scan cannot skip a pair.  Six
+    Newton steps from the bracket midpoints, each clipped to its bracket so
+    it cannot reach a neighbouring zero, then refine every zero at once.
     """
     m = _check_order(order)
-    if q < 1:
-        raise ValueError(f"zero index q must be >= 1, got {q}")
+    qa = np.asarray(q)
+    if not np.issubdtype(qa.dtype, np.integer) or np.any(qa < 1):
+        raise ValueError(f"zero index q must be an integer >= 1, got {q!r}")
     step = 0.2
-    x_prev = 1e-9 if m == 0 else max(m * 0.5, 1e-9)
-    f_prev = bessel_j(m, x_prev)
-    found = 0
-    x = x_prev
-    for _ in range(100000):
-        x = x + step
-        f = bessel_j(m, x)
-        if f_prev * f < 0 or f == 0.0:
-            found += 1
-            if found == q:
-                lo, hi = x - step, x
-                break
-        f_prev = f
-    else:  # pragma: no cover
-        raise RuntimeError(f"zero scan failed for J_{m}, q={q}")
-    flo = bessel_j(m, lo)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        fm = bessel_j(m, mid)
-        if flo * fm <= 0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
+    start = 1e-9 if m == 0 else 0.5 * m
+    stop = (int(qa.max()) + 0.5 * m + 0.75) * math.pi
+    xs = start + step * np.arange(int((stop - start) / step) + 2)
+    f = bessel_j(m, xs)
+    left = np.flatnonzero((f[:-1] * f[1:] < 0) | (f[1:] == 0.0))
+    lo, hi = xs[left[qa - 1]], xs[left[qa - 1] + 1]
     root = 0.5 * (lo + hi)
-    for _ in range(2):
-        d = bessel_j_derivative(m, root)
-        if d != 0.0:
-            root = root - bessel_j(m, root) / d
-    return float(root)
+    for _ in range(6):
+        j = bessel_j(m, root)
+        # J_m' = J_{m-1} - (m/x) J_m, which stays within MAX_ORDER for every m
+        d = -bessel_j(1, root) if m == 0 else bessel_j(m - 1, root) - m / root * j
+        root = np.clip(root - j / d, lo, hi)
+    return float(root) if qa.ndim == 0 else root

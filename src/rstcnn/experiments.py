@@ -14,7 +14,7 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,7 +29,9 @@ from .net import (
     CoeffTensor,
     LayerSpec,
     NetworkConfig,
+    _coeff_shape,
     init_coeffs,
+    layer_basis,
     normalize_coeffs_A2,
 )
 
@@ -260,10 +262,7 @@ def run_basis_validate(cfg):
     gram = gram_matrix(basis, grid_n=201)
     gram_dev = float(np.abs(gram - np.eye(K)).max())
     residuals = [laplacian_residual(basis, k) for k in range(K)]
-    zero_residuals = []
-    for m in range(9):
-        for q in range(1, 9):
-            zero_residuals.append(abs(float(bessel_j(m, bessel_zero(m, q)))))
+    zero_residuals = [np.abs(bessel_j(m, bessel_zero(m, np.arange(1, 9)))).max() for m in range(9)]
     j01_err = abs(bessel_zero(0, 1) - 2.4048255577)
     report = {
         "kind": cfg.kind,
@@ -287,35 +286,16 @@ def run_basis_validate(cfg):
 def run_bounds_report(cfg):
     """Quadrature filter bounds vs. amplitude bounds over random draws."""
     K = max(cfg.k_list)
-    lift_spec = LayerSpec(1, cfg.channels, K, cfg.stencil)
-    joint_spec = LayerSpec(
-        cfg.channels,
-        cfg.channels,
-        K,
-        cfg.stencil,
-        L_theta=cfg.L_theta,
-        L_alpha=max(cfg.l_alpha_list),
-        max_angular=4,
-        n_scale=max(1, max(cfg.l_alpha_list)),
-    )
-    lift_basis = build_basis(cfg.spatial_kind, K)
-    joint_basis = build_basis(
-        cfg.spatial_kind, K, max_angular=joint_spec.max_angular, n_scale=joint_spec.n_scale
-    )
+    # the sweep's network for the largest (K, L_alpha); its first two layers are the ones bounded
+    netc = build_network(replace(cfg, layers=2), K, max(cfg.l_alpha_list))
     draws = []
     worst = 0.0
     for seed in cfg.seeds:
         rng = np.random.default_rng([seed, 31])
         per_draw = {"seed": seed}
-        for name, spec, bas in (
-            ("lifting", lift_spec, lift_basis),
-            ("joint", joint_spec, joint_basis),
-        ):
-            if name == "lifting":
-                shape = (spec.in_channels, spec.out_channels, spec.K)
-            else:
-                shape = (spec.in_channels, spec.out_channels, spec.K, spec.n_angular, spec.n_scale)
-            raw = CoeffTensor(rng.uniform(-1.0, 1.0, size=shape), np.zeros(spec.out_channels))
+        for idx, name in enumerate(("lifting", "joint")):
+            spec, bas = netc.layers[idx], layer_basis(netc, idx)
+            raw = CoeffTensor(rng.uniform(-1.0, 1.0, size=_coeff_shape(netc, idx)), np.zeros(spec.out_channels))
             coeffs, _ = normalize_coeffs_A2(raw, bas, spec)
             rep = analysis.filter_bound_report(coeffs, bas, spec, grid_n=cfg.grid_n)
             ratio = max(rep.B, rep.C, rep.scaled_D) / rep.A if rep.A > 0 else 0.0

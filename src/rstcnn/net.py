@@ -274,17 +274,21 @@ def normalize_coeffs_A2(coeffs, basis, spec):
     return out, amp / c
 
 
+def _coeff_shape(net, layer_index):
+    """The CoeffTensor.a shape of a layer: lifting at index 0, joint after it."""
+    spec = net.layers[layer_index]
+    if layer_index == 0:
+        return (spec.in_channels, spec.out_channels, spec.K)
+    return (spec.in_channels, spec.out_channels, spec.K, spec.n_angular, spec.n_scale)
+
+
 def init_coeffs(net, seed=None):
     """Per-layer uniform [-1, 1] coefficients, A2-normalized, zero bias."""
     root = net.seed if seed is None else seed
     out = []
     for idx, spec in enumerate(net.layers):
         rng = np.random.default_rng([root, idx])
-        if idx == 0:
-            shape = (spec.in_channels, spec.out_channels, spec.K)
-        else:
-            shape = (spec.in_channels, spec.out_channels, spec.K, spec.n_angular, spec.n_scale)
-        raw = CoeffTensor(rng.uniform(-1.0, 1.0, size=shape), np.zeros(spec.out_channels))
+        raw = CoeffTensor(rng.uniform(-1.0, 1.0, size=_coeff_shape(net, idx)), np.zeros(spec.out_channels))
         normalized, _ = normalize_coeffs_A2(raw, layer_basis(net, idx), spec)
         out.append(normalized)
     return out

@@ -132,3 +132,44 @@ def test_sum_of_squares_identity(x):
     # J_0^2 + 2 sum_{m>=1} J_m^2 = 1; the m > 16 tail is < 1e-13 for x <= 6
     total = bessel_j(0, x) ** 2 + 2.0 * sum(bessel_j(m, x) ** 2 for m in range(1, 17))
     assert total == pytest.approx(1.0, abs=1e-12)
+
+
+def test_zeros_match_scipy_through_max_order():
+    # the 256 pool zeros (m <= 15, q <= 16) and order MAX_ORDER = 16, whose
+    # Newton derivative J_{m-1} - (m/x) J_m needs no order above it
+    scipy_special = pytest.importorskip("scipy.special")
+    for m in range(17):
+        ours = bessel_zero(m, np.arange(1, 17))
+        assert np.abs(ours - scipy_special.jn_zeros(m, 16)).max() < 1e-12
+
+
+def test_array_q_matches_int_calls():
+    qs = np.array([[3, 1], [7, 2]])
+    for m in (0, 5, 16):
+        vec = bessel_zero(m, qs)
+        assert vec.shape == qs.shape
+        for q, z in zip(qs.ravel().tolist(), vec.ravel().tolist()):
+            one = bessel_zero(m, q)
+            assert isinstance(one, float)
+            assert z == one
+
+
+@pytest.mark.parametrize("q", [0, -2, np.array([1, 0, 2]), 1.5])
+def test_bad_zero_index_rejected(q):
+    with pytest.raises(ValueError):
+        bessel_zero(3, q)
+
+
+def test_fb_basis_order_matches_scipy_zeros():
+    # an ulp change in a zero must not reorder the basis
+    scipy_special = pytest.importorskip("scipy.special")
+    from rstcnn.basis import build_basis
+
+    expected = []
+    for m in range(16):
+        for q, lam in enumerate(scipy_special.jn_zeros(m, 16), start=1):
+            for h in ("cos",) if m == 0 else ("cos", "sin"):
+                expected.append((lam * lam, (m, q), h == "sin"))
+    expected.sort()
+    ours = [(e.indices, e.harmonic) for e in build_basis("fb", 496).spatial]
+    assert ours == [(mq, "sin" if sin else "cos") for _, mq, sin in expected]
