@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -290,72 +291,72 @@ class FilterBoundReport:
         }
 
 
+# Basis values and gradient components [K, P] at the P grid points where some
+# element or its gradient is nonzero: every other point adds exactly 0 to each sum.
+_DiskQuadrature = namedtuple("_DiskQuadrature", "spatial grid_n vals gx gy radius h2")
+
+
 def _unit_disk_quadrature(basis, grid_n):
+    if grid_n < 2:
+        raise ValueError(f"grid_n must be >= 2, got {grid_n}")
     xs = np.linspace(-1.0, 1.0, grid_n)
-    X, Y = np.meshgrid(xs, xs)
-    pts = np.stack([X, Y], axis=-1)
-    h2 = (xs[1] - xs[0]) ** 2
+    pts = np.stack(np.meshgrid(xs, xs), axis=-1).reshape(-1, 2)
     vals = np.stack([eval_spatial(e, pts) for e in basis.spatial])
-    grads = np.stack([eval_spatial_grad(e, pts) for e in basis.spatial])
-    grads = np.moveaxis(grads, -1, 1)  # [K, 2, n, n]
-    radius = np.sqrt(X * X + Y * Y)
-    return vals, grads, radius, h2
+    grads = np.moveaxis(np.stack([eval_spatial_grad(e, pts) for e in basis.spatial]), -1, 0)  # [2, K, n*n]
+    keep = (vals != 0.0).any(axis=0) | (grads != 0.0).any(axis=(0, 1))
+    gx, gy = grads.compress(keep, axis=2)
+    radius = np.sqrt((pts[keep] ** 2).sum(axis=1))
+    h2 = (xs[1] - xs[0]) ** 2
+    return _DiskQuadrature(basis.spatial, grid_n, vals.compress(keep, axis=1), gx, gy, radius, h2)
 
 
-def filter_bound_report(coeffs, basis, spec, grid_n=301, n_theta=64):
+def _pair_sums(c, quad):
+    """Per row of c [R, K]: the sums of |W|, r |grad W| and |grad W| for W = c @ basis, as [3, R]."""
+    w = c @ quad.vals
+    b = np.abs(w, out=w).sum(axis=1)
+    gx = c @ quad.gx
+    gy = np.matmul(c, quad.gy, out=w)
+    np.square(gx, out=gx)
+    np.square(gy, out=gy)
+    gx += gy
+    gmag = np.sqrt(gx, out=gx)
+    return np.stack([b, gmag @ quad.radius, gmag.sum(axis=1)])
+
+
+def filter_bound_report(coeffs, basis, spec, grid_n=301, n_theta=64, *, quadrature=None):
     """Quadrature B, C, D aggregates for one layer against its amplitude bound.
 
     Spatial integrals on a grid_n x grid_n grid over the unit square (the
     basis is supported on the unit disk); joint layers integrate over theta
     with the normalized S^1 measure on n_theta uniform samples.  Gradients
-    come from the analytic basis derivatives.
+    come from the analytic basis derivatives.  Layers with the same spatial
+    elements may share one quadrature from _unit_disk_quadrature(basis, grid_n).
     """
-    vals, grads, radius, h2 = _unit_disk_quadrature(basis, grid_n)
+    if n_theta < 1:
+        raise ValueError(f"n_theta must be >= 1, got {n_theta}")
+    quad = _unit_disk_quadrature(basis, grid_n) if quadrature is None else quadrature
+    if quad.grid_n != grid_n or quad.spatial != basis.spatial:
+        raise ValueError(f"quadrature built for grid_n={quad.grid_n} does not fit grid_n={grid_n} and this basis")
     a = coeffs.a
-    m_in, m_out = a.shape[0], a.shape[1]
-    j = spec.resolved_scale
-
+    m_in, m_out, K = a.shape[:3]
     if coeffs.is_lifting:
-        W = np.einsum("abk,kxy->abxy", a, vals)
-        G = np.einsum("abk,kdxy->abdxy", a, grads)
-        gmag = np.sqrt(G[:, :, 0] ** 2 + G[:, :, 1] ** 2)
-        b_pair = np.abs(W).sum(axis=(2, 3)) * h2
-        c_pair = (radius * gmag).sum(axis=(2, 3)) * h2
-        d_pair = gmag.sum(axis=(2, 3)) * h2
-        per_pair = [b_pair, c_pair, d_pair]
-        aggregated = [
-            max(p.sum(axis=0).max(), (m_in / m_out) * p.sum(axis=1).max()) for p in per_pair
-        ]
+        sums = _pair_sums(a.reshape(-1, K), quad) * quad.h2
     else:
         thetas = 2.0 * math.pi * np.arange(n_theta) / n_theta
         phi = np.stack([eval_angular(e, thetas) for e in basis.angular])  # [n_ang, n_theta]
-        # Accumulate the normalized-S^1 theta average in chunks: the full
-        # [a, b, n, n_theta, grid, grid] tensors would run to gigabytes.
-        shape = (m_in, m_out, a.shape[4])
-        b_pair = np.zeros(shape)
-        c_pair = np.zeros(shape)
-        d_pair = np.zeros(shape)
-        for t0 in range(0, n_theta, 8):
-            ph = phi[:, t0 : t0 + 8]
-            Wt = np.einsum("abkmn,kxy,mt->abntxy", a, vals, ph, optimize=True)
-            Gt = np.einsum("abkmn,kdxy,mt->abndtxy", a, grads, ph, optimize=True)
-            gmag = np.sqrt(Gt[:, :, :, 0] ** 2 + Gt[:, :, :, 1] ** 2)  # [a,b,n,t,x,y]
-            b_pair += np.abs(Wt).sum(axis=(3, 4, 5))
-            c_pair += (radius * gmag).sum(axis=(3, 4, 5))
-            d_pair += gmag.sum(axis=(3, 4, 5))
-        b_pair *= h2 / n_theta
-        c_pair *= h2 / n_theta
-        d_pair *= h2 / n_theta
-        per_pair = [b_pair, c_pair, d_pair]
-        aggregated = [
-            max(
-                p.sum(axis=2).sum(axis=0).max(),
-                (2.0 * m_in / m_out) * p.sum(axis=1).max(axis=0).sum(),
-            )
-            for p in per_pair
-        ]
-
-    B, C, Du = aggregated
+        # The normalized-S^1 theta average, one sample at a time: each is three
+        # small GEMMs over the support points, and no grid-sized tensor per theta forms.
+        sums = np.zeros((3, m_in * m_out * a.shape[4]))
+        for t in range(n_theta):
+            sums += _pair_sums(np.einsum("abkmn,m->abnk", a, phi[:, t]).reshape(-1, K), quad)
+        sums *= quad.h2 / n_theta
+    # over (in, out, scale mode) pairs as in filter_amplitude; lifting has one mode and no factor 2
+    weight = (1.0 if coeffs.is_lifting else 2.0) * m_in / m_out
+    B, C, Du = (
+        max(p.sum(axis=2).sum(axis=0).max(), weight * p.sum(axis=1).max(axis=0).sum())
+        for p in sums.reshape(3, m_in, m_out, -1)
+    )
+    j = spec.resolved_scale
     A = filter_amplitude(coeffs, basis, spec)
     return FilterBoundReport(B=float(B), C=float(C), D=float(Du) * 2.0**-j, A=A, layer_scale=j)
 

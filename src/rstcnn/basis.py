@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import bessel_j, bessel_j_derivative, bessel_j_over_x, bessel_zero
+from .bessel import bessel_j, bessel_j_over_x, bessel_zero
 
 FB_POOL_MAX_M = 15
 FB_POOL_MAX_Q = 16
@@ -177,9 +177,10 @@ def eval_spatial_grad(element, points):
         gx = np.zeros_like(x)
         gy = np.zeros_like(y)
         r = lam * rho[inside]
-        jprime = bessel_j_derivative(m, r)
         # m J_m(lam rho) / rho = lam * (m J_m(r) / r), finite at the origin
         j_over = bessel_j_over_x(m, r)
+        # J_m' = J_{m-1} - m J_m / r, as in bessel_j_derivative
+        jprime = -bessel_j(1, r) if m == 0 else bessel_j(m - 1, r) - j_over
         cphi = np.cos(m * phi[inside])
         sphi = np.sin(m * phi[inside])
         if element.harmonic == "cos":

@@ -102,13 +102,11 @@ def bessel_j(order, x):
 
 
 def bessel_j_derivative(order, x):
-    """d/dx J_order(x), from J_0' = -J_1 and 2 J_m' = J_{m-1} - J_{m+1}."""
+    """d/dx J_order(x), from J_0' = -J_1 and J_m' = J_{m-1} - m J_m / x (no order above m)."""
     m = _check_order(order)
     if m == 0:
         return -bessel_j(1, x)
-    if m + 1 > MAX_ORDER:
-        raise UnsupportedOrderError(f"derivative of order {m} needs order {m + 1} > MAX_ORDER")
-    return 0.5 * (bessel_j(m - 1, x) - bessel_j(m + 1, x))
+    return bessel_j(m - 1, x) - bessel_j_over_x(m, x)
 
 
 def bessel_j_over_x(order, x):

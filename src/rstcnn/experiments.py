@@ -86,6 +86,8 @@ class ExperimentConfig:
             raise ConfigError("idx images and labels must be given together")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        if self.grid_n < 2:
+            raise ConfigError(f"grid_n must be >= 2, got {self.grid_n}")
         if self.kind == "equivariance-sweep":
             side = self.upsize if self.idx_images is not None else min(self.height, self.width)
             if not 0 <= 2 * self.margin < side:
@@ -288,6 +290,8 @@ def run_bounds_report(cfg):
     K = max(cfg.k_list)
     # the sweep's network for the largest (K, L_alpha); its first two layers are the ones bounded
     netc = build_network(replace(cfg, layers=2), K, max(cfg.l_alpha_list))
+    # both layers expand in the same K spatial elements: evaluate them on the grid once
+    quad = analysis._unit_disk_quadrature(layer_basis(netc, 0), cfg.grid_n)
     draws = []
     worst = 0.0
     for seed in cfg.seeds:
@@ -297,7 +301,7 @@ def run_bounds_report(cfg):
             spec, bas = netc.layers[idx], layer_basis(netc, idx)
             raw = CoeffTensor(rng.uniform(-1.0, 1.0, size=_coeff_shape(netc, idx)), np.zeros(spec.out_channels))
             coeffs, _ = normalize_coeffs_A2(raw, bas, spec)
-            rep = analysis.filter_bound_report(coeffs, bas, spec, grid_n=cfg.grid_n)
+            rep = analysis.filter_bound_report(coeffs, bas, spec, grid_n=cfg.grid_n, quadrature=quad)
             ratio = max(rep.B, rep.C, rep.scaled_D) / rep.A if rep.A > 0 else 0.0
             worst = max(worst, ratio)
             d = rep.to_dict()

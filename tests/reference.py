@@ -153,3 +153,66 @@ def fourier_field_value(coeffs, box, comp, x, y):
             for w in range(4):
                 acc += coeffs[comp, p, q, w] * prods[w]
     return acc
+
+
+def chunked_filter_bounds(coeffs, basis, spec, grid_n, n_theta):
+    """B, C, D and A of one layer from full-grid einsums, theta in chunks of 8.
+
+    The quadrature as filter_bound_report computed it before it summed over
+    the disk's support points only: filters and gradients are formed on the
+    whole grid_n x grid_n grid and then summed.  Basis values and the
+    amplitude bound come from the package; the sums and their aggregation
+    over channels are written out here.
+    """
+    from rstcnn.basis import eval_angular, eval_spatial, eval_spatial_grad
+    from rstcnn.net import filter_amplitude
+
+    xs = np.linspace(-1.0, 1.0, grid_n)
+    X, Y = np.meshgrid(xs, xs)
+    pts = np.stack([X, Y], axis=-1)
+    h2 = (xs[1] - xs[0]) ** 2
+    vals = np.stack([eval_spatial(e, pts) for e in basis.spatial])
+    grads = np.moveaxis(np.stack([eval_spatial_grad(e, pts) for e in basis.spatial]), -1, 1)
+    radius = np.sqrt(X * X + Y * Y)
+    a = coeffs.a
+    m_in, m_out = a.shape[0], a.shape[1]
+
+    if coeffs.is_lifting:
+        W = np.einsum("abk,kxy->abxy", a, vals)
+        G = np.einsum("abk,kdxy->abdxy", a, grads)
+        gmag = np.sqrt(G[:, :, 0] ** 2 + G[:, :, 1] ** 2)
+        per_pair = [
+            np.abs(W).sum(axis=(2, 3)) * h2,
+            (radius * gmag).sum(axis=(2, 3)) * h2,
+            gmag.sum(axis=(2, 3)) * h2,
+        ]
+        aggregated = [
+            max(p.sum(axis=0).max(), (m_in / m_out) * p.sum(axis=1).max()) for p in per_pair
+        ]
+    else:
+        thetas = 2.0 * math.pi * np.arange(n_theta) / n_theta
+        phi = np.stack([eval_angular(e, thetas) for e in basis.angular])
+        per_pair = [np.zeros((m_in, m_out, a.shape[4])) for _ in range(3)]
+        for t0 in range(0, n_theta, 8):
+            ph = phi[:, t0 : t0 + 8]
+            Wt = np.einsum("abkmn,kxy,mt->abntxy", a, vals, ph, optimize=True)
+            Gt = np.einsum("abkmn,kdxy,mt->abndtxy", a, grads, ph, optimize=True)
+            gmag = np.sqrt(Gt[:, :, :, 0] ** 2 + Gt[:, :, :, 1] ** 2)
+            per_pair[0] += np.abs(Wt).sum(axis=(3, 4, 5))
+            per_pair[1] += (radius * gmag).sum(axis=(3, 4, 5))
+            per_pair[2] += gmag.sum(axis=(3, 4, 5))
+        per_pair = [p * (h2 / n_theta) for p in per_pair]
+        aggregated = [
+            max(
+                p.sum(axis=2).sum(axis=0).max(),
+                (2.0 * m_in / m_out) * p.sum(axis=1).max(axis=0).sum(),
+            )
+            for p in per_pair
+        ]
+    B, C, Du = aggregated
+    return {
+        "B": float(B),
+        "C": float(C),
+        "D": float(Du) * 2.0**-spec.resolved_scale,
+        "A": filter_amplitude(coeffs, basis, spec),
+    }

@@ -12,7 +12,9 @@ from rstcnn import (
     GroupElement,
     ImageTensor,
     LayerSpec,
+    NetworkConfig,
     UndefinedEquivarianceError,
+    build_basis,
     equivariance_curve,
     equivariance_error,
     feature_norm,
@@ -29,7 +31,9 @@ from rstcnn import (
     stability_certificate,
     tau_norms,
 )
+from rstcnn.analysis import _unit_disk_quadrature
 
+import reference
 from conftest import interior_image, small_net
 
 IDENTITY = GroupElement(0.0, 0.0, (0.0, 0.0))
@@ -200,6 +204,55 @@ def test_filter_bound_joint_constant_angular_profile_doubles_lifting():
         assert getattr(joint_report, name) == pytest.approx(
             2.0 * getattr(lift_report, name), rel=1e-10
         )
+
+
+def bounds_net(spatial_kind):
+    # M_in != M_out on both layers and two scale modes on the joint one
+    return NetworkConfig(
+        layers=(
+            LayerSpec(2, 3, 4, 5),
+            LayerSpec(3, 2, 4, 5, L_theta=2, L_alpha=2, max_angular=2, n_scale=2),
+        ),
+        n_rotations=4,
+        n_scales=3,
+        scale_range=1.0,
+        spatial_kind=spatial_kind,
+    )
+
+
+@pytest.mark.parametrize("spatial_kind", ["fb", "sl"])
+@pytest.mark.parametrize("layer", [0, 1])
+@pytest.mark.parametrize("n_theta", [8, 5])
+def test_filter_bounds_match_chunked_grid_oracle(spatial_kind, layer, n_theta):
+    net = bounds_net(spatial_kind)
+    coeffs = init_coeffs(net, seed=11)[layer]
+    basis, spec = layer_basis(net, layer), net.layers[layer]
+    expected = reference.chunked_filter_bounds(coeffs, basis, spec, grid_n=41, n_theta=n_theta)
+    report = filter_bound_report(coeffs, basis, spec, grid_n=41, n_theta=n_theta)
+    for name, value in expected.items():
+        assert getattr(report, name) == pytest.approx(value, rel=1e-12, abs=0.0)
+    # a quadrature built once for the shared spatial elements gives the same report
+    quad = _unit_disk_quadrature(layer_basis(net, 0), 41)
+    assert filter_bound_report(coeffs, basis, spec, grid_n=41, n_theta=n_theta, quadrature=quad) == report
+
+
+def test_filter_bounds_reject_a_mismatched_quadrature():
+    net = bounds_net("fb")
+    coeffs, basis, spec = init_coeffs(net, seed=0)[1], layer_basis(net, 1), net.layers[1]
+    with pytest.raises(ValueError, match="grid_n=41 does not fit grid_n=43"):
+        filter_bound_report(coeffs, basis, spec, grid_n=43, quadrature=_unit_disk_quadrature(basis, 41))
+    for other in (layer_basis(bounds_net("sl"), 1), build_basis("fb", spec.K + 1)):
+        with pytest.raises(ValueError, match="does not fit"):
+            filter_bound_report(coeffs, basis, spec, grid_n=41, quadrature=_unit_disk_quadrature(other, 41))
+
+
+@pytest.mark.parametrize("bad", [{"n_theta": 0}, {"n_theta": -1}, {"grid_n": 1}, {"grid_n": 0}])
+def test_filter_bounds_reject_an_empty_quadrature(bad):
+    net = bounds_net("fb")
+    coeffs, basis, spec = init_coeffs(net, seed=0)[1], layer_basis(net, 1), net.layers[1]
+    (name,) = bad
+    with pytest.raises(ValueError, match=name):
+        filter_bound_report(coeffs, basis, spec, **{"grid_n": 41, **bad})
 
 
 def test_isometry_deviation_zero_for_exact_translation():

@@ -107,6 +107,14 @@ def test_derivative_matches_finite_difference():
             assert bessel_j_derivative(m, x) == pytest.approx(fd, abs=5e-9)
 
 
+def test_derivative_matches_scipy_through_max_order():
+    # J_m' = J_{m-1} - m J_m / x needs no order above m, so MAX_ORDER = 16 works too
+    scipy_special = pytest.importorskip("scipy.special")
+    xs = np.linspace(0.0, 12.0, 241)
+    for m in range(17):
+        assert np.abs(bessel_j_derivative(m, xs) - scipy_special.jvp(m, xs)).max() < 1e-12
+
+
 def test_unsupported_order():
     with pytest.raises(UnsupportedOrderError):
         bessel_j(17, 1.0)

@@ -247,6 +247,12 @@ def test_basis_validate_report():
     assert report["j01_error"] < 1e-9
 
 
+@pytest.mark.parametrize("grid_n", [1, 0])
+def test_bounds_config_rejects_a_grid_without_cells(grid_n):
+    with pytest.raises(ConfigError, match="grid_n"):
+        ExperimentConfig(kind="bounds-report", grid_n=grid_n)
+
+
 def test_bounds_report_structure():
     cfg = ExperimentConfig(
         kind="bounds-report", k_list=(3,), l_alpha_list=(1,), channels=1, seeds=(0,), grid_n=61
