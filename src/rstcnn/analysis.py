@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import eval_angular, eval_spatial, eval_spatial_grad
+from .basis import eval_angular, eval_spatial_stack
 from .deform import apply_deformation, tau_norms
 from .group import FeatureMap, ImageTensor, act_on_feature, act_on_image
 from .net import filter_amplitude, forward, layer_basis
@@ -301,8 +301,8 @@ def _unit_disk_quadrature(basis, grid_n):
         raise ValueError(f"grid_n must be >= 2, got {grid_n}")
     xs = np.linspace(-1.0, 1.0, grid_n)
     pts = np.stack(np.meshgrid(xs, xs), axis=-1).reshape(-1, 2)
-    vals = np.stack([eval_spatial(e, pts) for e in basis.spatial])
-    grads = np.moveaxis(np.stack([eval_spatial_grad(e, pts) for e in basis.spatial]), -1, 0)  # [2, K, n*n]
+    vals, grads = eval_spatial_stack(basis.spatial, pts, grad=True)
+    grads = np.moveaxis(grads, -1, 0)  # [2, K, n*n]
     keep = (vals != 0.0).any(axis=0) | (grads != 0.0).any(axis=(0, 1))
     gx, gy = grads.compress(keep, axis=2)
     radius = np.sqrt((pts[keep] ** 2).sum(axis=1))

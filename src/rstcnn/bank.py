@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisSet, eval_spatial
+from .basis import eval_spatial_stack
 
 
 def default_layer_scale(stencil):
@@ -92,9 +92,6 @@ def sample_filter_bank(basis, n_rotations, n_scales, scale_range, stencil, layer
             args[r, si, ..., 0] = f * rx
             args[r, si, ..., 1] = f * ry
 
-    K = basis.n_spatial
-    values = np.empty((K, n_rotations, n_scales, stencil, stencil))
     amp = (2.0 ** (-2.0 * grid - 2.0 * j))[None, :, None, None]
-    for k in range(K):
-        values[k] = amp * eval_spatial(basis.spatial[k], args)
+    values = amp * eval_spatial_stack(basis.spatial, args)
     return FilterBank(basis.spatial_kind, values, grid, rot_step, j, pitch)

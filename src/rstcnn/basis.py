@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import bessel_j, bessel_j_over_x, bessel_zero
+from .bessel import _j_over_x, bessel_j, bessel_zero
 
 FB_POOL_MAX_M = 15
 FB_POOL_MAX_Q = 16
@@ -136,79 +136,105 @@ def build_basis(spatial_kind, K, max_angular=4, n_scale=1):
     return BasisSet(spatial_kind, spatial, tuple(angular), tuple(scale))
 
 
-def eval_spatial(element, points):
-    """Evaluate a spatial element at points[..., 2] in unit-domain coordinates."""
+def eval_spatial_stack(elements, points, grad=False):
+    """Spatial elements at points[..., 2] in unit-domain coordinates: values [K, ...].
+
+    With grad=True returns (values, gradients [K, ..., 2]), the Cartesian
+    gradients.  Both are zero on and outside each element's domain.  Shared
+    work is done once per call: one J_m pass (and, for gradients, one
+    J_{m-1} pass) per Fourier-Bessel radial mode serves its cos and sin
+    elements, and sine-basis elements share their per-index sine and cosine
+    factors.
+    """
     pts = np.asarray(points, dtype=np.float64)
     x = pts[..., 0]
     y = pts[..., 1]
-    if element.kind == "fb-disk":
-        m, _q = element.indices
-        lam = math.sqrt(element.eigenvalue)
-        rho = np.hypot(x, y)
-        inside = rho < 1.0
-        phi = np.arctan2(y, x)
-        radial = np.zeros_like(rho)
-        radial[inside] = bessel_j(m, lam * rho[inside])
-        trig = np.cos(m * phi) if element.harmonic == "cos" else np.sin(m * phi)
-        return element.normalization * radial * trig
-    if element.kind == "sl-square":
-        p, q = element.indices
-        inside = (np.abs(x) < 1.0) & (np.abs(y) < 1.0)
-        out = np.zeros_like(x)
-        out[inside] = np.sin(p * math.pi * (x[inside] + 1.0) / 2.0) * np.sin(
-            q * math.pi * (y[inside] + 1.0) / 2.0
-        )
-        return out
-    raise ValueError(f"not a spatial element: {element.kind}")
+    for e in elements:
+        if e.kind not in _SPATIAL_FILLS:
+            raise ValueError(f"not a spatial element: {e.kind}")
+    vals = np.zeros((len(elements),) + x.shape)
+    grads = np.zeros(vals.shape + (2,)) if grad else None
+    for kind, fill in _SPATIAL_FILLS.items():
+        rows = [k for k, e in enumerate(elements) if e.kind == kind]
+        if rows:
+            fill(elements, rows, x, y, vals, grads)
+    return (vals, grads) if grad else vals
 
 
-def eval_spatial_grad(element, points):
-    """Cartesian gradient of a spatial element at points[..., 2]; zero outside."""
-    pts = np.asarray(points, dtype=np.float64)
-    x = pts[..., 0]
-    y = pts[..., 1]
-    if element.kind == "fb-disk":
-        m, _q = element.indices
-        lam = math.sqrt(element.eigenvalue)
-        c = element.normalization
-        rho = np.hypot(x, y)
-        inside = rho < 1.0
-        phi = np.arctan2(y, x)
-        gx = np.zeros_like(x)
-        gy = np.zeros_like(y)
+def _fill_fb(elements, rows, x, y, vals, grads):
+    rho = np.hypot(x, y)
+    inside = rho < 1.0
+    phi = np.arctan2(y, x)
+    if grads is not None:
+        cu = np.cos(phi[inside])
+        su = np.sin(phi[inside])
+    modes = {}
+    for k in rows:
+        modes.setdefault((elements[k].indices[0], elements[k].eigenvalue), []).append(k)
+    for (m, mu), members in modes.items():
+        lam = math.sqrt(mu)
         r = lam * rho[inside]
+        radial = np.zeros_like(rho)
+        jm = bessel_j(m, r)
+        radial[inside] = jm
+        harmonics = {elements[k].harmonic for k in members}
+        trig = {h: np.cos(m * phi) if h == "cos" else np.sin(m * phi) for h in harmonics}
+        for k in members:
+            vals[k] = elements[k].normalization * radial * trig[elements[k].harmonic]
+        if grads is None:
+            continue
         # m J_m(lam rho) / rho = lam * (m J_m(r) / r), finite at the origin
-        j_over = bessel_j_over_x(m, r)
+        j_over = _j_over_x(m, r, jm) if m else np.zeros_like(r)
         # J_m' = J_{m-1} - m J_m / r, as in bessel_j_derivative
         jprime = -bessel_j(1, r) if m == 0 else bessel_j(m - 1, r) - j_over
         cphi = np.cos(m * phi[inside])
         sphi = np.sin(m * phi[inside])
-        if element.harmonic == "cos":
-            d_rho = c * lam * jprime * cphi
-            d_phi_over_rho = -c * lam * j_over * sphi
-        else:
-            d_rho = c * lam * jprime * sphi
-            d_phi_over_rho = c * lam * j_over * cphi
-        cu = np.cos(phi[inside])
-        su = np.sin(phi[inside])
-        gx[inside] = cu * d_rho - su * d_phi_over_rho
-        gy[inside] = su * d_rho + cu * d_phi_over_rho
-        return np.stack([gx, gy], axis=-1)
-    if element.kind == "sl-square":
-        p, q = element.indices
-        inside = (np.abs(x) < 1.0) & (np.abs(y) < 1.0)
-        gx = np.zeros_like(x)
-        gy = np.zeros_like(y)
-        hp = p * math.pi / 2.0
-        hq = q * math.pi / 2.0
-        sx = np.sin(hp * (x[inside] + 1.0))
-        cx = np.cos(hp * (x[inside] + 1.0))
-        sy = np.sin(hq * (y[inside] + 1.0))
-        cy = np.cos(hq * (y[inside] + 1.0))
-        gx[inside] = hp * cx * sy
-        gy[inside] = hq * sx * cy
-        return np.stack([gx, gy], axis=-1)
-    raise ValueError(f"not a spatial element: {element.kind}")
+        for k in members:
+            c = elements[k].normalization
+            if elements[k].harmonic == "cos":
+                d_rho = c * lam * jprime * cphi
+                d_phi_over_rho = -c * lam * j_over * sphi
+            else:
+                d_rho = c * lam * jprime * sphi
+                d_phi_over_rho = c * lam * j_over * cphi
+            grads[k, ..., 0][inside] = cu * d_rho - su * d_phi_over_rho
+            grads[k, ..., 1][inside] = su * d_rho + cu * d_phi_over_rho
+
+
+def _fill_sl(elements, rows, x, y, vals, grads):
+    inside = (np.abs(x) < 1.0) & (np.abs(y) < 1.0)
+    coords = (x[inside], y[inside])
+
+    @functools.cache
+    def wave(n, axis):
+        return np.sin(n * math.pi * (coords[axis] + 1.0) / 2.0)
+
+    @functools.cache
+    def wave_grad(n, axis):
+        h = n * math.pi / 2.0
+        return h, np.sin(h * (coords[axis] + 1.0)), np.cos(h * (coords[axis] + 1.0))
+
+    for k in rows:
+        p, q = elements[k].indices
+        vals[k][inside] = wave(p, 0) * wave(q, 1)
+        if grads is not None:
+            hp, sx, cx = wave_grad(p, 0)
+            hq, sy, cy = wave_grad(q, 1)
+            grads[k, ..., 0][inside] = hp * cx * sy
+            grads[k, ..., 1][inside] = hq * sx * cy
+
+
+_SPATIAL_FILLS = {"fb-disk": _fill_fb, "sl-square": _fill_sl}
+
+
+def eval_spatial(element, points):
+    """Evaluate one spatial element at points[..., 2]; a view of eval_spatial_stack."""
+    return eval_spatial_stack((element,), points)[0]
+
+
+def eval_spatial_grad(element, points):
+    """Cartesian gradient [..., 2] of one spatial element; a view of eval_spatial_stack."""
+    return eval_spatial_stack((element,), points, grad=True)[1][0]
 
 
 def eval_angular(element, thetas):
@@ -257,7 +283,7 @@ def unit_grid(n):
 def gram_matrix(basis, grid_n=201):
     """Discrete Gram matrix of the spatial elements under cell-area quadrature."""
     pts, w = unit_grid(grid_n)
-    vals = np.stack([eval_spatial(e, pts).ravel() for e in basis.spatial])
+    vals = eval_spatial_stack(basis.spatial, pts).reshape(basis.n_spatial, -1)
     return w * (vals @ vals.T)
 
 
@@ -271,7 +297,7 @@ def laplacian_residual(basis, k, grid_n=401, margin=0.1):
     e = basis.spatial[k]
     pts, _ = unit_grid(grid_n)
     h = 2.0 / (grid_n - 1)
-    vals = eval_spatial(e, pts)
+    vals = eval_spatial_stack((e,), pts)[0]
     lap = np.zeros_like(vals)
     lap[1:-1, 1:-1] = (
         vals[1:-1, 2:] + vals[1:-1, :-2] + vals[2:, 1:-1] + vals[:-2, 1:-1] - 4.0 * vals[1:-1, 1:-1]

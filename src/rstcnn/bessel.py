@@ -112,17 +112,19 @@ def bessel_j_derivative(order, x):
 def bessel_j_over_x(order, x):
     """order * J_order(x) / x, finite as x -> 0 (limit 1/2 for order 1, else 0)."""
     m = _check_order(order)
-    xa = np.asarray(x, dtype=np.float64)
-    scalar = xa.ndim == 0
-    xa = np.atleast_1d(xa).astype(np.float64)
-    out = np.zeros_like(xa)
-    tiny = xa < 1e-8
-    if m >= 1 and np.any(tiny):
-        # leading term of J_m(x)/x = (x/2)^{m-1} / (2 m!)
-        out[tiny] = m * (0.5 * xa[tiny]) ** (m - 1) / (2.0 * math.factorial(m))
-    if np.any(~tiny):
-        out[~tiny] = m * bessel_j(m, xa[~tiny]) / xa[~tiny]
-    return float(out[0]) if scalar else out.reshape(np.shape(x))
+    xa = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    out = _j_over_x(m, xa, bessel_j(m, xa)) if m else np.zeros_like(xa)
+    return float(out[0]) if np.ndim(x) == 0 else out.reshape(np.shape(x))
+
+
+def _j_over_x(m, x, jm):
+    # m J_m(x) / x for m >= 1 from jm = J_m(x); below x = 1e-8 the leading
+    # series term of J_m(x)/x, (x/2)^{m-1} / (2 m!), replaces the division
+    out = np.empty_like(x)
+    tiny = x < 1e-8
+    out[tiny] = m * (0.5 * x[tiny]) ** (m - 1) / (2.0 * math.factorial(m))
+    out[~tiny] = m * jm[~tiny] / x[~tiny]
+    return out
 
 
 def bessel_zero(order, q):

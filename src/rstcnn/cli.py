@@ -26,7 +26,7 @@ from . import experiments
 from .analysis import AssumptionError
 from .basis import PoolExhaustionError
 from .bessel import UnsupportedOrderError
-from .config import load_network_config
+from .config import experiment_fields, load_network_config, parse_config_text
 from .container import ContainerFormatError, save_bank
 from .data import IdxParseError, make_rs_dataset, read_idx, write_idx
 from .group import OffLatticeError
@@ -94,52 +94,22 @@ def _add_sweep_axes(p):
     p.add_argument("--kind", choices=("fb", "sl"), help="spatial basis family")
 
 
-_CONFIG_TO_EXPERIMENT = {
-    "layers": ("layers", int),
-    "channels": ("channels", int),
-    "K": ("k_list", lambda v: (int(v),)),
-    "L_alpha": ("l_alpha_list", lambda v: (int(v),)),
-    "seed": ("seeds", lambda v: (int(v),)),
-    "N_r": ("n_rotations", int),
-    "N_s": ("n_scales", int),
-    "T": ("scale_range", float),
-    "L": ("stencil", int),
-    "L_theta": ("L_theta", int),
-    "j": ("layer_scale", float),
-}
-
-
-def _experiment_config(args, kind, **extra):
-    """Merge defaults <- config file <- flags into an ExperimentConfig."""
+def _experiment_config(args, kind, **preset):
+    """Merge preset <- config file <- flags into an ExperimentConfig."""
     kwargs = dict(kind=kind, workers=args.workers)
-    kwargs.update(extra)
+    kwargs.update(preset)
     if getattr(args, "config", None):
-        from .config import parse_config_text
-
         with open(args.config) as fh:
-            values = parse_config_text(fh.read())
-        for key, value in values.items():
-            if value is None:
-                continue
-            field, conv = _CONFIG_TO_EXPERIMENT[key]
-            kwargs[field] = conv(value)
-    flag_fields = {
-        "k_list": "k_list",
-        "l_alpha_list": "l_alpha_list",
-        "seeds": "seeds",
-        "layers": "layers",
-        "channels": "channels",
-        "eta": "eta",
-        "beta": "beta",
-        "margin": "margin",
-        "height": "height",
-        "width": "width",
-        "kind": "spatial_kind",
-    }
-    for flag, field in flag_fields.items():
+            kwargs.update(experiment_fields(parse_config_text(fh.read())))
+    flags = ("k_list", "l_alpha_list", "seeds", "layers", "channels", "eta", "beta", "margin",
+             "height", "width", "kind", "grad_levels")
+    for flag in flags:
         value = getattr(args, flag, None)
         if value is not None:
-            kwargs[field] = value
+            kwargs["spatial_kind" if flag == "kind" else flag] = value
+    trials = getattr(args, "trials", None)
+    if trials is not None:
+        kwargs["seeds"] = tuple(range(trials))
     vx = getattr(args, "vx", None)
     vy = getattr(args, "vy", None)
     if vx is not None or vy is not None:
@@ -182,10 +152,7 @@ def _cmd_equi_sweep(args):
 
 
 def _cmd_stab_trials(args):
-    extra = dict(layers=3, k_list=(5,), seeds=tuple(range(args.trials)))
-    if args.grad_levels is not None:
-        extra["grad_levels"] = args.grad_levels
-    cfg = _experiment_config(args, "stability-trials", **extra)
+    cfg = _experiment_config(args, "stability-trials", layers=3, k_list=(5,))
     reports, violated = experiments.run_stability_trials(cfg)
     _write_text(args.out, experiments.stability_json(cfg, reports))
     return 3 if violated else 0

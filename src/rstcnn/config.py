@@ -2,13 +2,16 @@
 
 Format: one "key = value" pair per line, '#' starts a comment, blank lines
 ignored.  Keys: layers, channels, K, N_r, N_s, T, L, L_theta, L_alpha, j,
-seed.  The first layer lifts the image (in_channels 1), the remaining
-layers are joint convolutions with `channels` in/out channels each.
+seed.  A file is an overlay of ExperimentConfig fields (experiment_fields),
+and its network is the one experiments.build_network makes: the first
+layer lifts the image (in_channels 1), the remaining layers are joint
+convolutions with `channels` in/out channels each.
 """
 
 from __future__ import annotations
 
-from .net import ConfigError, LayerSpec, NetworkConfig
+from .experiments import ExperimentConfig, build_network
+from .net import ConfigError
 
 _INT_KEYS = {"layers", "channels", "K", "N_r", "N_s", "L", "L_theta", "L_alpha", "seed"}
 _FLOAT_KEYS = {"T", "j"}
@@ -26,6 +29,21 @@ DEFAULTS = {
     "L_alpha": 1,
     "j": None,
     "seed": 0,
+}
+
+# config key -> (ExperimentConfig field, conversion of the parsed value)
+_EXPERIMENT_FIELDS = {
+    "layers": ("layers", int),
+    "channels": ("channels", int),
+    "K": ("k_list", lambda v: (int(v),)),
+    "L_alpha": ("l_alpha_list", lambda v: (int(v),)),
+    "seed": ("seeds", lambda v: (int(v),)),
+    "N_r": ("n_rotations", int),
+    "N_s": ("n_scales", int),
+    "T": ("scale_range", float),
+    "L": ("stencil", int),
+    "L_theta": ("L_theta", int),
+    "j": ("layer_scale", float),
 }
 
 
@@ -50,49 +68,24 @@ def parse_config_text(text):
     return values
 
 
-def network_from_values(values, max_angular=4):
+def experiment_fields(values):
+    """The ExperimentConfig fields that config values set (a None value sets nothing)."""
+    return {
+        _EXPERIMENT_FIELDS[key][0]: _EXPERIMENT_FIELDS[key][1](value)
+        for key, value in values.items()
+        if value is not None
+    }
+
+
+def network_from_values(values):
     """Build a NetworkConfig from a parsed (or hand-made) value dict."""
     merged = dict(DEFAULTS)
     merged.update(values)
     unknown = set(merged) - KNOWN_KEYS
     if unknown:
         raise ConfigError(f"unknown keys {sorted(unknown)}")
-    layers = merged["layers"]
-    if layers < 1:
-        raise ConfigError("layers must be >= 1")
-    channels = merged["channels"]
-    L_alpha = merged["L_alpha"]
-    j = merged["j"]
-    specs = [
-        LayerSpec(
-            in_channels=1,
-            out_channels=channels,
-            K=merged["K"],
-            stencil=merged["L"],
-            layer_scale=j,
-        )
-    ]
-    for _ in range(layers - 1):
-        specs.append(
-            LayerSpec(
-                in_channels=channels,
-                out_channels=channels,
-                K=merged["K"],
-                stencil=merged["L"],
-                L_theta=merged["L_theta"],
-                L_alpha=L_alpha,
-                max_angular=max_angular,
-                n_scale=max(1, L_alpha),
-                layer_scale=j,
-            )
-        )
-    return NetworkConfig(
-        layers=tuple(specs),
-        n_rotations=merged["N_r"],
-        n_scales=merged["N_s"],
-        scale_range=merged["T"],
-        seed=merged["seed"],
-    )
+    cfg = ExperimentConfig(kind="bank-build", **experiment_fields(merged))
+    return build_network(cfg, cfg.k_list[0], cfg.l_alpha_list[0], seed=cfg.seeds[0])
 
 
 def load_network_config(path):

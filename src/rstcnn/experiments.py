@@ -38,7 +38,7 @@ from .net import (
 INPUT_SALT = 7777
 TAU_SALT = 4242
 
-EXPERIMENT_KINDS = ("equivariance-sweep", "stability-trials", "basis-validate", "bounds-report")
+EXPERIMENT_KINDS = ("equivariance-sweep", "stability-trials", "basis-validate", "bounds-report", "bank-build")
 
 
 @dataclass(frozen=True)
@@ -75,6 +75,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
+        if self.layers < 1:
+            raise ConfigError(f"layers must be >= 1, got {self.layers}")
         for name in ("k_list", "l_alpha_list", "seeds"):
             vals = getattr(self, name)
             object.__setattr__(self, name, tuple(vals))
@@ -136,7 +138,7 @@ def stability_config(**overrides):
 
 
 def build_network(cfg, K, L_alpha, seed=0):
-    """The sweep's network for one (K, L_alpha) cell."""
+    """The lift+joint network for one (K, L_alpha) cell; every rstcnn network is built here."""
     lift = LayerSpec(1, cfg.channels, K, cfg.stencil, layer_scale=cfg.layer_scale)
     joint = LayerSpec(
         cfg.channels,

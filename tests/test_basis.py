@@ -13,6 +13,7 @@ from rstcnn.basis import (
     eval_scale,
     eval_spatial,
     eval_spatial_grad,
+    eval_spatial_stack,
     gram_matrix,
     laplacian_residual,
     unit_grid,
@@ -87,6 +88,35 @@ def test_spatial_grad_matches_finite_difference():
                 step[d] = h
                 fd = (eval_spatial(e, pts + step) - eval_spatial(e, pts - step)) / (2 * h)
                 assert np.abs(g[:, d] - fd).max() < 5e-8
+
+
+def _stack_cases():
+    fb = build_basis("fb", 10).spatial  # (m, q): (0,1) (1,1)x2 (2,1)x2 (0,2) (3,1)x2 (1,2)x2, cos before sin
+    return {
+        "fb-reversed": fb[::-1],
+        "fb-sin-without-cos": (fb[9], fb[2], fb[4]),  # the m=1 sins of q=2 and q=1, then (2,1) sin
+        "fb-repeated": fb[:4] + (fb[1], fb[3], fb[0]),
+        "sl": build_basis("sl", 10).spatial,
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_stack_cases()))
+def test_eval_spatial_stack_equals_one_element_calls(case):
+    # one call shares each radial mode (and sine factor) among its elements;
+    # every row must still be bit-equal to evaluating that element alone
+    elements = _stack_cases()[case]
+    pts, _ = unit_grid(61)  # includes the origin and points on the domain boundary
+    vals, grads = eval_spatial_stack(elements, pts, grad=True)
+    assert vals.shape == (len(elements), 61, 61) and grads.shape == vals.shape + (2,)
+    assert np.array_equal(vals, np.stack([eval_spatial(e, pts) for e in elements]))
+    assert np.array_equal(grads, np.stack([eval_spatial_grad(e, pts) for e in elements]))
+    assert np.array_equal(eval_spatial_stack(elements, pts), vals)
+
+
+def test_eval_spatial_stack_rejects_other_kinds():
+    basis = build_basis("fb", 2, max_angular=1)
+    with pytest.raises(ValueError, match="not a spatial element"):
+        eval_spatial_stack(basis.spatial + basis.angular[:1], np.zeros((3, 2)))
 
 
 def test_spatial_normalization_unit_l2():

@@ -112,6 +112,15 @@ def test_stab_trials_pass(tmp_path, net_cfg):
     assert body["trials"][0]["violation"] is False
 
 
+def test_stab_trials_flag_overrides_config_seed(tmp_path, net_cfg):
+    # defaults <- config file <- flags: --trials wins over the file's seed key
+    out = tmp_path / "stab.json"
+    assert main(["stab", "trials", "--config", net_cfg, "--trials", "2", "--out", str(out)]) == 0
+    body = json.loads(out.read_text())
+    assert len(body["trials"]) == 2
+    assert body["config"]["seeds"] == [0, 1]
+
+
 def test_stab_trials_violation_exits_three(tmp_path, net_cfg, monkeypatch):
     from rstcnn import experiments
     from rstcnn.analysis import StabilityReport
@@ -185,8 +194,9 @@ def test_missing_file_exits_four(tmp_path, capsys):
         (["equi", "sweep", "--k-list", "600", "--height", "24", "--width", "24"], "basis pool exhausted", "K=600"),
         (["equi", "sweep", "--height", "16", "--width", "16", "--margin", "8"], "config error", "margin=8"),
         (["equi", "sweep", "--margin", "-3"], "config error", "margin=-3"),
+        (["equi", "sweep", "--layers", "0"], "config error", "layers"),
     ],
-    ids=["off-lattice", "assumption", "pool-exhaustion", "margin-too-wide", "margin-negative"],
+    ids=["off-lattice", "assumption", "pool-exhaustion", "margin-too-wide", "margin-negative", "layers-zero"],
 )
 def test_bad_input_exits_two_naming_the_cause(net_cfg, capsys, argv, cause, detail):
     assert main(argv + ["--config", net_cfg]) == 2

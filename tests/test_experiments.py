@@ -58,6 +58,8 @@ def test_config_validation():
         tiny_sweep_config(idx_images="a.idx")
     with pytest.raises(ConfigError, match="workers"):
         tiny_sweep_config(workers=0)
+    with pytest.raises(ConfigError, match="layers"):
+        tiny_sweep_config(layers=0)
 
 
 def test_presets():
