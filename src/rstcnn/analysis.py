@@ -16,11 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import eval_angular, eval_spatial_stack
+from .basis import angular_matrix, eval_spatial_stack
 from .deform import apply_deformation, tau_norms
 from .group import FeatureMap, ImageTensor, act_on_feature, act_on_image
-from .net import filter_amplitude, forward, layer_basis
-from .norms import fb_norm, fb_norm_joint, feature_norm
+from .net import aggregate_channels, filter_amplitude, forward, layer_basis
+from .norms import feature_norm
 
 
 class UndefinedEquivarianceError(ArithmeticError):
@@ -343,19 +343,14 @@ def filter_bound_report(coeffs, basis, spec, grid_n=301, n_theta=64, *, quadratu
         sums = _pair_sums(a.reshape(-1, K), quad) * quad.h2
     else:
         thetas = 2.0 * math.pi * np.arange(n_theta) / n_theta
-        phi = np.stack([eval_angular(e, thetas) for e in basis.angular])  # [n_ang, n_theta]
+        phi = angular_matrix(basis, thetas)  # [n_ang, n_theta]
         # The normalized-S^1 theta average, one sample at a time: each is three
         # small GEMMs over the support points, and no grid-sized tensor per theta forms.
         sums = np.zeros((3, m_in * m_out * a.shape[4]))
         for t in range(n_theta):
             sums += _pair_sums(np.einsum("abkmn,m->abnk", a, phi[:, t]).reshape(-1, K), quad)
         sums *= quad.h2 / n_theta
-    # over (in, out, scale mode) pairs as in filter_amplitude; lifting has one mode and no factor 2
-    weight = (1.0 if coeffs.is_lifting else 2.0) * m_in / m_out
-    B, C, Du = (
-        max(p.sum(axis=2).sum(axis=0).max(), weight * p.sum(axis=1).max(axis=0).sum())
-        for p in sums.reshape(3, m_in, m_out, -1)
-    )
+    B, C, Du = (aggregate_channels(p, joint=not coeffs.is_lifting) for p in sums.reshape(3, m_in, m_out, -1))
     j = spec.resolved_scale
     A = filter_amplitude(coeffs, basis, spec)
     return FilterBoundReport(B=float(B), C=float(C), D=float(Du) * 2.0**-j, A=A, layer_scale=j)

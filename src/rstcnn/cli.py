@@ -21,6 +21,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 from . import experiments
 from .analysis import AssumptionError
@@ -46,8 +47,6 @@ _EXIT_2_CAUSES = {
 
 def _data_path(path):
     """Resolve a dataset path against $RSTCNN_DATA_DIR when relative."""
-    if path is None:
-        return None
     base = os.environ.get(DATA_DIR_VAR)
     if base and not os.path.isabs(path):
         return os.path.join(base, path)
@@ -70,10 +69,15 @@ def _float_list(text):
     return tuple(float(tok) for tok in text.split(",") if tok.strip())
 
 
-def _add_common(p):
+def _trials(text):
+    return tuple(range(int(text)))
+
+
+def _add_common(p, workers=False):
     p.add_argument("--config", help="network config file (key = value lines)")
     p.add_argument("--out", help="output path ('-' or omitted: stdout)")
-    p.add_argument("--workers", type=int, default=1, help="parallel sweep/trial workers")
+    if workers:
+        p.add_argument("--workers", type=int, help="parallel sweep/trial workers")
 
 
 def _add_sweep_axes(p):
@@ -89,36 +93,25 @@ def _add_sweep_axes(p):
     p.add_argument("--margin", type=int, help="interior margin (pixels)")
     p.add_argument("--height", type=int, help="input height")
     p.add_argument("--width", type=int, help="input width")
-    p.add_argument("--idx-images", help="IDX image file for real inputs")
-    p.add_argument("--idx-labels", help="IDX label file for real inputs")
-    p.add_argument("--kind", choices=("fb", "sl"), help="spatial basis family")
+    p.add_argument("--idx-images", type=_data_path, help="IDX image file for real inputs")
+    p.add_argument("--idx-labels", type=_data_path, help="IDX label file for real inputs")
+    p.add_argument("--kind", dest="spatial_kind", choices=("fb", "sl"), help="spatial basis family")
+
+
+# Every parser dest that names an ExperimentConfig field sets that field.
+_FIELDS = frozenset(f.name for f in fields(experiments.ExperimentConfig))
 
 
 def _experiment_config(args, kind, **preset):
     """Merge preset <- config file <- flags into an ExperimentConfig."""
-    kwargs = dict(kind=kind, workers=args.workers)
-    kwargs.update(preset)
-    if getattr(args, "config", None):
+    kwargs = dict(kind=kind, **preset)
+    if args.config:
         with open(args.config) as fh:
             kwargs.update(experiment_fields(parse_config_text(fh.read())))
-    flags = ("k_list", "l_alpha_list", "seeds", "layers", "channels", "eta", "beta", "margin",
-             "height", "width", "kind", "grad_levels")
-    for flag in flags:
-        value = getattr(args, flag, None)
-        if value is not None:
-            kwargs["spatial_kind" if flag == "kind" else flag] = value
-    trials = getattr(args, "trials", None)
-    if trials is not None:
-        kwargs["seeds"] = tuple(range(trials))
-    vx = getattr(args, "vx", None)
-    vy = getattr(args, "vy", None)
+    kwargs.update((k, v) for k, v in vars(args).items() if k in _FIELDS and v is not None)
+    vx, vy = getattr(args, "vx", None), getattr(args, "vy", None)
     if vx is not None or vy is not None:
         kwargs["v"] = (vx or 0.0, vy or 0.0)
-    images = _data_path(getattr(args, "idx_images", None))
-    labels = _data_path(getattr(args, "idx_labels", None))
-    if images is not None:
-        kwargs["idx_images"] = images
-        kwargs["idx_labels"] = labels
     return experiments.ExperimentConfig(**kwargs)
 
 
@@ -168,7 +161,7 @@ def _cmd_bounds_report(args):
 def _cmd_data_rs_make(args):
     if not args.out:
         raise ConfigError("data rs-make requires --out prefix")
-    src = read_idx(_data_path(args.idx_images), _data_path(args.idx_labels))
+    src = read_idx(args.idx_images, args.idx_labels)
     out = make_rs_dataset(src, seed=args.seed, upsize=args.upsize)
     images_path = args.out + ".images.idx"
     labels_path = args.out + ".labels.idx"
@@ -187,7 +180,7 @@ def build_parser():
     p = basis.add_parser("validate", help="orthonormality / eigenfunction / zero checks")
     _add_common(p)
     p.add_argument("--k-list", type=_int_list, help="largest entry sets the checked truncation")
-    p.add_argument("--kind", choices=("fb", "sl"))
+    p.add_argument("--kind", dest="spatial_kind", choices=("fb", "sl"))
     p.set_defaults(func=_cmd_basis_validate)
 
     bank = groups.add_parser("bank", help="filter-bank files").add_subparsers(
@@ -202,7 +195,7 @@ def build_parser():
         dest="command", required=True
     )
     p = equi.add_parser("sweep", help="CSV of per-layer errors over (K, L_alpha, seed)")
-    _add_common(p)
+    _add_common(p, workers=True)
     _add_sweep_axes(p)
     p.set_defaults(func=_cmd_equi_sweep)
 
@@ -210,8 +203,8 @@ def build_parser():
         dest="command", required=True
     )
     p = stab.add_parser("trials", help="JSON stability certificates over seeded trials")
-    _add_common(p)
-    p.add_argument("--trials", type=int, default=20, help="number of seeded trials")
+    _add_common(p, workers=True)
+    p.add_argument("--trials", dest="seeds", type=_trials, default=tuple(range(20)), help="number of seeded trials")
     p.add_argument("--grad-levels", type=_float_list, help="cycled sup|grad tau| targets")
     p.add_argument("--beta", type=float, help="group log2 scale")
     p.add_argument("--eta", type=float, help="group rotation (radians)")
@@ -225,15 +218,15 @@ def build_parser():
     _add_common(p)
     p.add_argument("--k-list", type=_int_list)
     p.add_argument("--seeds", type=_int_list, help="one bound report per seed")
-    p.add_argument("--kind", choices=("fb", "sl"))
+    p.add_argument("--kind", dest="spatial_kind", choices=("fb", "sl"))
     p.set_defaults(func=_cmd_bounds_report)
 
     data = groups.add_parser("data", help="dataset files").add_subparsers(
         dest="command", required=True
     )
     p = data.add_parser("rs-make", help="random rotate/rescale + upsample an IDX pair")
-    p.add_argument("--idx-images", required=True)
-    p.add_argument("--idx-labels", required=True)
+    p.add_argument("--idx-images", type=_data_path, required=True)
+    p.add_argument("--idx-labels", type=_data_path, required=True)
     p.add_argument("--out", required=True, help="output prefix (.images.idx / .labels.idx)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--upsize", type=int, default=56)

@@ -10,41 +10,25 @@ convolutions with `channels` in/out channels each.
 
 from __future__ import annotations
 
-from .experiments import ExperimentConfig, build_network
+from .experiments import SWEEP_AXES, ExperimentConfig, build_network
 from .net import ConfigError
 
-_INT_KEYS = {"layers", "channels", "K", "N_r", "N_s", "L", "L_theta", "L_alpha", "seed"}
-_FLOAT_KEYS = {"T", "j"}
-KNOWN_KEYS = _INT_KEYS | _FLOAT_KEYS
-
-DEFAULTS = {
-    "layers": 5,
-    "channels": 1,
-    "K": 10,
-    "N_r": 8,
-    "N_s": 9,
-    "T": 1.0,
-    "L": 9,
-    "L_theta": 4,
-    "L_alpha": 1,
-    "j": None,
-    "seed": 0,
+# config key -> (ExperimentConfig field, value type, file default); a None default sets nothing
+_KEYS = {
+    "layers": ("layers", int, 5),
+    "channels": ("channels", int, 1),
+    "K": ("k_list", int, 10),
+    "N_r": ("n_rotations", int, 8),
+    "N_s": ("n_scales", int, 9),
+    "T": ("scale_range", float, 1.0),
+    "L": ("stencil", int, 9),
+    "L_theta": ("L_theta", int, 4),
+    "L_alpha": ("l_alpha_list", int, 1),
+    "j": ("layer_scale", float, None),
+    "seed": ("seeds", int, 0),
 }
-
-# config key -> (ExperimentConfig field, conversion of the parsed value)
-_EXPERIMENT_FIELDS = {
-    "layers": ("layers", int),
-    "channels": ("channels", int),
-    "K": ("k_list", lambda v: (int(v),)),
-    "L_alpha": ("l_alpha_list", lambda v: (int(v),)),
-    "seed": ("seeds", lambda v: (int(v),)),
-    "N_r": ("n_rotations", int),
-    "N_s": ("n_scales", int),
-    "T": ("scale_range", float),
-    "L": ("stencil", int),
-    "L_theta": ("L_theta", int),
-    "j": ("layer_scale", float),
-}
+KNOWN_KEYS = frozenset(_KEYS)
+DEFAULTS = {key: default for key, (_, _, default) in _KEYS.items()}
 
 
 def parse_config_text(text):
@@ -62,7 +46,7 @@ def parse_config_text(text):
         if key not in KNOWN_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         try:
-            values[key] = int(val) if key in _INT_KEYS else float(val)
+            values[key] = _KEYS[key][1](val)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {val!r}") from exc
     return values
@@ -70,11 +54,12 @@ def parse_config_text(text):
 
 def experiment_fields(values):
     """The ExperimentConfig fields that config values set (a None value sets nothing)."""
-    return {
-        _EXPERIMENT_FIELDS[key][0]: _EXPERIMENT_FIELDS[key][1](value)
-        for key, value in values.items()
-        if value is not None
-    }
+    fields = {}
+    for key, value in values.items():
+        if value is not None:
+            name, convert, _ = _KEYS[key]
+            fields[name] = (convert(value),) if name in SWEEP_AXES else convert(value)
+    return fields
 
 
 def network_from_values(values):

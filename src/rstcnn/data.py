@@ -135,22 +135,26 @@ def upsample(values, out_h, out_w):
     return bilinear_sample(values, X, Y)
 
 
-def make_rs_dataset(dataset, seed, upsize=56):
-    """Rotate/rescale every image and upsample to upsize x upsize.
+def rs_image(image, seed, index, upsize=56):
+    """Rotate/rescale one image [1, H, W] and upsample it to upsize x upsize.
 
-    Per image index i (streams derived from (seed, i), so any subset is
-    reproducible): rotate by U[0, 2pi), shrink by a factor U[0.3, 1], keep
-    the canvas (reads beyond it are zero), then upsample.  Labels pass
-    through.
+    The stream is default_rng([seed, index]), so image i of a dataset comes out
+    the same alone as in make_rs_dataset: rotate by U[0, 2pi), shrink by a
+    factor U[0.3, 1], keep the canvas (reads beyond it are zero), then upsample.
     """
+    rng = np.random.default_rng([seed, index])
+    angle = rng.uniform(0.0, 2.0 * math.pi)
+    factor = rng.uniform(0.3, 1.0)
+    g = GroupElement(angle, math.log2(factor), (0.0, 0.0))
+    moved = act_on_image(g, ImageTensor(image))
+    return np.clip(upsample(moved.values, upsize, upsize), 0.0, 1.0)
+
+
+def make_rs_dataset(dataset, seed, upsize=56):
+    """rs_image on every image (index i draws from (seed, i)); labels pass through."""
     out = np.empty((len(dataset), 1, upsize, upsize))
     for i in range(len(dataset)):
-        rng = np.random.default_rng([seed, i])
-        angle = rng.uniform(0.0, 2.0 * math.pi)
-        factor = rng.uniform(0.3, 1.0)
-        g = GroupElement(angle, math.log2(factor), (0.0, 0.0))
-        moved = act_on_image(g, ImageTensor(dataset.images[i]))
-        out[i] = np.clip(upsample(moved.values, upsize, upsize), 0.0, 1.0)
+        out[i] = rs_image(dataset.images[i], seed, i, upsize)
     return LabeledImageSet(out, dataset.labels.copy())
 
 

@@ -61,18 +61,23 @@ class DeformationField:
         by = (np.pi / self.box) * p[:, None] * np.ravel(y)[None, :]
         return np.cos(ax), np.sin(ax), np.cos(by), np.sin(by)
 
+    def _trig_sum(self, x_tables, y_tables):
+        """sum_{p,q,t} c[:, p, q, t] fx_t[p] fy_t[q] over points: [2, n].
+
+        x_tables = (cos, sin) of ax (or their x-derivatives), y_tables the same
+        in by; the four products run in coefficient order t.
+        """
+        return sum(
+            np.einsum("ipq,pn,qn->in", self.coeffs[:, :, :, 2 * i + k], fx, fy)
+            for i, fx in enumerate(x_tables)
+            for k, fy in enumerate(y_tables)
+        )
+
     def evaluate(self, x, y):
         """Field values at arbitrary points: [2] + shape(x)."""
         x = np.asarray(x, dtype=np.float64)
         cx, sx, cy, sy = self._trig_tables(x, y)
-        c = self.coeffs
-        out = (
-            np.einsum("ipq,pn,qn->in", c[:, :, :, 0], cx, cy)
-            + np.einsum("ipq,pn,qn->in", c[:, :, :, 1], cx, sy)
-            + np.einsum("ipq,pn,qn->in", c[:, :, :, 2], sx, cy)
-            + np.einsum("ipq,pn,qn->in", c[:, :, :, 3], sx, sy)
-        )
-        return out.reshape((2,) + x.shape)
+        return self._trig_sum((cx, sx), (cy, sy)).reshape((2,) + x.shape)
 
     def jacobian(self, x, y):
         """Analytic Jacobian d tau_i / d u_j at arbitrary points: [2, 2] + shape(x).
@@ -81,22 +86,9 @@ class DeformationField:
         """
         x = np.asarray(x, dtype=np.float64)
         cx, sx, cy, sy = self._trig_tables(x, y)
-        w = (np.pi / self.box) * np.arange(self.max_freq + 1)
-        dcx, dsx = -w[:, None] * sx, w[:, None] * cx
-        dcy, dsy = -w[:, None] * sy, w[:, None] * cy
-        c = self.coeffs
-        dx = (
-            np.einsum("ipq,pn,qn->in", c[:, :, :, 0], dcx, cy)
-            + np.einsum("ipq,pn,qn->in", c[:, :, :, 1], dcx, sy)
-            + np.einsum("ipq,pn,qn->in", c[:, :, :, 2], dsx, cy)
-            + np.einsum("ipq,pn,qn->in", c[:, :, :, 3], dsx, sy)
-        )
-        dy = (
-            np.einsum("ipq,pn,qn->in", c[:, :, :, 0], cx, dcy)
-            + np.einsum("ipq,pn,qn->in", c[:, :, :, 1], cx, dsy)
-            + np.einsum("ipq,pn,qn->in", c[:, :, :, 2], sx, dcy)
-            + np.einsum("ipq,pn,qn->in", c[:, :, :, 3], sx, dsy)
-        )
+        w = (np.pi / self.box) * np.arange(self.max_freq + 1)[:, None]
+        dx = self._trig_sum((-w * sx, w * cx), (cy, sy))
+        dy = self._trig_sum((cx, sx), (-w * sy, w * cy))
         return np.stack([dx, dy], axis=1).reshape((2, 2) + x.shape)
 
     def sup_bound(self):
@@ -176,5 +168,4 @@ def apply_deformation(field, image):
     X, Y = pixel_coords(H, W)
     xs = X - field.samples[0]
     ys = Y - field.samples[1]
-    out = np.stack([bilinear_sample(vals[c], xs, ys) for c in range(vals.shape[0])])
-    return ImageTensor(out)
+    return ImageTensor(bilinear_sample(vals, xs, ys))

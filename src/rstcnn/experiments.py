@@ -8,10 +8,8 @@ round-trip), so reruns with identical configs emit identical bytes.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -21,7 +19,7 @@ import numpy as np
 from . import analysis
 from .basis import build_basis, gram_matrix, laplacian_residual
 from .bessel import bessel_j, bessel_zero
-from .data import make_rs_dataset, read_idx, synthetic_blobs
+from .data import read_idx, rs_image, synthetic_blobs
 from .deform import make_tau_targeting_grad
 from .group import GroupElement, ImageTensor
 from .net import (
@@ -39,6 +37,8 @@ INPUT_SALT = 7777
 TAU_SALT = 4242
 
 EXPERIMENT_KINDS = ("equivariance-sweep", "stability-trials", "basis-validate", "bounds-report", "bank-build")
+# the tuple-valued fields a config file sets to one value
+SWEEP_AXES = ("k_list", "l_alpha_list", "seeds")
 
 
 @dataclass(frozen=True)
@@ -77,13 +77,17 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
         if self.layers < 1:
             raise ConfigError(f"layers must be >= 1, got {self.layers}")
-        for name in ("k_list", "l_alpha_list", "seeds"):
+        for name in SWEEP_AXES:
             vals = getattr(self, name)
             object.__setattr__(self, name, tuple(vals))
             if not getattr(self, name):
                 raise ConfigError(f"{name} must be non-empty")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("seeds must be distinct")
+        if min(self.seeds) < 0:
+            raise ConfigError(f"seeds must be >= 0, got {min(self.seeds)}")
+        if min(self.k_list) < 1:
+            raise ConfigError(f"k_list entries must be >= 1, got {min(self.k_list)}")
         if (self.idx_images is None) != (self.idx_labels is None):
             raise ConfigError("idx images and labels must be given together")
         if self.workers < 1:
@@ -161,24 +165,28 @@ def build_network(cfg, K, L_alpha, seed=0):
     )
 
 
-def _file_stamp(path):
-    st = os.stat(path)
-    return st.st_size, st.st_mtime_ns
-
-
-@functools.lru_cache(maxsize=4)
-def _idx_dataset(images, labels, upsize, stamps):
-    # stamps (size and mtime of both files) is in the key so a rewritten file is read again
-    return make_rs_dataset(read_idx(images, labels), seed=INPUT_SALT, upsize=upsize)
-
-
 def sweep_input(cfg, seed):
-    """The input image for one sweep seed (IDX-derived or synthetic)."""
+    """The input image for one sweep seed: synthetic, or image seed % N of the IDX pair.
+
+    An IDX cell reads the file pair and transforms only its own image, with the
+    stream make_rs_dataset(..., seed=INPUT_SALT) gives that image.
+    """
     if cfg.idx_images is None:
         return ImageTensor(synthetic_blobs(cfg.height, cfg.width, np.random.default_rng([seed, INPUT_SALT])))
-    stamps = (_file_stamp(cfg.idx_images), _file_stamp(cfg.idx_labels))
-    data = _idx_dataset(cfg.idx_images, cfg.idx_labels, cfg.upsize, stamps)
-    return ImageTensor(data.images[seed % len(data)].copy())  # callers never write into the cache
+    data = read_idx(cfg.idx_images, cfg.idx_labels)
+    i = seed % len(data)
+    return ImageTensor(rs_image(data.images[i], INPUT_SALT, i, cfg.upsize))
+
+
+def _run_jobs(cfg, fn, jobs):
+    """[fn(cfg, *job) for job in jobs], on a thread pool when cfg.workers > 1.
+
+    One worker runs serially, so Ctrl-C stops at once; a pool waits for every queued job.
+    """
+    if cfg.workers == 1:
+        return [fn(cfg, *job) for job in jobs]
+    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+        return list(pool.map(lambda job: fn(cfg, *job), jobs))
 
 
 def _sweep_cell(cfg, K, L_alpha, seed):
@@ -198,12 +206,7 @@ def _sweep_cell(cfg, K, L_alpha, seed):
 def run_equivariance_sweep(cfg):
     """Layer-wise equivariance errors over the (K, L_alpha, seed) grid as CSV."""
     cells = [(K, La, s) for K in cfg.k_list for La in cfg.l_alpha_list for s in cfg.seeds]
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            chunks = list(pool.map(lambda c: _sweep_cell(cfg, *c), cells))
-    else:
-        chunks = [_sweep_cell(cfg, *c) for c in cells]
-    rows = sorted(row for chunk in chunks for row in chunk)
+    rows = sorted(row for chunk in _run_jobs(cfg, _sweep_cell, cells) for row in chunk)
     lines = cfg.echo_lines()
     lines.append("K,L_alpha,seed,layer,error")
     for K, La, s, layer, err in rows:
@@ -233,11 +236,7 @@ def _stability_trial(cfg, seed, level):
 def run_stability_trials(cfg):
     """Stability certificates for every seed; returns (reports, any_violation)."""
     jobs = [(seed, cfg.grad_levels[i % len(cfg.grad_levels)]) for i, seed in enumerate(cfg.seeds)]
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            reports = list(pool.map(lambda j: _stability_trial(cfg, *j), jobs))
-    else:
-        reports = [_stability_trial(cfg, *j) for j in jobs]
+    reports = _run_jobs(cfg, _stability_trial, jobs)
     return reports, any(r.violation for r in reports)
 
 

@@ -73,8 +73,8 @@ class LayerSpec:
             raise ConfigError("channel counts must be >= 1")
         if self.K < 1:
             raise ConfigError("K must be >= 1")
-        if self.stencil < 1 or self.stencil % 2 == 0:
-            raise ConfigError(f"stencil width must be odd, got {self.stencil}")
+        if self.stencil < 3 or self.stencil % 2 == 0:
+            raise ConfigError(f"stencil width must be odd and >= 3, got {self.stencil}")
         if self.L_theta < 1 or self.L_alpha < 1:
             raise ConfigError("L_theta and L_alpha must be >= 1")
         if self.max_angular < 0 or self.n_scale < 1:
@@ -245,25 +245,29 @@ def synthesize_filters(coeffs, bank, spec):
     return np.einsum("abkmn,krsij,mt,nq->abrtsqij", a, bank.values, phi, xi, optimize=True)
 
 
+def aggregate_channels(norms, joint):
+    """max(sup_out sum_in sum_mode, w sum_mode sup_in sum_out) of per-pair norms [M_in, M_out, modes].
+
+    w = (2 for a joint layer, 1 for lifting) * M_in / M_out.  A_l and the
+    quadrature bounds B, C, D all aggregate their (in, out, scale mode) norms so.
+    """
+    m_in, m_out = norms.shape[:2]
+    weight = (2.0 if joint else 1.0) * m_in / m_out
+    return max(norms.sum(axis=2).sum(axis=0).max(), weight * norms.sum(axis=1).max(axis=0).sum())
+
+
 def filter_amplitude(coeffs, basis, spec):
     """The layer's filter-amplitude bound A_l from its expansion coefficients.
 
-    Lifting: pi * max(sup_out sum_in ||a||_FB, (M_in/M_out) sup_in sum_out
-    ||a||_FB).  Joint: same shape with per-scale-mode FB norms summed over n
-    and the second branch weighted by 2 M_in / M_out.
+    pi * aggregate_channels of the FB norms: one mode per (in, out) pair for
+    lifting, per-scale-mode FB norms for joint layers.
     """
     mu = basis.spatial_eigenvalues
-    a = coeffs.a
-    m_in, m_out = a.shape[0], a.shape[1]
     if coeffs.is_lifting:
-        fb = fb_norm(a, mu)  # [M_in, M_out]
-        t1 = fb.sum(axis=0).max()
-        t2 = (m_in / m_out) * fb.sum(axis=1).max()
-        return math.pi * float(max(t1, t2))
-    fbn = fb_norm_joint(np.moveaxis(a, 4, 2), mu)  # [M_in, M_out, n_scale]
-    t1 = fbn.sum(axis=2).sum(axis=0).max()
-    t2 = (2.0 * m_in / m_out) * fbn.sum(axis=1).max(axis=0).sum()
-    return math.pi * float(max(t1, t2))
+        norms = fb_norm(coeffs.a, mu)[:, :, None]  # [M_in, M_out, 1]
+    else:
+        norms = fb_norm_joint(np.moveaxis(coeffs.a, 4, 2), mu)  # [M_in, M_out, n_scale]
+    return math.pi * float(aggregate_channels(norms, joint=not coeffs.is_lifting))
 
 
 def normalize_coeffs_A2(coeffs, basis, spec):

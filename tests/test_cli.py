@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, file outputs, path resolution."""
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -187,18 +188,25 @@ def test_missing_file_exits_four(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, cause, detail",
+    "argv, cause, detail, cfg_lines",
     [
-        (["equi", "sweep", "--beta", "0.3", "--height", "24", "--width", "24"], "off-lattice group element", "beta=0.3"),
-        (["stab", "trials", "--trials", "1", "--grad-levels", "0.3"], "certificate assumption violated", "(A3)"),
-        (["equi", "sweep", "--k-list", "600", "--height", "24", "--width", "24"], "basis pool exhausted", "K=600"),
-        (["equi", "sweep", "--height", "16", "--width", "16", "--margin", "8"], "config error", "margin=8"),
-        (["equi", "sweep", "--margin", "-3"], "config error", "margin=-3"),
-        (["equi", "sweep", "--layers", "0"], "config error", "layers"),
+        (["equi", "sweep", "--beta", "0.3", "--height", "24", "--width", "24"], "off-lattice group element", "beta=0.3", ""),
+        (["stab", "trials", "--trials", "1", "--grad-levels", "0.3"], "certificate assumption violated", "(A3)", ""),
+        (["equi", "sweep", "--k-list", "600", "--height", "24", "--width", "24"], "basis pool exhausted", "K=600", ""),
+        (["equi", "sweep", "--height", "16", "--width", "16", "--margin", "8"], "config error", "margin=8", ""),
+        (["equi", "sweep", "--margin", "-3"], "config error", "margin=-3", ""),
+        (["equi", "sweep", "--layers", "0"], "config error", "layers", ""),
+        (["equi", "sweep", "--height", "24", "--width", "24"], "config error", "stencil", "L = 1\n"),
+        (["equi", "sweep", "--seeds", "-1"], "config error", "seeds", ""),
+        (["bounds", "report", "--seeds", "-1"], "config error", "seeds", ""),
+        (["basis", "validate", "--k-list", "0"], "config error", "k_list", ""),
     ],
-    ids=["off-lattice", "assumption", "pool-exhaustion", "margin-too-wide", "margin-negative", "layers-zero"],
+    ids=["off-lattice", "assumption", "pool-exhaustion", "margin-too-wide", "margin-negative", "layers-zero",
+         "stencil-one", "sweep-seed-negative", "bounds-seed-negative", "k-list-zero"],
 )
-def test_bad_input_exits_two_naming_the_cause(net_cfg, capsys, argv, cause, detail):
+def test_bad_input_exits_two_naming_the_cause(net_cfg, capsys, argv, cause, detail, cfg_lines):
+    with open(net_cfg, "a") as fh:
+        fh.write(cfg_lines)  # a later key wins over the fixture's
     assert main(argv + ["--config", net_cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"{cause}:") and detail in err
@@ -215,3 +223,121 @@ def test_unsupported_bessel_order_exits_two(net_cfg, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("unsupported Bessel order:") and str(MAX_ORDER + 1) in err
     assert err.count("\n") == 1
+
+
+CHARACTER_CFG = TINY_NET_CFG + "j = 2.5\n"
+
+# the fields a CHARACTER_CFG file sets on every experiment
+CHARACTER_FIELDS = dict(
+    layers=2, channels=1, k_list=(3,), n_rotations=4, n_scales=5, scale_range=1.0, stencil=5,
+    L_theta=2, l_alpha_list=(1,), seeds=(0,), layer_scale=2.5,
+)
+
+_RUNNERS = {
+    "equivariance-sweep": ("run_equivariance_sweep", ""),
+    "stability-trials": ("run_stability_trials", ([], False)),
+    "bounds-report": ("run_bounds_report", {"ok": True}),
+    "basis-validate": ("run_basis_validate", {"ok": True}),
+}
+
+
+@pytest.fixture
+def captured_config(monkeypatch):
+    """Run main(argv) with the experiment runners stubbed; return the ExperimentConfig it built."""
+    from rstcnn import experiments
+
+    def run(argv):
+        seen = []
+        for name, result in _RUNNERS.values():
+            monkeypatch.setattr(experiments, name, lambda cfg, result=result: seen.append(cfg) or result)
+        assert main(argv) == 0
+        assert len(seen) == 1
+        return seen[0]
+
+    return run
+
+
+def _character_cases(cfg, data_dir):
+    """(argv, expected ExperimentConfig fields) per experiment subcommand."""
+    out = ["--out", os.path.join(data_dir, "out.txt")]
+    every_sweep_flag = [
+        "--k-list", "3,5", "--l-alpha-list", "1,2", "--seeds", "4,2", "--layers", "3",
+        "--channels", "2", "--eta", "0.5", "--beta", "-1", "--vx", "1.5", "--vy", "-2",
+        "--margin", "3", "--height", "30", "--width", "32", "--idx-images", "im.idx",
+        "--idx-labels", os.path.join(data_dir, "abs.idx"), "--kind", "sl", "--workers", "2",
+    ]
+    sweep_fields = dict(
+        k_list=(3, 5), l_alpha_list=(1, 2), seeds=(4, 2), layers=3, channels=2, eta=0.5, beta=-1.0,
+        v=(1.5, -2.0), margin=3, height=30, width=32, idx_images=os.path.join(data_dir, "im.idx"),
+        idx_labels=os.path.join(data_dir, "abs.idx"), spatial_kind="sl", workers=2,
+    )
+    stab_flags = ["--trials", "3", "--grad-levels", "0.01,0.2", "--beta", "0", "--eta", "0.25",
+                  "--channels", "3", "--workers", "2"]
+    stab_fields = dict(seeds=(0, 1, 2), grad_levels=(0.01, 0.2), beta=0.0, eta=0.25, channels=3, workers=2)
+    stab_preset = dict(layers=3, k_list=(5,), seeds=tuple(range(20)))
+    return [
+        # equi sweep: the fig3 preset, flags alone, the file alone, file then flags
+        (["equi", "sweep"], "equivariance-sweep", {}),
+        (["equi", "sweep"] + every_sweep_flag + out, "equivariance-sweep", sweep_fields),
+        (["equi", "sweep", "--config", cfg], "equivariance-sweep", CHARACTER_FIELDS),
+        (["equi", "sweep", "--config", cfg] + every_sweep_flag + out, "equivariance-sweep",
+         {**CHARACTER_FIELDS, **sweep_fields}),
+        (["equi", "sweep", "--vx", "1.5"], "equivariance-sweep", dict(v=(1.5, 0.0))),
+        (["equi", "sweep", "--vy", "-2"], "equivariance-sweep", dict(v=(0.0, -2.0))),
+        # stab trials: its preset, and --trials (default 20) always sets the seeds
+        (["stab", "trials"], "stability-trials", stab_preset),
+        (["stab", "trials"] + stab_flags + out, "stability-trials", {**stab_preset, **stab_fields}),
+        (["stab", "trials", "--config", cfg], "stability-trials",
+         {**stab_preset, **CHARACTER_FIELDS, "seeds": tuple(range(20))}),
+        (["stab", "trials", "--config", cfg] + stab_flags + out, "stability-trials",
+         {**stab_preset, **CHARACTER_FIELDS, **stab_fields}),
+        # bounds report
+        (["bounds", "report"], "bounds-report", {}),
+        (["bounds", "report", "--k-list", "4,3", "--seeds", "1,0", "--kind", "sl"] + out, "bounds-report",
+         dict(k_list=(4, 3), seeds=(1, 0), spatial_kind="sl")),
+        (["bounds", "report", "--config", cfg, "--k-list", "4", "--seeds", "2", "--kind", "sl"] + out,
+         "bounds-report", {**CHARACTER_FIELDS, "k_list": (4,), "seeds": (2,), "spatial_kind": "sl"}),
+        # basis validate
+        (["basis", "validate"], "basis-validate", {}),
+        (["basis", "validate", "--config", cfg, "--k-list", "4", "--kind", "sl"] + out, "basis-validate",
+         {**CHARACTER_FIELDS, "k_list": (4,), "spatial_kind": "sl"}),
+    ]
+
+
+def test_experiment_config_merge_characterization(tmp_path, monkeypatch, captured_config):
+    # preset <- config file <- flags, with relative dataset paths under $RSTCNN_DATA_DIR
+    from rstcnn.experiments import ExperimentConfig
+
+    cfg = tmp_path / "net.cfg"
+    cfg.write_text(CHARACTER_CFG)
+    monkeypatch.setenv("RSTCNN_DATA_DIR", str(tmp_path))
+    for argv, kind, fields in _character_cases(str(cfg), str(tmp_path)):
+        assert captured_config(argv) == ExperimentConfig(kind=kind, **fields), argv
+
+
+def test_experiment_config_paths_without_data_dir(tmp_path, monkeypatch, captured_config):
+    from rstcnn.experiments import ExperimentConfig
+
+    monkeypatch.delenv("RSTCNN_DATA_DIR", raising=False)
+    argv = ["equi", "sweep", "--idx-images", "im.idx", "--idx-labels", "lb.idx"]
+    want = ExperimentConfig(kind="equivariance-sweep", idx_images="im.idx", idx_labels="lb.idx")
+    assert captured_config(argv) == want
+
+
+# parser dests that are not ExperimentConfig fields
+NON_FIELD_DESTS = {"config", "out", "vx", "vy", "func", "group", "command"}
+
+
+@pytest.mark.parametrize(
+    "argv", [["equi", "sweep"], ["stab", "trials"], ["bounds", "report"], ["basis", "validate"]], ids="-".join
+)
+def test_experiment_flags_are_named_after_fields(argv):
+    # a flag whose dest names no field would be silently ignored by the merge; the
+    # subcommand, not a flag, sets the experiment kind
+    from dataclasses import fields
+
+    from rstcnn.cli import build_parser
+    from rstcnn.experiments import ExperimentConfig
+
+    dests = set(vars(build_parser().parse_args(argv)))
+    assert dests - NON_FIELD_DESTS <= {f.name for f in fields(ExperimentConfig)} - {"kind"}
