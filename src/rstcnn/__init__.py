@@ -33,7 +33,7 @@ from .basis import (
     eval_spatial,
     eval_spatial_grad,
     gram_matrix,
-    laplacian_residual,
+    laplacian_residuals,
     scale_matrix,
     unit_grid,
 )

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -68,17 +68,13 @@ def equivariance_error(net, coeffs, x, g, layer, margin=4):
 
 @dataclass(frozen=True)
 class EquivarianceCurve:
-    """Per-layer relative errors (1..L) with the configuration echoed.
+    """Per-layer relative errors (1..L).
 
     Layers whose reference slice vanishes carry math.inf (the deviation is
     positive while the reference is zero).
     """
 
     errors: tuple
-    K: int
-    L_alpha: int
-    L_theta: int
-    group_element: tuple
 
     def __post_init__(self):
         if any(e < 0 for e in self.errors):
@@ -92,14 +88,7 @@ def equivariance_curve(net, coeffs, x, g, margin=4):
     for direct, plain in zip(direct_all, plain_all):
         num, den = _slice_error(direct, act_on_feature(g, plain), net.n_scales, margin)
         errors.append(num / den if den > 0.0 else math.inf)
-    joint = net.layers[-1] if net.depth == 1 else net.layers[1]
-    return EquivarianceCurve(
-        tuple(errors),
-        K=net.layers[0].K,
-        L_alpha=joint.L_alpha,
-        L_theta=joint.L_theta,
-        group_element=(g.eta, g.beta, tuple(g.v)),
-    )
+    return EquivarianceCurve(tuple(errors))
 
 
 @dataclass(frozen=True)
@@ -123,20 +112,7 @@ class StabilityReport:
         return self.rhs - self.lhs
 
     def to_dict(self):
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "margin": self.margin,
-            "beta": self.beta,
-            "L": self.L,
-            "j_L": self.j_L,
-            "sup_tau": self.sup_tau,
-            "sup_grad_tau": self.sup_grad_tau,
-            "per_layer_errors": list(self.per_layer_errors),
-            "allowance": self.allowance,
-            "violation": self.violation,
-            "vacuous": self.vacuous,
-        }
+        return asdict(self) | {"margin": self.margin, "per_layer_errors": list(self.per_layer_errors)}
 
     def to_json(self):
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -220,8 +196,7 @@ def nonexpansiveness_report(net, coeffs, n_trials, seed, height=28, width=28):
     """Measure layer non-expansiveness plus zero-input constancy and contraction.
 
     Pairs are uniform [0, 1] images drawn per trial from (seed, trial)
-    streams.  Identical pairs (never produced by the generator, but guarded)
-    are skipped rather than scored as 0/0.
+    streams.
     """
     zero = np.zeros((net.layers[0].in_channels, height, width))
     zero_feats = forward(net, coeffs, ImageTensor(zero), return_all=True)
@@ -232,15 +207,11 @@ def nonexpansiveness_report(net, coeffs, n_trials, seed, height=28, width=28):
 
     per_layer = [0.0] * net.depth
     centered_worst = 0.0
-    scored = 0
     for t in range(n_trials):
         rng = np.random.default_rng([seed, t])
         x1 = rng.uniform(0.0, 1.0, size=zero.shape)
         x2 = rng.uniform(0.0, 1.0, size=zero.shape)
         d0 = feature_norm(x1 - x2)
-        if d0 == 0.0:
-            continue
-        scored += 1
         f1, f2 = _forward_pair(net, coeffs, x1, x2)
         for l in range(net.depth):
             ratio = feature_norm(f1[l].values - f2[l].values) / d0
@@ -256,7 +227,7 @@ def nonexpansiveness_report(net, coeffs, n_trials, seed, height=28, width=28):
         per_layer_worst=tuple(per_layer),
         centered_worst=centered_worst,
         constancy_dev=constancy,
-        n_trials=scored,
+        n_trials=n_trials,
     )
 
 
@@ -281,14 +252,7 @@ class FilterBoundReport:
         return 2.0**self.layer_scale * self.D
 
     def to_dict(self):
-        return {
-            "B": self.B,
-            "C": self.C,
-            "D": self.D,
-            "scaled_D": self.scaled_D,
-            "A": self.A,
-            "layer_scale": self.layer_scale,
-        }
+        return asdict(self) | {"scaled_D": self.scaled_D}
 
 
 # Basis values and gradient components [K, P] at the P grid points where some

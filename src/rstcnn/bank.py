@@ -39,9 +39,7 @@ class FilterBank:
     spatial_kind: str
     values: np.ndarray
     scale_grid: np.ndarray
-    rotation_step: float
     layer_scale: float
-    pitch: float
 
     @property
     def K(self):
@@ -59,6 +57,15 @@ class FilterBank:
     def stencil(self):
         return self.values.shape[3]
 
+    @property
+    def rotation_step(self):
+        return 2.0 * math.pi / self.n_rotations
+
+    @property
+    def pitch(self):
+        """Stencil tap spacing: the support 2^j D spans the L taps exactly."""
+        return 2.0 * (2.0**self.layer_scale) / (self.stencil - 1)
+
 
 def sample_filter_bank(basis, n_rotations, n_scales, scale_range, stencil, layer_scale=None):
     """Sample a BasisSet's spatial elements onto the [K, N_r, N_s, L, L] bank.
@@ -72,18 +79,19 @@ def sample_filter_bank(basis, n_rotations, n_scales, scale_range, stencil, layer
     if n_rotations < 1 or n_scales < 1:
         raise ValueError("n_rotations and n_scales must be >= 1")
     j = default_layer_scale(stencil) if layer_scale is None else float(layer_scale)
-    pitch = 2.0 * (2.0**j) / (stencil - 1)
     grid = scale_channel_grid(n_scales, scale_range)
-    rot_step = 2.0 * math.pi / n_rotations
+    bank = FilterBank(
+        basis.spatial_kind, np.empty((basis.n_spatial, n_rotations, n_scales, stencil, stencil)), grid, j
+    )
 
-    offs = (np.arange(stencil) - (stencil - 1) / 2.0) * pitch
+    offs = (np.arange(stencil) - (stencil - 1) / 2.0) * bank.pitch
     X, Y = np.meshgrid(offs, offs, indexing="xy")  # X[i,t]=offs[t], Y[i,t]=offs[i]
     pts = np.stack([X, Y], axis=-1)  # [L, L, 2]
 
     # args[r, s, i, t, 2] = 2^{-(alpha_s + j)} R_{-theta_r} u'
     args = np.empty((n_rotations, n_scales, stencil, stencil, 2))
     for r in range(n_rotations):
-        th = r * rot_step
+        th = r * bank.rotation_step
         c, s = math.cos(th), math.sin(th)
         rx = c * pts[..., 0] + s * pts[..., 1]
         ry = -s * pts[..., 0] + c * pts[..., 1]
@@ -93,5 +101,5 @@ def sample_filter_bank(basis, n_rotations, n_scales, scale_range, stencil, layer
             args[r, si, ..., 1] = f * ry
 
     amp = (2.0 ** (-2.0 * grid - 2.0 * j))[None, :, None, None]
-    values = amp * eval_spatial_stack(basis.spatial, args)
-    return FilterBank(basis.spatial_kind, values, grid, rot_step, j, pitch)
+    np.multiply(amp, eval_spatial_stack(basis.spatial, args), out=bank.values)
+    return bank

@@ -21,7 +21,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 from . import experiments
 from .analysis import AssumptionError
@@ -102,9 +102,9 @@ def _add_sweep_axes(p):
 _FIELDS = frozenset(f.name for f in fields(experiments.ExperimentConfig))
 
 
-def _experiment_config(args, kind, **preset):
-    """Merge preset <- config file <- flags into an ExperimentConfig."""
-    kwargs = dict(kind=kind, **preset)
+def _experiment_config(args, preset):
+    """Merge the preset ExperimentConfig <- config file <- flags."""
+    kwargs = {}
     if args.config:
         with open(args.config) as fh:
             kwargs.update(experiment_fields(parse_config_text(fh.read())))
@@ -112,11 +112,11 @@ def _experiment_config(args, kind, **preset):
     vx, vy = getattr(args, "vx", None), getattr(args, "vy", None)
     if vx is not None or vy is not None:
         kwargs["v"] = (vx or 0.0, vy or 0.0)
-    return experiments.ExperimentConfig(**kwargs)
+    return replace(preset, **kwargs)
 
 
 def _cmd_basis_validate(args):
-    cfg = _experiment_config(args, "basis-validate")
+    cfg = _experiment_config(args, experiments.ExperimentConfig(kind="basis-validate"))
     report = experiments.run_basis_validate(cfg)
     _write_text(args.out, json.dumps(report, sort_keys=True, indent=1) + "\n")
     return 0 if report["ok"] else 3
@@ -139,20 +139,20 @@ def _cmd_bank_build(args):
 
 
 def _cmd_equi_sweep(args):
-    cfg = _experiment_config(args, "equivariance-sweep")
+    cfg = _experiment_config(args, experiments.fig3_config())
     _write_text(args.out, experiments.run_equivariance_sweep(cfg))
     return 0
 
 
 def _cmd_stab_trials(args):
-    cfg = _experiment_config(args, "stability-trials", layers=3, k_list=(5,))
+    cfg = _experiment_config(args, experiments.stability_config())
     reports, violated = experiments.run_stability_trials(cfg)
     _write_text(args.out, experiments.stability_json(cfg, reports))
     return 3 if violated else 0
 
 
 def _cmd_bounds_report(args):
-    cfg = _experiment_config(args, "bounds-report")
+    cfg = _experiment_config(args, experiments.ExperimentConfig(kind="bounds-report"))
     report = experiments.run_bounds_report(cfg)
     _write_text(args.out, json.dumps(report, sort_keys=True, indent=1) + "\n")
     return 0 if report["ok"] else 3

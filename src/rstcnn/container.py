@@ -189,15 +189,7 @@ def load_bank(data):
     layer_scale = default_layer_scale(stencil)
     if meta and "layer_scale" in meta:
         layer_scale = float(meta["layer_scale"])
-    pitch = 2.0 * (2.0**layer_scale) / (stencil - 1) if stencil > 1 else 2.0**layer_scale
-    bank = FilterBank(
-        spatial_kind=KIND_NAMES[kind_code],
-        values=values,
-        scale_grid=scale_grid,
-        rotation_step=2.0 * np.pi / n_rot,
-        layer_scale=layer_scale,
-        pitch=pitch,
-    )
+    bank = FilterBank(KIND_NAMES[kind_code], values, scale_grid, layer_scale)
     return BankArchive(bank=bank, coeffs=coeffs, tau=tau, meta=meta)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import analysis
-from .basis import build_basis, gram_matrix, laplacian_residual
+from .basis import build_basis, gram_matrix, laplacian_residuals
 from .bessel import bessel_j, bessel_zero
 from .data import read_idx, rs_image, synthetic_blobs
 from .deform import make_tau_targeting_grad
@@ -35,6 +35,8 @@ from .net import (
 
 INPUT_SALT = 7777
 TAU_SALT = 4242
+# highest Fourier frequency of the stability trials' deformation fields
+TAU_MAX_FREQ = 3
 
 EXPERIMENT_KINDS = ("equivariance-sweep", "stability-trials", "basis-validate", "bounds-report", "bank-build")
 # the tuple-valued fields a config file sets to one value
@@ -63,7 +65,6 @@ class ExperimentConfig:
     height: int = 56
     width: int = 56
     grad_levels: tuple = (0.02, 0.05, 0.1)
-    max_freq: int = 3
     idx_images: str | None = None
     idx_labels: str | None = None
     upsize: int = 56
@@ -88,6 +89,8 @@ class ExperimentConfig:
             raise ConfigError(f"seeds must be >= 0, got {min(self.seeds)}")
         if min(self.k_list) < 1:
             raise ConfigError(f"k_list entries must be >= 1, got {min(self.k_list)}")
+        if not self.grad_levels or not all(level >= 0 for level in self.grad_levels):
+            raise ConfigError(f"grad_levels must be non-empty and >= 0, got {self.grad_levels}")
         if (self.idx_images is None) != (self.idx_labels is None):
             raise ConfigError("idx images and labels must be given together")
         if self.workers < 1:
@@ -229,7 +232,7 @@ def _stability_trial(cfg, seed, level):
     net = build_network(cfg, cfg.k_list[0], 1, seed=seed)
     coeffs = init_coeffs(net, seed=seed)
     x = ImageTensor(synthetic_blobs(cfg.height, cfg.width, np.random.default_rng([seed, INPUT_SALT])))
-    tau = make_tau_targeting_grad([seed, TAU_SALT], level, cfg.max_freq, cfg.height, cfg.width)
+    tau = make_tau_targeting_grad([seed, TAU_SALT], level, TAU_MAX_FREQ, cfg.height, cfg.width)
     return analysis.stability_certificate(net, coeffs, x, cfg.group_element, tau)
 
 
@@ -264,7 +267,7 @@ def run_basis_validate(cfg):
     basis = build_basis(cfg.spatial_kind, K)
     gram = gram_matrix(basis, grid_n=201)
     gram_dev = float(np.abs(gram - np.eye(K)).max())
-    residuals = [laplacian_residual(basis, k) for k in range(K)]
+    residuals = laplacian_residuals(basis)
     zero_residuals = [np.abs(bessel_j(m, bessel_zero(m, np.arange(1, 9)))).max() for m in range(9)]
     j01_err = abs(bessel_zero(0, 1) - 2.4048255577)
     report = {

@@ -35,13 +35,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .bank import FilterBank, default_layer_scale, sample_filter_bank, scale_channel_grid
-from .basis import BasisSet, angular_matrix, build_basis, scale_matrix
-from .group import FeatureMap, ImageTensor
+from .bank import default_layer_scale, sample_filter_bank, scale_channel_grid
+from .basis import angular_matrix, build_basis, scale_matrix
+from .group import FeatureMap
 from .norms import fb_norm, fb_norm_joint
 
 
@@ -85,10 +85,6 @@ class LayerSpec:
         if self.layer_scale is None:
             return default_layer_scale(self.stencil)
         return float(self.layer_scale)
-
-    @property
-    def pitch(self):
-        return 2.0 * (2.0**self.resolved_scale) / (self.stencil - 1)
 
     @property
     def n_angular(self):
@@ -195,9 +191,10 @@ def _cached_basis(spatial_kind, K, max_angular, n_scale):
 
 
 @functools.lru_cache(maxsize=64)
-def _cached_bank(spatial_kind, K, max_angular, n_scale, n_rot, n_sc, t, stencil, layer_scale):
-    basis = _cached_basis(spatial_kind, K, max_angular, n_scale)
-    return sample_filter_bank(basis, n_rot, n_sc, t, stencil, layer_scale)
+def _cached_bank(spatial_kind, K, n_rot, n_sc, t, stencil, layer_scale):
+    # The bank samples only the spatial elements, so layers that share them
+    # and the group grid share one bank whatever their angular/scale profiles.
+    return sample_filter_bank(build_basis(spatial_kind, K), n_rot, n_sc, t, stencil, layer_scale)
 
 
 def layer_basis(net, layer_index):
@@ -212,13 +209,11 @@ def layer_bank(net, layer_index):
     return _cached_bank(
         net.spatial_kind,
         spec.K,
-        spec.max_angular,
-        spec.n_scale,
         net.n_rotations,
         net.n_scales,
         float(net.scale_range),
         spec.stencil,
-        spec.layer_scale,
+        spec.resolved_scale,
     )
 
 
@@ -298,16 +293,19 @@ def init_coeffs(net, seed=None):
     return out
 
 
-def _group_correlate(vals, filters, d_step, w_alpha, bias):
+def _group_correlate(vals, filters, bias):
     """relu(bias + tap-weighted spatial correlations), evaluated on rfft2 spectra.
 
     vals [N, M_in, R, S, H, W] (N samples; R, S the input's group sizes, or 1
     to broadcast one image over every output channel); filters [M_in, M_out,
-    N_r, L_theta, N_s, L_alpha, L, L].  Tap t reads rotation (r + t * d_step)
-    mod R, tap q reads scale s + q (nothing above the top channel) and carries
-    weight w_alpha[q] / L_theta.  Returns [N, M_out, N_r, N_s, H, W].
+    N_r, L_theta, N_s, L_alpha, L, L].  Tap t reads rotation (r + t * R /
+    L_theta) mod R, tap q reads scale s + q (nothing above the top channel)
+    and carries weight alpha_weights(L_alpha)[q] / L_theta.  Returns [N,
+    M_out, N_r, N_s, H, W].
     """
     m_in, m_out, n_r, l_th, n_s, l_al, L, _ = filters.shape
+    d_step = vals.shape[2] // l_th
+    w_alpha = alpha_weights(l_al)
     n = vals.shape[0]
     H, W = vals.shape[-2:]
     p = (L - 1) // 2
@@ -354,7 +352,7 @@ def lifting_conv(x, filters, bias, scale_grid):
     if vals.shape[-3] != m_in:
         raise ConfigError(f"input channels {vals.shape[-3]} != filter in_channels {m_in}")
     batch = vals.reshape((-1,) + vals.shape[-3:])[:, :, None, None]
-    out = _group_correlate(batch, filters[:, :, :, None, :, None], 0, alpha_weights(1), bias)
+    out = _group_correlate(batch, filters[:, :, :, None, :, None], bias)
     out = out.reshape(vals.shape[:-3] + out.shape[1:])
     return FeatureMap(out, 2.0 * math.pi / n_r, np.asarray(scale_grid, dtype=np.float64))
 
@@ -380,9 +378,7 @@ def joint_conv(x, filters, bias, spec):
         raise ConfigError("filter tap axes do not match the layer spec")
     if n_r % l_th != 0:
         raise ConfigError(f"L_theta={l_th} does not divide N_r={n_r}")
-    out = _group_correlate(
-        vals.reshape((-1,) + vals.shape[-5:]), filters, n_r // l_th, alpha_weights(l_al), bias
-    )
+    out = _group_correlate(vals.reshape((-1,) + vals.shape[-5:]), filters, bias)
     out = out.reshape(vals.shape[:-5] + out.shape[1:])
     return FeatureMap(out, x.rotation_step, x.scale_grid.copy())
 

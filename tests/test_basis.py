@@ -15,7 +15,7 @@ from rstcnn.basis import (
     eval_spatial_grad,
     eval_spatial_stack,
     gram_matrix,
-    laplacian_residual,
+    laplacian_residuals,
     unit_grid,
 )
 
@@ -55,8 +55,10 @@ def test_gram_identity(kind):
 @pytest.mark.parametrize("kind", ["fb", "sl"])
 def test_laplacian_eigen_residual(kind):
     basis = build_basis(kind, 10)
+    residuals = laplacian_residuals(basis)
+    assert residuals.shape == (10,)
     for k in range(10):
-        assert laplacian_residual(basis, k) < 5e-2
+        assert residuals[k] < 5e-2
 
 
 @pytest.mark.parametrize("kind", ["fb", "sl"])

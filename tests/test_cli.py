@@ -200,9 +200,13 @@ def test_missing_file_exits_four(tmp_path, capsys):
         (["equi", "sweep", "--seeds", "-1"], "config error", "seeds", ""),
         (["bounds", "report", "--seeds", "-1"], "config error", "seeds", ""),
         (["basis", "validate", "--k-list", "0"], "config error", "k_list", ""),
+        (["stab", "trials", "--trials", "1", "--grad-levels=-0.1"], "config error", "grad_levels", ""),
+        (["stab", "trials", "--trials", "1", "--grad-levels", ","], "config error", "grad_levels", ""),
+        (["stab", "trials", "--trials", "1", "--grad-levels", "nan"], "config error", "grad_levels", ""),
     ],
     ids=["off-lattice", "assumption", "pool-exhaustion", "margin-too-wide", "margin-negative", "layers-zero",
-         "stencil-one", "sweep-seed-negative", "bounds-seed-negative", "k-list-zero"],
+         "stencil-one", "sweep-seed-negative", "bounds-seed-negative", "k-list-zero", "grad-level-negative",
+         "grad-levels-empty", "grad-level-nan"],
 )
 def test_bad_input_exits_two_naming_the_cause(net_cfg, capsys, argv, cause, detail, cfg_lines):
     with open(net_cfg, "a") as fh:
@@ -341,3 +345,23 @@ def test_experiment_flags_are_named_after_fields(argv):
 
     dests = set(vars(build_parser().parse_args(argv)))
     assert dests - NON_FIELD_DESTS <= {f.name for f in fields(ExperimentConfig)} - {"kind"}
+
+
+# ExperimentConfig fields that no flag or config key sets (--vx/--vy set v)
+SET_FROM_PYTHON = {"kind", "upsize", "grid_n", "v"}
+
+
+def test_every_experiment_field_is_settable():
+    # a field that no flag and no config key reaches is a knob no run can turn
+    from dataclasses import fields
+
+    from rstcnn.cli import build_parser
+    from rstcnn.config import KNOWN_KEYS, experiment_fields
+    from rstcnn.experiments import ExperimentConfig
+
+    parser = build_parser()
+    dests = set()
+    for argv in (["equi", "sweep"], ["stab", "trials"], ["bounds", "report"], ["basis", "validate"]):
+        dests |= set(vars(parser.parse_args(argv)))
+    keys = set(experiment_fields(dict.fromkeys(KNOWN_KEYS, 1)))
+    assert {f.name for f in fields(ExperimentConfig)} - dests - keys == SET_FROM_PYTHON

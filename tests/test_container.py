@@ -26,9 +26,7 @@ def tiny_bank(kind="fb", layer_scale=0.0):
         spatial_kind=kind,
         values=values,
         scale_grid=np.array([0.25]),
-        rotation_step=math.pi,
         layer_scale=layer_scale,
-        pitch=2.0**layer_scale,
     )
 
 

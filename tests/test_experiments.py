@@ -12,6 +12,7 @@ from rstcnn import (
     ExperimentConfig,
     build_network,
     fig3_config,
+    layer_bank,
     parse_sweep_csv,
     run_basis_validate,
     run_bounds_report,
@@ -98,6 +99,16 @@ def test_build_network_wiring():
         assert (spec.in_channels, spec.out_channels) == (2, 2)
         assert spec.L_theta == cfg.L_theta and spec.L_alpha == 2
         assert spec.n_scale == 2 and spec.max_angular == 4
+
+
+def test_fig3_layers_share_one_bank():
+    # the bank samples only the spatial elements, so the lifting and joint
+    # layers' different angular/scale profiles must not split it
+    cfg = fig3_config()
+    for K in cfg.k_list:
+        for L_alpha in cfg.l_alpha_list:
+            net = build_network(cfg, K, L_alpha)
+            assert layer_bank(net, 0) is layer_bank(net, 1), (K, L_alpha)
 
 
 def test_sweep_identity_errors_are_zero():
