@@ -56,6 +56,7 @@ from .data import (
     parse_idx_images,
     parse_idx_labels,
     read_idx,
+    read_idx_image,
     smooth_feature_values,
     synthetic_blob_set,
     synthetic_blobs,

@@ -80,7 +80,12 @@ def _miller(m, x):
 def bessel_j(order, x):
     """J_order(x) for integer 0 <= order <= MAX_ORDER and x >= 0.
 
-    Accepts scalars or arrays; returns a matching float64 result.
+    Accepts scalars or arrays; returns a matching float64 result.  A value
+    can depend on the other points of the array by about 1e-16: _miller
+    starts its recurrence at an order set by the array's largest x, and
+    _series runs until every point has converged.  So bessel_j(1, [7.5])
+    and bessel_j(1, [7.5, 60.0])[0] can differ in the last bit, and results
+    agree bit for bit only for the same point set.
     """
     m = _check_order(order)
     xa = np.asarray(x, dtype=np.float64)

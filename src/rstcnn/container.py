@@ -143,6 +143,8 @@ def load_bank(data):
     n_rot = r.u32("N_r")
     n_sc = r.u32("N_s")
     stencil = r.u32("L")
+    if stencil < 3 or stencil % 2 == 0:
+        raise ContainerFormatError(f"stencil width L={stencil} at offset {r.pos - 4} must be odd and >= 3")
     kind_code = r.u32("kind")
     if kind_code not in KIND_NAMES:
         raise ContainerFormatError(f"unknown spatial-kind code {kind_code}")

@@ -63,8 +63,8 @@ def _read_header(data, n_dims, expected_magic, what):
     return fields[1:], data[need:]
 
 
-def parse_idx_images(data):
-    """IDX image bytes -> float array [N, 1, H, W] scaled to [0, 1]."""
+def _raw_idx_images(data):
+    """IDX image bytes -> the unconverted uint8 array [N, 1, H, W]."""
     (count, height, width), payload = _read_header(data, 3, IMAGES_MAGIC, "image")
     need = count * height * width
     if len(payload) < need:
@@ -72,8 +72,16 @@ def parse_idx_images(data):
             f"truncated image payload at offset {len(data) - len(payload)}: "
             f"need {need} bytes, have {len(payload)}"
         )
-    raw = np.frombuffer(payload[:need], dtype=np.uint8)
-    return raw.reshape(count, 1, height, width).astype(np.float64) / 255.0
+    return np.frombuffer(payload[:need], dtype=np.uint8).reshape(count, 1, height, width)
+
+
+def _unit_scale(raw):
+    return raw.astype(np.float64) / 255.0
+
+
+def parse_idx_images(data):
+    """IDX image bytes -> float array [N, 1, H, W] scaled to [0, 1]."""
+    return _unit_scale(_raw_idx_images(data))
 
 
 def parse_idx_labels(data):
@@ -87,17 +95,36 @@ def parse_idx_labels(data):
     return np.frombuffer(payload[:count], dtype=np.uint8).astype(np.int64)
 
 
-def read_idx(images_path, labels_path):
-    """Read an images/labels IDX file pair into a LabeledImageSet."""
+def _read_raw_idx(images_path, labels_path):
+    """The uint8 images [N, 1, H, W] and int labels [N] of an IDX file pair."""
     with open(images_path, "rb") as fh:
-        images = parse_idx_images(fh.read())
+        images = _raw_idx_images(fh.read())
     with open(labels_path, "rb") as fh:
         labels = parse_idx_labels(fh.read())
     if images.shape[0] != labels.shape[0]:
         raise IdxParseError(
             f"image count {images.shape[0]} does not match label count {labels.shape[0]}"
         )
-    return LabeledImageSet(images, labels)
+    return images, labels
+
+
+def read_idx(images_path, labels_path):
+    """Read an images/labels IDX file pair into a LabeledImageSet."""
+    images, labels = _read_raw_idx(images_path, labels_path)
+    return LabeledImageSet(_unit_scale(images), labels)
+
+
+def read_idx_image(images_path, labels_path, seed):
+    """(i, image i as float [1, H, W] in [0, 1]) for i = seed % N of an IDX file pair.
+
+    Only image i is converted to float, not the whole file; the value equals
+    read_idx(...).images[i].
+    """
+    images, _ = _read_raw_idx(images_path, labels_path)
+    if images.shape[0] == 0:
+        raise IdxParseError(f"image file {images_path} holds no images")
+    i = seed % images.shape[0]
+    return i, _unit_scale(images[i])
 
 
 def dump_idx_images(images):

@@ -19,7 +19,7 @@ import numpy as np
 from . import analysis
 from .basis import build_basis, gram_matrix, laplacian_residuals
 from .bessel import bessel_j, bessel_zero
-from .data import read_idx, rs_image, synthetic_blobs
+from .data import read_idx_image, rs_image, synthetic_blobs
 from .deform import make_tau_targeting_grad
 from .group import GroupElement, ImageTensor
 from .net import (
@@ -171,14 +171,13 @@ def build_network(cfg, K, L_alpha, seed=0):
 def sweep_input(cfg, seed):
     """The input image for one sweep seed: synthetic, or image seed % N of the IDX pair.
 
-    An IDX cell reads the file pair and transforms only its own image, with the
-    stream make_rs_dataset(..., seed=INPUT_SALT) gives that image.
+    An IDX cell reads the file pair, converts to float and transforms only its
+    own image, with the stream make_rs_dataset(..., seed=INPUT_SALT) gives it.
     """
     if cfg.idx_images is None:
         return ImageTensor(synthetic_blobs(cfg.height, cfg.width, np.random.default_rng([seed, INPUT_SALT])))
-    data = read_idx(cfg.idx_images, cfg.idx_labels)
-    i = seed % len(data)
-    return ImageTensor(rs_image(data.images[i], INPUT_SALT, i, cfg.upsize))
+    i, image = read_idx_image(cfg.idx_images, cfg.idx_labels, seed)
+    return ImageTensor(rs_image(image, INPUT_SALT, i, cfg.upsize))
 
 
 def _run_jobs(cfg, fn, jobs):

@@ -29,12 +29,26 @@ built once per call and multiplied into every sample, in the same order as
 for a single sample, so each sample's output is bit-identical whatever else
 is in the batch.  The analysis runners send each image pair they compare
 through forward as one batch of 2.
+
+Each correlation runs on every CPU the process may use.  The forward rfft2
+is split into contiguous parts over the flattened (sample, input channel)
+rows, and the spectra, multiply-add passes and inverse transforms into
+contiguous parts over the output channels.  The parts run on a shared pool
+of threads that starts on first use; the caller runs the first part itself,
+then any part no pool thread has started, and waits for the rest, so nested
+callers (the experiment runners' --workers threads) cannot deadlock and a
+one-CPU machine runs serially.  Every output element goes through the same
+operations in the same order whatever the split, and the FFTs transform each
+row on its own, so results are bit-identical for every part count.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -293,6 +307,47 @@ def init_coeffs(net, seed=None):
     return out
 
 
+# Parts per parallel stage of _group_correlate: the CPUs this process may use.
+try:
+    _PARTS = len(os.sched_getaffinity(0))
+except AttributeError:  # no affinity call on this platform
+    _PARTS = os.cpu_count() or 1
+_pool_lock = threading.Lock()
+_pool_executor = None
+
+
+def _pool():
+    """The shared worker threads, started on first use; the caller of _run_parts is one more."""
+    global _pool_executor
+    with _pool_lock:
+        if _pool_executor is None:
+            _pool_executor = ThreadPoolExecutor(max(1, _PARTS - 1), thread_name_prefix="rstcnn-part")
+        return _pool_executor
+
+
+def _run_parts(fn, count):
+    """fn(lo, hi) over at most _PARTS contiguous near-equal parts of range(count).
+
+    The caller runs the first part, then every part no pool thread has started
+    yet, and waits for the rest; so nested callers cannot deadlock and a
+    single part runs on the caller alone.
+    """
+    k = max(1, min(_PARTS, count))
+    bounds = [(count * j // k, count * (j + 1) // k) for j in range(k)]
+    futures = [_pool().submit(fn, lo, hi) for lo, hi in bounds[1:]]
+    try:
+        fn(*bounds[0])
+        for future, part in zip(futures, bounds[1:]):
+            if future.cancel():
+                fn(*part)
+            else:
+                future.result()
+    finally:
+        for future in futures:
+            future.cancel()
+        wait(futures)
+
+
 def _group_correlate(vals, filters, bias):
     """relu(bias + tap-weighted spatial correlations), evaluated on rfft2 spectra.
 
@@ -310,7 +365,19 @@ def _group_correlate(vals, filters, bias):
     H, W = vals.shape[-2:]
     p = (L - 1) // 2
     P, Q = H + 2 * p, W + 2 * p
-    xf = np.fft.rfft2(np.pad(vals, [(0, 0)] * 4 + [(p, p), (p, p)]))
+    xf = np.empty(vals.shape[:4] + (P, Q // 2 + 1), dtype=complex)
+    rows_in = vals.reshape((-1,) + vals.shape[2:])
+    rows_xf = xf.reshape((-1,) + xf.shape[2:])
+
+    def transform(lo, hi):
+        # One (sample, input channel) row at a time, through one zero-padded
+        # buffer per part: the temporaries of the running parts stay small,
+        # without np.pad's cost per call.
+        padded = np.zeros(rows_in.shape[1:-2] + (P, Q))
+        for j in range(lo, hi):
+            padded[..., p : p + H, p : p + W] = rows_in[j]
+            rows_xf[j] = np.fft.rfft2(padded)
+
     # Conjugated DFT rows restricted to the L-tap support: ey @ f @ ex is the
     # conjugate rfft2 of f zero-padded to (P, Q), so products with xf correlate.
     taps = np.arange(L)
@@ -318,26 +385,43 @@ def _group_correlate(vals, filters, bias):
     ex = np.exp(2j * math.pi * (np.outer(taps, np.arange(Q // 2 + 1)) % Q) / Q)
     acc = np.zeros((n, m_out, n_r, n_s) + xf.shape[-2:], dtype=complex)
     prod = np.empty_like(acc)
-    for t in range(l_th):
-        # Output rotation r reads input rotation (r + shift) mod N_r: rows
-        # [shift, N_r) feed r < N_r - shift and rows [0, shift) the rest.
-        shift = t * d_step % n_r
-        for q in range(min(l_al, n_s)):
-            n_val = n_s - q
-            for i in range(m_in):
-                # Spectra of one (tap, input channel) slice at a time, shared
-                # by every sample: all slices of a fig3 K=10, L_alpha=3 layer
-                # at 56x56 together would take about 117 MB.
-                spec = ey @ (filters[i, :, :, t, :n_val, q] @ (w_alpha[q] / l_th * ex))
-                split = n_r - shift
-                np.multiply(spec[:, :split], xf[:, None, i, shift:, q : q + n_val], out=prod[:, :, :split, :n_val])
-                np.multiply(spec[:, split:], xf[:, None, i, :shift, q : q + n_val], out=prod[:, :, split:, :n_val])
-                acc[:, :, :, :n_val] += prod[:, :, :, :n_val]
-    del xf, prod  # freed before the inverse transforms allocate theirs
-    out = np.fft.irfft2(acc, s=(P, Q))[..., :H, :W]
-    out += bias[:, None, None, None, None]
-    np.maximum(out, 0.0, out=out)
-    return np.ascontiguousarray(out)
+
+    def multiply_add(lo, hi):
+        part, scratch = acc[:, lo:hi], prod[:, lo:hi]
+        for t in range(l_th):
+            # Output rotation r reads input rotation (r + shift) mod N_r: rows
+            # [shift, N_r) feed r < N_r - shift and rows [0, shift) the rest.
+            shift = t * d_step % n_r
+            split = n_r - shift
+            for q in range(min(l_al, n_s)):
+                n_val = n_s - q
+                for i in range(m_in):
+                    # Spectra of one (tap, input channel) slice at a time, shared
+                    # by every sample: all slices of a fig3 K=10, L_alpha=3 layer
+                    # at 56x56 together would take about 117 MB.
+                    spec = ey @ (filters[i, lo:hi, :, t, :n_val, q] @ (w_alpha[q] / l_th * ex))
+                    np.multiply(spec[:, :split], xf[:, None, i, shift:, q : q + n_val], out=scratch[:, :, :split, :n_val])
+                    np.multiply(spec[:, split:], xf[:, None, i, :shift, q : q + n_val], out=scratch[:, :, split:, :n_val])
+                    part[:, :, :, :n_val] += scratch[:, :, :, :n_val]
+
+    _run_parts(transform, len(rows_in))
+    _run_parts(multiply_add, m_out)
+    del xf, prod, rows_xf  # freed before the output and inverse transforms allocate theirs
+    out = np.empty((n, m_out, n_r, n_s, H, W))
+
+    def inverse(lo, hi):
+        # One (sample, output channel) slice at a time: the temporaries of
+        # every running part together stay below one full inverse transform.
+        for o in range(lo, hi):
+            for b in range(n):
+                # Assigned: irfft2 with out= returned other values under NumPy 2.4.
+                out[b, o] = np.fft.irfft2(acc[b, o], s=(P, Q))[..., :H, :W]
+        part = out[:, lo:hi]
+        part += bias[lo:hi, None, None, None, None]
+        np.maximum(part, 0.0, out=part)
+
+    _run_parts(inverse, m_out)
+    return out
 
 
 def lifting_conv(x, filters, bias, scale_grid):
@@ -397,11 +481,14 @@ def forward(net, coeffs, x, return_all=False):
     """
     if len(coeffs) != net.depth:
         raise ConfigError(f"expected {net.depth} coefficient tensors, got {len(coeffs)}")
+    # Every layer's filters are synthesized before the first correlation: the
+    # synthesis einsum can make a multi-threaded BLAS call, after which the
+    # BLAS threads spin for a while on the CPUs the correlation parts need.
+    filters = [synthesize_filters(coeffs[idx], layer_bank(net, idx), spec) for idx, spec in enumerate(net.layers)]
     feats = []
     cur = x
     for idx, spec in enumerate(net.layers):
-        bankl = layer_bank(net, idx)
-        filt = synthesize_filters(coeffs[idx], bankl, spec)
+        filt, filters[idx] = filters[idx], None  # freed once used
         if idx == 0:
             cur = lifting_conv(cur, filt, coeffs[idx].b, net.scale_grid)
         else:

@@ -87,6 +87,24 @@ def test_missing_meta_falls_back_to_default_layer_scale():
     assert arc.bank.layer_scale == 0.0 and arc.meta is None
 
 
+def header_only_bank(stencil):
+    """Hand-built container bytes: one 1 x 1 x 1 bank of width `stencil`, no sections."""
+    head = b"RSTBANK1" + struct.pack("<5I", 1, 1, 1, stencil, 0)
+    return head + np.zeros(1 + stencil * stencil).tobytes()
+
+
+def test_stencil_below_three_rejected_with_offset():
+    # L=1 and no META: the default layer scale log2(0) must not be reached
+    with pytest.raises(ContainerFormatError, match="L=1 at offset 20"):
+        load_bank(header_only_bank(1))
+
+
+def test_even_stencil_rejected_with_offset():
+    # L=2 used to load as a bank with layer scale log2(1/2) = -1
+    with pytest.raises(ContainerFormatError, match="L=2 at offset 20"):
+        load_bank(header_only_bank(2))
+
+
 def test_bad_magic_names_offset():
     data = bytearray(dump_bank(tiny_bank()))
     data[0] = ord("X")

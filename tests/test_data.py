@@ -18,6 +18,7 @@ from rstcnn import (
     parse_idx_images,
     parse_idx_labels,
     read_idx,
+    read_idx_image,
     smooth_feature_values,
     synthetic_blob_set,
     synthetic_blobs,
@@ -72,6 +73,30 @@ def test_read_idx_pair_and_count_mismatch(tmp_path):
     lp.write_bytes(struct.pack(">2I", 0x801, 1) + bytes([3]))
     with pytest.raises(IdxParseError, match="does not match"):
         read_idx(ip, lp)
+
+
+def test_read_idx_image_converts_only_the_selected_image(tmp_path, monkeypatch):
+    import rstcnn.data
+
+    ip, lp = tmp_path / "im.idx", tmp_path / "lb.idx"
+    write_idx(ip, lp, synthetic_blob_set(5, 6, 7, seed=3))
+    whole = read_idx(ip, lp).images
+    converted = []
+    scale = rstcnn.data._unit_scale
+    monkeypatch.setattr(rstcnn.data, "_unit_scale", lambda raw: converted.append(raw.shape) or scale(raw))
+    for seed in (0, 3, 4, 5, 12):
+        i, image = read_idx_image(ip, lp, seed)
+        assert i == seed % 5
+        assert np.array_equal(image, whole[i])
+    assert converted == [(1, 6, 7)] * 5
+
+
+def test_read_idx_image_rejects_empty_pair(tmp_path):
+    ip, lp = tmp_path / "im.idx", tmp_path / "lb.idx"
+    ip.write_bytes(struct.pack(">4I", 0x803, 0, 3, 3))
+    lp.write_bytes(struct.pack(">2I", 0x801, 0))
+    with pytest.raises(IdxParseError, match="no images"):
+        read_idx_image(ip, lp, 0)
 
 
 def test_dump_golden_bytes_and_round_trip(tmp_path):

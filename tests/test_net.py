@@ -6,11 +6,14 @@ direct (k, m, n) triple loop plus one-hot probes.
 """
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 import reference
+import rstcnn.net
 from rstcnn import (
     ConfigError,
     CoeffTensor,
@@ -246,6 +249,99 @@ def test_joint_conv_batch_is_bit_identical_per_sample(m_in, m_out, n_r, n_s, H, 
         assert out.shape == (len(order), m_out, n_r, n_s, H, W)
         for b, i in enumerate(order):
             assert np.array_equal(out[b], singles[i])
+
+
+PART_COUNTS = (1, 2, 3)
+
+
+def outputs_per_part_count(monkeypatch, conv):
+    """conv() once for each forced part count of the group correlation."""
+    outs = []
+    for parts in PART_COUNTS:
+        monkeypatch.setattr(rstcnn.net, "_PARTS", parts)
+        outs.append(conv())
+    return outs
+
+
+@pytest.mark.parametrize("m_out", [1, 2, 3])
+def test_lifting_conv_is_bit_identical_for_every_part_count(m_out, monkeypatch):
+    # 2 samples x 2 input channels give 4 rows to the forward transform
+    rng = np.random.default_rng(51)
+    xs = rng.standard_normal((2, 2, 7, 6))
+    filters = rng.standard_normal((2, m_out, 4, 3, 5, 5))
+    bias = rng.standard_normal(m_out)
+    grid = np.linspace(-1.0, 1.0, 3)
+    outs = outputs_per_part_count(monkeypatch, lambda: lifting_conv(ImageTensor(xs), filters, bias, grid).values)
+    for out in outs[1:]:
+        assert np.array_equal(out, outs[0])
+    for _ in range(12):
+        b, o, r, s = rng.integers(2), rng.integers(m_out), rng.integers(4), rng.integers(3)
+        y, x0 = rng.integers(7), rng.integers(6)
+        want = reference.naive_lifting_at(xs[b], filters, bias, o, r, s, y, x0)
+        assert outs[0][b, o, r, s, y, x0] == pytest.approx(want, abs=1e-10)
+
+
+@pytest.mark.parametrize("m_out", [1, 2, 3])
+def test_joint_conv_is_bit_identical_for_every_part_count(m_out, monkeypatch):
+    rng = np.random.default_rng(52)
+    spec = LayerSpec(2, m_out, 1, 5, L_theta=2, L_alpha=2)
+    vals = rng.standard_normal((2, 2, 4, 3, 6, 7))
+    feat = FeatureMap(vals, math.pi / 2, np.linspace(-1.0, 1.0, 3))
+    filters = rng.standard_normal((2, m_out, 4, 2, 3, 2, 5, 5))
+    bias = rng.standard_normal(m_out)
+    outs = outputs_per_part_count(monkeypatch, lambda: joint_conv(feat, filters, bias, spec).values)
+    for out in outs[1:]:
+        assert np.array_equal(out, outs[0])
+    for _ in range(12):
+        b, o, r, s = rng.integers(2), rng.integers(m_out), rng.integers(4), rng.integers(3)
+        y, x0 = rng.integers(6), rng.integers(7)
+        want = reference.naive_joint_at(vals[b], filters, bias, o, r, s, y, x0)
+        assert outs[0][b, o, r, s, y, x0] == pytest.approx(want, abs=1e-10)
+
+
+def test_concurrent_callers_share_the_part_pool(monkeypatch):
+    # More callers than cores, each splitting into more parts than cores, with
+    # frequent thread switches: every result must equal the serial one.
+    rng = np.random.default_rng(53)
+    spec = LayerSpec(2, 3, 1, 3, L_theta=2, L_alpha=2)
+    feat = FeatureMap(rng.standard_normal((2, 4, 3, 6, 6)), math.pi / 2, np.linspace(-1.0, 1.0, 3))
+    filters = rng.standard_normal((2, 3, 4, 2, 3, 2, 3, 3))
+    bias = rng.standard_normal(3)
+    monkeypatch.setattr(rstcnn.net, "_PARTS", 1)
+    want = joint_conv(feat, filters, bias, spec).values
+    monkeypatch.setattr(rstcnn.net, "_PARTS", 3)
+    results = []
+
+    def caller():
+        for _ in range(5):
+            results.append(np.array_equal(joint_conv(feat, filters, bias, spec).values, want))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [True] * 20
+
+
+def test_part_failure_reaches_the_caller(monkeypatch):
+    monkeypatch.setattr(rstcnn.net, "_PARTS", 3)
+    done = []
+
+    def part(lo, hi):
+        if lo == 2:
+            raise RuntimeError("part 2 failed")
+        done.append((lo, hi))
+
+    with pytest.raises(RuntimeError, match="part 2 failed"):
+        rstcnn.net._run_parts(part, 3)
+    assert sorted(done) == [(0, 1), (1, 2)]
 
 
 def test_forward_batch_is_bit_identical_per_sample():
