@@ -18,14 +18,12 @@ from rstcnn import fig3_config, parse_sweep_csv, run_equivariance_sweep
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="sweep.csv", help="CSV output path")
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--seeds", default="0,1,2,3,4", help="comma-separated seeds")
     parser.add_argument("--kind", choices=("fb", "sl"), default="fb")
     args = parser.parse_args(argv)
 
     cfg = fig3_config(
         seeds=tuple(int(s) for s in args.seeds.split(",")),
-        workers=args.workers,
         spatial_kind=args.kind,
     )
     text = run_equivariance_sweep(cfg)

@@ -16,14 +16,11 @@ from rstcnn import run_stability_trials, stability_config, stability_json
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--trials", type=int, default=20)
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--beta", type=float, default=-0.5, help="group log2 scale")
     parser.add_argument("--out", help="also write the certificates as JSON")
     args = parser.parse_args(argv)
 
-    cfg = stability_config(
-        seeds=tuple(range(args.trials)), beta=args.beta, workers=args.workers
-    )
+    cfg = stability_config(seeds=tuple(range(args.trials)), beta=args.beta)
     reports, violated = run_stability_trials(cfg)
     if args.out:
         with open(args.out, "w") as fh:

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .basis import angular_matrix, eval_spatial_stack
+from .basis import angular_matrix, eval_spatial_stack, unit_grid
 from .deform import apply_deformation, tau_norms
 from .group import FeatureMap, ImageTensor, act_on_feature, act_on_image
 from .net import aggregate_channels, filter_amplitude, forward, layer_basis
@@ -263,14 +263,13 @@ _DiskQuadrature = namedtuple("_DiskQuadrature", "spatial grid_n vals gx gy radiu
 def _unit_disk_quadrature(basis, grid_n):
     if grid_n < 2:
         raise ValueError(f"grid_n must be >= 2, got {grid_n}")
-    xs = np.linspace(-1.0, 1.0, grid_n)
-    pts = np.stack(np.meshgrid(xs, xs), axis=-1).reshape(-1, 2)
+    pts, h2 = unit_grid(grid_n)
+    pts = pts.reshape(-1, 2)
     vals, grads = eval_spatial_stack(basis.spatial, pts, grad=True)
     grads = np.moveaxis(grads, -1, 0)  # [2, K, n*n]
     keep = (vals != 0.0).any(axis=0) | (grads != 0.0).any(axis=(0, 1))
     gx, gy = grads.compress(keep, axis=2)
     radius = np.sqrt((pts[keep] ** 2).sum(axis=1))
-    h2 = (xs[1] - xs[0]) ** 2
     return _DiskQuadrature(basis.spatial, grid_n, vals.compress(keep, axis=1), gx, gy, radius, h2)
 
 

@@ -73,11 +73,9 @@ def _trials(text):
     return tuple(range(int(text)))
 
 
-def _add_common(p, workers=False):
+def _add_common(p):
     p.add_argument("--config", help="network config file (key = value lines)")
     p.add_argument("--out", help="output path ('-' or omitted: stdout)")
-    if workers:
-        p.add_argument("--workers", type=int, help="parallel sweep/trial workers")
 
 
 def _add_sweep_axes(p):
@@ -195,7 +193,7 @@ def build_parser():
         dest="command", required=True
     )
     p = equi.add_parser("sweep", help="CSV of per-layer errors over (K, L_alpha, seed)")
-    _add_common(p, workers=True)
+    _add_common(p)
     _add_sweep_axes(p)
     p.set_defaults(func=_cmd_equi_sweep)
 
@@ -203,7 +201,7 @@ def build_parser():
         dest="command", required=True
     )
     p = stab.add_parser("trials", help="JSON stability certificates over seeded trials")
-    _add_common(p, workers=True)
+    _add_common(p)
     p.add_argument("--trials", dest="seeds", type=_trials, default=tuple(range(20)), help="number of seeded trials")
     p.add_argument("--grad-levels", type=_float_list, help="cycled sup|grad tau| targets")
     p.add_argument("--beta", type=float, help="group log2 scale")

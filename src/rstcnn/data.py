@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .group import GroupElement, ImageTensor, act_on_image, bilinear_sample
+from .group import GroupElement, ImageTensor, act_on_image, bilinear_sample, pixel_coords
 
 IMAGES_MAGIC = 0x00000803
 LABELS_MAGIC = 0x00000801
@@ -193,9 +193,7 @@ def synthetic_blobs(height, width, rng):
     boundary.  Returns [1, height, width].
     """
     side = min(height, width)
-    X, Y = np.meshgrid(
-        np.arange(width) - (width - 1) / 2.0, np.arange(height) - (height - 1) / 2.0
-    )
+    X, Y = pixel_coords(height, width)
     img = np.zeros((height, width))
     for _ in range(rng.integers(3, 7)):
         cx = rng.uniform(-width / 5.0, width / 5.0)
@@ -221,9 +219,7 @@ def smooth_feature_values(n_channels, n_rotations, scale_grid, height, width, rn
     so lattice scale shifts never move the dominant slice off the axis.
     """
     n_scales = len(scale_grid)
-    X, Y = np.meshgrid(
-        np.arange(width) - (width - 1) / 2.0, np.arange(height) - (height - 1) / 2.0
-    )
+    X, Y = pixel_coords(height, width)
     mid = (n_scales - 1) / 2.0
     out = np.empty((n_channels, n_rotations, n_scales, height, width))
     side = min(height, width)

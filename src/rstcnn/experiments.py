@@ -2,8 +2,9 @@
 
 Every runner is deterministic in its configuration: per-cell RNG streams are
 derived from (seed, salt) pairs, output rows are ordered by their sweep key
-regardless of execution order, and floats are serialized with repr (shortest
-round-trip), so reruns with identical configs emit identical bytes.
+whatever order the axis values are listed in, and floats are serialized
+with repr (shortest round-trip), so reruns with identical configs emit
+identical bytes.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -71,7 +71,6 @@ class ExperimentConfig:
     grid_n: int = 301
     spatial_kind: str = "fb"
     layer_scale: float | None = None
-    workers: int = 1
 
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
@@ -93,8 +92,9 @@ class ExperimentConfig:
             raise ConfigError(f"grad_levels must be non-empty and >= 0, got {self.grad_levels}")
         if (self.idx_images is None) != (self.idx_labels is None):
             raise ConfigError("idx images and labels must be given together")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
+        for name, value in (("eta", self.eta), ("beta", self.beta), ("v", self.v)):
+            if not np.isfinite(value).all():
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.grid_n < 2:
             raise ConfigError(f"grid_n must be >= 2, got {self.grid_n}")
         if self.kind == "equivariance-sweep":
@@ -180,17 +180,6 @@ def sweep_input(cfg, seed):
     return ImageTensor(rs_image(image, INPUT_SALT, i, cfg.upsize))
 
 
-def _run_jobs(cfg, fn, jobs):
-    """[fn(cfg, *job) for job in jobs], on a thread pool when cfg.workers > 1.
-
-    One worker runs serially, so Ctrl-C stops at once; a pool waits for every queued job.
-    """
-    if cfg.workers == 1:
-        return [fn(cfg, *job) for job in jobs]
-    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        return list(pool.map(lambda job: fn(cfg, *job), jobs))
-
-
 def _sweep_cell(cfg, K, L_alpha, seed):
     try:
         net = build_network(cfg, K, L_alpha, seed=seed)
@@ -208,7 +197,7 @@ def _sweep_cell(cfg, K, L_alpha, seed):
 def run_equivariance_sweep(cfg):
     """Layer-wise equivariance errors over the (K, L_alpha, seed) grid as CSV."""
     cells = [(K, La, s) for K in cfg.k_list for La in cfg.l_alpha_list for s in cfg.seeds]
-    rows = sorted(row for chunk in _run_jobs(cfg, _sweep_cell, cells) for row in chunk)
+    rows = sorted(row for cell in cells for row in _sweep_cell(cfg, *cell))
     lines = cfg.echo_lines()
     lines.append("K,L_alpha,seed,layer,error")
     for K, La, s, layer, err in rows:
@@ -237,8 +226,8 @@ def _stability_trial(cfg, seed, level):
 
 def run_stability_trials(cfg):
     """Stability certificates for every seed; returns (reports, any_violation)."""
-    jobs = [(seed, cfg.grad_levels[i % len(cfg.grad_levels)]) for i, seed in enumerate(cfg.seeds)]
-    reports = _run_jobs(cfg, _stability_trial, jobs)
+    levels = cfg.grad_levels
+    reports = [_stability_trial(cfg, seed, levels[i % len(levels)]) for i, seed in enumerate(cfg.seeds)]
     return reports, any(r.violation for r in reports)
 
 

@@ -33,13 +33,12 @@ through forward as one batch of 2.
 Each correlation runs on every CPU the process may use.  The forward rfft2
 is split into contiguous parts over the flattened (sample, input channel)
 rows, and the spectra, multiply-add passes and inverse transforms into
-contiguous parts over the output channels.  The parts run on a shared pool
-of threads that starts on first use; the caller runs the first part itself,
-then any part no pool thread has started, and waits for the rest, so nested
-callers (the experiment runners' --workers threads) cannot deadlock and a
-one-CPU machine runs serially.  Every output element goes through the same
-operations in the same order whatever the split, and the FFTs transform each
-row on its own, so results are bit-identical for every part count.
+contiguous parts over the output channels.  The caller runs the first part
+itself and a shared pool of threads, started on first use, runs the rest,
+so a one-CPU machine runs serially.  Every output element goes through the
+same operations in the same order whatever the split, and the FFTs
+transform each row on its own, so results are bit-identical for every part
+count.
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
@@ -93,6 +91,8 @@ class LayerSpec:
             raise ConfigError("L_theta and L_alpha must be >= 1")
         if self.max_angular < 0 or self.n_scale < 1:
             raise ConfigError("max_angular must be >= 0 and n_scale >= 1")
+        if self.layer_scale is not None and not math.isfinite(self.layer_scale):
+            raise ConfigError(f"layer_scale must be finite, got {self.layer_scale}")
 
     @property
     def resolved_scale(self):
@@ -312,40 +312,27 @@ try:
     _PARTS = len(os.sched_getaffinity(0))
 except AttributeError:  # no affinity call on this platform
     _PARTS = os.cpu_count() or 1
-_pool_lock = threading.Lock()
-_pool_executor = None
-
-
-def _pool():
-    """The shared worker threads, started on first use; the caller of _run_parts is one more."""
-    global _pool_executor
-    with _pool_lock:
-        if _pool_executor is None:
-            _pool_executor = ThreadPoolExecutor(max(1, _PARTS - 1), thread_name_prefix="rstcnn-part")
-        return _pool_executor
+# The caller of _run_parts runs one part (which peaks lower in memory than
+# handing every part to the pool); these threads start on the first submit.
+_POOL = ThreadPoolExecutor(max(1, _PARTS - 1), thread_name_prefix="rstcnn-part")
 
 
 def _run_parts(fn, count):
     """fn(lo, hi) over at most _PARTS contiguous near-equal parts of range(count).
 
-    The caller runs the first part, then every part no pool thread has started
-    yet, and waits for the rest; so nested callers cannot deadlock and a
-    single part runs on the caller alone.
+    The caller runs the first part and the pool the others.  Every part has
+    finished before this returns or raises, so none writes after its caller
+    has moved on; the first exception a part raised is re-raised.
     """
     k = max(1, min(_PARTS, count))
     bounds = [(count * j // k, count * (j + 1) // k) for j in range(k)]
-    futures = [_pool().submit(fn, lo, hi) for lo, hi in bounds[1:]]
+    futures = [_POOL.submit(fn, lo, hi) for lo, hi in bounds[1:]]
     try:
         fn(*bounds[0])
-        for future, part in zip(futures, bounds[1:]):
-            if future.cancel():
-                fn(*part)
-            else:
-                future.result()
     finally:
-        for future in futures:
-            future.cancel()
         wait(futures)
+    for future in futures:
+        future.result()
 
 
 def _group_correlate(vals, filters, bias):

@@ -42,6 +42,10 @@ def test_bad_usage_exits_two(capsys):
     assert main(["equi"]) == 2
     assert main(["equi", "sweep", "--no-such-flag"]) == 2
     capsys.readouterr()
+    # the convolutions derive their own thread count; no subcommand takes one
+    for argv in (["equi", "sweep"], ["stab", "trials"]):
+        assert main(argv + ["--workers", "2"]) == 2
+        assert "--workers" in capsys.readouterr().err
 
 
 def test_basis_validate_report(tmp_path, capsys):
@@ -58,7 +62,7 @@ def test_equi_sweep_identity_zero(tmp_path, net_cfg):
     out = tmp_path / "sweep.csv"
     code = main(
         ["equi", "sweep", "--config", net_cfg, "--out", str(out),
-         "--eta", "0", "--beta", "0", "--height", "24", "--width", "24", "--workers", "2"]
+         "--eta", "0", "--beta", "0", "--height", "24", "--width", "24"]
     )
     assert code == 0
     text = out.read_text()
@@ -203,10 +207,15 @@ def test_missing_file_exits_four(tmp_path, capsys):
         (["stab", "trials", "--trials", "1", "--grad-levels=-0.1"], "config error", "grad_levels", ""),
         (["stab", "trials", "--trials", "1", "--grad-levels", ","], "config error", "grad_levels", ""),
         (["stab", "trials", "--trials", "1", "--grad-levels", "nan"], "config error", "grad_levels", ""),
+        (["equi", "sweep", "--eta", "nan"], "config error", "eta must be finite", ""),
+        (["equi", "sweep", "--vx", "nan"], "config error", "v must be finite", ""),
+        (["stab", "trials", "--beta", "inf"], "config error", "beta must be finite", ""),
+        (["equi", "sweep", "--height", "24", "--width", "24"], "config error", "layer_scale", "j = nan\n"),
+        (["bounds", "report"], "config error", "layer_scale", "j = inf\n"),
     ],
     ids=["off-lattice", "assumption", "pool-exhaustion", "margin-too-wide", "margin-negative", "layers-zero",
          "stencil-one", "sweep-seed-negative", "bounds-seed-negative", "k-list-zero", "grad-level-negative",
-         "grad-levels-empty", "grad-level-nan"],
+         "grad-levels-empty", "grad-level-nan", "eta-nan", "vx-nan", "beta-inf", "sweep-j-nan", "bounds-j-inf"],
 )
 def test_bad_input_exits_two_naming_the_cause(net_cfg, capsys, argv, cause, detail, cfg_lines):
     with open(net_cfg, "a") as fh:
@@ -268,16 +277,16 @@ def _character_cases(cfg, data_dir):
         "--k-list", "3,5", "--l-alpha-list", "1,2", "--seeds", "4,2", "--layers", "3",
         "--channels", "2", "--eta", "0.5", "--beta", "-1", "--vx", "1.5", "--vy", "-2",
         "--margin", "3", "--height", "30", "--width", "32", "--idx-images", "im.idx",
-        "--idx-labels", os.path.join(data_dir, "abs.idx"), "--kind", "sl", "--workers", "2",
+        "--idx-labels", os.path.join(data_dir, "abs.idx"), "--kind", "sl",
     ]
     sweep_fields = dict(
         k_list=(3, 5), l_alpha_list=(1, 2), seeds=(4, 2), layers=3, channels=2, eta=0.5, beta=-1.0,
         v=(1.5, -2.0), margin=3, height=30, width=32, idx_images=os.path.join(data_dir, "im.idx"),
-        idx_labels=os.path.join(data_dir, "abs.idx"), spatial_kind="sl", workers=2,
+        idx_labels=os.path.join(data_dir, "abs.idx"), spatial_kind="sl",
     )
     stab_flags = ["--trials", "3", "--grad-levels", "0.01,0.2", "--beta", "0", "--eta", "0.25",
-                  "--channels", "3", "--workers", "2"]
-    stab_fields = dict(seeds=(0, 1, 2), grad_levels=(0.01, 0.2), beta=0.0, eta=0.25, channels=3, workers=2)
+                  "--channels", "3"]
+    stab_fields = dict(seeds=(0, 1, 2), grad_levels=(0.01, 0.2), beta=0.0, eta=0.25, channels=3)
     stab_preset = dict(layers=3, k_list=(5,), seeds=tuple(range(20)))
     return [
         # equi sweep: the fig3 preset, flags alone, the file alone, file then flags

@@ -6,6 +6,8 @@ direct (k, m, n) triple loop plus one-hot probes.
 """
 
 import math
+import os
+import subprocess
 import sys
 import threading
 
@@ -342,6 +344,15 @@ def test_part_failure_reaches_the_caller(monkeypatch):
     with pytest.raises(RuntimeError, match="part 2 failed"):
         rstcnn.net._run_parts(part, 3)
     assert sorted(done) == [(0, 1), (1, 2)]
+
+
+def test_import_starts_no_thread():
+    # the part pool's threads start on its first submit, not at import
+    src = os.path.dirname(os.path.dirname(rstcnn.net.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import threading, rstcnn; print(threading.active_count())"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout == "1\n"
 
 
 def test_forward_batch_is_bit_identical_per_sample():

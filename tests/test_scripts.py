@@ -1,0 +1,34 @@
+"""Smoke runs of the scripts in scripts/, each through its main()."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+from rstcnn import parse_sweep_csv
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_five_layer_sweep_script(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert load_script("run_five_layer_sweep").main(["--seeds", "0", "--out", str(out)]) == 0
+    rows = parse_sweep_csv(out.read_text())
+    # K in {5, 10} x L_alpha in {1, 3}, one seed, five layers
+    assert sorted({r[:2] for r in rows}) == [(5, 1), (5, 3), (10, 1), (10, 3)]
+    assert len(rows) == 4 * 5
+    assert "median relative equivariance error over seeds" in capsys.readouterr().out
+
+
+def test_stability_demo_script(tmp_path, capsys):
+    out = tmp_path / "stab.json"
+    assert load_script("run_stability_demo").main(["--trials", "2", "--out", str(out)]) == 0
+    body = json.loads(out.read_text())
+    assert len(body["trials"]) == 2 and body["violations"] == 0
+    assert "0 violations in 2 trials" in capsys.readouterr().out
