@@ -8,13 +8,15 @@ A field is a truncated two-dimensional Fourier sum per component,
 with ax = px*pi*x/box, by = py*pi*y/box and box the half-width of the pixel
 coordinate range.  The representation is smooth, has an analytic Jacobian,
 and its sup-norm is bounded by the absolute coefficient sum, which makes
-exact amplitude targeting possible.  Constant fields reduce to the pure
-translation warp bit-for-bit (same sampling path as the group action).
+exact amplitude targeting possible.  Fields are evaluated on tensor grids,
+where each term factors into per-axis trig tables.  Constant fields reduce
+to the pure translation warp bit-for-bit (same sampling path as the group
+action).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,17 +25,15 @@ from .group import ImageTensor, bilinear_sample, pixel_coords
 
 @dataclass(frozen=True)
 class DeformationField:
-    """Truncated-Fourier vector field sampled on an H x W pixel grid.
+    """Truncated-Fourier vector field over the coordinate box of an H x W pixel grid.
 
     coeffs[i, px, py, t]: component i in {x, y}, frequency pair (px, py),
-    trig product t in (cos*cos, cos*sin, sin*cos, sin*sin).  samples[2, H, W]
-    caches the field on the pixel grid.
+    trig product t in (cos*cos, cos*sin, sin*cos, sin*sin).
     """
 
     coeffs: np.ndarray
     height: int
     width: int
-    samples: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=np.float64)
@@ -44,8 +44,6 @@ class DeformationField:
         if self.height < 1 or self.width < 1:
             raise ValueError("grid must be at least 1x1")
         object.__setattr__(self, "coeffs", c)
-        X, Y = pixel_coords(self.height, self.width)
-        object.__setattr__(self, "samples", self.evaluate(X, Y))
 
     @property
     def max_freq(self):
@@ -55,41 +53,29 @@ class DeformationField:
     def box(self):
         return max((self.width - 1) / 2.0, (self.height - 1) / 2.0, 1.0)
 
-    def _trig_tables(self, x, y):
-        p = np.arange(self.max_freq + 1)
-        ax = (np.pi / self.box) * p[:, None] * np.ravel(x)[None, :]
-        by = (np.pi / self.box) * p[:, None] * np.ravel(y)[None, :]
-        return np.cos(ax), np.sin(ax), np.cos(by), np.sin(by)
+    def on_grid(self, xs, ys):
+        """tau [2, ny, nx] and d tau_i / d u_j [2, 2, ny, nx] on the grid ys x xs.
 
-    def _trig_sum(self, x_tables, y_tables):
-        """sum_{p,q,t} c[:, p, q, t] fx_t[p] fy_t[q] over points: [2, n].
-
-        x_tables = (cos, sin) of ax (or their x-derivatives), y_tables the same
-        in by; the four products run in coefficient order t.
+        xs, ys are 1-D coordinate axes.  Jacobian index j = 0 is the
+        x-derivative, j = 1 the y-derivative.  Trig product t = 2a + b pairs
+        the x factor a and the y factor b, each cos (0) or sin (1).
         """
-        return sum(
-            np.einsum("ipq,pn,qn->in", self.coeffs[:, :, :, 2 * i + k], fx, fy)
-            for i, fx in enumerate(x_tables)
-            for k, fy in enumerate(y_tables)
+        P = self.max_freq
+        w = (np.pi / self.box) * np.arange(P + 1)[:, None]
+
+        def tables(u):
+            # (cos, sin) of the axis angles [2, P+1, n] and their derivatives
+            c, s = np.cos(w * u), np.sin(w * u)
+            return np.stack([c, s]), np.stack([-w * s, w * c])
+
+        fx, dfx = tables(np.asarray(xs, dtype=np.float64))
+        fy, dfy = tables(np.asarray(ys, dtype=np.float64))
+        c = self.coeffs.reshape(2, P + 1, P + 1, 2, 2)
+        tau = np.einsum("ipqab,apx,bqy->iyx", c, fx, fy, optimize=True)
+        jac = np.einsum(
+            "ipqab,japx,jbqy->ijyx", c, np.stack([dfx, fx]), np.stack([fy, dfy]), optimize=True
         )
-
-    def evaluate(self, x, y):
-        """Field values at arbitrary points: [2] + shape(x)."""
-        x = np.asarray(x, dtype=np.float64)
-        cx, sx, cy, sy = self._trig_tables(x, y)
-        return self._trig_sum((cx, sx), (cy, sy)).reshape((2,) + x.shape)
-
-    def jacobian(self, x, y):
-        """Analytic Jacobian d tau_i / d u_j at arbitrary points: [2, 2] + shape(x).
-
-        Index order: [i, j] with j = 0 the x-derivative, j = 1 the y-derivative.
-        """
-        x = np.asarray(x, dtype=np.float64)
-        cx, sx, cy, sy = self._trig_tables(x, y)
-        w = (np.pi / self.box) * np.arange(self.max_freq + 1)[:, None]
-        dx = self._trig_sum((-w * sx, w * cx), (cy, sy))
-        dy = self._trig_sum((cx, sx), (-w * sy, w * cy))
-        return np.stack([dx, dy], axis=1).reshape((2, 2) + x.shape)
+        return tau, jac
 
     def sup_bound(self):
         """Analytic upper bound on sup_u |tau(u)|_2 via absolute coefficient sums."""
@@ -128,10 +114,8 @@ def tau_norms(field, oversample=4):
     H, W = field.height, field.width
     xs = np.linspace(-(W - 1) / 2.0, (W - 1) / 2.0, max(oversample * W, 2))
     ys = np.linspace(-(H - 1) / 2.0, (H - 1) / 2.0, max(oversample * H, 2))
-    X, Y = np.meshgrid(xs, ys)
-    t = field.evaluate(X, Y)
+    t, J = field.on_grid(xs, ys)
     sup_tau = float(np.sqrt(t[0] ** 2 + t[1] ** 2).max())
-    J = field.jacobian(X, Y)
     a = J[0, 0] ** 2 + J[1, 0] ** 2
     b = J[0, 1] ** 2 + J[1, 1] ** 2
     c = J[0, 0] * J[0, 1] + J[1, 0] * J[1, 1]
@@ -158,14 +142,12 @@ def make_tau_targeting_grad(seed, sup_grad, max_freq, height, width):
 
 
 def apply_deformation(field, image):
-    """Resample an image at u - tau(u) (bilinear, zero outside the domain)."""
+    """Resample an image (or a batch [N, M, H, W]) at u - tau(u) (bilinear, zero outside the domain)."""
     vals = image.values
-    H, W = vals.shape[1], vals.shape[2]
-    if (field.height, field.width) != (H, W):
+    if (field.height, field.width) != vals.shape[-2:]:
         raise ValueError(
-            f"field grid {(field.height, field.width)} does not match image {(H, W)}"
+            f"field grid {(field.height, field.width)} does not match image {vals.shape[-2:]}"
         )
-    X, Y = pixel_coords(H, W)
-    xs = X - field.samples[0]
-    ys = Y - field.samples[1]
-    return ImageTensor(bilinear_sample(vals, xs, ys))
+    X, Y = pixel_coords(field.height, field.width)
+    tau, _ = field.on_grid(X[0], Y[:, 0])
+    return ImageTensor(bilinear_sample(vals, X - tau[0], Y - tau[1]))

@@ -21,7 +21,7 @@ from .basis import build_basis, gram_matrix, laplacian_residuals
 from .bessel import bessel_j, bessel_zero
 from .data import read_idx_image, rs_image, synthetic_blobs
 from .deform import make_tau_targeting_grad
-from .group import GroupElement, ImageTensor
+from .group import GroupElement, ImageTensor, off_canvas
 from .net import (
     ConfigError,
     CoeffTensor,
@@ -98,9 +98,12 @@ class ExperimentConfig:
         if self.grid_n < 2:
             raise ConfigError(f"grid_n must be >= 2, got {self.grid_n}")
         if self.kind == "equivariance-sweep":
-            side = self.upsize if self.idx_images is not None else min(self.height, self.width)
+            H, W = (self.upsize,) * 2 if self.idx_images is not None else (self.height, self.width)
+            side = min(H, W)
             if not 0 <= 2 * self.margin < side:
                 raise ConfigError(f"margin={self.margin} must be >= 0 and below half the {side}-pixel image side")
+            if off_canvas(self.group_element, H, W):
+                raise ConfigError(f"v={self.v} moves every source point of D_g off the {H}x{W} input")
 
     @property
     def group_element(self):

@@ -153,8 +153,10 @@ def bilinear_sample(values, x, y):
     Sampling at exact pixel centers reproduces stored values exactly.
     """
     H, W = values.shape[-2], values.shape[-1]
-    col = np.asarray(x, dtype=np.float64) + (W - 1) / 2.0
-    row = np.asarray(y, dtype=np.float64) + (H - 1) / 2.0
+    # beyond one pixel outside the grid every tap reads 0, so clipping changes
+    # no value and keeps floor() within int64
+    col = np.clip(np.asarray(x, dtype=np.float64) + (W - 1) / 2.0, -1.0, W)
+    row = np.clip(np.asarray(y, dtype=np.float64) + (H - 1) / 2.0, -1.0, H)
     r0 = np.floor(row).astype(np.int64)
     c0 = np.floor(col).astype(np.int64)
     fr = row - r0
@@ -194,6 +196,11 @@ def act_on_image(g, image):
     return ImageTensor(bilinear_sample(image.values, sx, sy))
 
 
+def off_canvas(g, H, W):
+    """True when D_g reads no pixel of an H x W input, so it maps every image to zero."""
+    return not act_on_image(g, ImageTensor(np.ones((1, H, W)))).values.any()
+
+
 def _lattice_steps(value, step, name):
     if step == 0.0:
         if abs(value) > LATTICE_TOL:
@@ -216,17 +223,11 @@ def act_on_feature(g, feat):
     """
     d_rot = _lattice_steps(g.eta, feat.rotation_step, "eta")
     d_sc = _lattice_steps(g.beta, feat.scale_step, "beta")
-    vals = np.roll(feat.values, d_rot, axis=-4)
-    if d_sc != 0:
-        shifted = np.zeros_like(vals)
-        n_s = vals.shape[-3]
-        # output channel s reads input channel s - d_sc
-        src_lo = max(0, -d_sc)
-        src_hi = min(n_s, n_s - d_sc)
-        if src_hi > src_lo:
-            shifted[..., src_lo + d_sc : src_hi + d_sc, :, :] = vals[..., src_lo:src_hi, :, :]
-        vals = shifted
-    H, W = vals.shape[-2], vals.shape[-1]
-    sx, sy = _warp_grid(g, H, W)
-    warped = bilinear_sample(vals, sx, sy)
+    n_r, n_s = feat.values.shape[-4:-2]
+    # output channel (r, s) reads input channel (r - d_rot mod N_r, s - d_sc)
+    rot = (np.arange(n_r) - d_rot) % n_r
+    sc = np.arange(n_s) - d_sc
+    vals = feat.values[..., rot[:, None], np.clip(sc, 0, n_s - 1), :, :]
+    vals[..., (sc < 0) | (sc >= n_s), :, :] = 0.0
+    warped = bilinear_sample(vals, *_warp_grid(g, *vals.shape[-2:]))
     return FeatureMap(warped, feat.rotation_step, feat.scale_grid.copy())

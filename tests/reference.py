@@ -136,6 +136,18 @@ def naive_bilinear(values, row, col):
     return acc
 
 
+def shift_feature_channels(values, d_rot, d_sc):
+    """Rotation/scale channel shift of values[..., N_r, N_s, H, W]: a cyclic roll
+    by d_rot, then a copy of the scale axis up by d_sc into zeros."""
+    rolled = np.roll(values, d_rot, axis=-4)
+    shifted = np.zeros_like(rolled)
+    n_s = values.shape[-3]
+    for s in range(n_s):
+        if 0 <= s - d_sc < n_s:
+            shifted[..., s, :, :] = rolled[..., s - d_sc, :, :]
+    return shifted
+
+
 def fourier_field_value(coeffs, box, comp, x, y):
     """Direct evaluation of the truncated Fourier field at one point."""
     P = coeffs.shape[1] - 1

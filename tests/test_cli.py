@@ -212,10 +212,13 @@ def test_missing_file_exits_four(tmp_path, capsys):
         (["stab", "trials", "--beta", "inf"], "config error", "beta must be finite", ""),
         (["equi", "sweep", "--height", "24", "--width", "24"], "config error", "layer_scale", "j = nan\n"),
         (["bounds", "report"], "config error", "layer_scale", "j = inf\n"),
+        (["equi", "sweep", "--height", "24", "--width", "24", "--vx", "1e10"], "config error", "v=(10000000000.0, 0.0)", ""),
+        (["equi", "sweep", "--height", "24", "--width", "24", "--vx", "1e300"], "config error", "v=(1e+300, 0.0)", ""),
     ],
     ids=["off-lattice", "assumption", "pool-exhaustion", "margin-too-wide", "margin-negative", "layers-zero",
          "stencil-one", "sweep-seed-negative", "bounds-seed-negative", "k-list-zero", "grad-level-negative",
-         "grad-levels-empty", "grad-level-nan", "eta-nan", "vx-nan", "beta-inf", "sweep-j-nan", "bounds-j-inf"],
+         "grad-levels-empty", "grad-level-nan", "eta-nan", "vx-nan", "beta-inf", "sweep-j-nan", "bounds-j-inf",
+         "vx-off-canvas", "vx-1e300"],
 )
 def test_bad_input_exits_two_naming_the_cause(net_cfg, capsys, argv, cause, detail, cfg_lines):
     with open(net_cfg, "a") as fh:

@@ -9,6 +9,7 @@ import reference
 from rstcnn import (
     DeformationField,
     GroupElement,
+    ImageTensor,
     act_on_image,
     apply_deformation,
     make_tau,
@@ -17,41 +18,49 @@ from rstcnn import (
 )
 
 from conftest import interior_image
+from rstcnn.group import pixel_coords
 
 
 def random_field(seed=0, max_freq=3, height=17, width=19, amplitude=2.0):
     return make_tau(seed, amplitude, max_freq, height, width)
 
 
-def test_evaluate_matches_loop_oracle():
+def pixel_axes(f):
+    X, Y = pixel_coords(f.height, f.width)
+    return X[0], Y[:, 0]
+
+
+def test_on_grid_matches_loop_oracle():
     rng = np.random.default_rng(1)
     coeffs = rng.standard_normal((2, 4, 4, 4))
     f = DeformationField(coeffs, 15, 21)
-    xs = rng.uniform(-10.0, 10.0, size=15)
-    ys = rng.uniform(-7.0, 7.0, size=15)
-    vals = f.evaluate(xs, ys)
-    for i, (x, y) in enumerate(zip(xs, ys)):
-        for comp in (0, 1):
-            want = reference.fourier_field_value(coeffs, f.box, comp, x, y)
-            assert vals[comp, i] == pytest.approx(want, abs=1e-12)
+    xs = rng.uniform(-10.0, 10.0, size=6)
+    ys = rng.uniform(-7.0, 7.0, size=5)
+    vals, _ = f.on_grid(xs, ys)
+    for iy, y in enumerate(ys):
+        for ix, x in enumerate(xs):
+            for comp in (0, 1):
+                want = reference.fourier_field_value(coeffs, f.box, comp, x, y)
+                assert vals[comp, iy, ix] == pytest.approx(want, abs=1e-12)
 
 
-def test_evaluate_preserves_point_shape():
+def test_on_grid_shapes():
     f = random_field()
-    X, Y = np.meshgrid(np.linspace(-2, 2, 5), np.linspace(-1, 1, 3))
-    assert f.evaluate(X, Y).shape == (2, 3, 5)
-    assert f.samples.shape == (2, f.height, f.width)
+    tau, jac = f.on_grid(np.linspace(-2, 2, 5), np.linspace(-1, 1, 3))
+    assert tau.shape == (2, 3, 5) and jac.shape == (2, 2, 3, 5)
+    tau, jac = f.on_grid(*pixel_axes(f))
+    assert tau.shape == (2, f.height, f.width) and jac.shape == (2, 2, f.height, f.width)
 
 
 def test_jacobian_matches_finite_differences():
-    f = random_field(seed=4)
+    f = random_field(seed=4)  # 17 x 19, not square
     rng = np.random.default_rng(2)
     xs = rng.uniform(-8.0, 8.0, size=12)
-    ys = rng.uniform(-7.0, 7.0, size=12)
-    J = f.jacobian(xs, ys)
+    ys = rng.uniform(-7.0, 7.0, size=9)
+    _, J = f.on_grid(xs, ys)
     h = 1e-5
-    fd_x = (f.evaluate(xs + h, ys) - f.evaluate(xs - h, ys)) / (2 * h)
-    fd_y = (f.evaluate(xs, ys + h) - f.evaluate(xs, ys - h)) / (2 * h)
+    fd_x = (f.on_grid(xs + h, ys)[0] - f.on_grid(xs - h, ys)[0]) / (2 * h)
+    fd_y = (f.on_grid(xs, ys + h)[0] - f.on_grid(xs, ys - h)[0]) / (2 * h)
     np.testing.assert_allclose(J[:, 0], fd_x, atol=1e-7)
     np.testing.assert_allclose(J[:, 1], fd_y, atol=1e-7)
 
@@ -69,7 +78,8 @@ def test_make_tau_hits_requested_amplitude():
     g = make_tau(3, 1.5, 2, 15, 15)
     np.testing.assert_allclose(g.coeffs, 2.0 * f.coeffs, rtol=1e-14)
     z = make_tau(3, 0.0, 2, 15, 15)
-    assert np.all(z.coeffs == 0.0) and np.all(z.samples == 0.0)
+    tau, jac = z.on_grid(*pixel_axes(z))
+    assert np.all(z.coeffs == 0.0) and np.all(tau == 0.0) and np.all(jac == 0.0)
 
 
 def test_targeting_hits_requested_gradient():
@@ -113,12 +123,22 @@ def test_apply_matches_pointwise_bilinear_oracle():
     rng = np.random.default_rng(8)
     for _ in range(10):
         i, j = rng.integers(H), rng.integers(W)
-        xq = (j - (W - 1) / 2.0) - f.samples[0, i, j]
-        yq = (i - (H - 1) / 2.0) - f.samples[1, i, j]
+        x0, y0 = j - (W - 1) / 2.0, i - (H - 1) / 2.0
+        xq = x0 - reference.fourier_field_value(f.coeffs, f.box, 0, x0, y0)
+        yq = y0 - reference.fourier_field_value(f.coeffs, f.box, 1, x0, y0)
         row, col = yq + (H - 1) / 2.0, xq + (W - 1) / 2.0
         for ch in (0, 1):
             want = reference.naive_bilinear(x.values[ch], row, col)
             assert out.values[ch, i, j] == pytest.approx(want, abs=1e-10)
+
+
+def test_apply_to_a_batch_deforms_each_sample():
+    x = ImageTensor(np.stack([interior_image(height=12, width=12, margin=3, seed=s).values for s in (3, 4)]))
+    f = random_field(seed=2, height=12, width=12, amplitude=1.2)
+    out = apply_deformation(f, x)
+    assert out.values.shape == (2, 1, 12, 12)
+    for b in range(2):
+        assert np.array_equal(out.values[b], apply_deformation(f, ImageTensor(x.values[b])).values)
 
 
 def test_error_paths():
@@ -139,3 +159,5 @@ def test_error_paths():
     x = interior_image(height=9, width=9, margin=3)
     with pytest.raises(ValueError):
         apply_deformation(random_field(height=8, width=9), x)
+    with pytest.raises(ValueError, match=r"does not match image \(9, 9\)"):
+        apply_deformation(random_field(height=8, width=9), ImageTensor(np.stack([x.values] * 2)))

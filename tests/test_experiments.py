@@ -231,6 +231,37 @@ def test_stability_trials_cycle_levels_and_hold():
         assert rep.L == 2
 
 
+# run_stability_trials(stability_config(seeds=(0, 1, 2))) at commit 885bc22,
+# before the fields were evaluated on tensor grids (floats moved by <= 4.4e-16 rel)
+PINNED_STABILITY = [
+    dict(lhs=1.055187163120816e-06, rhs=4.961650134295235, beta=-0.5, L=3, j_L=2.0,
+         sup_tau=0.08409894383736692, sup_grad_tau=0.02,
+         per_layer_errors=[0.3136074315981069, 0.002114018371850082, 1.055187163120816e-06],
+         allowance=0.4971650134295235, violation=False, vacuous=False, margin=4.961649079108072),
+    dict(lhs=3.583330158956142e-06, rhs=8.219900187300805, beta=-0.5, L=3, j_L=2.0,
+         sup_tau=0.20864409549100527, sup_grad_tau=0.05,
+         per_layer_errors=[0.09315626503883723, 0.0004289975292978166, 3.583330158956142e-06],
+         allowance=0.8229900187300806, violation=False, vacuous=False, margin=8.219896603970646),
+    dict(lhs=4.000637489609683e-06, rhs=19.155130587079103, beta=-0.5, L=3, j_L=2.0,
+         sup_tau=0.47035691913552136, sup_grad_tau=0.1,
+         per_layer_errors=[0.20343141307402282, 0.0007467410134680266, 4.000637489609683e-06],
+         allowance=1.9165130587079102, violation=False, vacuous=False, margin=19.155126586441614),
+]
+
+
+def test_stability_trials_match_pinned_values():
+    reports, violated = run_stability_trials(stability_config(seeds=(0, 1, 2)))
+    assert violated is False
+    for rep, want in zip(reports, PINNED_STABILITY, strict=True):
+        got = rep.to_dict()
+        assert got.keys() == want.keys()
+        for key, value in want.items():
+            if isinstance(value, float) or key == "per_layer_errors":
+                assert got[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
+            else:
+                assert got[key] == value, key
+
+
 def test_stability_json_deterministic():
     cfg = stability_test_config(seeds=(0, 1))
     reports, _ = run_stability_trials(cfg)

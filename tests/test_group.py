@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,11 +13,13 @@ from rstcnn.group import (
     GroupElement,
     ImageTensor,
     OffLatticeError,
+    _warp_grid,
     act_on_feature,
     act_on_image,
     bilinear_sample,
     compose,
     inverse,
+    off_canvas,
     pixel_coords,
 )
 
@@ -77,6 +80,15 @@ def test_bilinear_matches_naive_pointwise():
     for i in range(40):
         ref = reference.naive_bilinear(vals, rows[i], cols[i])
         assert out[i] == pytest.approx(ref, abs=1e-13)
+
+
+def test_bilinear_far_outside_reads_zero_without_overflow():
+    vals = np.random.default_rng(3).uniform(0.5, 1.0, size=(1, 6, 7))
+    far = np.array([1e300, -1e300, 1e10, -7.0, 6.0, np.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a cast of floor(1e300) to int64 warns
+        assert np.all(bilinear_sample(vals, far, np.zeros(6)) == 0.0)
+        assert np.all(bilinear_sample(vals, np.zeros(6), far) == 0.0)
 
 
 def test_bilinear_matches_scipy():
@@ -180,6 +192,25 @@ def test_feature_scale_shift_zero_fill():
     assert np.all(out.values[:, :, 0] == 0.0)
     assert not np.all(out.values[:, :, 1] == 0.0)
     assert not np.all(out.values[:, :, 2] == 0.0)
+
+
+@pytest.mark.parametrize("d_rot, d_sc", [(0, 0), (1, 0), (-3, 1), (2, -2), (5, 3), (0, -4)])
+def test_feature_channel_shift_matches_roll_and_copy(d_rot, d_sc):
+    feat = make_feature(n_r=4, n_s=3, h=9, w=10, seed=5)
+    g = GroupElement(d_rot * feat.rotation_step, d_sc * feat.scale_step, (0.7, -1.2))
+    out = act_on_feature(g, feat)
+    shifted = reference.shift_feature_channels(feat.values, d_rot, d_sc)
+    assert np.array_equal(out.values, bilinear_sample(shifted, *_warp_grid(g, 9, 10)))
+
+
+def test_off_canvas_is_the_bilinear_support():
+    # source x of pixel column j is j - (W-1)/2 - vx; bilinear reads need x > -(W+1)/2
+    assert off_canvas(GroupElement(0.0, 0.0, (7.0, 0.0)), 5, 7)
+    assert not off_canvas(GroupElement(0.0, 0.0, (6.99, 0.0)), 5, 7)
+    assert off_canvas(GroupElement(0.0, 0.0, (0.0, -5.0)), 5, 7)
+    assert not off_canvas(GroupElement(0.0, 0.0, (0.0, -4.99)), 5, 7)
+    assert not off_canvas(GroupElement(math.pi / 2, -0.5, (3.0, 3.0)), 5, 7)
+    assert off_canvas(GroupElement(0.3, 0.0, (1e300, 0.0)), 5, 7)
 
 
 def test_off_lattice_rejected():
