@@ -38,7 +38,7 @@ from .basis import (
     unit_grid,
 )
 from .bessel import UnsupportedOrderError, bessel_j, bessel_j_derivative, bessel_zero
-from .config import config_echo, load_network_config, parse_config_text
+from .config import parse_config_text
 from .container import (
     BankArchive,
     ContainerFormatError,
@@ -100,6 +100,7 @@ from .net import (
     NetworkConfig,
     alpha_taps,
     alpha_weights,
+    draw_coeffs,
     filter_amplitude,
     forward,
     group_pool,

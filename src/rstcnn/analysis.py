@@ -131,8 +131,8 @@ def stability_certificate(net, coeffs, x, g, tau, allowance_rel=0.1, allowance_a
     discretization error from instability, so the report is then flagged
     vacuous rather than compared.
     """
-    for idx, spec in enumerate(net.layers):
-        amp = filter_amplitude(coeffs[idx], layer_basis(net, idx), spec)
+    for idx in range(net.depth):
+        amp = filter_amplitude(coeffs[idx], layer_basis(net, idx))
         if amp > 1.0 + 1e-9:
             raise AssumptionError(
                 f"(A2) violated: filter amplitude bound A_l = {amp:.6g} > 1 at layer {idx + 1}"
@@ -315,7 +315,7 @@ def filter_bound_report(coeffs, basis, spec, grid_n=301, n_theta=64, *, quadratu
         sums *= quad.h2 / n_theta
     B, C, Du = (aggregate_channels(p, joint=not coeffs.is_lifting) for p in sums.reshape(3, m_in, m_out, -1))
     j = spec.resolved_scale
-    A = filter_amplitude(coeffs, basis, spec)
+    A = filter_amplitude(coeffs, basis)
     return FilterBoundReport(B=float(B), C=float(C), D=float(Du) * 2.0**-j, A=A, layer_scale=j)
 
 

@@ -27,7 +27,7 @@ from . import experiments
 from .analysis import AssumptionError
 from .basis import PoolExhaustionError
 from .bessel import UnsupportedOrderError
-from .config import experiment_fields, load_network_config, parse_config_text
+from .config import experiment_fields, parse_config_text
 from .container import ContainerFormatError, save_bank
 from .data import IdxParseError, make_rs_dataset, read_idx, write_idx
 from .group import OffLatticeError
@@ -125,11 +125,12 @@ def _cmd_bank_build(args):
         raise ConfigError("bank build requires --config")
     if not args.out or args.out == "-":
         raise ConfigError("bank build requires --out (binary container)")
-    net = load_network_config(args.config)
+    cfg = _experiment_config(args, experiments.ExperimentConfig(kind="bank-build"))
+    net = experiments.build_network(cfg, cfg.k_list[0], cfg.l_alpha_list[0], seed=cfg.seeds[0])
     if not 0 <= args.layer < net.depth:
         raise ConfigError(f"layer index {args.layer} outside depth {net.depth}")
     bank = layer_bank(net, args.layer)
-    coeffs = init_coeffs(net, seed=net.seed)
+    coeffs = init_coeffs(net)
     meta = {"layer": args.layer, "seed": net.seed, "source": os.path.basename(args.config)}
     save_bank(args.out, bank, coeffs=[coeffs[args.layer]], meta=meta)
     sys.stdout.write(f"wrote {args.out}: K={bank.K} N_r={bank.n_rotations} N_s={bank.n_scales} L={bank.stencil}\n")
@@ -159,6 +160,10 @@ def _cmd_bounds_report(args):
 def _cmd_data_rs_make(args):
     if not args.out:
         raise ConfigError("data rs-make requires --out prefix")
+    if args.upsize < 1:
+        raise ConfigError(f"--upsize must be >= 1, got {args.upsize}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     src = read_idx(args.idx_images, args.idx_labels)
     out = make_rs_dataset(src, seed=args.seed, upsize=args.upsize)
     images_path = args.out + ".images.idx"

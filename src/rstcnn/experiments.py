@@ -21,17 +21,8 @@ from .basis import build_basis, gram_matrix, laplacian_residuals
 from .bessel import bessel_j, bessel_zero
 from .data import read_idx_image, rs_image, synthetic_blobs
 from .deform import make_tau_targeting_grad
-from .group import GroupElement, ImageTensor, off_canvas
-from .net import (
-    ConfigError,
-    CoeffTensor,
-    LayerSpec,
-    NetworkConfig,
-    _coeff_shape,
-    init_coeffs,
-    layer_basis,
-    normalize_coeffs_A2,
-)
+from .group import LATTICE_TOL, GroupElement, ImageTensor, act_on_image
+from .net import ConfigError, LayerSpec, NetworkConfig, draw_coeffs, init_coeffs, layer_basis
 
 INPUT_SALT = 7777
 TAU_SALT = 4242
@@ -102,8 +93,17 @@ class ExperimentConfig:
             side = min(H, W)
             if not 0 <= 2 * self.margin < side:
                 raise ConfigError(f"margin={self.margin} must be >= 0 and below half the {side}-pixel image side")
-            if off_canvas(self.group_element, H, W):
-                raise ConfigError(f"v={self.v} moves every source point of D_g off the {H}x{W} input")
+            m, n_s = self.margin, self.n_scales
+            # D_g of a ones image is nonzero exactly where it reads an input pixel
+            reach = act_on_image(self.group_element, ImageTensor(np.ones((1, H, W)))).values[0]
+            if not reach[m : H - m, m : W - m].any():
+                raise ConfigError(f"v={self.v} moves every source point in the margin-{m} interior off the {H}x{W} input")
+            # the error compares the middle scale channel, which an on-lattice beta reads from
+            # channel src; an off-lattice beta is left to act_on_feature's OffLatticeError
+            steps = self.beta * (n_s - 1) / (2.0 * self.scale_range) if n_s > 1 and self.scale_range > 0 else 0.0
+            src = n_s // 2 - round(steps)
+            if abs(steps - round(steps)) <= LATTICE_TOL and not 0 <= src < n_s:
+                raise ConfigError(f"beta={self.beta} moves the middle scale channel's source to channel {src} of {n_s}")
 
     @property
     def group_element(self):
@@ -293,10 +293,10 @@ def run_bounds_report(cfg):
         rng = np.random.default_rng([seed, 31])
         per_draw = {"seed": seed}
         for idx, name in enumerate(("lifting", "joint")):
-            spec, bas = netc.layers[idx], layer_basis(netc, idx)
-            raw = CoeffTensor(rng.uniform(-1.0, 1.0, size=_coeff_shape(netc, idx)), np.zeros(spec.out_channels))
-            coeffs, _ = normalize_coeffs_A2(raw, bas, spec)
-            rep = analysis.filter_bound_report(coeffs, bas, spec, grid_n=cfg.grid_n, quadrature=quad)
+            coeffs = draw_coeffs(netc, idx, rng)
+            rep = analysis.filter_bound_report(
+                coeffs, layer_basis(netc, idx), netc.layers[idx], grid_n=cfg.grid_n, quadrature=quad
+            )
             ratio = max(rep.B, rep.C, rep.scaled_D) / rep.A if rep.A > 0 else 0.0
             worst = max(worst, ratio)
             d = rep.to_dict()

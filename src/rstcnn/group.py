@@ -196,11 +196,6 @@ def act_on_image(g, image):
     return ImageTensor(bilinear_sample(image.values, sx, sy))
 
 
-def off_canvas(g, H, W):
-    """True when D_g reads no pixel of an H x W input, so it maps every image to zero."""
-    return not act_on_image(g, ImageTensor(np.ones((1, H, W)))).values.any()
-
-
 def _lattice_steps(value, step, name):
     if step == 0.0:
         if abs(value) > LATTICE_TOL:

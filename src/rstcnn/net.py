@@ -141,10 +141,6 @@ class NetworkConfig:
             raise ConfigError(f"layer scales must be nondecreasing, got {scales}")
 
     @property
-    def rotation_step(self):
-        return 2.0 * math.pi / self.n_rotations
-
-    @property
     def scale_grid(self):
         return scale_channel_grid(self.n_scales, self.scale_range)
 
@@ -265,7 +261,7 @@ def aggregate_channels(norms, joint):
     return max(norms.sum(axis=2).sum(axis=0).max(), weight * norms.sum(axis=1).max(axis=0).sum())
 
 
-def filter_amplitude(coeffs, basis, spec):
+def filter_amplitude(coeffs, basis):
     """The layer's filter-amplitude bound A_l from its expansion coefficients.
 
     pi * aggregate_channels of the FB norms: one mode per (in, out) pair for
@@ -279,32 +275,32 @@ def filter_amplitude(coeffs, basis, spec):
     return math.pi * float(aggregate_channels(norms, joint=not coeffs.is_lifting))
 
 
-def normalize_coeffs_A2(coeffs, basis, spec):
+def normalize_coeffs_A2(coeffs, basis):
     """Rescale coefficients (and bias) by 1/max(A_l, 1); returns the new A_l."""
-    amp = filter_amplitude(coeffs, basis, spec)
+    amp = filter_amplitude(coeffs, basis)
     c = max(amp, 1.0)
     out = CoeffTensor(coeffs.a / c, coeffs.b / c)
     return out, amp / c
 
 
-def _coeff_shape(net, layer_index):
-    """The CoeffTensor.a shape of a layer: lifting at index 0, joint after it."""
+def draw_coeffs(net, layer_index, rng):
+    """One layer's uniform [-1, 1] coefficients from rng, zero bias, A2-normalized.
+
+    The lifting layer (index 0) draws a[M_in, M_out, K], a joint layer
+    a[M_in, M_out, K, 2*max_angular+1, n_scale].
+    """
     spec = net.layers[layer_index]
-    if layer_index == 0:
-        return (spec.in_channels, spec.out_channels, spec.K)
-    return (spec.in_channels, spec.out_channels, spec.K, spec.n_angular, spec.n_scale)
+    shape = (spec.in_channels, spec.out_channels, spec.K)
+    if layer_index > 0:
+        shape += (spec.n_angular, spec.n_scale)
+    raw = CoeffTensor(rng.uniform(-1.0, 1.0, size=shape), np.zeros(spec.out_channels))
+    return normalize_coeffs_A2(raw, layer_basis(net, layer_index))[0]
 
 
 def init_coeffs(net, seed=None):
-    """Per-layer uniform [-1, 1] coefficients, A2-normalized, zero bias."""
+    """draw_coeffs for every layer, layer idx from the stream (seed, idx); seed defaults to net.seed."""
     root = net.seed if seed is None else seed
-    out = []
-    for idx, spec in enumerate(net.layers):
-        rng = np.random.default_rng([root, idx])
-        raw = CoeffTensor(rng.uniform(-1.0, 1.0, size=_coeff_shape(net, idx)), np.zeros(spec.out_channels))
-        normalized, _ = normalize_coeffs_A2(raw, layer_basis(net, idx), spec)
-        out.append(normalized)
-    return out
+    return [draw_coeffs(net, idx, np.random.default_rng([root, idx])) for idx in range(net.depth)]
 
 
 # Parts per parallel stage of _group_correlate: the CPUs this process may use.

@@ -226,5 +226,5 @@ def chunked_filter_bounds(coeffs, basis, spec, grid_n, n_theta):
         "B": float(B),
         "C": float(C),
         "D": float(Du) * 2.0**-spec.resolved_scale,
-        "A": filter_amplitude(coeffs, basis, spec),
+        "A": filter_amplitude(coeffs, basis),
     }

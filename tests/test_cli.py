@@ -214,11 +214,17 @@ def test_missing_file_exits_four(tmp_path, capsys):
         (["bounds", "report"], "config error", "layer_scale", "j = inf\n"),
         (["equi", "sweep", "--height", "24", "--width", "24", "--vx", "1e10"], "config error", "v=(10000000000.0, 0.0)", ""),
         (["equi", "sweep", "--height", "24", "--width", "24", "--vx", "1e300"], "config error", "v=(1e+300, 0.0)", ""),
+        # some source points stay on the canvas, but none in the margin-4 interior the error reads
+        (["equi", "sweep", "--layers", "2", "--k-list", "3", "--l-alpha-list", "1", "--seeds", "0",
+          "--height", "24", "--width", "24", "--vx", "20"], "config error", "v=(20.0, 0.0)", ""),
+        # on the lattice, but the middle scale channel reads from beyond the 9-channel axis
+        (["equi", "sweep", "--height", "24", "--width", "24", "--beta", "5"], "config error", "beta=5.0", "N_s = 9\n"),
+        (["equi", "sweep", "--height", "24", "--width", "24", "--beta", "-1.25"], "config error", "beta=-1.25", "N_s = 9\n"),
     ],
     ids=["off-lattice", "assumption", "pool-exhaustion", "margin-too-wide", "margin-negative", "layers-zero",
          "stencil-one", "sweep-seed-negative", "bounds-seed-negative", "k-list-zero", "grad-level-negative",
          "grad-levels-empty", "grad-level-nan", "eta-nan", "vx-nan", "beta-inf", "sweep-j-nan", "bounds-j-inf",
-         "vx-off-canvas", "vx-1e300"],
+         "vx-off-canvas", "vx-1e300", "vx-off-interior", "beta-above-axis", "beta-below-axis"],
 )
 def test_bad_input_exits_two_naming_the_cause(net_cfg, capsys, argv, cause, detail, cfg_lines):
     with open(net_cfg, "a") as fh:
@@ -227,6 +233,22 @@ def test_bad_input_exits_two_naming_the_cause(net_cfg, capsys, argv, cause, deta
     err = capsys.readouterr().err
     assert err.startswith(f"{cause}:") and detail in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--upsize", "-1"), ("--upsize", "0"), ("--seed", "-1")], ids=["upsize-negative", "upsize-zero", "seed-negative"]
+)
+def test_data_rs_make_bad_numbers_exit_two(tmp_path, capsys, flag, value):
+    write_idx(tmp_path / "im.idx", tmp_path / "lb.idx", synthetic_blob_set(2, 12, 12, seed=0))
+    prefix = tmp_path / "out"
+    code = main(
+        ["data", "rs-make", "--idx-images", str(tmp_path / "im.idx"), "--idx-labels", str(tmp_path / "lb.idx"),
+         "--out", str(prefix), flag, value]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"{flag} must be" in err and err.count("\n") == 1
+    assert not os.path.exists(str(prefix) + ".images.idx")
 
 
 def test_unsupported_bessel_order_exits_two(net_cfg, monkeypatch, capsys):
@@ -368,12 +390,12 @@ def test_every_experiment_field_is_settable():
     from dataclasses import fields
 
     from rstcnn.cli import build_parser
-    from rstcnn.config import KNOWN_KEYS, experiment_fields
+    from rstcnn.config import DEFAULTS, experiment_fields
     from rstcnn.experiments import ExperimentConfig
 
     parser = build_parser()
     dests = set()
     for argv in (["equi", "sweep"], ["stab", "trials"], ["bounds", "report"], ["basis", "validate"]):
         dests |= set(vars(parser.parse_args(argv)))
-    keys = set(experiment_fields(dict.fromkeys(KNOWN_KEYS, 1)))
+    keys = set(experiment_fields(dict.fromkeys(DEFAULTS, 1)))
     assert {f.name for f in fields(ExperimentConfig)} - dests - keys == SET_FROM_PYTHON

@@ -61,6 +61,24 @@ def test_config_validation():
         tiny_sweep_config(layers=0)
 
 
+def test_sweep_rejects_group_elements_that_empty_the_compared_slice():
+    # columns 4..19 of a 24-wide input sit at x in [-7.5, 7.5], where D_g with v = (vx, 0)
+    # reads x - vx; a bilinear read of a 24-pixel axis needs x - vx > -12.5
+    plain = dict(eta=0.0, beta=0.0, height=24, width=24)
+    with pytest.raises(ConfigError, match=r"v=\(20\.0, 0\.0\) .* margin-4 interior"):
+        fig3_config(v=(20.0, 0.0), **plain)
+    fig3_config(v=(19.99, 0.0), **plain)
+    fig3_config(v=(20.0, 0.0), margin=0, **plain)  # columns 0..3 still read the input
+    # N_s = 9 on [-1, 1]: the compared middle channel 4 reads channel 4 - beta / 0.25
+    for beta in (1.0, -1.0, -0.5):
+        fig3_config(beta=beta)
+    for beta in (1.25, -1.25, 5.0):
+        with pytest.raises(ConfigError, match=f"beta={beta} .* channel"):
+            fig3_config(beta=beta)
+    fig3_config(beta=0.3)  # off the lattice: left to act_on_feature's OffLatticeError
+    stability_config(beta=5.0)  # only the sweep compares the middle channel
+
+
 def test_presets():
     cfg = fig3_config()
     assert cfg.kind == "equivariance-sweep"

@@ -19,7 +19,6 @@ from rstcnn.group import (
     bilinear_sample,
     compose,
     inverse,
-    off_canvas,
     pixel_coords,
 )
 
@@ -201,6 +200,11 @@ def test_feature_channel_shift_matches_roll_and_copy(d_rot, d_sc):
     out = act_on_feature(g, feat)
     shifted = reference.shift_feature_channels(feat.values, d_rot, d_sc)
     assert np.array_equal(out.values, bilinear_sample(shifted, *_warp_grid(g, 9, 10)))
+
+
+def off_canvas(g, H, W):
+    # the sweep's check: D_g of a ones image is zero where D_g reads no input pixel
+    return not act_on_image(g, ImageTensor(np.ones((1, H, W)))).values.any()
 
 
 def test_off_canvas_is_the_bilinear_support():

@@ -25,6 +25,7 @@ from rstcnn import (
     NetworkConfig,
     alpha_taps,
     alpha_weights,
+    draw_coeffs,
     filter_amplitude,
     forward,
     group_pool,
@@ -426,7 +427,7 @@ def test_filter_amplitude_single_element_closed_form():
     for k in range(spec.K):
         a = np.zeros((1, 1, spec.K))
         a[0, 0, k] = -0.3
-        amp = filter_amplitude(CoeffTensor(a, np.zeros(1)), basis, spec)
+        amp = filter_amplitude(CoeffTensor(a, np.zeros(1)), basis)
         want = math.pi * math.sqrt(basis.spatial_eigenvalues[k]) * 0.3
         assert amp == pytest.approx(want, rel=1e-12)
 
@@ -442,8 +443,8 @@ def test_filter_amplitude_positively_homogeneous():
         else:
             shape = (spec.in_channels, spec.out_channels, spec.K, spec.n_angular, spec.n_scale)
         a = rng.standard_normal(shape)
-        base = filter_amplitude(CoeffTensor(a, np.zeros(spec.out_channels)), basis, spec)
-        scaled = filter_amplitude(CoeffTensor(3.7 * a, np.zeros(spec.out_channels)), basis, spec)
+        base = filter_amplitude(CoeffTensor(a, np.zeros(spec.out_channels)), basis)
+        scaled = filter_amplitude(CoeffTensor(3.7 * a, np.zeros(spec.out_channels)), basis)
         assert scaled == pytest.approx(3.7 * base, rel=1e-12)
         assert base > 0.0
 
@@ -455,8 +456,8 @@ def test_normalize_leaves_small_amplitudes_alone():
     a = np.zeros((1, 1, spec.K))
     a[0, 0, 0] = 1e-3
     coeffs = CoeffTensor(a, np.full(1, 0.25))
-    out, amp = normalize_coeffs_A2(coeffs, basis, spec)
-    assert amp == filter_amplitude(coeffs, basis, spec) < 1.0
+    out, amp = normalize_coeffs_A2(coeffs, basis)
+    assert amp == filter_amplitude(coeffs, basis) < 1.0
     np.testing.assert_array_equal(out.a, coeffs.a)
     np.testing.assert_array_equal(out.b, coeffs.b)
 
@@ -468,10 +469,10 @@ def test_normalize_caps_large_amplitudes_at_one():
     rng = np.random.default_rng(9)
     a = 50.0 * rng.standard_normal((2, 2, spec.K, spec.n_angular, spec.n_scale))
     coeffs = CoeffTensor(a, np.full(2, 1.0))
-    assert filter_amplitude(coeffs, basis, spec) > 1.0
-    out, amp = normalize_coeffs_A2(coeffs, basis, spec)
+    assert filter_amplitude(coeffs, basis) > 1.0
+    out, amp = normalize_coeffs_A2(coeffs, basis)
     assert amp == 1.0
-    assert filter_amplitude(out, basis, spec) == pytest.approx(1.0, rel=1e-12)
+    assert filter_amplitude(out, basis) == pytest.approx(1.0, rel=1e-12)
     # bias is rescaled by the same factor so pre-activation values rescale too
     ratio = coeffs.a.ravel()[0] / out.a.ravel()[0]
     assert out.b[0] * ratio == pytest.approx(coeffs.b[0], rel=1e-12)
@@ -485,13 +486,28 @@ def test_init_coeffs_deterministic_normalized_zero_bias():
     for idx, (u, v) in enumerate(zip(c1, c2)):
         np.testing.assert_array_equal(u.a, v.a)
         assert np.all(u.b == 0.0)
-        amp = filter_amplitude(u, layer_basis(net, idx), net.layers[idx])
+        amp = filter_amplitude(u, layer_basis(net, idx))
         assert amp <= 1.0 + 1e-12
     assert any(not np.array_equal(u.a, w.a) for u, w in zip(c1, c3))
     # default seed comes from the config
     d1 = init_coeffs(net)
     d2 = init_coeffs(NetworkConfig(net.layers, 4, 3, seed=0))
     np.testing.assert_array_equal(d1[0].a, d2[0].a)
+
+
+@pytest.mark.parametrize("seed", [0, 4])
+def test_init_coeffs_draws_each_layer_from_its_own_stream(seed):
+    net = small_net(layers=3, channels=2, L_alpha=2, max_angular=2)
+    coeffs = init_coeffs(net, seed=seed)
+    assert len(coeffs) == net.depth
+    for idx, got in enumerate(coeffs):
+        want = draw_coeffs(net, idx, np.random.default_rng([seed, idx]))
+        assert np.array_equal(got.a, want.a) and np.array_equal(got.b, want.b)
+    # the shared stream of a bounds report: layer 1 continues where layer 0 stopped
+    rng = np.random.default_rng([seed, 31])
+    first, second = draw_coeffs(net, 0, rng), draw_coeffs(net, 1, rng)
+    assert first.a.shape == (1, 2, 3) and second.a.shape == (2, 2, 3, 5, 2)
+    assert not np.array_equal(second.a, draw_coeffs(net, 1, np.random.default_rng([seed, 31])).a)
 
 
 def test_forward_shapes_and_return_all():
