@@ -103,7 +103,6 @@ from .net import (
     draw_coeffs,
     filter_amplitude,
     forward,
-    group_pool,
     init_coeffs,
     joint_conv,
     layer_bank,

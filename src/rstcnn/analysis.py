@@ -9,7 +9,6 @@ values of the filter integral bounds B, C, D against the amplitude bound A.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import namedtuple
 from dataclasses import asdict, dataclass
@@ -113,9 +112,6 @@ class StabilityReport:
 
     def to_dict(self):
         return asdict(self) | {"margin": self.margin, "per_layer_errors": list(self.per_layer_errors)}
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 GRAD_TAU_LIMIT = 0.2

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -21,7 +20,7 @@ from .basis import build_basis, gram_matrix, laplacian_residuals
 from .bessel import bessel_j, bessel_zero
 from .data import read_idx_image, rs_image, synthetic_blobs
 from .deform import make_tau_targeting_grad
-from .group import LATTICE_TOL, GroupElement, ImageTensor, act_on_image
+from .group import FeatureMap, GroupElement, ImageTensor, act_on_feature, act_on_image
 from .net import ConfigError, LayerSpec, NetworkConfig, draw_coeffs, init_coeffs, layer_basis
 
 INPUT_SALT = 7777
@@ -93,17 +92,25 @@ class ExperimentConfig:
             side = min(H, W)
             if not 0 <= 2 * self.margin < side:
                 raise ConfigError(f"margin={self.margin} must be >= 0 and below half the {side}-pixel image side")
-            m, n_s = self.margin, self.n_scales
+            m = self.margin
             # D_g of a ones image is nonzero exactly where it reads an input pixel
             reach = act_on_image(self.group_element, ImageTensor(np.ones((1, H, W)))).values[0]
             if not reach[m : H - m, m : W - m].any():
                 raise ConfigError(f"v={self.v} moves every source point in the margin-{m} interior off the {H}x{W} input")
-            # the error compares the middle scale channel, which an on-lattice beta reads from
-            # channel src; an off-lattice beta is left to act_on_feature's OffLatticeError
-            steps = self.beta * (n_s - 1) / (2.0 * self.scale_range) if n_s > 1 and self.scale_range > 0 else 0.0
-            src = n_s // 2 - round(steps)
-            if abs(steps - round(steps)) <= LATTICE_TOL and not 0 <= src < n_s:
-                raise ConfigError(f"beta={self.beta} moves the middle scale channel's source to channel {src} of {n_s}")
+        if self.kind in ("equivariance-sweep", "stability-trials"):
+            # D_g (v = 0) of an all-ones feature map is nonzero in the channels that read a stored
+            # one, and raises OffLatticeError for an off-lattice eta or beta.  The map's sizes come
+            # from a one-layer network whose NetworkConfig rejects N_r, N_s < 1 and T <= 0 first
+            # (a bank-build view, so it runs no probe of its own).
+            lift = build_network(replace(self, kind="bank-build", layers=1), self.k_list[0], 1)
+            n_r, n_s = lift.n_rotations, lift.n_scales
+            ones = FeatureMap(np.ones((1, n_r, n_s, 1, 1)), 2.0 * math.pi / n_r, lift.scale_grid)
+            reads = act_on_feature(GroupElement(self.eta, self.beta), ones).values[0, :, :, 0, 0]
+            # the sweep compares rotation 0 of the middle scale channel, a trial every channel
+            sweep = self.kind == "equivariance-sweep"
+            if not (reads[0, n_s // 2] if sweep else reads).any():
+                which = "the middle scale channel" if sweep else "every scale channel"
+                raise ConfigError(f"beta={self.beta} moves {which} to read beyond the {n_s} scale channels")
 
     @property
     def group_element(self):
@@ -253,7 +260,6 @@ def stability_json(cfg, reports):
 
 def run_basis_validate(cfg):
     """Basis health report: Gram deviation, Laplacian residuals, zero residuals."""
-    t0 = time.perf_counter()
     K = max(cfg.k_list)
     basis = build_basis(cfg.spatial_kind, K)
     gram = gram_matrix(basis, grid_n=201)
@@ -269,7 +275,6 @@ def run_basis_validate(cfg):
         "max_laplacian_residual": float(max(residuals)),
         "max_zero_residual": float(max(zero_residuals)),
         "j01_error": float(j01_err),
-        "elapsed_s": time.perf_counter() - t0,
     }
     report["ok"] = bool(
         gram_dev < 1e-2

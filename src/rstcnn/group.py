@@ -8,15 +8,16 @@ An image is a stack of planar channels on an H x W pixel grid; pixel (i, j)
 sits at spatial coordinates (x, y) = (j - (W-1)/2, i - (H-1)/2).  A feature
 map adds a rotation axis (N_r uniform angles, cyclic) and a scale axis (N_s
 uniform log2-scale channels, truncated: reads beyond the top channel are
-zero).  Acting on either resamples space bilinearly; acting on a feature map
-also shifts the rotation axis cyclically and the scale axis with zero fill,
-which requires eta and beta to lie on the channel lattice.
+zero).  Acting on either resamples space bilinearly, reading 0 beyond the
+pixel grid from a zero frame around a copy of the values; acting on a
+feature map also shifts the rotation axis cyclically and the scale axis with
+zero fill, which requires eta and beta to lie on the channel lattice.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,9 +44,6 @@ class GroupElement:
         ):
             raise ValueError("group element components must be finite")
         object.__setattr__(self, "v", (float(self.v[0]), float(self.v[1])))
-
-
-IDENTITY = GroupElement(0.0, 0.0, (0.0, 0.0))
 
 
 def rotation_matrix(eta):
@@ -150,30 +148,30 @@ def bilinear_sample(values, x, y):
     """Sample values[..., H, W] at spatial points (x, y); outside reads 0.
 
     x, y are arrays of one shape S; the result has shape values.shape[:-2] + S.
-    Sampling at exact pixel centers reproduces stored values exactly.
+    Sampling at exact pixel centers reproduces stored values exactly.  Taps
+    read a copy of the values in a zero frame, one row and column before the
+    grid and two after, which holds all four taps of a point clipped to rows
+    [-1, H] and columns [-1, W]; the clip changes no value and bounds floor().
     """
     H, W = values.shape[-2], values.shape[-1]
-    # beyond one pixel outside the grid every tap reads 0, so clipping changes
-    # no value and keeps floor() within int64
     col = np.clip(np.asarray(x, dtype=np.float64) + (W - 1) / 2.0, -1.0, W)
     row = np.clip(np.asarray(y, dtype=np.float64) + (H - 1) / 2.0, -1.0, H)
     r0 = np.floor(row).astype(np.int64)
     c0 = np.floor(col).astype(np.int64)
     fr = row - r0
     fc = col - c0
+    framed = np.zeros(values.shape[:-2] + (H + 3, W + 3), dtype=np.float64)
+    framed[..., 1 : H + 1, 1 : W + 1] = values
+    flat = framed.reshape(values.shape[:-2] + (-1,))
+    top_left = (r0 + 1) * (W + 3) + (c0 + 1)
     out = np.zeros(values.shape[:-2] + col.shape, dtype=np.float64)
-    for dr, dc, w in (
-        (0, 0, (1.0 - fr) * (1.0 - fc)),
-        (0, 1, (1.0 - fr) * fc),
-        (1, 0, fr * (1.0 - fc)),
-        (1, 1, fr * fc),
+    for offset, w in (
+        (0, (1.0 - fr) * (1.0 - fc)),
+        (1, (1.0 - fr) * fc),
+        (W + 3, fr * (1.0 - fc)),
+        (W + 4, fr * fc),
     ):
-        rr = r0 + dr
-        cc = c0 + dc
-        ok = (rr >= 0) & (rr < H) & (cc >= 0) & (cc < W)
-        rs = np.clip(rr, 0, H - 1)
-        cs = np.clip(cc, 0, W - 1)
-        out += np.where(ok, w, 0.0) * values[..., rs, cs]
+        out += w * np.take(flat, top_left + offset, axis=-1)
     return out
 
 

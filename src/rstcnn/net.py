@@ -450,11 +450,6 @@ def joint_conv(x, filters, bias, spec):
     return FeatureMap(out, x.rotation_step, x.scale_grid.copy())
 
 
-def group_pool(x):
-    """Max over the whole group (space, rotation, scale) per channel."""
-    return x.values.max(axis=(-4, -3, -2, -1))
-
-
 def forward(net, coeffs, x, return_all=False):
     """Run the full network; returns the last FeatureMap (or all of them).
 

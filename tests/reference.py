@@ -123,6 +123,8 @@ def naive_joint_at(feat, filters, bias, o, r, s, y, x0):
 def naive_bilinear(values, row, col):
     """Single bilinear read of values[H, W] at fractional (row, col), zero outside."""
     H, W = values.shape
+    if not (math.isfinite(row) and math.isfinite(col)):
+        return 0.0  # infinitely far outside
     r0 = math.floor(row)
     c0 = math.floor(col)
     fr = row - r0

@@ -104,7 +104,6 @@ def test_stability_certificate_holds_and_reports():
     assert report.margin == report.rhs - report.lhs
     d = report.to_dict()
     assert d["violation"] is False and d["L"] == 2
-    assert isinstance(report.to_json(), str)
 
 
 def test_stability_rhs_matches_closed_form():

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, file outputs, path resolution."""
 
 import json
+import math
 import os
 import struct
 
@@ -53,9 +54,9 @@ def test_basis_validate_report(tmp_path, capsys):
     assert main(["basis", "validate", "--k-list", "3", "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert report["ok"] is True and report["K"] == 3
-    # stdout default
+    # stdout default; a rerun writes the same bytes (the report holds no timing)
     assert main(["basis", "validate", "--k-list", "3"]) == 0
-    assert json.loads(capsys.readouterr().out)["ok"] is True
+    assert capsys.readouterr().out == out.read_text()
 
 
 def test_equi_sweep_identity_zero(tmp_path, net_cfg):
@@ -220,11 +221,21 @@ def test_missing_file_exits_four(tmp_path, capsys):
         # on the lattice, but the middle scale channel reads from beyond the 9-channel axis
         (["equi", "sweep", "--height", "24", "--width", "24", "--beta", "5"], "config error", "beta=5.0", "N_s = 9\n"),
         (["equi", "sweep", "--height", "24", "--width", "24", "--beta", "-1.25"], "config error", "beta=-1.25", "N_s = 9\n"),
+        # every channel of D_g x^(L)[x] reads from beyond the 5-channel axis, so the reference is zero
+        (["stab", "trials", "--trials", "1", "--beta", "5"], "config error", "beta=5.0", ""),
+        # group sizes no network can have are rejected before the channel probe is built from them
+        (["equi", "sweep"], "config error", "n_rotations", "N_r = 0\n"),
+        (["stab", "trials", "--trials", "1"], "config error", "n_rotations", "N_r = 0\n"),
+        (["equi", "sweep"], "config error", "n_scales", "N_s = 0\n"),
+        (["stab", "trials", "--trials", "1"], "config error", "n_scales", "N_s = 0\n"),
+        (["equi", "sweep"], "config error", "scale_range", "T = 0\n"),
+        (["stab", "trials", "--trials", "1"], "config error", "scale_range", "T = 0\n"),
     ],
     ids=["off-lattice", "assumption", "pool-exhaustion", "margin-too-wide", "margin-negative", "layers-zero",
          "stencil-one", "sweep-seed-negative", "bounds-seed-negative", "k-list-zero", "grad-level-negative",
          "grad-levels-empty", "grad-level-nan", "eta-nan", "vx-nan", "beta-inf", "sweep-j-nan", "bounds-j-inf",
-         "vx-off-canvas", "vx-1e300", "vx-off-interior", "beta-above-axis", "beta-below-axis"],
+         "vx-off-canvas", "vx-1e300", "vx-off-interior", "beta-above-axis", "beta-below-axis", "stab-beta-above-axis",
+         "sweep-n-r-zero", "stab-n-r-zero", "sweep-n-s-zero", "stab-n-s-zero", "sweep-t-zero", "stab-t-zero"],
 )
 def test_bad_input_exits_two_naming_the_cause(net_cfg, capsys, argv, cause, detail, cfg_lines):
     with open(net_cfg, "a") as fh:
@@ -300,18 +311,18 @@ def _character_cases(cfg, data_dir):
     out = ["--out", os.path.join(data_dir, "out.txt")]
     every_sweep_flag = [
         "--k-list", "3,5", "--l-alpha-list", "1,2", "--seeds", "4,2", "--layers", "3",
-        "--channels", "2", "--eta", "0.5", "--beta", "-1", "--vx", "1.5", "--vy", "-2",
+        "--channels", "2", "--eta", "3.141592653589793", "--beta", "-1", "--vx", "1.5", "--vy", "-2",
         "--margin", "3", "--height", "30", "--width", "32", "--idx-images", "im.idx",
         "--idx-labels", os.path.join(data_dir, "abs.idx"), "--kind", "sl",
     ]
     sweep_fields = dict(
-        k_list=(3, 5), l_alpha_list=(1, 2), seeds=(4, 2), layers=3, channels=2, eta=0.5, beta=-1.0,
+        k_list=(3, 5), l_alpha_list=(1, 2), seeds=(4, 2), layers=3, channels=2, eta=math.pi, beta=-1.0,
         v=(1.5, -2.0), margin=3, height=30, width=32, idx_images=os.path.join(data_dir, "im.idx"),
         idx_labels=os.path.join(data_dir, "abs.idx"), spatial_kind="sl",
     )
-    stab_flags = ["--trials", "3", "--grad-levels", "0.01,0.2", "--beta", "0", "--eta", "0.25",
+    stab_flags = ["--trials", "3", "--grad-levels", "0.01,0.2", "--beta", "0", "--eta", "1.5707963267948966",
                   "--channels", "3"]
-    stab_fields = dict(seeds=(0, 1, 2), grad_levels=(0.01, 0.2), beta=0.0, eta=0.25, channels=3)
+    stab_fields = dict(seeds=(0, 1, 2), grad_levels=(0.01, 0.2), beta=0.0, eta=math.pi / 2, channels=3)
     stab_preset = dict(layers=3, k_list=(5,), seeds=tuple(range(20)))
     return [
         # equi sweep: the fig3 preset, flags alone, the file alone, file then flags

@@ -10,6 +10,7 @@ import pytest
 from rstcnn import (
     ConfigError,
     ExperimentConfig,
+    OffLatticeError,
     build_network,
     fig3_config,
     layer_bank,
@@ -75,8 +76,12 @@ def test_sweep_rejects_group_elements_that_empty_the_compared_slice():
     for beta in (1.25, -1.25, 5.0):
         with pytest.raises(ConfigError, match=f"beta={beta} .* channel"):
             fig3_config(beta=beta)
-    fig3_config(beta=0.3)  # off the lattice: left to act_on_feature's OffLatticeError
-    stability_config(beta=5.0)  # only the sweep compares the middle channel
+    with pytest.raises(OffLatticeError, match="beta=0.3"):
+        fig3_config(beta=0.3)  # act_on_feature rejects it while the config is built
+    # a trial compares every channel: beta = 1 keeps channels 4..8, beta = 5 reads none
+    stability_config(beta=1.0)
+    with pytest.raises(ConfigError, match="beta=5.0 .* channel"):
+        stability_config(beta=5.0)
 
 
 def test_presets():

@@ -81,6 +81,18 @@ def test_bilinear_matches_naive_pointwise():
         assert out[i] == pytest.approx(ref, abs=1e-13)
 
 
+def test_bilinear_edge_points_match_naive_exactly():
+    # the zero frame's edges: a point at row H or column W reads taps one and two past the grid
+    H, W = 5, 6
+    vals = -np.random.default_rng(6).uniform(0.5, 1.0, size=(2, 3, H, W))
+    rows = [-np.inf, -1.0, -0.5, 0.0, H - 1.0, H - 0.5, float(H), np.inf]
+    cols = [-np.inf, -1.0, -0.5, 0.0, W - 1.0, W - 0.5, float(W), np.inf]
+    R, C = np.meshgrid(rows, cols, indexing="ij")
+    out = bilinear_sample(vals, C - (W - 1) / 2.0, R - (H - 1) / 2.0)
+    for n, c, i, j in np.ndindex(out.shape):
+        assert out[n, c, i, j] == reference.naive_bilinear(vals[n, c], R[i, j], C[i, j])
+
+
 def test_bilinear_far_outside_reads_zero_without_overflow():
     vals = np.random.default_rng(3).uniform(0.5, 1.0, size=(1, 6, 7))
     far = np.array([1e300, -1e300, 1e10, -7.0, 6.0, np.inf])

@@ -28,7 +28,6 @@ from rstcnn import (
     draw_coeffs,
     filter_amplitude,
     forward,
-    group_pool,
     init_coeffs,
     joint_conv,
     layer_bank,
@@ -521,15 +520,6 @@ def test_forward_shapes_and_return_all():
         assert f.rotation_step == pytest.approx(math.pi / 2)
     last = forward(net, coeffs, x)
     np.testing.assert_array_equal(last.values, feats[-1].values)
-
-
-def test_group_pool_takes_max_over_group_axes():
-    vals = np.zeros((2, 2, 2, 3, 3))
-    vals[0, 1, 0, 2, 1] = 4.0
-    vals[0, 0, 1, 0, 0] = -1.0
-    vals[1, 1, 1, 1, 1] = 0.5
-    f = FeatureMap(vals, math.pi, np.array([-1.0, 1.0]))
-    np.testing.assert_array_equal(group_pool(f), [4.0, 0.5])
 
 
 @pytest.mark.parametrize(
