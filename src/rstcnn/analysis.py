@@ -18,7 +18,7 @@ import numpy as np
 from .basis import angular_matrix, eval_spatial_stack, unit_grid
 from .deform import apply_deformation, tau_norms
 from .group import FeatureMap, ImageTensor, act_on_feature, act_on_image
-from .net import aggregate_channels, filter_amplitude, forward, layer_basis
+from .net import aggregate_channels, filter_amplitude, forward, layer_basis, theta_taps
 from .norms import feature_norm
 
 
@@ -115,9 +115,11 @@ class StabilityReport:
 
 
 GRAD_TAU_LIMIT = 0.2
+ALLOWANCE_REL = 0.1
+ALLOWANCE_ABS = 1e-3
 
 
-def stability_certificate(net, coeffs, x, g, tau, allowance_rel=0.1, allowance_abs=1e-3):
+def stability_certificate(net, coeffs, x, g, tau):
     """Certify ||x^(L)[D_g D_tau x] - D_g x^(L)[x]|| against the stability bound.
 
     The bound is 2^(beta+1) (4 L |grad tau|_inf + 2^(-j_L) |tau|_inf) ||x||.
@@ -153,7 +155,7 @@ def stability_certificate(net, coeffs, x, g, tau, allowance_rel=0.1, allowance_a
         * (4.0 * L * sup_grad + 2.0 ** (-j_last) * sup_tau)
         * feature_norm(x)
     )
-    allowance = allowance_rel * rhs + allowance_abs
+    allowance = ALLOWANCE_REL * rhs + ALLOWANCE_ABS
     vacuous = rhs == 0.0
     violation = (not vacuous) and lhs > rhs + allowance
     return StabilityReport(
@@ -254,6 +256,7 @@ class FilterBoundReport:
 # Basis values and gradient components [K, P] at the P grid points where some
 # element or its gradient is nonzero: every other point adds exactly 0 to each sum.
 _DiskQuadrature = namedtuple("_DiskQuadrature", "spatial grid_n vals gx gy radius h2")
+BOUND_GRID_N = 301  # filter_bound_report's default grid_n, which bounds report uses
 
 
 def _unit_disk_quadrature(basis, grid_n):
@@ -282,7 +285,7 @@ def _pair_sums(c, quad):
     return np.stack([b, gmag @ quad.radius, gmag.sum(axis=1)])
 
 
-def filter_bound_report(coeffs, basis, spec, grid_n=301, n_theta=64, *, quadrature=None):
+def filter_bound_report(coeffs, basis, spec, grid_n=BOUND_GRID_N, n_theta=64, *, quadrature=None):
     """Quadrature B, C, D aggregates for one layer against its amplitude bound.
 
     Spatial integrals on a grid_n x grid_n grid over the unit square (the
@@ -301,8 +304,7 @@ def filter_bound_report(coeffs, basis, spec, grid_n=301, n_theta=64, *, quadratu
     if coeffs.is_lifting:
         sums = _pair_sums(a.reshape(-1, K), quad) * quad.h2
     else:
-        thetas = 2.0 * math.pi * np.arange(n_theta) / n_theta
-        phi = angular_matrix(basis, thetas)  # [n_ang, n_theta]
+        phi = angular_matrix(basis, theta_taps(n_theta))  # [n_ang, n_theta]
         # The normalized-S^1 theta average, one sample at a time: each is three
         # small GEMMs over the support points, and no grid-sized tensor per theta forms.
         sums = np.zeros((3, m_in * m_out * a.shape[4]))

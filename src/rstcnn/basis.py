@@ -75,7 +75,9 @@ class BasisSet:
 def _fb_pool():
     # Every "fb" build_basis call draws from these candidates, so they are
     # enumerated once per process: one zero search and one normalization
-    # call per order.
+    # call per order.  Only modes below j_{16,1}^2, the smallest eigenvalue
+    # outside the (m, q) box, are kept, so the pool's K lowest are the disk's.
+    horizon = bessel_zero(FB_POOL_MAX_M + 1, 1) ** 2
     pool = []
     qs = np.arange(1, FB_POOL_MAX_Q + 1)
     for m in range(FB_POOL_MAX_M + 1):
@@ -84,16 +86,20 @@ def _fb_pool():
         harmonics = ("cos",) if m == 0 else ("cos", "sin")
         for q, lam, jn in zip(qs.tolist(), lams.tolist(), jnext.tolist()):
             c = (1.0 if m == 0 else math.sqrt(2.0)) / (math.sqrt(math.pi) * jn)
-            pool.extend(BasisElement("fb-disk", (m, q), h, lam * lam, c) for h in harmonics)
+            if lam * lam < horizon:
+                pool.extend(BasisElement("fb-disk", (m, q), h, lam * lam, c) for h in harmonics)
     return tuple(pool)
 
 
 def _sl_pool():
+    # only modes below the smallest eigenvalue outside the box, at (p, q) = (25, 1)
+    horizon = (math.pi / 2.0) ** 2 * ((SL_POOL_MAX + 1) ** 2 + 1)
     pool = []
     for p in range(1, SL_POOL_MAX + 1):
         for q in range(1, SL_POOL_MAX + 1):
             mu = (math.pi / 2.0) ** 2 * (p * p + q * q)
-            pool.append(BasisElement("sl-square", (p, q), "", mu, 1.0))
+            if mu < horizon:
+                pool.append(BasisElement("sl-square", (p, q), "", mu, 1.0))
     return pool
 
 
@@ -280,20 +286,21 @@ def unit_grid(n):
     return pts, h * h
 
 
-def gram_matrix(basis, grid_n=201):
-    """Discrete Gram matrix of the spatial elements under cell-area quadrature."""
-    pts, w = unit_grid(grid_n)
+def gram_matrix(basis):
+    """Discrete Gram matrix of the spatial elements under cell-area quadrature on a 201 x 201 grid."""
+    pts, w = unit_grid(201)
     vals = eval_spatial_stack(basis.spatial, pts).reshape(basis.n_spatial, -1)
     return w * (vals @ vals.T)
 
 
-def laplacian_residuals(basis, grid_n=401, margin=0.1):
+def laplacian_residuals(basis):
     """Relative five-point-Laplacian eigen-residuals [K] of the spatial elements.
 
     Each is ||Lap_h psi + mu psi|| / ||mu psi|| over grid points at least
     `margin` inside the domain boundary (where the stencil never straddles
     the Dirichlet edge).  All elements share one eval_spatial_stack pass.
     """
+    grid_n, margin = 401, 0.1
     pts, _ = unit_grid(grid_n)
     h = 2.0 / (grid_n - 1)
     vals = eval_spatial_stack(basis.spatial, pts)

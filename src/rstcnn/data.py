@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .group import GroupElement, ImageTensor, act_on_image, bilinear_sample, pixel_coords
+from .group import GroupElement, ImageTensor, act_on_image, bilinear_sample, pixel_axes, pixel_coords
 
 IMAGES_MAGIC = 0x00000803
 LABELS_MAGIC = 0x00000801
@@ -155,10 +155,7 @@ def upsample(values, out_h, out_w):
     Corner-aligned: the output grid spans the same coordinate box as the
     input, so content scales with the canvas.
     """
-    H, W = values.shape[-2], values.shape[-1]
-    xs = np.linspace(-(W - 1) / 2.0, (W - 1) / 2.0, out_w)
-    ys = np.linspace(-(H - 1) / 2.0, (H - 1) / 2.0, out_h)
-    X, Y = np.meshgrid(xs, ys)
+    X, Y = np.meshgrid(*pixel_axes(values.shape[-2], values.shape[-1], out_h, out_w))
     return bilinear_sample(values, X, Y)
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .group import ImageTensor, bilinear_sample, pixel_coords
+from .group import ImageTensor, bilinear_sample, pixel_axes
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,7 @@ def make_tau(seed, amplitude, max_freq, height, width):
     return DeformationField(c * (amplitude / bound), height, width)
 
 
-def tau_norms(field, oversample=4):
+def tau_norms(field):
     """(sup |tau|_2, sup ||grad tau||_spectral) on an oversampled grid.
 
     The supremum is taken over an oversample-times denser grid spanning the
@@ -112,9 +112,8 @@ def tau_norms(field, oversample=4):
     spectral norm (largest singular value of the 2x2 matrix) in closed form.
     """
     H, W = field.height, field.width
-    xs = np.linspace(-(W - 1) / 2.0, (W - 1) / 2.0, max(oversample * W, 2))
-    ys = np.linspace(-(H - 1) / 2.0, (H - 1) / 2.0, max(oversample * H, 2))
-    t, J = field.on_grid(xs, ys)
+    oversample = 4
+    t, J = field.on_grid(*pixel_axes(H, W, oversample * H, oversample * W))
     sup_tau = float(np.sqrt(t[0] ** 2 + t[1] ** 2).max())
     a = J[0, 0] ** 2 + J[1, 0] ** 2
     b = J[0, 1] ** 2 + J[1, 1] ** 2
@@ -148,6 +147,6 @@ def apply_deformation(field, image):
         raise ValueError(
             f"field grid {(field.height, field.width)} does not match image {vals.shape[-2:]}"
         )
-    X, Y = pixel_coords(field.height, field.width)
-    tau, _ = field.on_grid(X[0], Y[:, 0])
-    return ImageTensor(bilinear_sample(vals, X - tau[0], Y - tau[1]))
+    xs, ys = pixel_axes(field.height, field.width)
+    tau, _ = field.on_grid(xs, ys)
+    return ImageTensor(bilinear_sample(vals, xs - tau[0], ys[:, None] - tau[1]))

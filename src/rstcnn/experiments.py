@@ -57,8 +57,6 @@ class ExperimentConfig:
     grad_levels: tuple = (0.02, 0.05, 0.1)
     idx_images: str | None = None
     idx_labels: str | None = None
-    upsize: int = 56
-    grid_n: int = 301
     spatial_kind: str = "fb"
     layer_scale: float | None = None
 
@@ -82,13 +80,13 @@ class ExperimentConfig:
             raise ConfigError(f"grad_levels must be non-empty and >= 0, got {self.grad_levels}")
         if (self.idx_images is None) != (self.idx_labels is None):
             raise ConfigError("idx images and labels must be given together")
+        if self.idx_images is not None and self.height != self.width:
+            raise ConfigError(f"IDX input is upsampled to a square: height={self.height} must equal width={self.width}")
         for name, value in (("eta", self.eta), ("beta", self.beta), ("v", self.v)):
             if not np.isfinite(value).all():
                 raise ConfigError(f"{name} must be finite, got {value}")
-        if self.grid_n < 2:
-            raise ConfigError(f"grid_n must be >= 2, got {self.grid_n}")
         if self.kind == "equivariance-sweep":
-            H, W = (self.upsize,) * 2 if self.idx_images is not None else (self.height, self.width)
+            H, W = self.height, self.width
             side = min(H, W)
             if not 0 <= 2 * self.margin < side:
                 raise ConfigError(f"margin={self.margin} must be >= 0 and below half the {side}-pixel image side")
@@ -164,8 +162,7 @@ def build_network(cfg, K, L_alpha, seed=0):
         cfg.stencil,
         L_theta=cfg.L_theta,
         L_alpha=L_alpha,
-        max_angular=4,
-        n_scale=max(1, L_alpha),
+        n_scale=L_alpha,
         layer_scale=cfg.layer_scale,
     )
     return NetworkConfig(
@@ -179,7 +176,7 @@ def build_network(cfg, K, L_alpha, seed=0):
 
 
 def sweep_input(cfg, seed):
-    """The input image for one sweep seed: synthetic, or image seed % N of the IDX pair.
+    """The height x width input image for one sweep seed: synthetic, or image seed % N of the IDX pair.
 
     An IDX cell reads the file pair, converts to float and transforms only its
     own image, with the stream make_rs_dataset(..., seed=INPUT_SALT) gives it.
@@ -187,13 +184,13 @@ def sweep_input(cfg, seed):
     if cfg.idx_images is None:
         return ImageTensor(synthetic_blobs(cfg.height, cfg.width, np.random.default_rng([seed, INPUT_SALT])))
     i, image = read_idx_image(cfg.idx_images, cfg.idx_labels, seed)
-    return ImageTensor(rs_image(image, INPUT_SALT, i, cfg.upsize))
+    return ImageTensor(rs_image(image, INPUT_SALT, i, cfg.height))
 
 
 def _sweep_cell(cfg, K, L_alpha, seed):
     try:
         net = build_network(cfg, K, L_alpha, seed=seed)
-        coeffs = init_coeffs(net, seed=seed)
+        coeffs = init_coeffs(net)
         curve = analysis.equivariance_curve(
             net, coeffs, sweep_input(cfg, seed), cfg.group_element, margin=cfg.margin
         )
@@ -228,7 +225,7 @@ def parse_sweep_csv(text):
 
 def _stability_trial(cfg, seed, level):
     net = build_network(cfg, cfg.k_list[0], 1, seed=seed)
-    coeffs = init_coeffs(net, seed=seed)
+    coeffs = init_coeffs(net)
     x = ImageTensor(synthetic_blobs(cfg.height, cfg.width, np.random.default_rng([seed, INPUT_SALT])))
     tau = make_tau_targeting_grad([seed, TAU_SALT], level, TAU_MAX_FREQ, cfg.height, cfg.width)
     return analysis.stability_certificate(net, coeffs, x, cfg.group_element, tau)
@@ -262,7 +259,7 @@ def run_basis_validate(cfg):
     """Basis health report: Gram deviation, Laplacian residuals, zero residuals."""
     K = max(cfg.k_list)
     basis = build_basis(cfg.spatial_kind, K)
-    gram = gram_matrix(basis, grid_n=201)
+    gram = gram_matrix(basis)
     gram_dev = float(np.abs(gram - np.eye(K)).max())
     residuals = laplacian_residuals(basis)
     zero_residuals = [np.abs(bessel_j(m, bessel_zero(m, np.arange(1, 9)))).max() for m in range(9)]
@@ -291,7 +288,7 @@ def run_bounds_report(cfg):
     # the sweep's network for the largest (K, L_alpha); its first two layers are the ones bounded
     netc = build_network(replace(cfg, layers=2), K, max(cfg.l_alpha_list))
     # both layers expand in the same K spatial elements: evaluate them on the grid once
-    quad = analysis._unit_disk_quadrature(layer_basis(netc, 0), cfg.grid_n)
+    quad = analysis._unit_disk_quadrature(layer_basis(netc, 0), analysis.BOUND_GRID_N)
     draws = []
     worst = 0.0
     for seed in cfg.seeds:
@@ -299,9 +296,7 @@ def run_bounds_report(cfg):
         per_draw = {"seed": seed}
         for idx, name in enumerate(("lifting", "joint")):
             coeffs = draw_coeffs(netc, idx, rng)
-            rep = analysis.filter_bound_report(
-                coeffs, layer_basis(netc, idx), netc.layers[idx], grid_n=cfg.grid_n, quadrature=quad
-            )
+            rep = analysis.filter_bound_report(coeffs, layer_basis(netc, idx), netc.layers[idx], quadrature=quad)
             ratio = max(rep.B, rep.C, rep.scaled_D) / rep.A if rep.A > 0 else 0.0
             worst = max(worst, ratio)
             d = rep.to_dict()
@@ -311,7 +306,7 @@ def run_bounds_report(cfg):
     return {
         "kind": cfg.kind,
         "K": K,
-        "grid_n": cfg.grid_n,
+        "grid_n": quad.grid_n,
         "draws": draws,
         "worst_ratio": worst,
         "ok": bool(worst <= 1.02),

@@ -136,12 +136,19 @@ class FeatureMap:
         return self.values.shape
 
 
+def pixel_axes(H, W, ny=None, nx=None):
+    """1-D x and y axes of nx and ny (default W and H) samples spanning the pixel centers of an H x W grid.
+
+    At the default sizes they are the pixel centers x = j - (W-1)/2 and y = i - (H-1)/2.
+    """
+    xs = np.linspace(-(W - 1) / 2.0, (W - 1) / 2.0, W if nx is None else nx)
+    ys = np.linspace(-(H - 1) / 2.0, (H - 1) / 2.0, H if ny is None else ny)
+    return xs, ys
+
+
 def pixel_coords(H, W):
     """Spatial coordinates of each pixel center: two [H, W] arrays (x, y)."""
-    xs = np.arange(W, dtype=np.float64) - (W - 1) / 2.0
-    ys = np.arange(H, dtype=np.float64) - (H - 1) / 2.0
-    X, Y = np.meshgrid(xs, ys, indexing="xy")
-    return X, Y
+    return np.meshgrid(*pixel_axes(H, W), indexing="xy")
 
 
 def bilinear_sample(values, x, y):

@@ -48,7 +48,7 @@ def test_sl_eigenvalues():
 @pytest.mark.parametrize("kind", ["fb", "sl"])
 def test_gram_identity(kind):
     basis = build_basis(kind, 10)
-    gram = gram_matrix(basis, grid_n=201)
+    gram = gram_matrix(basis)
     assert np.abs(gram - np.eye(10)).max() < 1e-2
 
 
@@ -171,6 +171,19 @@ def test_pool_exhaustion():
         build_basis("fb", 10_000)
     with pytest.raises(PoolExhaustionError):
         build_basis("sl", 10_000)
+
+
+def test_sl_basis_is_the_k_lowest_square_modes():
+    # every K build_basis accepts gives the K lowest modes of the square, ties in (p, q) order
+    expected = sorted((p * p + q * q, (p, q)) for p in range(1, 41) for q in range(1, 41))
+    for K in range(1, 700):
+        try:
+            spatial = build_basis("sl", K).spatial
+        except PoolExhaustionError:
+            break
+        assert [e.indices for e in spatial] == [pq for _, pq in expected[:K]]
+        assert [e.eigenvalue for e in spatial] == [(math.pi / 2.0) ** 2 * n for n, _ in expected[:K]]
+    assert K == 466
 
 
 def test_unknown_kind():

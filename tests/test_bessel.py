@@ -168,16 +168,25 @@ def test_bad_zero_index_rejected(q):
         bessel_zero(3, q)
 
 
-def test_fb_basis_order_matches_scipy_zeros():
-    # an ulp change in a zero must not reorder the basis
+def test_fb_basis_is_the_k_lowest_disk_modes():
+    # every K build_basis accepts gives the K lowest disk modes, in the sort order of the
+    # SciPy zeros: an ulp change in a zero must not reorder the basis
     scipy_special = pytest.importorskip("scipy.special")
-    from rstcnn.basis import build_basis
+    from rstcnn.basis import FB_POOL_MAX_M, FB_POOL_MAX_Q, PoolExhaustionError, build_basis
 
-    expected = []
-    for m in range(16):
-        for q, lam in enumerate(scipy_special.jn_zeros(m, 16), start=1):
-            for h in ("cos",) if m == 0 else ("cos", "sin"):
-                expected.append((lam * lam, (m, q), h == "sin"))
-    expected.sort()
-    ours = [(e.indices, e.harmonic) for e in build_basis("fb", 496).spatial]
-    assert ours == [(mq, "sin" if sin else "cos") for _, mq, sin in expected]
+    expected = sorted(
+        (lam * lam, (m, q), h)
+        for m in range(41)
+        for q, lam in enumerate(scipy_special.jn_zeros(m, 40), start=1)
+        for h in (("cos",) if m == 0 else ("cos", "sin"))
+    )
+    for K in range(1, 600):
+        try:
+            spatial = build_basis("fb", K).spatial
+        except PoolExhaustionError:
+            break
+        assert [(e.indices, e.harmonic) for e in spatial] == [(mq, h) for _, mq, h in expected[:K]]
+        np.testing.assert_allclose([e.eigenvalue for e in spatial], [mu for mu, *_ in expected[:K]], rtol=1e-12)
+    assert K == 101
+    # the pool's horizon j_{16,1} lies below every zero beyond its q box
+    assert bessel_zero(0, FB_POOL_MAX_Q + 1) > bessel_zero(FB_POOL_MAX_M + 1, 1)

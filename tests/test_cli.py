@@ -84,6 +84,32 @@ def test_equi_sweep_flags_override_config(tmp_path, net_cfg):
     assert sorted({r[2] for r in rows}) == [0, 1]
 
 
+def test_idx_sweep_runs_and_echoes_height_by_width(tmp_path, net_cfg, monkeypatch):
+    from rstcnn import experiments
+
+    write_idx(tmp_path / "im.idx", tmp_path / "lb.idx", synthetic_blob_set(3, 12, 12, seed=0))
+    shapes = []
+    sweep_input = experiments.sweep_input
+
+    def recorded_input(cfg, seed):
+        x = sweep_input(cfg, seed)
+        shapes.append(x.shape)
+        return x
+
+    monkeypatch.setattr(experiments, "sweep_input", recorded_input)
+    out = tmp_path / "sweep.csv"
+    code = main(
+        ["equi", "sweep", "--config", net_cfg, "--out", str(out), "--seeds", "0,1",
+         "--idx-images", str(tmp_path / "im.idx"), "--idx-labels", str(tmp_path / "lb.idx"),
+         "--height", "40", "--width", "40"]
+    )
+    assert code == 0
+    assert shapes == [(1, 40, 40)] * 2
+    text = out.read_text()
+    assert "# height = 40\n# width = 40\n" in text
+    assert len(parse_sweep_csv(text)) == 4  # two seeds, two layers
+
+
 def test_unknown_config_key_exits_two(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("bogus = 1\n")
@@ -198,6 +224,11 @@ def test_missing_file_exits_four(tmp_path, capsys):
         (["equi", "sweep", "--beta", "0.3", "--height", "24", "--width", "24"], "off-lattice group element", "beta=0.3", ""),
         (["stab", "trials", "--trials", "1", "--grad-levels", "0.3"], "certificate assumption violated", "(A3)", ""),
         (["equi", "sweep", "--k-list", "600", "--height", "24", "--width", "24"], "basis pool exhausted", "K=600", ""),
+        # the fb pool holds only the 100 modes below j_{16,1}^2, the first eigenvalue it omits
+        (["equi", "sweep", "--k-list", "101", "--height", "24", "--width", "24"], "basis pool exhausted", "K=101", ""),
+        # IDX images are upsampled to a square
+        (["equi", "sweep", "--idx-images", "im.idx", "--idx-labels", "lb.idx", "--height", "40", "--width", "48"],
+         "config error", "height=40 must equal width=48", ""),
         (["equi", "sweep", "--height", "16", "--width", "16", "--margin", "8"], "config error", "margin=8", ""),
         (["equi", "sweep", "--margin", "-3"], "config error", "margin=-3", ""),
         (["equi", "sweep", "--layers", "0"], "config error", "layers", ""),
@@ -231,9 +262,9 @@ def test_missing_file_exits_four(tmp_path, capsys):
         (["equi", "sweep"], "config error", "scale_range", "T = 0\n"),
         (["stab", "trials", "--trials", "1"], "config error", "scale_range", "T = 0\n"),
     ],
-    ids=["off-lattice", "assumption", "pool-exhaustion", "margin-too-wide", "margin-negative", "layers-zero",
-         "stencil-one", "sweep-seed-negative", "bounds-seed-negative", "k-list-zero", "grad-level-negative",
-         "grad-levels-empty", "grad-level-nan", "eta-nan", "vx-nan", "beta-inf", "sweep-j-nan", "bounds-j-inf",
+    ids=["off-lattice", "assumption", "pool-exhaustion", "pool-exhaustion-fb-101", "idx-not-square", "margin-too-wide",
+         "margin-negative", "layers-zero", "stencil-one", "sweep-seed-negative", "bounds-seed-negative", "k-list-zero",
+         "grad-level-negative", "grad-levels-empty", "grad-level-nan", "eta-nan", "vx-nan", "beta-inf", "sweep-j-nan", "bounds-j-inf",
          "vx-off-canvas", "vx-1e300", "vx-off-interior", "beta-above-axis", "beta-below-axis", "stab-beta-above-axis",
          "sweep-n-r-zero", "stab-n-r-zero", "sweep-n-s-zero", "stab-n-s-zero", "sweep-t-zero", "stab-t-zero"],
 )
@@ -312,12 +343,12 @@ def _character_cases(cfg, data_dir):
     every_sweep_flag = [
         "--k-list", "3,5", "--l-alpha-list", "1,2", "--seeds", "4,2", "--layers", "3",
         "--channels", "2", "--eta", "3.141592653589793", "--beta", "-1", "--vx", "1.5", "--vy", "-2",
-        "--margin", "3", "--height", "30", "--width", "32", "--idx-images", "im.idx",
+        "--margin", "3", "--height", "32", "--width", "32", "--idx-images", "im.idx",
         "--idx-labels", os.path.join(data_dir, "abs.idx"), "--kind", "sl",
     ]
     sweep_fields = dict(
         k_list=(3, 5), l_alpha_list=(1, 2), seeds=(4, 2), layers=3, channels=2, eta=math.pi, beta=-1.0,
-        v=(1.5, -2.0), margin=3, height=30, width=32, idx_images=os.path.join(data_dir, "im.idx"),
+        v=(1.5, -2.0), margin=3, height=32, width=32, idx_images=os.path.join(data_dir, "im.idx"),
         idx_labels=os.path.join(data_dir, "abs.idx"), spatial_kind="sl",
     )
     stab_flags = ["--trials", "3", "--grad-levels", "0.01,0.2", "--beta", "0", "--eta", "1.5707963267948966",
@@ -333,6 +364,7 @@ def _character_cases(cfg, data_dir):
          {**CHARACTER_FIELDS, **sweep_fields}),
         (["equi", "sweep", "--vx", "1.5"], "equivariance-sweep", dict(v=(1.5, 0.0))),
         (["equi", "sweep", "--vy", "-2"], "equivariance-sweep", dict(v=(0.0, -2.0))),
+        (["equi", "sweep", "--height", "30", "--width", "32"], "equivariance-sweep", dict(height=30, width=32)),
         # stab trials: its preset, and --trials (default 20) always sets the seeds
         (["stab", "trials"], "stability-trials", stab_preset),
         (["stab", "trials"] + stab_flags + out, "stability-trials", {**stab_preset, **stab_fields}),
@@ -393,7 +425,7 @@ def test_experiment_flags_are_named_after_fields(argv):
 
 
 # ExperimentConfig fields that no flag or config key sets (--vx/--vy set v)
-SET_FROM_PYTHON = {"kind", "upsize", "grid_n", "v"}
+SET_FROM_PYTHON = {"kind", "v"}
 
 
 def test_every_experiment_field_is_settable():

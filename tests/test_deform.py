@@ -18,16 +18,11 @@ from rstcnn import (
 )
 
 from conftest import interior_image
-from rstcnn.group import pixel_coords
+from rstcnn.group import pixel_axes
 
 
 def random_field(seed=0, max_freq=3, height=17, width=19, amplitude=2.0):
     return make_tau(seed, amplitude, max_freq, height, width)
-
-
-def pixel_axes(f):
-    X, Y = pixel_coords(f.height, f.width)
-    return X[0], Y[:, 0]
 
 
 def test_on_grid_matches_loop_oracle():
@@ -48,7 +43,7 @@ def test_on_grid_shapes():
     f = random_field()
     tau, jac = f.on_grid(np.linspace(-2, 2, 5), np.linspace(-1, 1, 3))
     assert tau.shape == (2, 3, 5) and jac.shape == (2, 2, 3, 5)
-    tau, jac = f.on_grid(*pixel_axes(f))
+    tau, jac = f.on_grid(*pixel_axes(f.height, f.width))
     assert tau.shape == (2, f.height, f.width) and jac.shape == (2, 2, f.height, f.width)
 
 
@@ -78,7 +73,7 @@ def test_make_tau_hits_requested_amplitude():
     g = make_tau(3, 1.5, 2, 15, 15)
     np.testing.assert_allclose(g.coeffs, 2.0 * f.coeffs, rtol=1e-14)
     z = make_tau(3, 0.0, 2, 15, 15)
-    tau, jac = z.on_grid(*pixel_axes(z))
+    tau, jac = z.on_grid(*pixel_axes(z.height, z.width))
     assert np.all(z.coeffs == 0.0) and np.all(tau == 0.0) and np.all(jac == 0.0)
 
 

@@ -179,7 +179,7 @@ def test_sweep_input_idx_source(tmp_path):
     ds = synthetic_blob_set(3, 12, 12, seed=1)
     ip, lp = str(tmp_path / "im.idx"), str(tmp_path / "lb.idx")
     write_idx(ip, lp, ds)
-    cfg = tiny_sweep_config(idx_images=ip, idx_labels=lp, upsize=16)
+    cfg = tiny_sweep_config(idx_images=ip, idx_labels=lp, height=16, width=16)
     x5 = sweep_input(cfg, 5)  # 5 % 3 == image 2
     want = make_rs_dataset(read_idx(ip, lp), seed=INPUT_SALT, upsize=16).images[2]
     np.testing.assert_array_equal(x5.values, want)
@@ -191,7 +191,7 @@ def test_sweep_input_rereads_rewritten_idx_files(tmp_path):
 
     ip, lp = str(tmp_path / "im.idx"), str(tmp_path / "lb.idx")
     write_idx(ip, lp, synthetic_blob_set(3, 12, 12, seed=1))
-    cfg = tiny_sweep_config(idx_images=ip, idx_labels=lp, upsize=16)
+    cfg = tiny_sweep_config(idx_images=ip, idx_labels=lp, height=16, width=16)
     before = sweep_input(cfg, 0).values
     stamp = os.stat(ip)
     write_idx(ip, lp, synthetic_blob_set(3, 12, 12, seed=2))  # same sizes, new pixels
@@ -209,7 +209,7 @@ def test_sweep_input_rereads_rewritten_idx_files(tmp_path):
         dict(height=16, width=16, margin=8),  # 2 * margin == side: empty interior
         dict(height=24, width=12, margin=6),  # the shorter side counts
         dict(margin=-3),
-        dict(idx_images="a.idx", idx_labels="b.idx", upsize=16, margin=8),  # IDX input is upsize^2
+        dict(idx_images="a.idx", idx_labels="b.idx", height=16, width=16, margin=8),  # IDX input is height^2
     ],
 )
 def test_sweep_rejects_margins_without_interior(overrides):
@@ -220,8 +220,9 @@ def test_sweep_rejects_margins_without_interior(overrides):
 def test_margin_checked_against_the_image_the_sweep_uses():
     assert tiny_sweep_config(height=16, width=16, margin=7).margin == 7
     assert tiny_sweep_config(margin=0).margin == 0
-    # IDX input is upsize x upsize whatever height and width say
-    tiny_sweep_config(idx_images="a.idx", idx_labels="b.idx", upsize=56, height=8, width=8, margin=20)
+    # IDX input is height x width too, so its margin is checked against that size
+    with pytest.raises(ConfigError, match="margin=20"):
+        tiny_sweep_config(idx_images="a.idx", idx_labels="b.idx", height=8, width=8, margin=20)
     # stability trials do not read the margin
     stability_config(height=8, width=8, margin=4)
 
@@ -308,18 +309,11 @@ def test_basis_validate_report():
     assert report["j01_error"] < 1e-9
 
 
-@pytest.mark.parametrize("grid_n", [1, 0])
-def test_bounds_config_rejects_a_grid_without_cells(grid_n):
-    with pytest.raises(ConfigError, match="grid_n"):
-        ExperimentConfig(kind="bounds-report", grid_n=grid_n)
-
-
 def test_bounds_report_structure():
-    cfg = ExperimentConfig(
-        kind="bounds-report", k_list=(3,), l_alpha_list=(1,), channels=1, seeds=(0,), grid_n=61
-    )
+    cfg = ExperimentConfig(kind="bounds-report", k_list=(3,), l_alpha_list=(1,), channels=1, seeds=(0,))
     report = run_bounds_report(cfg)
     assert report["ok"] is True
+    assert report["grid_n"] == 301
     assert report["worst_ratio"] <= 1.02
     (draw,) = report["draws"]
     for part in ("lifting", "joint"):

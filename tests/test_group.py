@@ -19,6 +19,7 @@ from rstcnn.group import (
     bilinear_sample,
     compose,
     inverse,
+    pixel_axes,
     pixel_coords,
 )
 
@@ -68,6 +69,12 @@ def test_pixel_coords_centering():
     assert X[0, 0] == -3.0 and X[0, -1] == 3.0
     assert Y[0, 0] == -2.0 and Y[-1, 0] == 2.0
     assert X.sum() == 0.0 and Y.sum() == 0.0
+    # pixel_axes gives the same axes, or other sample counts over the same box
+    xs, ys = pixel_axes(5, 7)
+    assert np.array_equal(xs, X[0]) and np.array_equal(ys, Y[:, 0])
+    xs, ys = pixel_axes(5, 7, ny=9, nx=25)
+    assert xs.shape == (25,) and (xs[0], xs[-1], xs[1] - xs[0]) == (-3.0, 3.0, 0.25)
+    assert ys.shape == (9,) and (ys[0], ys[-1], ys[1] - ys[0]) == (-2.0, 2.0, 0.5)
 
 
 def test_bilinear_matches_naive_pointwise():
