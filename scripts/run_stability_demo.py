@@ -3,38 +3,45 @@
 
 Each trial draws a random smooth input and a random deformation field with
 a targeted gradient level, then checks the measured roto-scale equivariance
-deviation against the closed-form bound.  Prints one line per certificate
-and exits 3 if any trial violates its bound.
+deviation against the closed-form bound.  The trials run through
+`rstcnn stab trials`; this prints one line per certificate from its JSON and
+exits 3 if any trial violates its bound.  Bad input exits as the CLI does
+(2, with one stderr line naming the cause).
 """
 
 import argparse
+import json
+import os
 import sys
+import tempfile
 
-from rstcnn import run_stability_trials, stability_config, stability_json
+from rstcnn.cli import main as rstcnn_main
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--trials", type=int, default=20)
-    parser.add_argument("--beta", type=float, default=-0.5, help="group log2 scale")
+    parser.add_argument("--trials", default="20")
+    parser.add_argument("--beta", default="-0.5", help="group log2 scale")
     parser.add_argument("--out", help="also write the certificates as JSON")
     args = parser.parse_args(argv)
 
-    cfg = stability_config(seeds=tuple(range(args.trials)), beta=args.beta)
-    reports, violated = run_stability_trials(cfg)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(stability_json(cfg, reports))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = args.out or os.path.join(tmp, "stab.json")
+        code = rstcnn_main(["stab", "trials", "--trials", args.trials, "--beta", args.beta, "--out", out])
+        if code not in (0, 3):
+            return code
+        with open(out) as fh:
+            body = json.load(fh)
 
     print("seed  sup|grad tau|      lhs      rhs   margin  status")
-    for seed, r in zip(cfg.seeds, reports):
-        status = "VIOLATED" if r.violation else ("vacuous" if r.vacuous else "ok")
+    for seed, r in zip(body["config"]["seeds"], body["trials"]):
+        status = "VIOLATED" if r["violation"] else ("vacuous" if r["vacuous"] else "ok")
         print(
-            f"{seed:>4d}  {r.sup_grad_tau:>13.3f}  {r.lhs:>7.4f}  {r.rhs:>7.4f}"
-            f"  {r.margin:>7.4f}  {status}"
+            f"{seed:>4d}  {r['sup_grad_tau']:>13.3f}  {r['lhs']:>7.4f}  {r['rhs']:>7.4f}"
+            f"  {r['margin']:>7.4f}  {status}"
         )
-    print(f"\n{sum(r.violation for r in reports)} violations in {len(reports)} trials")
-    return 3 if violated else 0
+    print(f"\n{body['violations']} violations in {len(body['trials'])} trials")
+    return code
 
 
 if __name__ == "__main__":

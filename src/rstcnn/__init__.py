@@ -15,6 +15,7 @@ from .analysis import (
     StabilityReport,
     UndefinedEquivarianceError,
     equivariance_curve,
+    disk_quadrature,
     equivariance_error,
     filter_bound_report,
     isometry_deviation,

@@ -255,11 +255,12 @@ class FilterBoundReport:
 
 # Basis values and gradient components [K, P] at the P grid points where some
 # element or its gradient is nonzero: every other point adds exactly 0 to each sum.
-_DiskQuadrature = namedtuple("_DiskQuadrature", "spatial grid_n vals gx gy radius h2")
-BOUND_GRID_N = 301  # filter_bound_report's default grid_n, which bounds report uses
+_DiskQuadrature = namedtuple("_DiskQuadrature", "spatial vals gx gy radius h2")
+BOUND_GRID_N = 301  # the grid bounds report integrates on
 
 
-def _unit_disk_quadrature(basis, grid_n):
+def disk_quadrature(basis, grid_n):
+    """The basis's spatial elements on a grid_n x grid_n unit-square grid, for filter_bound_report."""
     if grid_n < 2:
         raise ValueError(f"grid_n must be >= 2, got {grid_n}")
     pts, h2 = unit_grid(grid_n)
@@ -269,7 +270,7 @@ def _unit_disk_quadrature(basis, grid_n):
     keep = (vals != 0.0).any(axis=0) | (grads != 0.0).any(axis=(0, 1))
     gx, gy = grads.compress(keep, axis=2)
     radius = np.sqrt((pts[keep] ** 2).sum(axis=1))
-    return _DiskQuadrature(basis.spatial, grid_n, vals.compress(keep, axis=1), gx, gy, radius, h2)
+    return _DiskQuadrature(basis.spatial, vals.compress(keep, axis=1), gx, gy, radius, h2)
 
 
 def _pair_sums(c, quad):
@@ -285,20 +286,18 @@ def _pair_sums(c, quad):
     return np.stack([b, gmag @ quad.radius, gmag.sum(axis=1)])
 
 
-def filter_bound_report(coeffs, basis, spec, grid_n=BOUND_GRID_N, n_theta=64, *, quadrature=None):
+def filter_bound_report(coeffs, basis, spec, quad, n_theta=64):
     """Quadrature B, C, D aggregates for one layer against its amplitude bound.
 
-    Spatial integrals on a grid_n x grid_n grid over the unit square (the
-    basis is supported on the unit disk); joint layers integrate over theta
-    with the normalized S^1 measure on n_theta uniform samples.  Gradients
-    come from the analytic basis derivatives.  Layers with the same spatial
-    elements may share one quadrature from _unit_disk_quadrature(basis, grid_n).
+    Spatial integrals on the grid of quad, a disk_quadrature of this basis
+    (the basis is supported on the unit disk); joint layers integrate over
+    theta with the normalized S^1 measure on n_theta uniform samples.
+    Gradients come from the analytic basis derivatives.
     """
     if n_theta < 1:
         raise ValueError(f"n_theta must be >= 1, got {n_theta}")
-    quad = _unit_disk_quadrature(basis, grid_n) if quadrature is None else quadrature
-    if quad.grid_n != grid_n or quad.spatial != basis.spatial:
-        raise ValueError(f"quadrature built for grid_n={quad.grid_n} does not fit grid_n={grid_n} and this basis")
+    if quad.spatial != basis.spatial:
+        raise ValueError("quadrature was built for other spatial elements than this basis")
     a = coeffs.a
     m_in, m_out, K = a.shape[:3]
     if coeffs.is_lifting:

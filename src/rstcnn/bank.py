@@ -67,10 +67,10 @@ class FilterBank:
         return 2.0 * (2.0**self.layer_scale) / (self.stencil - 1)
 
 
-def sample_filter_bank(basis, n_rotations, n_scales, scale_range, stencil, layer_scale=None):
+def sample_filter_bank(basis, n_rotations, n_scales, scale_range, stencil, layer_scale):
     """Sample a BasisSet's spatial elements onto the [K, N_r, N_s, L, L] bank.
 
-    layer_scale=None selects the pitch-1 default log2((L-1)/2).  Sample
+    layer_scale is j (LayerSpec.resolved_scale gives a layer's).  Sample
     points that fall on or outside the (rescaled) domain boundary are
     exactly zero.
     """
@@ -78,7 +78,7 @@ def sample_filter_bank(basis, n_rotations, n_scales, scale_range, stencil, layer
         raise ValueError(f"stencil width must be odd, got {stencil}")
     if n_rotations < 1 or n_scales < 1:
         raise ValueError("n_rotations and n_scales must be >= 1")
-    j = default_layer_scale(stencil) if layer_scale is None else float(layer_scale)
+    j = float(layer_scale)
     grid = scale_channel_grid(n_scales, scale_range)
     bank = FilterBank(
         basis.spatial_kind, np.empty((basis.n_spatial, n_rotations, n_scales, stencil, stencil)), grid, j

@@ -62,21 +62,18 @@ class BasisSet:
     def n_spatial(self):
         return len(self.spatial)
 
-    @property
-    def n_angular(self):
-        return len(self.angular)
 
-    @property
-    def n_scale(self):
-        return len(self.scale)
+def _sort_key(e):
+    # ascending eigenvalue; ties broken by indices then cos before sin
+    return (e.eigenvalue, e.indices, 0 if e.harmonic != "sin" else 1)
 
 
 @functools.cache
 def _fb_pool():
-    # Every "fb" build_basis call draws from these candidates, so they are
-    # enumerated once per process: one zero search and one normalization
-    # call per order.  Only modes below j_{16,1}^2, the smallest eigenvalue
-    # outside the (m, q) box, are kept, so the pool's K lowest are the disk's.
+    # Every "fb" build_basis call takes a prefix of these candidates, so they
+    # are enumerated and sorted once per process.  Only modes below j_{16,1}^2,
+    # the smallest eigenvalue outside the (m, q) box, are kept, so the pool's
+    # K lowest are the disk's.
     horizon = bessel_zero(FB_POOL_MAX_M + 1, 1) ** 2
     pool = []
     qs = np.arange(1, FB_POOL_MAX_Q + 1)
@@ -88,9 +85,10 @@ def _fb_pool():
             c = (1.0 if m == 0 else math.sqrt(2.0)) / (math.sqrt(math.pi) * jn)
             if lam * lam < horizon:
                 pool.extend(BasisElement("fb-disk", (m, q), h, lam * lam, c) for h in harmonics)
-    return tuple(pool)
+    return tuple(sorted(pool, key=_sort_key))
 
 
+@functools.cache
 def _sl_pool():
     # only modes below the smallest eigenvalue outside the box, at (p, q) = (25, 1)
     horizon = (math.pi / 2.0) ** 2 * ((SL_POOL_MAX + 1) ** 2 + 1)
@@ -100,12 +98,7 @@ def _sl_pool():
             mu = (math.pi / 2.0) ** 2 * (p * p + q * q)
             if mu < horizon:
                 pool.append(BasisElement("sl-square", (p, q), "", mu, 1.0))
-    return pool
-
-
-def _sort_key(e):
-    # ascending eigenvalue; ties broken by indices then cos before sin
-    return (e.eigenvalue, e.indices, 0 if e.harmonic != "sin" else 1)
+    return tuple(sorted(pool, key=_sort_key))
 
 
 def build_basis(spatial_kind, K, max_angular=4, n_scale=1):
@@ -124,7 +117,7 @@ def build_basis(spatial_kind, K, max_angular=4, n_scale=1):
         raise PoolExhaustionError(
             f"K={K} exceeds the {len(pool)}-element {spatial_kind} candidate pool"
         )
-    spatial = tuple(sorted(pool, key=_sort_key)[:K])
+    spatial = pool[:K]
 
     if max_angular < 0:
         raise ValueError("max_angular must be >= 0")

@@ -173,8 +173,15 @@ def _cmd_data_rs_make(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors take one stderr line, like every other bad input."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(prog="rstcnn", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="rstcnn", description=__doc__.splitlines()[0])
     groups = parser.add_subparsers(dest="group", required=True)
 
     basis = groups.add_parser("basis", help="basis diagnostics").add_subparsers(

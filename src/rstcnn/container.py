@@ -48,6 +48,10 @@ class BankArchive:
     meta: dict | None = None
 
 
+def _section(tag, payload):
+    return tag + struct.pack("<Q", len(payload)) + payload
+
+
 def _encode_array(a):
     a = np.ascontiguousarray(np.asarray(a, dtype=np.float64))
     head = struct.pack("<I", a.ndim) + struct.pack(f"<{a.ndim}I", *a.shape)
@@ -115,20 +119,17 @@ def dump_bank(bank, coeffs=None, tau=None, meta=None):
     full_meta = {"layer_scale": bank.layer_scale}
     if meta:
         full_meta.update(meta)
-    payload = json.dumps(full_meta, sort_keys=True).encode("utf-8")
-    out.append(b"META" + struct.pack("<Q", len(payload)) + payload)
+    out.append(_section(b"META", json.dumps(full_meta, sort_keys=True).encode("utf-8")))
 
     if coeffs is not None:
         body = [struct.pack("<I", 2 * len(coeffs))]
         for ct in coeffs:
             body.append(_encode_array(ct.a))
             body.append(_encode_array(ct.b))
-        payload = b"".join(body)
-        out.append(b"COEF" + struct.pack("<Q", len(payload)) + payload)
+        out.append(_section(b"COEF", b"".join(body)))
 
     if tau is not None:
-        payload = struct.pack("<II", tau.height, tau.width) + _encode_array(tau.coeffs)
-        out.append(b"TAU " + struct.pack("<Q", len(payload)) + payload)
+        out.append(_section(b"TAU ", struct.pack("<II", tau.height, tau.width) + _encode_array(tau.coeffs)))
 
     return b"".join(out)
 
@@ -156,28 +157,26 @@ def load_bank(data):
     meta = None
     coeffs = None
     tau = None
+    seen = set()
     while not r.exhausted:
         tag = r.take(4, "section tag")
         length = r.u64("section length")
         start = r.pos
+        if tag in seen:
+            raise ContainerFormatError(f"duplicate {tag.decode().strip()} section at offset {start - 12}")
+        seen.add(tag)
         if tag == b"META":
-            if meta is not None:
-                raise ContainerFormatError(f"duplicate META section at offset {start - 12}")
             try:
                 meta = json.loads(r.take(length, "META payload").decode("utf-8"))
             except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                 raise ContainerFormatError(f"bad META payload at offset {start}: {exc}") from exc
         elif tag == b"COEF":
-            if coeffs is not None:
-                raise ContainerFormatError(f"duplicate COEF section at offset {start - 12}")
             count = r.u32("coefficient array count")
             if count % 2 != 0:
                 raise ContainerFormatError(f"COEF count {count} is not a/b paired")
             arrays = [r.array("coefficient array") for _ in range(count)]
             coeffs = [CoeffTensor(arrays[i], arrays[i + 1]) for i in range(0, count, 2)]
         elif tag == b"TAU ":
-            if tau is not None:
-                raise ContainerFormatError(f"duplicate TAU section at offset {start - 12}")
             height = r.u32("tau height")
             width = r.u32("tau width")
             tau = DeformationField(r.array("tau coefficients"), height, width)

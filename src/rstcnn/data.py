@@ -159,7 +159,7 @@ def upsample(values, out_h, out_w):
     return bilinear_sample(values, X, Y)
 
 
-def rs_image(image, seed, index, upsize=56):
+def rs_image(image, seed, index, upsize):
     """Rotate/rescale one image [1, H, W] and upsample it to upsize x upsize.
 
     The stream is default_rng([seed, index]), so image i of a dataset comes out
@@ -174,7 +174,7 @@ def rs_image(image, seed, index, upsize=56):
     return np.clip(upsample(moved.values, upsize, upsize), 0.0, 1.0)
 
 
-def make_rs_dataset(dataset, seed, upsize=56):
+def make_rs_dataset(dataset, seed, upsize):
     """rs_image on every image (index i draws from (seed, i)); labels pass through."""
     out = np.empty((len(dataset), 1, upsize, upsize))
     for i in range(len(dataset)):

@@ -288,7 +288,7 @@ def run_bounds_report(cfg):
     # the sweep's network for the largest (K, L_alpha); its first two layers are the ones bounded
     netc = build_network(replace(cfg, layers=2), K, max(cfg.l_alpha_list))
     # both layers expand in the same K spatial elements: evaluate them on the grid once
-    quad = analysis._unit_disk_quadrature(layer_basis(netc, 0), analysis.BOUND_GRID_N)
+    quad = analysis.disk_quadrature(layer_basis(netc, 0), analysis.BOUND_GRID_N)
     draws = []
     worst = 0.0
     for seed in cfg.seeds:
@@ -296,7 +296,7 @@ def run_bounds_report(cfg):
         per_draw = {"seed": seed}
         for idx, name in enumerate(("lifting", "joint")):
             coeffs = draw_coeffs(netc, idx, rng)
-            rep = analysis.filter_bound_report(coeffs, layer_basis(netc, idx), netc.layers[idx], quadrature=quad)
+            rep = analysis.filter_bound_report(coeffs, layer_basis(netc, idx), netc.layers[idx], quad)
             ratio = max(rep.B, rep.C, rep.scaled_D) / rep.A if rep.A > 0 else 0.0
             worst = max(worst, ratio)
             d = rep.to_dict()
@@ -306,7 +306,7 @@ def run_bounds_report(cfg):
     return {
         "kind": cfg.kind,
         "K": K,
-        "grid_n": quad.grid_n,
+        "grid_n": analysis.BOUND_GRID_N,
         "draws": draws,
         "worst_ratio": worst,
         "ok": bool(worst <= 1.02),

@@ -196,11 +196,6 @@ def theta_taps(L_theta):
 
 
 @functools.lru_cache(maxsize=64)
-def _cached_basis(spatial_kind, K, max_angular, n_scale):
-    return build_basis(spatial_kind, K, max_angular=max_angular, n_scale=n_scale)
-
-
-@functools.lru_cache(maxsize=64)
 def _cached_bank(spatial_kind, K, n_rot, n_sc, t, stencil, layer_scale):
     # The bank samples only the spatial elements, so layers that share them
     # and the group grid share one bank whatever their angular/scale profiles.
@@ -210,7 +205,7 @@ def _cached_bank(spatial_kind, K, n_rot, n_sc, t, stencil, layer_scale):
 def layer_basis(net, layer_index):
     """The BasisSet a given layer's coefficients expand against."""
     spec = net.layers[layer_index]
-    return _cached_basis(net.spatial_kind, spec.K, spec.max_angular, spec.n_scale)
+    return build_basis(net.spatial_kind, spec.K, max_angular=spec.max_angular, n_scale=spec.n_scale)
 
 
 def layer_bank(net, layer_index):
@@ -244,7 +239,7 @@ def synthesize_filters(coeffs, bank, spec):
         raise ConfigError(
             f"coefficient mode axes {a.shape[3:]} != spec ({spec.n_angular}, {spec.n_scale})"
         )
-    basis = _cached_basis(bank.spatial_kind, spec.K, spec.max_angular, spec.n_scale)
+    basis = build_basis(bank.spatial_kind, spec.K, max_angular=spec.max_angular, n_scale=spec.n_scale)
     phi = angular_matrix(basis, theta_taps(spec.L_theta))  # [n_ang, L_theta]
     xi = scale_matrix(basis, alpha_taps(spec.L_alpha))  # [n_scale, L_alpha]
     return np.einsum("abkmn,krsij,mt,nq->abrtsqij", a, bank.values, phi, xi, optimize=True)

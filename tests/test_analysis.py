@@ -15,6 +15,7 @@ from rstcnn import (
     NetworkConfig,
     UndefinedEquivarianceError,
     build_basis,
+    disk_quadrature,
     equivariance_curve,
     equivariance_error,
     feature_norm,
@@ -31,8 +32,6 @@ from rstcnn import (
     stability_certificate,
     tau_norms,
 )
-from rstcnn.analysis import _unit_disk_quadrature
-
 import reference
 from conftest import interior_image, small_net
 
@@ -156,7 +155,7 @@ def test_filter_bounds_vanish_for_zero_coefficients(tiny_net):
     spec = tiny_net.layers[0]
     basis = layer_basis(tiny_net, 0)
     zero = CoeffTensor(np.zeros((1, 1, spec.K)), np.zeros(1))
-    report = filter_bound_report(zero, basis, spec, grid_n=101, n_theta=8)
+    report = filter_bound_report(zero, basis, spec, disk_quadrature(basis, 101), n_theta=8)
     assert report.B == report.C == report.D == report.A == 0.0
     assert report.scaled_D == 0.0
     assert report.to_dict()["layer_scale"] == spec.resolved_scale
@@ -170,7 +169,7 @@ def test_filter_bound_single_element_against_radial_quadrature(tiny_net):
     basis = layer_basis(tiny_net, 0)
     a = np.zeros((1, 1, spec.K))
     a[0, 0, 0] = -1.4
-    report = filter_bound_report(CoeffTensor(a, np.zeros(1)), basis, spec, grid_n=301)
+    report = filter_bound_report(CoeffTensor(a, np.zeros(1)), basis, spec, disk_quadrature(basis, 301))
     rs = np.linspace(0.0, 1.0, 20001)
     pts = np.stack([rs, np.zeros_like(rs)], axis=-1)
     psi = eval_spatial(basis.spatial[0], pts)
@@ -190,12 +189,13 @@ def test_filter_bound_joint_constant_angular_profile_doubles_lifting():
     ak = rng.standard_normal(net.layers[0].K)
     lift_spec = net.layers[0]
     lift = CoeffTensor(ak[None, None, :], np.zeros(1))
-    lift_report = filter_bound_report(lift, layer_basis(net, 0), lift_spec, grid_n=151, n_theta=8)
+    quad = disk_quadrature(layer_basis(net, 0), 151)
+    lift_report = filter_bound_report(lift, layer_basis(net, 0), lift_spec, quad, n_theta=8)
     joint_spec = net.layers[1]
     aj = np.zeros((1, 1, joint_spec.K, joint_spec.n_angular, 1))
     aj[0, 0, :, 0, 0] = ak
     joint = CoeffTensor(aj, np.zeros(1))
-    joint_report = filter_bound_report(joint, layer_basis(net, 1), joint_spec, grid_n=151, n_theta=8)
+    joint_report = filter_bound_report(joint, layer_basis(net, 1), joint_spec, quad, n_theta=8)
     for name in ("B", "C", "D"):
         assert getattr(joint_report, name) == pytest.approx(
             2.0 * getattr(lift_report, name), rel=1e-10
@@ -224,31 +224,29 @@ def test_filter_bounds_match_chunked_grid_oracle(spatial_kind, layer, n_theta):
     coeffs = init_coeffs(net, seed=11)[layer]
     basis, spec = layer_basis(net, layer), net.layers[layer]
     expected = reference.chunked_filter_bounds(coeffs, basis, spec, grid_n=41, n_theta=n_theta)
-    report = filter_bound_report(coeffs, basis, spec, grid_n=41, n_theta=n_theta)
+    # one quadrature from layer 0's basis serves both layers, as in run_bounds_report
+    report = filter_bound_report(coeffs, basis, spec, disk_quadrature(layer_basis(net, 0), 41), n_theta=n_theta)
     for name, value in expected.items():
         assert getattr(report, name) == pytest.approx(value, rel=1e-12, abs=0.0)
-    # a quadrature built once for the shared spatial elements gives the same report
-    quad = _unit_disk_quadrature(layer_basis(net, 0), 41)
-    assert filter_bound_report(coeffs, basis, spec, grid_n=41, n_theta=n_theta, quadrature=quad) == report
 
 
 def test_filter_bounds_reject_a_mismatched_quadrature():
     net = bounds_net("fb")
     coeffs, basis, spec = init_coeffs(net, seed=0)[1], layer_basis(net, 1), net.layers[1]
-    with pytest.raises(ValueError, match="grid_n=41 does not fit grid_n=43"):
-        filter_bound_report(coeffs, basis, spec, grid_n=43, quadrature=_unit_disk_quadrature(basis, 41))
     for other in (layer_basis(bounds_net("sl"), 1), build_basis("fb", spec.K + 1)):
-        with pytest.raises(ValueError, match="does not fit"):
-            filter_bound_report(coeffs, basis, spec, grid_n=41, quadrature=_unit_disk_quadrature(other, 41))
+        with pytest.raises(ValueError, match="other spatial elements"):
+            filter_bound_report(coeffs, basis, spec, disk_quadrature(other, 41))
 
 
 @pytest.mark.parametrize("bad", [{"n_theta": 0}, {"n_theta": -1}, {"grid_n": 1}, {"grid_n": 0}])
 def test_filter_bounds_reject_an_empty_quadrature(bad):
+    # an empty spatial grid fails in disk_quadrature, an empty theta grid in the report
     net = bounds_net("fb")
     coeffs, basis, spec = init_coeffs(net, seed=0)[1], layer_basis(net, 1), net.layers[1]
     (name,) = bad
     with pytest.raises(ValueError, match=name):
-        filter_bound_report(coeffs, basis, spec, **{"grid_n": 41, **bad})
+        quad = disk_quadrature(basis, bad.get("grid_n", 41))
+        filter_bound_report(coeffs, basis, spec, quad, n_theta=bad.get("n_theta", 64))
 
 
 def test_isometry_deviation_zero_for_exact_translation():

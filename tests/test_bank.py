@@ -22,8 +22,8 @@ def test_scale_channel_grid():
 
 def test_even_stencil_rejected():
     basis = build_basis("fb", 3)
-    with pytest.raises(Exception):
-        sample_filter_bank(basis, 4, 3, 1.0, 8)
+    with pytest.raises(ValueError, match="odd"):
+        sample_filter_bank(basis, 4, 3, 1.0, 8, layer_scale=0.0)
 
 
 def test_identity_slice_is_direct_sampling():

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 import reference
 from rstcnn.basis import (
     PoolExhaustionError,
+    _fb_pool,
+    _sl_pool,
     build_basis,
     eval_angular,
     eval_scale,
@@ -171,6 +173,14 @@ def test_pool_exhaustion():
         build_basis("fb", 10_000)
     with pytest.raises(PoolExhaustionError):
         build_basis("sl", 10_000)
+
+
+@pytest.mark.parametrize("kind, pool", [("fb", _fb_pool), ("sl", _sl_pool)])
+def test_basis_is_a_prefix_of_the_pool_sorted_once(kind, pool):
+    # each pool is enumerated and sorted once per process, and every build_basis takes its prefix
+    assert pool() is pool()
+    for K in (1, 5, 10, len(pool())):
+        assert build_basis(kind, K).spatial == pool()[:K]
 
 
 def test_sl_basis_is_the_k_lowest_square_modes():

@@ -137,8 +137,17 @@ def test_duplicate_sections_rejected():
     coeffs = [CoeffTensor(np.zeros((1, 1, 1)), np.zeros(1))]
     data2 = dump_bank(bank, coeffs=coeffs)
     dup = data2[len(data):]
-    with pytest.raises(ContainerFormatError, match="duplicate COEF"):
+    with pytest.raises(ContainerFormatError, match=f"duplicate COEF section at offset {len(data2)}$"):
         load_bank(data2 + dup)
+    tau = DeformationField(np.zeros((2, 3, 3, 4)), 5, 5)
+    data3 = dump_bank(bank, tau=tau)
+    dup = data3[len(data):]
+    with pytest.raises(ContainerFormatError, match=f"duplicate TAU section at offset {len(data3)}$"):
+        load_bank(data3 + dup)
+    # a repeated section is caught whichever sections come between
+    data4 = dump_bank(bank, coeffs=coeffs, tau=tau)
+    with pytest.raises(ContainerFormatError, match=f"duplicate COEF section at offset {len(data4)}$"):
+        load_bank(data4 + data2[len(data):])
 
 
 def test_unknown_tag_and_odd_coef_count_rejected():

@@ -12,10 +12,6 @@ ALLOWED = {
         "the basis gradient reuses the J_m values it has already evaluated; the public "
         "bessel_j_over_x would evaluate J_m a second time"
     ),
-    ("experiments", "analysis", "_unit_disk_quadrature"): (
-        "run_bounds_report evaluates the basis on the grid once and passes that quadrature "
-        "to both layers' filter_bound_report"
-    ),
 }
 
 

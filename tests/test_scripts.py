@@ -4,6 +4,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 from rstcnn import parse_sweep_csv
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -32,3 +34,21 @@ def test_stability_demo_script(tmp_path, capsys):
     body = json.loads(out.read_text())
     assert len(body["trials"]) == 2 and body["violations"] == 0
     assert "0 violations in 2 trials" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "script, argv, cause",
+    [
+        ("run_stability_demo", ["--trials", "1", "--beta", "0.3"], "off-lattice group element: beta=0.3"),
+        ("run_stability_demo", ["--trials", "0"], "config error: seeds must be non-empty"),
+        ("run_five_layer_sweep", ["--seeds", "0,x"], "argument --seeds: invalid _int_list value: '0,x'"),
+    ],
+    ids=["stab-off-lattice-beta", "stab-zero-trials", "sweep-bad-seed"],
+)
+def test_scripts_exit_two_naming_the_cause(tmp_path, capsys, script, argv, cause):
+    out = tmp_path / "out"
+    # the scripts run through the CLI, so bad input exits as the CLI does: 2, one stderr line, no output
+    assert load_script(script).main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert cause in captured.err and captured.err.count("\n") == 1
+    assert captured.out == "" and not out.exists()
