@@ -9,17 +9,16 @@ stderr line naming the cause).  The full preset takes about a minute on
 one core.
 """
 
-import argparse
 import sys
 
 import numpy as np
 
 from rstcnn import parse_sweep_csv
-from rstcnn.cli import main as rstcnn_main
+from rstcnn.cli import OneLineParser, main as rstcnn_main
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser = OneLineParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="sweep.csv", help="CSV output path")
     parser.add_argument("--seeds", default="0,1,2,3,4", help="comma-separated seeds")
     parser.add_argument("--kind", default="fb", help="spatial basis family: fb or sl")

@@ -9,17 +9,16 @@ exits 3 if any trial violates its bound.  Bad input exits as the CLI does
 (2, with one stderr line naming the cause).
 """
 
-import argparse
 import json
 import os
 import sys
 import tempfile
 
-from rstcnn.cli import main as rstcnn_main
+from rstcnn.cli import OneLineParser, main as rstcnn_main
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser = OneLineParser(description=__doc__.splitlines()[0])
     parser.add_argument("--trials", default="20")
     parser.add_argument("--beta", default="-0.5", help="group log2 scale")
     parser.add_argument("--out", help="also write the certificates as JSON")

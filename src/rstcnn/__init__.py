@@ -91,6 +91,7 @@ from .group import (
     OffLatticeError,
     act_on_feature,
     act_on_image,
+    channel_sources,
     compose,
     inverse,
 )
@@ -104,6 +105,7 @@ from .net import (
     draw_coeffs,
     filter_amplitude,
     forward,
+    forward_layers,
     init_coeffs,
     joint_conv,
     layer_bank,

@@ -17,8 +17,8 @@ import numpy as np
 
 from .basis import angular_matrix, eval_spatial_stack, unit_grid
 from .deform import apply_deformation, tau_norms
-from .group import FeatureMap, ImageTensor, act_on_feature, act_on_image
-from .net import aggregate_channels, filter_amplitude, forward, layer_basis, theta_taps
+from .group import FeatureMap, ImageTensor, act_on_feature, act_on_image, channel_sources
+from .net import aggregate_channels, filter_amplitude, forward, forward_layers, layer_basis, theta_taps
 from .norms import feature_norm
 
 
@@ -30,20 +30,39 @@ class AssumptionError(ValueError):
     """A certificate precondition failed; the message names the assumption."""
 
 
-def _slice_error(feat_direct, feat_reference, n_scales, margin):
-    mid = n_scales // 2
+def _slice_error(direct, reference, margin):
+    """(||direct - reference||, ||reference||) over the interior of two [M, H, W] slices."""
     sl = slice(margin, -margin) if margin > 0 else slice(None)
-    a = feat_direct.values[:, 0, mid, sl, sl]
-    b = feat_reference.values[:, 0, mid, sl, sl]
+    a = direct[:, sl, sl]
+    b = reference[:, sl, sl]
     den = float(np.linalg.norm(b))
     num = float(np.linalg.norm(a - b))
     return num, den
 
 
+def _reference_slice(g, feat, mid):
+    """D_g feat at rotation 0 and scale channel mid, [M, H, W]: one warped channel.
+
+    The channel it reads comes from channel_sources; one read from beyond
+    the scale axis is zero.  Equal to act_on_feature(g, feat).values[:, 0,
+    mid] without warping the other channels.
+    """
+    rot, sc = channel_sources(g, feat)
+    s = sc[mid]
+    vals = feat.values
+    chan = vals[:, rot[0], s] if 0 <= s < len(sc) else np.zeros_like(vals[:, 0, 0])
+    return act_on_image(g, ImageTensor(chan)).values
+
+
 def _forward_pair(net, coeffs, a, b):
-    """Every layer's features for the images a and b ([M, H, W] values) from one batch of 2."""
-    feats = forward(net, coeffs, ImageTensor(np.stack([a, b])), return_all=True)
-    return tuple([FeatureMap(f.values[i], f.rotation_step, f.scale_grid) for f in feats] for i in (0, 1))
+    """Per layer, the features of the images a and b ([M, H, W] values) as a pair of FeatureMaps.
+
+    Both images go through one forward as a batch of 2, and the layers come
+    from forward_layers one at a time, so a caller that reduces each pair
+    before the next never holds every layer.
+    """
+    for f in forward_layers(net, coeffs, ImageTensor(np.stack([a, b]))):
+        yield tuple(FeatureMap(f.values[i], f.rotation_step, f.scale_grid) for i in (0, 1))
 
 
 def equivariance_error(net, coeffs, x, g, layer, margin=4):
@@ -81,11 +100,15 @@ class EquivarianceCurve:
 
 
 def equivariance_curve(net, coeffs, x, g, margin=4):
-    """Per-layer equivariance errors from one forward pass over the pair (D_g x, x)."""
-    direct_all, plain_all = _forward_pair(net, coeffs, act_on_image(g, x).values, x.values)
+    """Per-layer equivariance errors from one forward pass over the pair (D_g x, x).
+
+    Only the compared slice of D_g x^(l)[x] is built: the one channel it
+    reads, warped by act_on_image.
+    """
+    mid = net.n_scales // 2
     errors = []
-    for direct, plain in zip(direct_all, plain_all):
-        num, den = _slice_error(direct, act_on_feature(g, plain), net.n_scales, margin)
+    for direct, plain in _forward_pair(net, coeffs, act_on_image(g, x).values, x.values):
+        num, den = _slice_error(direct.values[:, 0, mid], _reference_slice(g, plain, mid), margin)
         errors.append(num / den if den > 0.0 else math.inf)
     return EquivarianceCurve(tuple(errors))
 
@@ -142,9 +165,9 @@ def stability_certificate(net, coeffs, x, g, tau):
         )
 
     deformed = act_on_image(g, apply_deformation(tau, x))
-    got, plain = _forward_pair(net, coeffs, deformed.values, x.values)
     per_layer = tuple(
-        feature_norm(f.values - act_on_feature(g, p).values) for f, p in zip(got, plain)
+        feature_norm(f.values - act_on_feature(g, p).values)
+        for f, p in _forward_pair(net, coeffs, deformed.values, x.values)
     )
     lhs = per_layer[-1]
 
@@ -190,11 +213,21 @@ class NonexpansivenessReport:
     n_trials: int
 
 
+# Trial pairs per forward of nonexpansiveness_report.  Larger batches run
+# faster but raise the memory peak: 4 pairs (8 samples at 28x28) peak below a
+# fig3 K=10, L_alpha=3 forward of 2 samples at 56x56, and 10 pairs already
+# peak well above it.
+REPORT_PAIRS = 4
+
+
 def nonexpansiveness_report(net, coeffs, n_trials, seed, height=28, width=28):
     """Measure layer non-expansiveness plus zero-input constancy and contraction.
 
     Pairs are uniform [0, 1] images drawn per trial from (seed, trial)
-    streams.
+    streams.  REPORT_PAIRS consecutive trials' pairs go through one forward
+    as a batch, and each layer of it is reduced to its norms before the next
+    is computed.  Every sample's features are bit-identical to its own run,
+    so the report does not depend on the grouping.
     """
     zero = np.zeros((net.layers[0].in_channels, height, width))
     zero_feats = forward(net, coeffs, ImageTensor(zero), return_all=True)
@@ -205,21 +238,23 @@ def nonexpansiveness_report(net, coeffs, n_trials, seed, height=28, width=28):
 
     per_layer = [0.0] * net.depth
     centered_worst = 0.0
-    for t in range(n_trials):
-        rng = np.random.default_rng([seed, t])
-        x1 = rng.uniform(0.0, 1.0, size=zero.shape)
-        x2 = rng.uniform(0.0, 1.0, size=zero.shape)
-        d0 = feature_norm(x1 - x2)
-        f1, f2 = _forward_pair(net, coeffs, x1, x2)
-        for l in range(net.depth):
-            ratio = feature_norm(f1[l].values - f2[l].values) / d0
-            per_layer[l] = max(per_layer[l], ratio)
-        prev = feature_norm(x1)
-        for l in range(net.depth):
-            cur = feature_norm(f1[l].values - zero_feats[l].values)
-            if prev > 0.0:
-                centered_worst = max(centered_worst, cur / prev)
-            prev = cur
+    for start in range(0, n_trials, REPORT_PAIRS):
+        images = []
+        for t in range(start, min(start + REPORT_PAIRS, n_trials)):
+            rng = np.random.default_rng([seed, t])
+            images.append(rng.uniform(0.0, 1.0, size=zero.shape))
+            images.append(rng.uniform(0.0, 1.0, size=zero.shape))
+        x1s, x2s = images[0::2], images[1::2]
+        d0 = [feature_norm(x1 - x2) for x1, x2 in zip(x1s, x2s)]
+        prev = [feature_norm(x1) for x1 in x1s]  # norm of the centered input to layer l
+        for l, f in enumerate(forward_layers(net, coeffs, ImageTensor(np.stack(images)))):
+            for j in range(len(x1s)):
+                f1, f2 = f.values[2 * j], f.values[2 * j + 1]
+                per_layer[l] = max(per_layer[l], feature_norm(f1 - f2) / d0[j])
+                cur = feature_norm(f1 - zero_feats[l].values)
+                if prev[j] > 0.0:
+                    centered_worst = max(centered_worst, cur / prev[j])
+                prev[j] = cur
     return NonexpansivenessReport(
         worst_ratio=max(per_layer) if per_layer else 0.0,
         per_layer_worst=tuple(per_layer),

@@ -61,16 +61,21 @@ def _write_text(out, text):
             fh.write(text)
 
 
-def _int_list(text):
-    return tuple(int(tok) for tok in text.split(",") if tok.strip())
+def _value_type(form, parse):
+    """An argparse type that applies parse and, on a malformed value, names the expected form."""
+
+    def convert(text):
+        try:
+            return parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {form}, got {text!r}") from None
+
+    return convert
 
 
-def _float_list(text):
-    return tuple(float(tok) for tok in text.split(",") if tok.strip())
-
-
-def _trials(text):
-    return tuple(range(int(text)))
+_int_list = _value_type("comma-separated integers", lambda text: tuple(int(tok) for tok in text.split(",") if tok.strip()))
+_float_list = _value_type("comma-separated numbers", lambda text: tuple(float(tok) for tok in text.split(",") if tok.strip()))
+_trials = _value_type("an integer number of trials", lambda text: tuple(range(int(text))))
 
 
 def _add_common(p):
@@ -173,15 +178,15 @@ def _cmd_data_rs_make(args):
     return 0
 
 
-class _Parser(argparse.ArgumentParser):
-    """An argument parser whose errors take one stderr line, like every other bad input."""
+class OneLineParser(argparse.ArgumentParser):
+    """An argument parser whose errors take one stderr line and exit 2, like every other bad input."""
 
     def error(self, message):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
 def build_parser():
-    parser = _Parser(prog="rstcnn", description=__doc__.splitlines()[0])
+    parser = OneLineParser(prog="rstcnn", description=__doc__.splitlines()[0])
     groups = parser.add_subparsers(dest="group", required=True)
 
     basis = groups.add_parser("basis", help="basis diagnostics").add_subparsers(

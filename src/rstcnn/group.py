@@ -213,20 +213,31 @@ def _lattice_steps(value, step, name):
     return int(kr)
 
 
+def channel_sources(g, feat):
+    """The input channels act_on_feature(g, feat) reads, as (rot, sc) index arrays.
+
+    Output channel (r, s) reads input rotation rot[r] = (r - d_rot) mod N_r
+    and input scale sc[s] = s - d_sc, where eta = d_rot * rotation_step and
+    beta = d_sc * scale_step (OffLatticeError otherwise); an sc[s] outside
+    [0, N_s) lies beyond the truncated axis and reads zero.
+    """
+    d_rot = _lattice_steps(g.eta, feat.rotation_step, "eta")
+    d_sc = _lattice_steps(g.beta, feat.scale_step, "beta")
+    n_r, n_s = feat.values.shape[-4:-2]
+    return (np.arange(n_r) - d_rot) % n_r, np.arange(n_s) - d_sc
+
+
 def act_on_feature(g, feat):
     """Transformed feature map: shift rotation/scale channels, warp space.
 
     output(u, theta, alpha) = input(R_{-eta} 2^{-beta} (u - v), theta - eta,
     alpha - beta).  eta must be a multiple of rotation_step and beta a
     multiple of the scale-channel step (OffLatticeError otherwise); scale
-    channels shifted in from beyond the truncated axis are zero.
+    channels shifted in from beyond the truncated axis are zero.  The
+    channel each output channel reads is channel_sources(g, feat).
     """
-    d_rot = _lattice_steps(g.eta, feat.rotation_step, "eta")
-    d_sc = _lattice_steps(g.beta, feat.scale_step, "beta")
-    n_r, n_s = feat.values.shape[-4:-2]
-    # output channel (r, s) reads input channel (r - d_rot mod N_r, s - d_sc)
-    rot = (np.arange(n_r) - d_rot) % n_r
-    sc = np.arange(n_s) - d_sc
+    rot, sc = channel_sources(g, feat)
+    n_s = len(sc)
     vals = feat.values[..., rot[:, None], np.clip(sc, 0, n_s - 1), :, :]
     vals[..., (sc < 0) | (sc >= n_s), :, :] = 0.0
     warped = bilinear_sample(vals, *_warp_grid(g, *vals.shape[-2:]))

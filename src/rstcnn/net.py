@@ -27,8 +27,12 @@ The convolutions and forward also take a leading batch axis: images [N, M,
 H, W] give feature maps [N, M, N_r, N_s, H, W].  Each filter spectrum is
 built once per call and multiplied into every sample, in the same order as
 for a single sample, so each sample's output is bit-identical whatever else
-is in the batch.  The analysis runners send each image pair they compare
-through forward as one batch of 2.
+is in the batch.  forward_layers yields the layers one at a time, and the
+analysis runners reduce each layer before the next is computed: the
+equivariance and stability runners send each image pair they compare
+through as one batch of 2, and the non-expansiveness report sends 4 trial
+pairs (8 samples) per batch.  Larger batches would run faster but raise the
+memory peak, which grows with the batch.
 
 Each correlation runs on every CPU the process may use.  The forward rfft2
 is split into contiguous parts over the flattened (sample, input channel)
@@ -362,10 +366,12 @@ def _group_correlate(vals, filters, bias):
     ey = np.exp(2j * math.pi * (np.outer(np.arange(P), taps) % P) / P)
     ex = np.exp(2j * math.pi * (np.outer(taps, np.arange(Q // 2 + 1)) % Q) / Q)
     acc = np.zeros((n, m_out, n_r, n_s) + xf.shape[-2:], dtype=complex)
-    prod = np.empty_like(acc)
 
     def multiply_add(lo, hi):
-        part, scratch = acc[:, lo:hi], prod[:, lo:hi]
+        part = acc[:, lo:hi]
+        # Products go through a scratch of one sample's part, not of all of acc:
+        # each sample's products are added before the next sample's are formed.
+        scratch = np.empty(part.shape[1:], dtype=complex)
         for t in range(l_th):
             # Output rotation r reads input rotation (r + shift) mod N_r: rows
             # [shift, N_r) feed r < N_r - shift and rows [0, shift) the rest.
@@ -378,13 +384,14 @@ def _group_correlate(vals, filters, bias):
                     # by every sample: all slices of a fig3 K=10, L_alpha=3 layer
                     # at 56x56 together would take about 117 MB.
                     spec = ey @ (filters[i, lo:hi, :, t, :n_val, q] @ (w_alpha[q] / l_th * ex))
-                    np.multiply(spec[:, :split], xf[:, None, i, shift:, q : q + n_val], out=scratch[:, :, :split, :n_val])
-                    np.multiply(spec[:, split:], xf[:, None, i, :shift, q : q + n_val], out=scratch[:, :, split:, :n_val])
-                    part[:, :, :, :n_val] += scratch[:, :, :, :n_val]
+                    for b in range(n):
+                        np.multiply(spec[:, :split], xf[b, i, shift:, q : q + n_val], out=scratch[:, :split, :n_val])
+                        np.multiply(spec[:, split:], xf[b, i, :shift, q : q + n_val], out=scratch[:, split:, :n_val])
+                        part[b, :, :, :n_val] += scratch[:, :, :n_val]
 
     _run_parts(transform, len(rows_in))
     _run_parts(multiply_add, m_out)
-    del xf, prod, rows_xf  # freed before the output and inverse transforms allocate theirs
+    del xf, rows_xf  # freed before the output and inverse transforms allocate theirs
     out = np.empty((n, m_out, n_r, n_s, H, W))
 
     def inverse(lo, hi):
@@ -445,12 +452,14 @@ def joint_conv(x, filters, bias, spec):
     return FeatureMap(out, x.rotation_step, x.scale_grid.copy())
 
 
-def forward(net, coeffs, x, return_all=False):
-    """Run the full network; returns the last FeatureMap (or all of them).
+def forward_layers(net, coeffs, x):
+    """Run the network layer by layer, yielding each layer's FeatureMap in turn.
 
     x may hold one image [M, H, W] or a batch [N, M, H, W]; a batch runs every
     layer once for all N samples, and each sample's features are bit-identical
-    to its own single-image run.
+    to its own single-image run.  Only the layer being computed and its input
+    are held here, so a caller that reduces each map before asking for the
+    next never holds every layer at once.
     """
     if len(coeffs) != net.depth:
         raise ConfigError(f"expected {net.depth} coefficient tensors, got {len(coeffs)}")
@@ -458,7 +467,6 @@ def forward(net, coeffs, x, return_all=False):
     # synthesis einsum can make a multi-threaded BLAS call, after which the
     # BLAS threads spin for a while on the CPUs the correlation parts need.
     filters = [synthesize_filters(coeffs[idx], layer_bank(net, idx), spec) for idx, spec in enumerate(net.layers)]
-    feats = []
     cur = x
     for idx, spec in enumerate(net.layers):
         filt, filters[idx] = filters[idx], None  # freed once used
@@ -466,5 +474,18 @@ def forward(net, coeffs, x, return_all=False):
             cur = lifting_conv(cur, filt, coeffs[idx].b, net.scale_grid)
         else:
             cur = joint_conv(cur, filt, coeffs[idx].b, spec)
-        feats.append(cur)
-    return feats if return_all else feats[-1]
+        yield cur
+
+
+def forward(net, coeffs, x, return_all=False):
+    """Run the full network; returns the last FeatureMap, or the list of every layer's.
+
+    The features are forward_layers'; without return_all only the current
+    layer is kept.
+    """
+    layers = forward_layers(net, coeffs, x)
+    if return_all:
+        return list(layers)
+    for cur in layers:
+        pass
+    return cur

@@ -230,3 +230,71 @@ def chunked_filter_bounds(coeffs, basis, spec, grid_n, n_theta):
         "D": float(Du) * 2.0**-spec.resolved_scale,
         "A": filter_amplitude(coeffs, basis),
     }
+
+
+def pairwise_nonexpansiveness_report(net, coeffs, n_trials, seed, height=28, width=28):
+    """nonexpansiveness_report with one forward per trial pair, every layer held at once.
+
+    The report as it was before it grouped trials into batches: each trial's
+    pair (x1, x2) from the (seed, trial) stream goes through the package's
+    forward as a batch of 2 with return_all, and the ratios are taken over
+    the listed layers.
+    """
+    from rstcnn.analysis import NonexpansivenessReport
+    from rstcnn.group import ImageTensor
+    from rstcnn.net import forward
+    from rstcnn.norms import feature_norm
+
+    zero = np.zeros((net.layers[0].in_channels, height, width))
+    zero_feats = forward(net, coeffs, ImageTensor(zero), return_all=True)
+    constancy = 0.0
+    for f in zero_feats:
+        flat = f.values.reshape(f.values.shape[0], -1)
+        constancy = max(constancy, float((flat.max(axis=1) - flat.min(axis=1)).max()))
+    per_layer = [0.0] * net.depth
+    centered_worst = 0.0
+    for t in range(n_trials):
+        rng = np.random.default_rng([seed, t])
+        x1 = rng.uniform(0.0, 1.0, size=zero.shape)
+        x2 = rng.uniform(0.0, 1.0, size=zero.shape)
+        d0 = feature_norm(x1 - x2)
+        feats = forward(net, coeffs, ImageTensor(np.stack([x1, x2])), return_all=True)
+        for l, f in enumerate(feats):
+            per_layer[l] = max(per_layer[l], feature_norm(f.values[0] - f.values[1]) / d0)
+        prev = feature_norm(x1)
+        for l, f in enumerate(feats):
+            cur = feature_norm(f.values[0] - zero_feats[l].values)
+            if prev > 0.0:
+                centered_worst = max(centered_worst, cur / prev)
+            prev = cur
+    return NonexpansivenessReport(
+        worst_ratio=max(per_layer) if per_layer else 0.0,
+        per_layer_worst=tuple(per_layer),
+        centered_worst=centered_worst,
+        constancy_dev=constancy,
+        n_trials=n_trials,
+    )
+
+
+def full_map_equivariance_errors(net, coeffs, x, g, margin=4):
+    """Per-layer equivariance errors read from the whole D_g x^(l)[x] map.
+
+    The package's act_on_feature warps every channel of x^(l)[x]; the
+    rotation-0, middle-scale slice of the result is then compared with that
+    of x^(l)[D_g x], both restricted to the margin interior.  A zero
+    reference slice gives inf.
+    """
+    from rstcnn.group import FeatureMap, ImageTensor, act_on_feature, act_on_image
+    from rstcnn.net import forward
+
+    pair = ImageTensor(np.stack([act_on_image(g, x).values, x.values]))
+    mid = net.n_scales // 2
+    sl = slice(margin, -margin) if margin > 0 else slice(None)
+    errors = []
+    for f in forward(net, coeffs, pair, return_all=True):
+        plain = FeatureMap(f.values[1], f.rotation_step, f.scale_grid)
+        a = f.values[0][:, 0, mid, sl, sl]
+        b = act_on_feature(g, plain).values[:, 0, mid, sl, sl]
+        den = float(np.linalg.norm(b))
+        errors.append(float(np.linalg.norm(a - b)) / den if den > 0.0 else math.inf)
+    return tuple(errors)

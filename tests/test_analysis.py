@@ -1,6 +1,7 @@
 """Equivariance errors, stability certificates, and filter-bound quadrature."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,14 +16,17 @@ from rstcnn import (
     NetworkConfig,
     UndefinedEquivarianceError,
     build_basis,
+    build_network,
     disk_quadrature,
     equivariance_curve,
     equivariance_error,
     feature_norm,
+    fig3_config,
     filter_bound_report,
     forward,
     init_coeffs,
     isometry_deviation,
+    layer_bank,
     layer_basis,
     make_tau,
     make_tau_targeting_grad,
@@ -30,8 +34,10 @@ from rstcnn import (
     normalize_coeffs_A2,
     smooth_feature_values,
     stability_certificate,
+    sweep_input,
     tau_norms,
 )
+from rstcnn.analysis import REPORT_PAIRS
 import reference
 from conftest import interior_image, small_net
 
@@ -149,6 +155,58 @@ def test_nonexpansiveness_with_normalized_coefficients():
     assert report.worst_ratio <= 1.0 + 1e-9
     assert report.centered_worst <= 1.0 + 1e-9
     assert report.constancy_dev < 1e-10  # zero bias: zero input stays zero
+
+
+@pytest.mark.parametrize("n_trials", [1, 3, 4, 5, 9])
+def test_nonexpansiveness_report_equals_per_pair_oracle(n_trials):
+    # partial and whole batches of REPORT_PAIRS trial pairs give the per-pair report exactly
+    net = small_net(layers=3, channels=2, L_alpha=2, max_angular=2)
+    coeffs = init_coeffs(net, seed=6)
+    got = nonexpansiveness_report(net, coeffs, n_trials=n_trials, seed=11, height=15, width=15)
+    want = reference.pairwise_nonexpansiveness_report(net, coeffs, n_trials=n_trials, seed=11, height=15, width=15)
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "L_alpha, v, beta",
+    [(3, (0.0, 0.0), -0.5), (3, (1.5, -2.0), -0.5), (1, (2.0, 1.0), -0.5), (1, (0.0, 0.0), 1.5)],
+    ids=["fig3-La3", "fig3-La3-translated", "fig3-La1-translated", "beyond-scale-axis"],
+)
+def test_equivariance_curve_equals_full_map_oracle(L_alpha, v, beta):
+    # the curve warps only the compared channel; the oracle warps every channel and slices
+    cfg = fig3_config(height=24, width=24, channels=1, k_list=(3,))
+    net = build_network(cfg, 3, L_alpha, seed=0)
+    coeffs = init_coeffs(net)
+    g = GroupElement(-math.pi / 2.0, beta, v)
+    errors = equivariance_curve(net, coeffs, sweep_input(cfg, 0), g).errors
+    assert errors == reference.full_map_equivariance_errors(net, coeffs, sweep_input(cfg, 0), g)
+    if L_alpha == 3:
+        assert math.isinf(errors[3]) and math.isinf(errors[4]) and all(math.isfinite(e) for e in errors[:3])
+    if beta == 1.5:  # the middle of 9 channels 0.25 apart reads channel 4 - 6 = -2
+        assert all(math.isinf(e) for e in errors)
+
+
+def test_batched_report_forward_peaks_below_a_sweep_forward():
+    # one REPORT_PAIRS batch of the criterion-5 network at 28x28 against one
+    # fig3 K=10, L_alpha=3 pair at 56x56, the largest forward of a sweep
+    cfg = fig3_config()
+    runs = []
+    for K, L_alpha, samples, side in ((5, 1, 2 * REPORT_PAIRS, 28), (10, 3, 2, 56)):
+        net = build_network(cfg, K, L_alpha, seed=0)
+        coeffs = init_coeffs(net)
+        for idx in range(net.depth):
+            layer_bank(net, idx)  # banks are cached across forwards, so not part of either peak
+        x = ImageTensor(np.random.default_rng(0).uniform(size=(samples, 1, side, side)))
+        runs.append((net, coeffs, x))
+    peaks = []
+    for net, coeffs, x in runs:
+        tracemalloc.start()
+        try:
+            forward(net, coeffs, x)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1]
 
 
 def test_filter_bounds_vanish_for_zero_coefficients(tiny_net):

@@ -49,6 +49,22 @@ def test_bad_usage_exits_two(capsys):
         assert "--workers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["equi", "sweep", "--seeds", "0,x"], "argument --seeds: expected comma-separated integers, got '0,x'"),
+        (["stab", "trials", "--trials", "x"], "argument --trials: expected an integer number of trials, got 'x'"),
+        (["stab", "trials", "--grad-levels", "a"], "argument --grad-levels: expected comma-separated numbers, got 'a'"),
+    ],
+    ids=["seeds", "trials", "grad-levels"],
+)
+def test_malformed_value_names_the_expected_form(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.endswith(f"error: {message}\n") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
 def test_basis_validate_report(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(["basis", "validate", "--k-list", "3", "--out", str(out)]) == 0

@@ -17,6 +17,7 @@ from rstcnn.group import (
     act_on_feature,
     act_on_image,
     bilinear_sample,
+    channel_sources,
     compose,
     inverse,
     pixel_axes,
@@ -219,6 +220,12 @@ def test_feature_channel_shift_matches_roll_and_copy(d_rot, d_sc):
     out = act_on_feature(g, feat)
     shifted = reference.shift_feature_channels(feat.values, d_rot, d_sc)
     assert np.array_equal(out.values, bilinear_sample(shifted, *_warp_grid(g, 9, 10)))
+    # channel_sources names the channel each shifted channel copies, or one beyond the scale axis
+    rot, sc = channel_sources(g, feat)
+    for r in range(4):
+        for s in range(3):
+            want = feat.values[:, rot[r], sc[s]] if 0 <= sc[s] < 3 else 0.0
+            assert np.array_equal(shifted[:, r, s], np.broadcast_to(want, shifted[:, r, s].shape))
 
 
 def off_canvas(g, H, W):

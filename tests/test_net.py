@@ -28,6 +28,7 @@ from rstcnn import (
     draw_coeffs,
     filter_amplitude,
     forward,
+    forward_layers,
     init_coeffs,
     joint_conv,
     layer_bank,
@@ -512,14 +513,23 @@ def test_init_coeffs_draws_each_layer_from_its_own_stream(seed):
 def test_forward_shapes_and_return_all():
     net = small_net(layers=3, channels=2, L_alpha=2, max_angular=2)
     coeffs = init_coeffs(net, seed=1)
-    x = interior_image(height=15, width=17, margin=4, channels=1)
-    feats = forward(net, coeffs, x, return_all=True)
-    assert len(feats) == 3
-    for f in feats:
-        assert f.values.shape == (2, 4, 3, 15, 17)
-        assert f.rotation_step == pytest.approx(math.pi / 2)
-    last = forward(net, coeffs, x)
-    np.testing.assert_array_equal(last.values, feats[-1].values)
+    single = interior_image(height=15, width=17, margin=4, channels=1)
+    pair = ImageTensor(np.stack([interior_image(height=15, width=17, margin=4, seed=s).values for s in range(2)]))
+    for x, lead in ((single, ()), (pair, (2,))):
+        feats = forward(net, coeffs, x, return_all=True)
+        assert len(feats) == 3
+        for f in feats:
+            assert f.values.shape == lead + (2, 4, 3, 15, 17)
+            assert f.rotation_step == pytest.approx(math.pi / 2)
+        # the generator yields the very maps return_all lists, and forward returns the last
+        layers = list(forward_layers(net, coeffs, x))
+        assert len(layers) == len(feats)
+        for got, want in zip(layers, feats):
+            np.testing.assert_array_equal(got.values, want.values)
+            assert got.rotation_step == want.rotation_step
+            np.testing.assert_array_equal(got.scale_grid, want.scale_grid)
+        last = forward(net, coeffs, x)
+        np.testing.assert_array_equal(last.values, layers[-1].values)
 
 
 @pytest.mark.parametrize(

@@ -41,7 +41,7 @@ def test_stability_demo_script(tmp_path, capsys):
     [
         ("run_stability_demo", ["--trials", "1", "--beta", "0.3"], "off-lattice group element: beta=0.3"),
         ("run_stability_demo", ["--trials", "0"], "config error: seeds must be non-empty"),
-        ("run_five_layer_sweep", ["--seeds", "0,x"], "argument --seeds: invalid _int_list value: '0,x'"),
+        ("run_five_layer_sweep", ["--seeds", "0,x"], "argument --seeds: expected comma-separated integers, got '0,x'"),
     ],
     ids=["stab-off-lattice-beta", "stab-zero-trials", "sweep-bad-seed"],
 )
@@ -51,4 +51,15 @@ def test_scripts_exit_two_naming_the_cause(tmp_path, capsys, script, argv, cause
     assert load_script(script).main(argv + ["--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert cause in captured.err and captured.err.count("\n") == 1
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("script", ["run_stability_demo", "run_five_layer_sweep"])
+def test_scripts_reject_an_unknown_flag_in_one_line(tmp_path, capsys, script):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        load_script(script).main(["--foo", "--out", str(out)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "unrecognized arguments: --foo" in captured.err and captured.err.count("\n") == 1
     assert captured.out == "" and not out.exists()
