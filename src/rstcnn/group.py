@@ -160,6 +160,15 @@ def bilinear_sample(values, x, y):
     grid and two after, which holds all four taps of a point clipped to rows
     [-1, H] and columns [-1, W]; the clip changes no value and bounds floor().
     """
+    return _sample_planes(values, 2, np.zeros((), dtype=np.int64), x, y)
+
+
+def _sample_planes(values, planes, source, x, y):
+    """bilinear_sample of a stack of planes: the last `planes` axes of values flatten to framed H x W planes.
+
+    Output plane c reads stack plane source[c], or only zeros where source[c]
+    < 0; the result has shape values.shape[:-planes] + source.shape + S.
+    """
     H, W = values.shape[-2], values.shape[-1]
     col = np.clip(np.asarray(x, dtype=np.float64) + (W - 1) / 2.0, -1.0, W)
     row = np.clip(np.asarray(y, dtype=np.float64) + (H - 1) / 2.0, -1.0, H)
@@ -169,9 +178,12 @@ def bilinear_sample(values, x, y):
     fc = col - c0
     framed = np.zeros(values.shape[:-2] + (H + 3, W + 3), dtype=np.float64)
     framed[..., 1 : H + 1, 1 : W + 1] = values
-    flat = framed.reshape(values.shape[:-2] + (-1,))
-    top_left = (r0 + 1) * (W + 3) + (c0 + 1)
-    out = np.zeros(values.shape[:-2] + col.shape, dtype=np.float64)
+    flat = framed.reshape(values.shape[:-planes] + (-1,))
+    # A point clipped to (H, W) reads only the frame, so source < 0 reads there.
+    source = source.reshape(source.shape + (1,) * col.ndim)
+    top_left = (r0 + 1) * (W + 3) + c0 + 1
+    top_left = np.where(source < 0, (H + 1) * (W + 3) + W + 1, source * (H + 3) * (W + 3) + top_left)
+    out = np.zeros(flat.shape[:-1] + top_left.shape, dtype=np.float64)
     for offset, w in (
         (0, (1.0 - fr) * (1.0 - fc)),
         (1, (1.0 - fr) * fc),
@@ -238,7 +250,7 @@ def act_on_feature(g, feat):
     """
     rot, sc = channel_sources(g, feat)
     n_s = len(sc)
-    vals = feat.values[..., rot[:, None], np.clip(sc, 0, n_s - 1), :, :]
-    vals[..., (sc < 0) | (sc >= n_s), :, :] = 0.0
-    warped = bilinear_sample(vals, *_warp_grid(g, *vals.shape[-2:]))
+    # One gather: each output channel's taps read its source's framed plane.
+    source = np.where((sc >= 0) & (sc < n_s), rot[:, None] * n_s + sc, -1)
+    warped = _sample_planes(feat.values, 4, source, *_warp_grid(g, *feat.values.shape[-2:]))
     return FeatureMap(warped, feat.rotation_step, feat.scale_grid.copy())

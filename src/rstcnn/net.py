@@ -11,11 +11,13 @@ so the layer's filter-amplitude bound A_l is at most one, which makes
 every layer non-expansive in the feature norm.
 
 All convolutions are cross-correlations with "same" zero padding and unit
-pixel pitch, evaluated on Fourier spectra.  Each input slice is zero-padded
-by (L-1)/2 on every side to (H+L-1, W+L-1), so a circular correlation of
-that size never wraps data into the H x W output and equals the padded
-linear one; its rfft2 is multiplied by the conjugate spectra of the filters
-and one irfft2 per output slice, cropped to H x W, gives the spatial sums.
+pixel pitch, evaluated on Fourier spectra.  Each input slice is placed after
+a band of p = (L-1)/2 zero rows and columns on a (H+p, W+p) grid.  Output
+row u < H reads grid rows u + t for taps t < L, all below H + 2p; those at
+or past H + p wrap to rows below p, which is the zero band, so the circular
+correlation on this grid equals the zero-padded linear one (columns alike).
+Its rfft2 is multiplied by the conjugate spectra of the filters and one
+irfft2 per output slice, cropped to H x W, gives the spatial sums.
 The rotation sum reads the spectrum stack cyclically (tap l_theta reads
 rotation r + l_theta * N_r / L_theta mod N_r, as two contiguous slices of
 the stack rather than a rolled copy); the scale sum is an upward shift of it
@@ -339,6 +341,11 @@ def _group_correlate(vals, filters, bias):
     L_theta) mod R, tap q reads scale s + q (nothing above the top channel)
     and carries weight alpha_weights(L_alpha)[q] / L_theta.  Returns [N,
     M_out, N_r, N_s, H, W].
+
+    A (tap, input channel) slice whose filters are zero for every output
+    channel (the end scale taps of a Dirichlet profile, say) gets no
+    spectrum and adds no products: acc starts at +0 and never becomes -0,
+    so adding its +-0 products would change no bit.
     """
     m_in, m_out, n_r, l_th, n_s, l_al, L, _ = filters.shape
     d_step = vals.shape[2] // l_th
@@ -346,7 +353,7 @@ def _group_correlate(vals, filters, bias):
     n = vals.shape[0]
     H, W = vals.shape[-2:]
     p = (L - 1) // 2
-    P, Q = H + 2 * p, W + 2 * p
+    P, Q = H + p, W + p
     xf = np.empty(vals.shape[:4] + (P, Q // 2 + 1), dtype=complex)
     rows_in = vals.reshape((-1,) + vals.shape[2:])
     rows_xf = xf.reshape((-1,) + xf.shape[2:])
@@ -361,11 +368,12 @@ def _group_correlate(vals, filters, bias):
             rows_xf[j] = np.fft.rfft2(padded)
 
     # Conjugated DFT rows restricted to the L-tap support: ey @ f @ ex is the
-    # conjugate rfft2 of f zero-padded to (P, Q), so products with xf correlate.
+    # conjugate rfft2 of f laid cyclically on (P, Q), so products with xf correlate.
     taps = np.arange(L)
     ey = np.exp(2j * math.pi * (np.outer(np.arange(P), taps) % P) / P)
     ex = np.exp(2j * math.pi * (np.outer(taps, np.arange(Q // 2 + 1)) % Q) / Q)
     acc = np.zeros((n, m_out, n_r, n_s) + xf.shape[-2:], dtype=complex)
+    live = filters.any(axis=(1, 2, 4, 6, 7))  # [M_in, L_theta, L_alpha], over every output channel
 
     def multiply_add(lo, hi):
         part = acc[:, lo:hi]
@@ -379,7 +387,7 @@ def _group_correlate(vals, filters, bias):
             split = n_r - shift
             for q in range(min(l_al, n_s)):
                 n_val = n_s - q
-                for i in range(m_in):
+                for i in np.flatnonzero(live[:, t, q]):
                     # Spectra of one (tap, input channel) slice at a time, shared
                     # by every sample: all slices of a fig3 K=10, L_alpha=3 layer
                     # at 56x56 together would take about 117 MB.

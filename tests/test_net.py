@@ -179,6 +179,8 @@ LIFTING_EDGE_SHAPES = [
     (1, 2, 2, 3, 6, 9, 5),  # H != W, even x odd
     (2, 1, 2, 2, 7, 4, 3),  # H != W, odd x even
     (1, 1, 2, 2, 3, 4, 7),  # stencil wider than the image
+    (1, 2, 2, 2, 2, 3, 9),  # stencil wider than twice the image: taps wrap past the H+p grid
+    (2, 1, 2, 1, 1, 4, 7),  # a single row
     (3, 2, 2, 1, 5, 5, 3),  # M_in != M_out
 ]
 
@@ -186,6 +188,8 @@ JOINT_EDGE_SHAPES = [
     (2, 2, 4, 3, 6, 9, 3, 2, 2),  # H != W, even x odd
     (2, 2, 4, 3, 7, 4, 3, 2, 2),  # H != W, odd x even
     (1, 2, 2, 2, 3, 4, 7, 1, 1),  # stencil wider than the image
+    (1, 2, 2, 2, 2, 3, 9, 2, 2),  # stencil wider than twice the image: taps wrap past the H+p grid
+    (2, 1, 2, 2, 1, 4, 7, 1, 2),  # a single row
     (2, 1, 2, 2, 4, 5, 3, 2, 4),  # L_alpha > N_s: taps q >= N_s read only zeros
     (1, 1, 4, 2, 5, 5, 3, 1, 2),  # L_theta = 1
     (1, 1, 4, 2, 5, 5, 3, 4, 2),  # L_theta = N_r
@@ -300,6 +304,26 @@ def test_joint_conv_is_bit_identical_for_every_part_count(m_out, monkeypatch):
         y, x0 = rng.integers(6), rng.integers(7)
         want = reference.naive_joint_at(vals[b], filters, bias, o, r, s, y, x0)
         assert outs[0][b, o, r, s, y, x0] == pytest.approx(want, abs=1e-10)
+
+
+@pytest.mark.parametrize("m_out", [1, 2, 3])
+def test_joint_conv_skips_all_zero_tap_slices_exactly(m_out, monkeypatch):
+    # The fig3 L_alpha = 3 pattern: both end scale taps are zero for every
+    # channel, and tap (t=1, q=1) is zero for input channel 1 only.
+    rng = np.random.default_rng(54)
+    spec = LayerSpec(2, m_out, 1, 5, L_theta=2, L_alpha=3)
+    vals = rng.standard_normal((2, 2, 4, 3, 6, 7))
+    feat = FeatureMap(vals, math.pi / 2, np.linspace(-1.0, 1.0, 3))
+    filters = rng.standard_normal((2, m_out, 4, 2, 3, 3, 5, 5))
+    filters[:, :, :, :, :, [0, 2]] = 0.0
+    filters[1, :, :, 1, :, 1] = 0.0
+    bias = rng.standard_normal(m_out)
+    outs = outputs_per_part_count(monkeypatch, lambda: joint_conv(feat, filters, bias, spec).values)
+    for out in outs[1:]:
+        assert np.array_equal(out, outs[0])
+    for pos in np.ndindex(outs[0].shape):
+        want = reference.naive_joint_at(vals[pos[0]], filters, bias, *pos[1:])
+        assert outs[0][pos] == pytest.approx(want, abs=1e-10)
 
 
 def test_concurrent_callers_share_the_part_pool(monkeypatch):
