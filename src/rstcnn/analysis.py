@@ -18,7 +18,7 @@ import numpy as np
 from .basis import angular_matrix, eval_spatial_stack, unit_grid
 from .deform import apply_deformation, tau_norms
 from .group import FeatureMap, ImageTensor, act_on_feature, act_on_image, channel_sources
-from .net import aggregate_channels, filter_amplitude, forward, forward_layers, layer_basis, theta_taps
+from .net import aggregate_channels, filter_amplitude, forward, forward_layers, layer_basis, run_parts, theta_taps
 from .norms import feature_norm
 
 
@@ -308,17 +308,34 @@ def disk_quadrature(basis, grid_n):
     return _DiskQuadrature(basis.spatial, vals.compress(keep, axis=1), gx, gy, radius, h2)
 
 
+# Size of each GEMM of _pair_sums, rows x basis elements x support points.
+# Above about 1e6 OpenBLAS starts its own threads for a GEMM, which then
+# compete with the part pool running the theta samples; smaller blocks pay
+# more Python overhead, which the GIL serializes.  On 2 CPUs the split slowed
+# past 8192 points at 12 rows and K = 10 (16384 is 2.0e6), and past 2048 at
+# 27 or 48 rows or at K = 30.  The joint layer of bounds report (12 rows,
+# K = 10, 64 samples, median of 9) took 0.37-0.40 s serially, and split with
+# no blocks 0.44-0.52, in blocks of 1024 points 0.45, 2048 0.29, 4096 0.24,
+# 8192 0.20 and 16384 0.52.  This size gives it blocks of 4096.
+_BLOCK_SIZE = 12 * 10 * 4096
+
+
 def _pair_sums(c, quad):
     """Per row of c [R, K]: the sums of |W|, r |grad W| and |grad W| for W = c @ basis, as [3, R]."""
-    w = c @ quad.vals
-    b = np.abs(w, out=w).sum(axis=1)
-    gx = c @ quad.gx
-    gy = np.matmul(c, quad.gy, out=w)
-    np.square(gx, out=gx)
-    np.square(gy, out=gy)
-    gx += gy
-    gmag = np.sqrt(gx, out=gx)
-    return np.stack([b, gmag @ quad.radius, gmag.sum(axis=1)])
+    sums = np.zeros((3, len(c)))
+    step = max(1, _BLOCK_SIZE // c.size)
+    for lo in range(0, quad.radius.size, step):
+        block = slice(lo, lo + step)
+        w = c @ quad.vals[:, block]
+        b = np.abs(w, out=w).sum(axis=1)
+        gx = c @ quad.gx[:, block]
+        gy = np.matmul(c, quad.gy[:, block], out=w)
+        np.square(gx, out=gx)
+        np.square(gy, out=gy)
+        gx += gy
+        gmag = np.sqrt(gx, out=gx)
+        sums += np.stack([b, gmag @ quad.radius[block], gmag.sum(axis=1)])
+    return sums
 
 
 def filter_bound_report(coeffs, basis, spec, quad, n_theta=64):
@@ -340,11 +357,18 @@ def filter_bound_report(coeffs, basis, spec, quad, n_theta=64):
     else:
         phi = angular_matrix(basis, theta_taps(n_theta))  # [n_ang, n_theta]
         # The normalized-S^1 theta average, one sample at a time: each is three
-        # small GEMMs over the support points, and no grid-sized tensor per theta forms.
-        sums = np.zeros((3, m_in * m_out * a.shape[4]))
-        for t in range(n_theta):
-            sums += _pair_sums(np.einsum("abkmn,m->abnk", a, phi[:, t]).reshape(-1, K), quad)
-        sums *= quad.h2 / n_theta
+        # small GEMMs per block of support points, and no grid-sized tensor
+        # per theta forms.  The samples are split over the part pool; each
+        # writes its own row, and the rows are summed once all are written,
+        # so the sums are bit-identical for every part count.
+        per_theta = np.empty((n_theta, 3, m_in * m_out * a.shape[4]))
+
+        def part(lo, hi):
+            for t in range(lo, hi):
+                per_theta[t] = _pair_sums(np.einsum("abkmn,m->abnk", a, phi[:, t]).reshape(-1, K), quad)
+
+        run_parts(part, n_theta)
+        sums = per_theta.sum(axis=0) * (quad.h2 / n_theta)
     B, C, Du = (aggregate_channels(p, joint=not coeffs.is_lifting) for p in sums.reshape(3, m_in, m_out, -1))
     j = spec.resolved_scale
     A = filter_amplitude(coeffs, basis)

@@ -141,9 +141,9 @@ def eval_spatial_stack(elements, points, grad=False):
     With grad=True returns (values, gradients [K, ..., 2]), the Cartesian
     gradients.  Both are zero on and outside each element's domain.  Shared
     work is done once per call: one J_m pass (and, for gradients, one
-    J_{m-1} pass) per Fourier-Bessel radial mode serves its cos and sin
-    elements, and sine-basis elements share their per-index sine and cosine
-    factors.
+    J_{m-1} pass) per Fourier-Bessel radial mode, over the distinct radii of
+    the points, serves its cos and sin elements, and sine-basis elements
+    share their per-index sine and cosine factors.
     """
     pts = np.asarray(points, dtype=np.float64)
     x = pts[..., 0]
@@ -164,6 +164,11 @@ def _fill_fb(elements, rows, x, y, vals, grads):
     rho = np.hypot(x, y)
     inside = rho < 1.0
     phi = np.arctan2(y, x)
+    # Each radial function runs on the distinct radii only (16,515 of the
+    # 70,663 inside points of a 301 x 301 grid) and is scattered back.  That
+    # changes no bit: bessel_j sees its points only through their largest
+    # value and their set of values, which the distinct radii share.
+    radii, back = np.unique(rho[inside], return_inverse=True)
     if grads is not None:
         cu = np.cos(phi[inside])
         su = np.sin(phi[inside])
@@ -172,10 +177,10 @@ def _fill_fb(elements, rows, x, y, vals, grads):
         modes.setdefault((elements[k].indices[0], elements[k].eigenvalue), []).append(k)
     for (m, mu), members in modes.items():
         lam = math.sqrt(mu)
-        r = lam * rho[inside]
+        r = lam * radii
         radial = np.zeros_like(rho)
         jm = bessel_j(m, r)
-        radial[inside] = jm
+        radial[inside] = jm[back]
         harmonics = {elements[k].harmonic for k in members}
         trig = {h: np.cos(m * phi) if h == "cos" else np.sin(m * phi) for h in harmonics}
         for k in members:
@@ -185,7 +190,8 @@ def _fill_fb(elements, rows, x, y, vals, grads):
         # m J_m(lam rho) / rho = lam * (m J_m(r) / r), finite at the origin
         j_over = _j_over_x(m, r, jm) if m else np.zeros_like(r)
         # J_m' = J_{m-1} - m J_m / r, as in bessel_j_derivative
-        jprime = -bessel_j(1, r) if m == 0 else bessel_j(m - 1, r) - j_over
+        jprime = (-bessel_j(1, r) if m == 0 else bessel_j(m - 1, r) - j_over)[back]
+        j_over = j_over[back]
         cphi = np.cos(m * phi[inside])
         sphi = np.sin(m * phi[inside])
         for k in members:

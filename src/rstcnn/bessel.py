@@ -85,7 +85,10 @@ def bessel_j(order, x):
     starts its recurrence at an order set by the array's largest x, and
     _series runs until every point has converged.  So bessel_j(1, [7.5])
     and bessel_j(1, [7.5, 60.0])[0] can differ in the last bit, and results
-    agree bit for bit only for the same point set.
+    agree bit for bit only for the same set of values.  Nothing else about
+    the array matters (every other step is elementwise), so repeats and
+    order do not: evaluating on np.unique(x) and indexing the result back
+    gives the same bits as evaluating on x.
     """
     m = _check_order(order)
     xa = np.asarray(x, dtype=np.float64)

@@ -44,7 +44,10 @@ itself and a shared pool of threads, started on first use, runs the rest,
 so a one-CPU machine runs serially.  Every output element goes through the
 same operations in the same order whatever the split, and the FFTs
 transform each row on its own, so results are bit-identical for every part
-count.
+count.  analysis.filter_bound_report runs the theta samples of a joint
+layer's bounds on the same pool through run_parts: each sample's sums go to
+their own row and the caller sums the rows once all are written, so its
+report is bit-identical for every part count too.
 """
 
 from __future__ import annotations
@@ -304,17 +307,18 @@ def init_coeffs(net, seed=None):
     return [draw_coeffs(net, idx, np.random.default_rng([root, idx])) for idx in range(net.depth)]
 
 
-# Parts per parallel stage of _group_correlate: the CPUs this process may use.
+# Parts per parallel stage of _group_correlate and of the theta loop of
+# analysis.filter_bound_report: the CPUs this process may use.
 try:
     _PARTS = len(os.sched_getaffinity(0))
 except AttributeError:  # no affinity call on this platform
     _PARTS = os.cpu_count() or 1
-# The caller of _run_parts runs one part (which peaks lower in memory than
+# The caller of run_parts runs one part (which peaks lower in memory than
 # handing every part to the pool); these threads start on the first submit.
 _POOL = ThreadPoolExecutor(max(1, _PARTS - 1), thread_name_prefix="rstcnn-part")
 
 
-def _run_parts(fn, count):
+def run_parts(fn, count):
     """fn(lo, hi) over at most _PARTS contiguous near-equal parts of range(count).
 
     The caller runs the first part and the pool the others.  Every part has
@@ -397,8 +401,8 @@ def _group_correlate(vals, filters, bias):
                         np.multiply(spec[:, split:], xf[b, i, :shift, q : q + n_val], out=scratch[:, split:, :n_val])
                         part[b, :, :, :n_val] += scratch[:, :, :n_val]
 
-    _run_parts(transform, len(rows_in))
-    _run_parts(multiply_add, m_out)
+    run_parts(transform, len(rows_in))
+    run_parts(multiply_add, m_out)
     del xf, rows_xf  # freed before the output and inverse transforms allocate theirs
     out = np.empty((n, m_out, n_r, n_s, H, W))
 
@@ -413,7 +417,7 @@ def _group_correlate(vals, filters, bias):
         part += bias[lo:hi, None, None, None, None]
         np.maximum(part, 0.0, out=part)
 
-    _run_parts(inverse, m_out)
+    run_parts(inverse, m_out)
     return out
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import rstcnn.net
 from rstcnn import ImageTensor, LayerSpec, NetworkConfig, init_coeffs
 
 
@@ -46,6 +47,18 @@ def interior_image(height=21, width=21, margin=6, seed=0, channels=1):
             vals[c] += rng.uniform(0.5, 1.0) * np.exp(-((X - cx) ** 2 + (Y - cy) ** 2) / (2 * sig**2))
     envelope = np.clip(1.0 - np.maximum(np.abs(X), np.abs(Y)) / (min(height, width) / 2.0 - margin + 1e-9), 0.0, 1.0)
     return ImageTensor(vals * envelope**2)
+
+
+PART_COUNTS = (1, 2, 3)
+
+
+def outputs_per_part_count(monkeypatch, run):
+    """run() once for each forced part count of the part pool (net.run_parts)."""
+    outs = []
+    for parts in PART_COUNTS:
+        monkeypatch.setattr(rstcnn.net, "_PARTS", parts)
+        outs.append(run())
+    return outs
 
 
 @pytest.fixture

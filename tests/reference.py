@@ -169,6 +169,46 @@ def fourier_field_value(coeffs, box, comp, x, y):
     return acc
 
 
+def fb_stack_every_point(elements, points):
+    """Values [K, ...] and gradients [K, ..., 2] of Fourier-Bessel elements, J_m at every point.
+
+    Every Bessel call here gets every point inside the disk, repeats
+    included, one element at a time, where basis.eval_spatial_stack runs
+    each radial function on the distinct radii only.  A bessel_j value
+    depends on the point set it is evaluated with, so this is the oracle
+    for the claim that the distinct radii change no bit.  The arithmetic is
+    the package's, in the same order.
+    """
+    from rstcnn.bessel import bessel_j, bessel_j_derivative, bessel_j_over_x
+
+    pts = np.asarray(points, dtype=np.float64)
+    x, y = pts[..., 0], pts[..., 1]
+    rho = np.hypot(x, y)
+    inside = rho < 1.0
+    phi = np.arctan2(y, x)
+    cu, su = np.cos(phi[inside]), np.sin(phi[inside])
+    vals = np.zeros((len(elements),) + x.shape)
+    grads = np.zeros(vals.shape + (2,))
+    for k, e in enumerate(elements):
+        m, c = e.indices[0], e.normalization
+        lam = math.sqrt(e.eigenvalue)
+        r = lam * rho[inside]
+        radial = np.zeros_like(rho)
+        radial[inside] = bessel_j(m, r)
+        cphi, sphi = np.cos(m * phi[inside]), np.sin(m * phi[inside])
+        if e.harmonic == "cos":
+            vals[k] = c * radial * np.cos(m * phi)
+            d_rho = c * lam * bessel_j_derivative(m, r) * cphi
+            d_phi_over_rho = -c * lam * bessel_j_over_x(m, r) * sphi
+        else:
+            vals[k] = c * radial * np.sin(m * phi)
+            d_rho = c * lam * bessel_j_derivative(m, r) * sphi
+            d_phi_over_rho = c * lam * bessel_j_over_x(m, r) * cphi
+        grads[k, ..., 0][inside] = cu * d_rho - su * d_phi_over_rho
+        grads[k, ..., 1][inside] = su * d_rho + cu * d_phi_over_rho
+    return vals, grads
+
+
 def chunked_filter_bounds(coeffs, basis, spec, grid_n, n_theta):
     """B, C, D and A of one layer from full-grid einsums, theta in chunks of 8.
 

@@ -37,9 +37,10 @@ from rstcnn import (
     sweep_input,
     tau_norms,
 )
+import rstcnn.analysis
 from rstcnn.analysis import REPORT_PAIRS
 import reference
-from conftest import interior_image, small_net
+from conftest import interior_image, outputs_per_part_count, small_net
 
 IDENTITY = GroupElement(0.0, 0.0, (0.0, 0.0))
 
@@ -286,6 +287,26 @@ def test_filter_bounds_match_chunked_grid_oracle(spatial_kind, layer, n_theta):
     report = filter_bound_report(coeffs, basis, spec, disk_quadrature(layer_basis(net, 0), 41), n_theta=n_theta)
     for name, value in expected.items():
         assert getattr(report, name) == pytest.approx(value, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("spatial_kind", ["fb", "sl"])
+@pytest.mark.parametrize("layer", [0, 1])
+@pytest.mark.parametrize("n_theta", [1, 5])
+def test_filter_bounds_are_bit_identical_for_every_part_count(spatial_kind, layer, n_theta, monkeypatch):
+    # n_theta = 1 leaves parts with no theta sample; blocks of 83 points
+    # (joint, 12 x 4 coefficients) or 166 (lifting, 6 x 4) cut the 41 x 41
+    # support into several blocks, the last one short
+    net = bounds_net(spatial_kind)
+    coeffs = init_coeffs(net, seed=12)[layer]
+    basis, spec = layer_basis(net, layer), net.layers[layer]
+    quad = disk_quadrature(layer_basis(net, 0), 41)
+    monkeypatch.setattr(rstcnn.analysis, "_BLOCK_SIZE", 4000)
+    reports = outputs_per_part_count(monkeypatch, lambda: filter_bound_report(coeffs, basis, spec, quad, n_theta=n_theta))
+    for report in reports[1:]:
+        assert (report.B, report.C, report.D) == (reports[0].B, reports[0].C, reports[0].D)
+    expected = reference.chunked_filter_bounds(coeffs, basis, spec, grid_n=41, n_theta=n_theta)
+    for name, value in expected.items():
+        assert getattr(reports[0], name) == pytest.approx(value, rel=1e-12, abs=0.0)
 
 
 def test_filter_bounds_reject_a_mismatched_quadrature():

@@ -117,6 +117,19 @@ def test_eval_spatial_stack_equals_one_element_calls(case):
     assert np.array_equal(eval_spatial_stack(elements, pts), vals)
 
 
+@pytest.mark.parametrize("grid_n, K", [(301, 10), (41, 100)])
+def test_fb_stack_on_distinct_radii_equals_every_point_evaluation(grid_n, K):
+    # _fill_fb runs each radial function on the distinct radii and scatters
+    # the result back; bessel_j must give those points the bits it gives
+    # them among all the grid's points
+    elements = build_basis("fb", K).spatial
+    pts, _ = unit_grid(grid_n)
+    vals, grads = eval_spatial_stack(elements, pts, grad=True)
+    want_vals, want_grads = reference.fb_stack_every_point(elements, pts)
+    assert np.array_equal(vals, want_vals)
+    assert np.array_equal(grads, want_grads)
+
+
 def test_eval_spatial_stack_rejects_other_kinds():
     basis = build_basis("fb", 2, max_angular=1)
     with pytest.raises(ValueError, match="not a spatial element"):

@@ -39,7 +39,7 @@ from rstcnn import (
     theta_taps,
 )
 
-from conftest import interior_image, small_net
+from conftest import interior_image, outputs_per_part_count, small_net
 
 
 def joint_net():
@@ -258,18 +258,6 @@ def test_joint_conv_batch_is_bit_identical_per_sample(m_in, m_out, n_r, n_s, H, 
             assert np.array_equal(out[b], singles[i])
 
 
-PART_COUNTS = (1, 2, 3)
-
-
-def outputs_per_part_count(monkeypatch, conv):
-    """conv() once for each forced part count of the group correlation."""
-    outs = []
-    for parts in PART_COUNTS:
-        monkeypatch.setattr(rstcnn.net, "_PARTS", parts)
-        outs.append(conv())
-    return outs
-
-
 @pytest.mark.parametrize("m_out", [1, 2, 3])
 def test_lifting_conv_is_bit_identical_for_every_part_count(m_out, monkeypatch):
     # 2 samples x 2 input channels give 4 rows to the forward transform
@@ -367,7 +355,7 @@ def test_part_failure_reaches_the_caller(monkeypatch):
         done.append((lo, hi))
 
     with pytest.raises(RuntimeError, match="part 2 failed"):
-        rstcnn.net._run_parts(part, 3)
+        rstcnn.net.run_parts(part, 3)
     assert sorted(done) == [(0, 1), (1, 2)]
 
 
