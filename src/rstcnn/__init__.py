@@ -29,8 +29,6 @@ from .basis import (
     PoolExhaustionError,
     angular_matrix,
     build_basis,
-    eval_angular,
-    eval_scale,
     eval_spatial,
     eval_spatial_grad,
     gram_matrix,

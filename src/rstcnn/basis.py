@@ -2,11 +2,12 @@
 
 Spatial part: either a Fourier-Bessel basis on the closed unit disk
 (J_m(lambda_{m,q} r) times a circular harmonic, Dirichlet boundary) or a
-Sturm-Liouville sine basis on the square [-1,1]^2.  Rotation part: real
-Fourier modes on the circle, orthonormal under the normalized measure
-d(theta)/2pi.  Scale part: Dirichlet sine modes on [-1,1].  Every element
-carries its (negative) Laplacian eigenvalue; elements evaluate to exactly
-zero on and outside their domain boundary.
+Sturm-Liouville sine basis on the square [-1,1]^2.  Every spatial element
+carries its (negative) Laplacian eigenvalue and evaluates to exactly zero
+on and outside its domain boundary.  Rotation part: real Fourier modes on
+the circle, orthonormal under the normalized measure d(theta)/2pi.  Scale
+part: Dirichlet sine modes on [-1,1].  Both are fixed families given by
+their sizes and evaluated in closed form by angular_matrix and scale_matrix.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import _j_over_x, bessel_j, bessel_zero
+from .bessel import bessel_j, bessel_j_slopes, bessel_zero
 
 FB_POOL_MAX_M = 15
 FB_POOL_MAX_Q = 16
@@ -30,12 +31,12 @@ class PoolExhaustionError(ValueError):
 
 @dataclass(frozen=True)
 class BasisElement:
-    """One basis function: kind + integer indices + harmonic flavor.
+    """One spatial basis function: kind + integer indices + harmonic flavor.
 
-    kind is one of "fb-disk", "sl-square", "fourier-circle",
-    "dirichlet-interval".  eigenvalue is the eigenvalue of -Laplace
-    (respectively -d^2 for the 1-d kinds); normalization is the constant
-    that makes the element unit-norm on its domain.
+    kind is "fb-disk" (indices (m, q), harmonic "cos" or "sin") or
+    "sl-square" (indices (p, q), harmonic "").  eigenvalue is the eigenvalue
+    of -Laplace; normalization is the constant that makes the element
+    unit-norm on its domain.
     """
 
     kind: str
@@ -47,12 +48,16 @@ class BasisElement:
 
 @dataclass(frozen=True)
 class BasisSet:
-    """Spatial, angular and scale elements used to expand one layer's filters."""
+    """The spatial elements and the rotation/scale profile sizes of one layer's filters.
+
+    max_angular is the highest circle frequency (2*max_angular + 1 angular
+    profiles) and n_scale the number of scale profiles.
+    """
 
     spatial_kind: str
     spatial: tuple
-    angular: tuple
-    scale: tuple
+    max_angular: int
+    n_scale: int
 
     @property
     def spatial_eigenvalues(self):
@@ -102,11 +107,11 @@ def _sl_pool():
 
 
 def build_basis(spatial_kind, K, max_angular=4, n_scale=1):
-    """Assemble the K lowest-eigenvalue spatial elements plus rotation/scale factors.
+    """Assemble the K lowest-eigenvalue spatial elements plus rotation/scale profile sizes.
 
     spatial_kind: "fb" (unit-disk Fourier-Bessel) or "sl" (square sine basis).
-    Angular part has 2*max_angular + 1 elements (constant, then cos/sin pairs);
-    scale part has n_scale Dirichlet sine modes on [-1, 1].
+    The angular part has 2*max_angular + 1 profiles (constant, then cos/sin
+    pairs); the scale part has n_scale Dirichlet sine modes on [-1, 1].
     """
     if spatial_kind not in ("fb", "sl"):
         raise ValueError(f"unknown spatial kind {spatial_kind!r}")
@@ -121,18 +126,9 @@ def build_basis(spatial_kind, K, max_angular=4, n_scale=1):
 
     if max_angular < 0:
         raise ValueError("max_angular must be >= 0")
-    angular = [BasisElement("fourier-circle", (0,), "cos", 0.0, 1.0)]
-    for m in range(1, max_angular + 1):
-        angular.append(BasisElement("fourier-circle", (m,), "cos", float(m * m), math.sqrt(2.0)))
-        angular.append(BasisElement("fourier-circle", (m,), "sin", float(m * m), math.sqrt(2.0)))
-
     if n_scale < 1:
         raise ValueError("n_scale must be >= 1")
-    scale = [
-        BasisElement("dirichlet-interval", (n,), "", (n * math.pi / 2.0) ** 2, 1.0)
-        for n in range(1, n_scale + 1)
-    ]
-    return BasisSet(spatial_kind, spatial, tuple(angular), tuple(scale))
+    return BasisSet(spatial_kind, spatial, max_angular, n_scale)
 
 
 def eval_spatial_stack(elements, points, grad=False):
@@ -187,11 +183,8 @@ def _fill_fb(elements, rows, x, y, vals, grads):
             vals[k] = elements[k].normalization * radial * trig[elements[k].harmonic]
         if grads is None:
             continue
-        # m J_m(lam rho) / rho = lam * (m J_m(r) / r), finite at the origin
-        j_over = _j_over_x(m, r, jm) if m else np.zeros_like(r)
-        # J_m' = J_{m-1} - m J_m / r, as in bessel_j_derivative
-        jprime = (-bessel_j(1, r) if m == 0 else bessel_j(m - 1, r) - j_over)[back]
-        j_over = j_over[back]
+        # J_m'(r) and m J_m(r) / r, so m J_m(lam rho) / rho = lam * j_over
+        jprime, j_over = (v[back] for v in bessel_j_slopes(m, r, jm))
         cphi = np.cos(m * phi[inside])
         sphi = np.sin(m * phi[inside])
         for k in members:
@@ -242,38 +235,25 @@ def eval_spatial_grad(element, points):
     return eval_spatial_stack((element,), points, grad=True)[1][0]
 
 
-def eval_angular(element, thetas):
-    """Evaluate a rotation-axis Fourier element at angles (radians)."""
-    if element.kind != "fourier-circle":
-        raise ValueError(f"not an angular element: {element.kind}")
-    (m,) = element.indices
-    t = np.asarray(thetas, dtype=np.float64)
-    if m == 0:
-        return np.ones_like(t)
-    base = np.cos(m * t) if element.harmonic == "cos" else np.sin(m * t)
-    return element.normalization * base
-
-
-def eval_scale(element, alphas):
-    """Evaluate a scale-axis Dirichlet sine element; zero outside (-1, 1)."""
-    if element.kind != "dirichlet-interval":
-        raise ValueError(f"not a scale element: {element.kind}")
-    (n,) = element.indices
-    a = np.asarray(alphas, dtype=np.float64)
-    out = np.zeros_like(a)
-    inside = np.abs(a) < 1.0
-    out[inside] = np.sin(n * math.pi * (a[inside] + 1.0) / 2.0)
-    return out
-
-
 def angular_matrix(basis, thetas):
-    """Stack eval_angular over the basis's angular elements: [n_angular, len(thetas)]."""
-    return np.stack([eval_angular(e, thetas) for e in basis.angular])
+    """Rotation profiles at angles (radians): [2*max_angular + 1, len(thetas)].
+
+    Rows: 1, then sqrt(2) cos(m theta) and sqrt(2) sin(m theta) for
+    m = 1..max_angular, orthonormal under d(theta)/2pi.
+    """
+    t = np.asarray(thetas, dtype=np.float64)
+    mt = np.arange(1, basis.max_angular + 1)[:, None] * t
+    waves = np.stack([np.cos(mt), np.sin(mt)], axis=1).reshape(-1, t.size)
+    return np.concatenate([np.ones((1, t.size)), math.sqrt(2.0) * waves])
 
 
 def scale_matrix(basis, alphas):
-    """Stack eval_scale over the basis's scale elements: [n_scale, len(alphas)]."""
-    return np.stack([eval_scale(e, alphas) for e in basis.scale])
+    """Scale profiles sin(n pi (alpha + 1) / 2), n = 1..n_scale: [n_scale, len(alphas)], zero outside (-1, 1)."""
+    a = np.asarray(alphas, dtype=np.float64)
+    out = np.zeros((basis.n_scale, a.size))
+    inside = np.abs(a) < 1.0
+    out[:, inside] = np.sin(np.arange(1, basis.n_scale + 1)[:, None] * math.pi * (a[inside] + 1.0) / 2.0)
+    return out
 
 
 def unit_grid(n):

@@ -109,30 +109,38 @@ def bessel_j(order, x):
     return float(out[0]) if scalar else out.reshape(np.shape(x))
 
 
-def bessel_j_derivative(order, x):
-    """d/dx J_order(x), from J_0' = -J_1 and J_m' = J_{m-1} - m J_m / x (no order above m)."""
+def bessel_j_slopes(order, x, jm):
+    """(J_order'(x), order * J_order(x) / x) for an array x >= 0 and jm = J_order(x).
+
+    J_0' = -J_1 and J_m' = J_{m-1} - m J_m / x, so no order above m is
+    evaluated.  m J_m(x) / x stays finite as x -> 0 (limit 1/2 for m = 1,
+    else 0): below x = 1e-8 the leading series term of J_m(x) / x,
+    (x/2)^{m-1} / (2 m!), replaces the division.
+    """
     m = _check_order(order)
     if m == 0:
-        return -bessel_j(1, x)
-    return bessel_j(m - 1, x) - bessel_j_over_x(m, x)
+        return -bessel_j(1, x), np.zeros_like(x)
+    j_over = np.empty_like(x)
+    tiny = x < 1e-8
+    j_over[tiny] = m * (0.5 * x[tiny]) ** (m - 1) / (2.0 * math.factorial(m))
+    j_over[~tiny] = m * jm[~tiny] / x[~tiny]
+    return bessel_j(m - 1, x) - j_over, j_over
+
+
+def bessel_j_derivative(order, x):
+    """d/dx J_order(x) for scalars or arrays; see bessel_j_slopes."""
+    return _slope(order, x, 0)
 
 
 def bessel_j_over_x(order, x):
-    """order * J_order(x) / x, finite as x -> 0 (limit 1/2 for order 1, else 0)."""
-    m = _check_order(order)
+    """order * J_order(x) / x for scalars or arrays; see bessel_j_slopes."""
+    return _slope(order, x, 1)
+
+
+def _slope(order, x, which):
     xa = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    out = _j_over_x(m, xa, bessel_j(m, xa)) if m else np.zeros_like(xa)
+    out = bessel_j_slopes(order, xa, bessel_j(order, xa))[which]
     return float(out[0]) if np.ndim(x) == 0 else out.reshape(np.shape(x))
-
-
-def _j_over_x(m, x, jm):
-    # m J_m(x) / x for m >= 1 from jm = J_m(x); below x = 1e-8 the leading
-    # series term of J_m(x)/x, (x/2)^{m-1} / (2 m!), replaces the division
-    out = np.empty_like(x)
-    tiny = x < 1e-8
-    out[tiny] = m * (0.5 * x[tiny]) ** (m - 1) / (2.0 * math.factorial(m))
-    out[~tiny] = m * jm[~tiny] / x[~tiny]
-    return out
 
 
 def bessel_zero(order, q):
@@ -157,10 +165,8 @@ def bessel_zero(order, q):
     f = bessel_j(m, xs)
     left = np.flatnonzero((f[:-1] * f[1:] < 0) | (f[1:] == 0.0))
     lo, hi = xs[left[qa - 1]], xs[left[qa - 1] + 1]
-    root = 0.5 * (lo + hi)
+    root = np.atleast_1d(0.5 * (lo + hi))
     for _ in range(6):
         j = bessel_j(m, root)
-        # J_m' = J_{m-1} - (m/x) J_m, which stays within MAX_ORDER for every m
-        d = -bessel_j(1, root) if m == 0 else bessel_j(m - 1, root) - m / root * j
-        root = np.clip(root - j / d, lo, hi)
-    return float(root) if qa.ndim == 0 else root
+        root = np.clip(root - j / bessel_j_slopes(m, root, j)[0], lo, hi)
+    return float(root[0]) if qa.ndim == 0 else root

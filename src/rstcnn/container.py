@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import struct
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,6 +171,12 @@ def load_bank(data):
                 meta = json.loads(r.take(length, "META payload").decode("utf-8"))
             except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                 raise ContainerFormatError(f"bad META payload at offset {start}: {exc}") from exc
+            if not isinstance(meta, dict):
+                raise ContainerFormatError(f"bad META payload at offset {start}: {type(meta).__name__}, not a JSON object")
+            scale = meta.get("layer_scale", 0.0)
+            # not a bool, and not NaN, infinite or an integer too large for a float
+            if type(scale) not in (int, float) or not abs(scale) <= sys.float_info.max:
+                raise ContainerFormatError(f"bad META payload at offset {start}: layer_scale {scale!r} is not a finite number")
         elif tag == b"COEF":
             count = r.u32("coefficient array count")
             if count % 2 != 0:

@@ -20,23 +20,61 @@ def trapezoid_weights(n):
     return w
 
 
-def angular_value(element, theta):
-    """Real orthonormal circle harmonic (measure dtheta/2pi) from metadata."""
-    (m,) = element.indices
-    if m == 0:
+def angular_value(row, theta):
+    """Row `row` of the real orthonormal circle harmonics (measure dtheta/2pi).
+
+    Row 0 is the constant 1; rows 2m - 1 and 2m are sqrt(2) cos(m theta) and
+    sqrt(2) sin(m theta).
+    """
+    if row == 0:
         return 1.0
+    m = (row + 1) // 2
     factor = math.sqrt(2.0)
-    if element.harmonic == "cos":
+    if row % 2 == 1:
         return factor * math.cos(m * theta)
     return factor * math.sin(m * theta)
 
 
-def scale_value(element, alpha):
-    """Dirichlet sine mode on [-1, 1] from metadata (unit L2 norm)."""
-    (n,) = element.indices
+def scale_value(row, alpha):
+    """Row `row` of the Dirichlet sine modes on [-1, 1] (unit L2 norm): mode n = row + 1."""
     if abs(alpha) >= 1.0:
         return 0.0
-    return math.sin(n * math.pi * (alpha + 1.0) / 2.0)
+    return math.sin((row + 1) * math.pi * (alpha + 1.0) / 2.0)
+
+
+def record_profile_matrices(max_angular, n_scale, thetas, alphas):
+    """angular_matrix and scale_matrix as built from one record per profile.
+
+    The evaluation as the package did it before the profiles became two
+    closed forms: a BasisElement per profile, holding its indices, harmonic
+    and normalization, evaluated one at a time and stacked.  The arithmetic
+    is that code's, in the same order, so the closed forms must match it bit
+    for bit.
+    """
+    from rstcnn.basis import BasisElement
+
+    angular = [BasisElement("fourier-circle", (0,), "cos", 0.0, 1.0)]
+    for m in range(1, max_angular + 1):
+        angular.append(BasisElement("fourier-circle", (m,), "cos", float(m * m), math.sqrt(2.0)))
+        angular.append(BasisElement("fourier-circle", (m,), "sin", float(m * m), math.sqrt(2.0)))
+    scale = [BasisElement("dirichlet-interval", (n,), "", (n * math.pi / 2.0) ** 2, 1.0) for n in range(1, n_scale + 1)]
+
+    def angular_row(e, t):
+        (m,) = e.indices
+        if m == 0:
+            return np.ones_like(t)
+        return e.normalization * (np.cos(m * t) if e.harmonic == "cos" else np.sin(m * t))
+
+    def scale_row(e, a):
+        (n,) = e.indices
+        out = np.zeros_like(a)
+        inside = np.abs(a) < 1.0
+        out[inside] = np.sin(n * math.pi * (a[inside] + 1.0) / 2.0)
+        return out
+
+    t = np.asarray(thetas, dtype=np.float64)
+    a = np.asarray(alphas, dtype=np.float64)
+    return np.stack([angular_row(e, t) for e in angular]), np.stack([scale_row(e, a) for e in scale])
 
 
 def uniform_alpha_taps(n):
@@ -46,7 +84,7 @@ def uniform_alpha_taps(n):
     return np.linspace(-1.0, 1.0, n)
 
 
-def naive_synthesize_joint_at(a, bank_values, basis, l_theta, l_alpha, pos):
+def naive_synthesize_joint_at(a, bank_values, l_theta, l_alpha, pos):
     """One entry of the joint filter tensor by a direct (k, m, n) triple loop.
 
     pos = (i, o, r, t, s, q, y, x) indexes [M_in, M_out, N_r, L_t, N_s, L_a, L, L];
@@ -63,8 +101,8 @@ def naive_synthesize_joint_at(a, bank_values, basis, l_theta, l_alpha, pos):
                 acc += (
                     a[i, o, k, m, n]
                     * bank_values[k, r, s, y, x]
-                    * angular_value(basis.angular[m], theta)
-                    * scale_value(basis.scale[n], alpha)
+                    * angular_value(m, theta)
+                    * scale_value(n, alpha)
                 )
     return acc
 
@@ -214,11 +252,12 @@ def chunked_filter_bounds(coeffs, basis, spec, grid_n, n_theta):
 
     The quadrature as filter_bound_report computed it before it summed over
     the disk's support points only: filters and gradients are formed on the
-    whole grid_n x grid_n grid and then summed.  Basis values and the
-    amplitude bound come from the package; the sums and their aggregation
-    over channels are written out here.
+    whole grid_n x grid_n grid and then summed.  Spatial basis values and
+    the amplitude bound come from the package; the angular profiles are this
+    module's angular_value, and the sums and their aggregation over channels
+    are written out here.
     """
-    from rstcnn.basis import eval_angular, eval_spatial, eval_spatial_grad
+    from rstcnn.basis import eval_spatial, eval_spatial_grad
     from rstcnn.net import filter_amplitude
 
     xs = np.linspace(-1.0, 1.0, grid_n)
@@ -245,7 +284,7 @@ def chunked_filter_bounds(coeffs, basis, spec, grid_n, n_theta):
         ]
     else:
         thetas = 2.0 * math.pi * np.arange(n_theta) / n_theta
-        phi = np.stack([eval_angular(e, thetas) for e in basis.angular])
+        phi = np.array([[angular_value(row, t) for t in thetas] for row in range(2 * basis.max_angular + 1)])
         per_pair = [np.zeros((m_in, m_out, a.shape[4])) for _ in range(3)]
         for t0 in range(0, n_theta, 8):
             ph = phi[:, t0 : t0 + 8]

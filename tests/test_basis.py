@@ -7,19 +7,21 @@ from hypothesis import strategies as st
 
 import reference
 from rstcnn.basis import (
+    BasisElement,
     PoolExhaustionError,
     _fb_pool,
     _sl_pool,
+    angular_matrix,
     build_basis,
-    eval_angular,
-    eval_scale,
     eval_spatial,
     eval_spatial_grad,
     eval_spatial_stack,
     gram_matrix,
     laplacian_residuals,
+    scale_matrix,
     unit_grid,
 )
+from rstcnn.net import alpha_taps, theta_taps
 
 # Squared Bessel zeros j_{m,q}^2 (17-digit zeros from mpmath).
 MU_FB_FIRST = [
@@ -131,9 +133,10 @@ def test_fb_stack_on_distinct_radii_equals_every_point_evaluation(grid_n, K):
 
 
 def test_eval_spatial_stack_rejects_other_kinds():
-    basis = build_basis("fb", 2, max_angular=1)
+    basis = build_basis("fb", 2)
+    circle = BasisElement("fourier-circle", (0,), "cos", 0.0, 1.0)
     with pytest.raises(ValueError, match="not a spatial element"):
-        eval_spatial_stack(basis.spatial + basis.angular[:1], np.zeros((3, 2)))
+        eval_spatial_stack(basis.spatial + (circle,), np.zeros((3, 2)))
 
 
 def test_spatial_normalization_unit_l2():
@@ -148,37 +151,52 @@ def test_spatial_normalization_unit_l2():
 def test_angular_orthonormal_under_normalized_measure():
     basis = build_basis("fb", 5, max_angular=4, n_scale=2)
     thetas = 2.0 * math.pi * np.arange(256) / 256.0
-    vals = np.stack([eval_angular(e, thetas) for e in basis.angular])
+    vals = angular_matrix(basis, thetas)
+    assert vals.shape == (2 * 4 + 1, 256)
     gram = vals @ vals.T / 256.0  # mean over theta = d(theta)/2pi measure
-    assert np.abs(gram - np.eye(len(basis.angular))).max() < 1e-12
-    assert len(basis.angular) == 2 * 4 + 1
+    assert np.abs(gram - np.eye(2 * 4 + 1)).max() < 1e-12
 
 
 def test_angular_matches_trig_formula():
     basis = build_basis("fb", 5, max_angular=3, n_scale=1)
     thetas = np.array([0.0, 0.4, 2.2, 5.0])
-    for e in basis.angular:
-        ours = eval_angular(e, thetas)
-        ref = np.array([reference.angular_value(e, t) for t in thetas])
+    for row, ours in enumerate(angular_matrix(basis, thetas)):
+        ref = np.array([reference.angular_value(row, t) for t in thetas])
         assert ours == pytest.approx(ref.tolist(), abs=1e-14)
 
 
 def test_scale_modes_vanish_at_endpoints():
     basis = build_basis("fb", 5, max_angular=2, n_scale=3)
-    for e in basis.scale:
-        assert eval_scale(e, np.array([-1.0, 1.0])) == pytest.approx([0.0, 0.0], abs=0)
-        # interior values match the sine formula
-        alphas = np.array([-0.5, 0.0, 0.7])
-        ref = [reference.scale_value(e, a) for a in alphas]
-        assert eval_scale(e, alphas) == pytest.approx(ref, abs=1e-14)
+    assert np.all(scale_matrix(basis, np.array([-1.0, 1.0])) == 0.0)
+    # interior values match the sine formula
+    alphas = np.array([-0.5, 0.0, 0.7])
+    for row, ours in enumerate(scale_matrix(basis, alphas)):
+        ref = [reference.scale_value(row, a) for a in alphas]
+        assert ours == pytest.approx(ref, abs=1e-14)
 
 
 def test_scale_modes_orthonormal():
     basis = build_basis("fb", 5, max_angular=2, n_scale=4)
     alphas = np.linspace(-1.0, 1.0, 4001)
-    vals = np.stack([eval_scale(e, alphas) for e in basis.scale])
+    vals = scale_matrix(basis, alphas)
     gram = vals @ vals.T * (alphas[1] - alphas[0])
     assert np.abs(gram - np.eye(4)).max() < 1e-3
+
+
+@pytest.mark.parametrize("n_scale", [1, 2, 3, 4])
+@pytest.mark.parametrize("max_angular", [0, 1, 2, 3, 4])
+def test_profile_matrices_equal_the_record_evaluation(max_angular, n_scale):
+    # the closed forms must give the bits of the per-profile records they
+    # replaced, at every tap grid a layer uses and at the 64 bounds samples
+    basis = build_basis("fb", 3, max_angular=max_angular, n_scale=n_scale)
+    thetas = [theta_taps(L) for L in range(1, 9)] + [theta_taps(64)]
+    alphas = [alpha_taps(L) for L in range(1, 6)]
+    for t in thetas:
+        want, _ = reference.record_profile_matrices(max_angular, n_scale, t, alphas[0])
+        assert np.array_equal(angular_matrix(basis, t), want)
+    for a in alphas:
+        _, want = reference.record_profile_matrices(max_angular, n_scale, thetas[0], a)
+        assert np.array_equal(scale_matrix(basis, a), want)
 
 
 def test_pool_exhaustion():

@@ -10,6 +10,7 @@ from rstcnn.bessel import (
     bessel_j,
     bessel_j_derivative,
     bessel_j_over_x,
+    bessel_j_slopes,
     bessel_zero,
 )
 
@@ -113,6 +114,20 @@ def test_derivative_matches_scipy_through_max_order():
     xs = np.linspace(0.0, 12.0, 241)
     for m in range(17):
         assert np.abs(bessel_j_derivative(m, xs) - scipy_special.jvp(m, xs)).max() < 1e-12
+
+
+def test_slopes_obey_the_neighbour_identities():
+    # with jm = J_m(x): J_m' = (J_{m-1} - J_{m+1}) / 2 and m J_m / x = (J_{m-1} + J_{m+1}) / 2
+    xs = np.concatenate([[0.0, 1e-9], np.linspace(0.05, 20.0, 200)])
+    for m in range(16):
+        jm = bessel_j(m, xs)
+        jprime, j_over = bessel_j_slopes(m, xs, jm)
+        below = -bessel_j(1, xs) if m == 0 else bessel_j(m - 1, xs)
+        above = bessel_j(m + 1, xs)
+        assert np.abs(jprime - (below - above) / 2.0).max() < 1e-12
+        assert np.abs(j_over - (0.0 if m == 0 else (below + above) / 2.0)).max() < 1e-12
+        assert np.array_equal(jprime, bessel_j_derivative(m, xs))
+        assert np.array_equal(j_over, bessel_j_over_x(m, xs))
 
 
 def test_unsupported_order():

@@ -176,6 +176,24 @@ def test_bad_meta_json_rejected():
         load_bank(head + bad)
 
 
+@pytest.mark.parametrize(
+    "payload, cause",
+    [
+        (b'"layer_scale"', "not a JSON object"),
+        (b'{"layer_scale": null}', "layer_scale None is not a finite number"),
+        (b'{"layer_scale": "x"}', "layer_scale 'x' is not a finite number"),
+        (b'{"layer_scale": NaN}', "layer_scale nan is not a finite number"),
+        (b"[1, 2]", "not a JSON object"),
+    ],
+)
+def test_malformed_meta_rejected_with_offset(payload, cause):
+    data = dump_bank(tiny_bank())
+    head = data[: 8 + 20 + 8 + 8 * 18]
+    bad = b"META" + struct.pack("<Q", len(payload)) + payload
+    with pytest.raises(ContainerFormatError, match=f"bad META payload at offset {len(head) + 12}: .*{cause}"):
+        load_bank(head + bad)
+
+
 def test_implausible_array_rank_rejected():
     data = dump_bank(tiny_bank())
     body = struct.pack("<I", 2) + struct.pack("<I", 99)

@@ -7,12 +7,7 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rstcnn"
 MODULES = frozenset(path.stem for path in PACKAGE.glob("*.py"))
 
 # (module, sibling, private name) -> why the crossing stays
-ALLOWED = {
-    ("basis", "bessel", "_j_over_x"): (
-        "the basis gradient reuses the J_m values it has already evaluated; the public "
-        "bessel_j_over_x would evaluate J_m a second time"
-    ),
-}
+ALLOWED = {}
 
 
 def _private(name):
