@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import bessel_j, bessel_j_slopes, bessel_zero
+from .bessel import bessel_j, bessel_j_groups, bessel_j_slopes, bessel_zero_groups
 
 FB_POOL_MAX_M = 15
 FB_POOL_MAX_Q = 16
@@ -78,15 +78,18 @@ def _fb_pool():
     # Every "fb" build_basis call takes a prefix of these candidates, so they
     # are enumerated and sorted once per process.  Only modes below j_{16,1}^2,
     # the smallest eigenvalue outside the (m, q) box, are kept, so the pool's
-    # K lowest are the disk's.
-    horizon = bessel_zero(FB_POOL_MAX_M + 1, 1) ** 2
-    pool = []
+    # K lowest are the disk's.  The zeros of every order, the horizon's among
+    # them, come from one grouped search and the J_{m+1}(lambda) of the
+    # normalizations from one grouped pass: per-step costs are paid once,
+    # and each group keeps the bits of its own call.
+    orders = list(range(FB_POOL_MAX_M + 1))
     qs = np.arange(1, FB_POOL_MAX_Q + 1)
-    for m in range(FB_POOL_MAX_M + 1):
-        lams = bessel_zero(m, qs)
-        jnext = np.abs(bessel_j(m + 1, lams))
+    *zeros, edge = bessel_zero_groups(orders + [FB_POOL_MAX_M + 1], [qs] * len(orders) + [1])
+    horizon = edge**2
+    pool = []
+    for m, lams, jnext in zip(orders, zeros, bessel_j_groups([m + 1 for m in orders], zeros)):
         harmonics = ("cos",) if m == 0 else ("cos", "sin")
-        for q, lam, jn in zip(qs.tolist(), lams.tolist(), jnext.tolist()):
+        for q, lam, jn in zip(qs.tolist(), lams.tolist(), np.abs(jnext).tolist()):
             c = (1.0 if m == 0 else math.sqrt(2.0)) / (math.sqrt(math.pi) * jn)
             if lam * lam < horizon:
                 pool.extend(BasisElement("fb-disk", (m, q), h, lam * lam, c) for h in harmonics)

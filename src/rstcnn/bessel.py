@@ -7,6 +7,15 @@ Miller's downward recurrence with normalization J_0(x) + 2*sum_t J_{2t}(x) = 1
 elsewhere.  Accuracy is ~1e-12 absolute for J_m over the supported order
 range, and ~1e-14 for its zeros, which are found for a whole array of
 indices in one call.
+
+Both regimes run many (order, point set) groups in one pass, and grouping
+keeps each group's bits: every point runs the recurrence from its own
+group's start order, and each group leaves the series loop when its own
+points have converged.  So bessel_j_groups and bessel_zero_groups give bit
+for bit what one bessel_j or bessel_zero call per group gives, and those
+two are their one-group views.  Only the start order carries bits: a
+series term that passes the convergence test is below half an ulp of a
+normal partial sum, so leaving later would change nothing but the cost.
 """
 
 from __future__ import annotations
@@ -17,9 +26,15 @@ import numpy as np
 
 MAX_ORDER = 16
 
-# Renormalization guard for the downward recurrence: rescale the running
-# state whenever it exceeds this to avoid overflow at small x / high start.
-_RENORM_AT = 1e250
+# Renormalization guard for the downward recurrence, checked every
+# _RENORM_EVERY orders.  Recurrence points have x > 2 (the series cut
+# 2*sqrt(m+1) is at least 2), so a step from order n grows the running state
+# by at most 2n/x + 1 <= n + 1: a state below _RENORM_ROOM / (n + 1)^_RENORM_EVERY
+# at a check cannot overflow before the next one.  Rescaling by an exact
+# power of two changes no bit of the result, whenever it happens.
+_RENORM_EVERY = 8
+_RENORM_ROOM = 2.0**1000
+_RENORM_SCALE = 2.0**-1000
 _SERIES_TOL = 1e-18
 
 
@@ -35,46 +50,122 @@ def _check_order(m):
     return int(m)
 
 
-def _series(m, x):
+def _series(orders, xs):
     # J_m(x) = sum_t (-1)^t (x/2)^{m+2t} / (t! (m+t)!), with non-increasing
-    # terms for x <= 2*sqrt(m+1) so the sum is cancellation-free.
-    half = 0.5 * x
-    term = half**m / math.factorial(m)
+    # terms for x <= 2*sqrt(m+1) so the sum is cancellation-free.  The groups
+    # run side by side, and a group leaves at the first step where every one
+    # of its terms is below _SERIES_TOL of its partial sum.
+    halves = [0.5 * x for x in xs]
+    term = np.concatenate([h**m / math.factorial(m) for m, h in zip(orders, halves)])
     out = term.copy()
-    q = half * half
+    q = np.concatenate([h * h for h in halves])
+    sizes = np.array([x.size for x in xs])
+    # m + 1 per point, or one Python float when every group has the same order
+    m1 = orders[0] + 1.0 if len(set(orders)) == 1 else np.repeat(np.array(orders) + 1.0, sizes)
+    running = list(range(len(xs)))
+    ends = np.cumsum(sizes)
+    results = [None] * len(xs)
     for t in range(400):
-        term = -term * q / ((t + 1.0) * (m + t + 1.0))
+        term = -term * q / ((t + 1.0) * (m1 + t))
         out += term
-        if np.all(np.abs(term) <= _SERIES_TOL * (np.abs(out) + 1e-300)):
-            break
-    return out
+        converged = np.abs(term) <= _SERIES_TOL * (np.abs(out) + 1e-300)
+        done = np.logical_and.reduceat(converged, ends - sizes)
+        if not np.any(done):
+            continue
+        for g, d, e, s in zip(running, done, ends, sizes):
+            if d:
+                results[g] = out[e - s : e]
+        if np.all(done):
+            return results
+        # the finished groups leave: the next steps run on the others only
+        keep = np.repeat(~done, sizes)
+        term, out, q = term[keep], out[keep], q[keep]
+        if isinstance(m1, np.ndarray):
+            m1 = m1[keep]
+        running = [g for g, d in zip(running, done) if not d]
+        sizes = sizes[~done]
+        ends = np.cumsum(sizes)
+    for g, e, s in zip(running, ends, sizes):
+        results[g] = out[e - s : e]
+    return results
 
 
-def _miller(m, x):
+def _miller(orders, xs):
     # Downward recurrence J_{n-1} = (2n/x) J_n - J_{n+1} from a start order
-    # well above both m and x, normalized by J_0 + 2*sum J_{2t} = 1.
-    xmax = float(np.max(x))
-    nstart = max(m, int(np.ceil(xmax))) + 60 + int(np.ceil(0.5 * xmax))
-    jp = np.zeros_like(x)
-    jc = np.full_like(x, 1e-30)
-    ssum = np.zeros_like(x)
-    want = np.zeros_like(x)
-    for n in range(nstart, 0, -1):
-        jm = (2.0 * n / x) * jc - jp
+    # well above both m and the group's largest x, normalized by
+    # J_0 + 2*sum J_{2t} = 1.  A group's points join the running state at
+    # its start order; groups are laid out latest joiner last, so the
+    # running points are always a prefix of x.
+    starts = []
+    for m, x in zip(orders, xs):
+        xmax = float(np.max(x))
+        starts.append(max(m, int(np.ceil(xmax))) + 60 + int(np.ceil(0.5 * xmax)))
+    rank = sorted(range(len(xs)), key=lambda g: -starts[g])
+    x = np.concatenate([xs[g] for g in rank])
+    ends = np.cumsum([xs[g].size for g in rank])
+    joins = {}  # start order -> number of points running from there on
+    captures = {}  # n -> slices of the groups whose J_m is the state after step n
+    for g, e in zip(rank, ends):
+        joins[starts[g]] = e
+        captures.setdefault(orders[g] + 1, []).append(slice(e - xs[g].size, e))
+    jp = jc = ssum = want = np.empty(0)
+    for n in range(starts[rank[0]], 0, -1):
+        if n in joins:
+            new = joins[n] - jc.size
+            jp = np.concatenate([jp, np.zeros(new)])
+            jc = np.concatenate([jc, np.full(new, 1e-30)])
+            ssum = np.concatenate([ssum, np.zeros(new)])
+            want = np.concatenate([want, np.zeros(new)])
+            xn = x[: joins[n]]
+        jm = (2.0 * n / xn) * jc - jp
         jp, jc = jc, jm
-        if n - 1 == m:
-            want = jc.copy()
+        for s in captures.get(n, ()):
+            want[s] = jc[s]
         if (n - 1) >= 2 and (n - 1) % 2 == 0:
             ssum = ssum + 2.0 * jc
-        big = np.abs(jc) > _RENORM_AT
-        if np.any(big):
-            scale = np.where(big, 1e-250, 1.0)
-            jp = jp * scale
-            jc = jc * scale
-            ssum = ssum * scale
-            want = want * scale
+        if n % _RENORM_EVERY == 0:
+            big = np.maximum(np.abs(jc), np.abs(jp)) > _RENORM_ROOM / (n + 1.0) ** _RENORM_EVERY
+            if np.any(big):
+                scale = np.where(big, _RENORM_SCALE, 1.0)
+                jp = jp * scale
+                jc = jc * scale
+                ssum = ssum * scale
+                want = want * scale
     ssum = ssum + jc  # jc is now J_0
-    return want / ssum
+    vals = want / ssum
+    results = [None] * len(xs)
+    for g, e in zip(rank, ends):
+        results[g] = vals[e - xs[g].size : e]
+    return results
+
+
+def bessel_j_groups(orders, xs):
+    """[bessel_j(m, x) for m, x in zip(orders, xs)], bit for bit, in one pass.
+
+    All groups' series points share one series loop and all their
+    recurrence points one downward recurrence, so the per-step cost is paid
+    once for the lot instead of once per group.
+    """
+    if len(orders) != len(xs):
+        raise ValueError(f"{len(orders)} orders for {len(xs)} point sets")
+    orders = [_check_order(m) for m in orders]
+    flat = []
+    for x in xs:
+        xa = np.asarray(x, dtype=np.float64)
+        if not np.all(np.isfinite(xa)):
+            raise ValueError("bessel_j requires finite x")
+        if np.any(xa < 0):
+            raise ValueError("bessel_j requires x >= 0")
+        flat.append(np.atleast_1d(xa).ravel())
+    outs = [np.empty_like(xa) for xa in flat]
+    lows = [xa <= 2.0 * np.sqrt(m + 1.0) for m, xa in zip(orders, flat)]
+    for regime, picks in ((_series, lows), (_miller, [~lo for lo in lows])):
+        groups = [g for g, pick in enumerate(picks) if np.any(pick)]
+        if groups:
+            vals = regime([orders[g] for g in groups], [flat[g][picks[g]] for g in groups])
+            for g, v in zip(groups, vals):
+                outs[g][picks[g]] = v
+    return [float(out[0]) if np.ndim(x) == 0 else out.reshape(np.shape(x)) for out, x in zip(outs, xs)]
 
 
 def bessel_j(order, x):
@@ -82,31 +173,28 @@ def bessel_j(order, x):
 
     Accepts scalars or arrays; returns a matching float64 result.  A value
     can depend on the other points of the array by about 1e-16: _miller
-    starts its recurrence at an order set by the array's largest x, and
-    _series runs until every point has converged.  So bessel_j(1, [7.5])
-    and bessel_j(1, [7.5, 60.0])[0] can differ in the last bit, and results
-    agree bit for bit only for the same set of values.  Nothing else about
-    the array matters (every other step is elementwise), so repeats and
-    order do not: evaluating on np.unique(x) and indexing the result back
-    gives the same bits as evaluating on x.
+    starts its recurrence at an order set by the array's largest x.  So
+    bessel_j(1, [7.5]) and bessel_j(1, [7.5, 60.0])[0] can differ in the
+    last bit, and results agree bit for bit only for the same set of
+    values.  Nothing else about the array matters (every other step is
+    elementwise), so repeats and order do not: evaluating on np.unique(x)
+    and indexing the result back gives the same bits as evaluating on x.
+    Nor do other groups of a bessel_j_groups call, of which this is the
+    one-group view.
     """
-    m = _check_order(order)
-    xa = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(xa)):
-        raise ValueError("bessel_j requires finite x")
-    if np.any(xa < 0):
-        raise ValueError("bessel_j requires x >= 0")
-    scalar = xa.ndim == 0
-    xa = np.atleast_1d(xa).ravel()
-    out = np.empty_like(xa)
-    cut = 2.0 * np.sqrt(m + 1.0)
-    lo = xa <= cut
-    if np.any(lo):
-        out[lo] = _series(m, xa[lo])
-    hi = ~lo
-    if np.any(hi):
-        out[hi] = _miller(m, xa[hi])
-    return float(out[0]) if scalar else out.reshape(np.shape(x))
+    return bessel_j_groups([order], [x])[0]
+
+
+def _slopes(m, x, jm, jbelow):
+    # (J_m'(x), m J_m(x) / x) from jm = J_m(x) and jbelow = J_{m-1}(x), or
+    # J_1(x) for m = 0
+    if m == 0:
+        return -jbelow, np.zeros_like(x)
+    j_over = np.empty_like(x)
+    tiny = x < 1e-8
+    j_over[tiny] = m * (0.5 * x[tiny]) ** (m - 1) / (2.0 * math.factorial(m))
+    j_over[~tiny] = m * jm[~tiny] / x[~tiny]
+    return jbelow - j_over, j_over
 
 
 def bessel_j_slopes(order, x, jm):
@@ -118,13 +206,7 @@ def bessel_j_slopes(order, x, jm):
     (x/2)^{m-1} / (2 m!), replaces the division.
     """
     m = _check_order(order)
-    if m == 0:
-        return -bessel_j(1, x), np.zeros_like(x)
-    j_over = np.empty_like(x)
-    tiny = x < 1e-8
-    j_over[tiny] = m * (0.5 * x[tiny]) ** (m - 1) / (2.0 * math.factorial(m))
-    j_over[~tiny] = m * jm[~tiny] / x[~tiny]
-    return bessel_j(m - 1, x) - j_over, j_over
+    return _slopes(m, x, jm, bessel_j(1 if m == 0 else m - 1, x))
 
 
 def bessel_j_derivative(order, x):
@@ -143,6 +225,43 @@ def _slope(order, x, which):
     return float(out[0]) if np.ndim(x) == 0 else out.reshape(np.shape(x))
 
 
+def bessel_zero_groups(orders, qs):
+    """[bessel_zero(m, q) for m, q in zip(orders, qs)], bit for bit.
+
+    The bracketing scans of all orders are one bessel_j_groups pass, and
+    each Newton step is another over the J_m and J_{m-1} groups of every
+    order together.
+    """
+    if len(orders) != len(qs):
+        raise ValueError(f"{len(orders)} orders for {len(qs)} index sets")
+    orders = [_check_order(m) for m in orders]
+    qas = []
+    for q in qs:
+        qa = np.asarray(q)
+        if not np.issubdtype(qa.dtype, np.integer) or np.any(qa < 1):
+            raise ValueError(f"zero index q must be an integer >= 1, got {q!r}")
+        qas.append(qa)
+    step = 0.2
+    grids = []
+    for m, qa in zip(orders, qas):
+        start = 1e-9 if m == 0 else 0.5 * m
+        stop = (int(qa.max()) + 0.5 * m + 0.75) * math.pi
+        grids.append(start + step * np.arange(int((stop - start) / step) + 2))
+    brackets = []
+    for xs, f, qa in zip(grids, bessel_j_groups(orders, grids), qas):
+        left = np.flatnonzero((f[:-1] * f[1:] < 0) | (f[1:] == 0.0))
+        brackets.append((xs[left[qa - 1]], xs[left[qa - 1] + 1]))
+    roots = [np.atleast_1d(0.5 * (lo + hi)) for lo, hi in brackets]
+    below = [1 if m == 0 else m - 1 for m in orders]
+    for _ in range(6):
+        js = bessel_j_groups(orders + below, roots + roots)
+        roots = [
+            np.clip(root - j / _slopes(m, root, j, jb)[0], lo, hi)
+            for m, root, j, jb, (lo, hi) in zip(orders, roots, js, js[len(orders) :], brackets)
+        ]
+    return [float(root[0]) if qa.ndim == 0 else root for root, qa in zip(roots, qas)]
+
+
 def bessel_zero(order, q):
     """q-th positive zero of J_order (q >= 1), accurate to ~1e-14.
 
@@ -153,20 +272,6 @@ def bessel_zero(order, q):
     are separated by more than 2.9, so the scan cannot skip a pair.  Six
     Newton steps from the bracket midpoints, each clipped to its bracket so
     it cannot reach a neighbouring zero, then refine every zero at once.
+    This is the one-group view of bessel_zero_groups.
     """
-    m = _check_order(order)
-    qa = np.asarray(q)
-    if not np.issubdtype(qa.dtype, np.integer) or np.any(qa < 1):
-        raise ValueError(f"zero index q must be an integer >= 1, got {q!r}")
-    step = 0.2
-    start = 1e-9 if m == 0 else 0.5 * m
-    stop = (int(qa.max()) + 0.5 * m + 0.75) * math.pi
-    xs = start + step * np.arange(int((stop - start) / step) + 2)
-    f = bessel_j(m, xs)
-    left = np.flatnonzero((f[:-1] * f[1:] < 0) | (f[1:] == 0.0))
-    lo, hi = xs[left[qa - 1]], xs[left[qa - 1] + 1]
-    root = np.atleast_1d(0.5 * (lo + hi))
-    for _ in range(6):
-        j = bessel_j(m, root)
-        root = np.clip(root - j / bessel_j_slopes(m, root, j)[0], lo, hi)
-    return float(root[0]) if qa.ndim == 0 else root
+    return bessel_zero_groups([order], [q])[0]

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import analysis
 from .basis import build_basis, gram_matrix, laplacian_residuals
-from .bessel import bessel_j, bessel_zero
+from .bessel import bessel_j_groups, bessel_zero, bessel_zero_groups
 from .data import read_idx_image, rs_image, synthetic_blobs
 from .deform import make_tau_targeting_grad
 from .group import FeatureMap, GroupElement, ImageTensor, act_on_image, channel_sources
@@ -263,7 +263,9 @@ def run_basis_validate(cfg):
     gram = gram_matrix(basis)
     gram_dev = float(np.abs(gram - np.eye(K)).max())
     residuals = laplacian_residuals(basis)
-    zero_residuals = [np.abs(bessel_j(m, bessel_zero(m, np.arange(1, 9)))).max() for m in range(9)]
+    orders = list(range(9))
+    zeros = bessel_zero_groups(orders, [np.arange(1, 9)] * len(orders))
+    zero_residuals = [np.abs(j).max() for j in bessel_j_groups(orders, zeros)]
     j01_err = abs(bessel_zero(0, 1) - 2.4048255577)
     report = {
         "kind": cfg.kind,

@@ -349,7 +349,11 @@ def _group_correlate(vals, filters, bias):
     A (tap, input channel) slice whose filters are zero for every output
     channel (the end scale taps of a Dirichlet profile, say) gets no
     spectrum and adds no products: acc starts at +0 and never becomes -0,
-    so adding its +-0 products would change no bit.
+    so adding its +-0 products would change no bit.  Tap q reads input
+    scales [q, S) and writes output scales [0, N_s - q), so with q0 the
+    lowest live scale tap, input scales below q0 get no forward transform
+    and output scales from N_s - q0 on no inverse one: they are
+    relu(bias), as the inverse transform of zeros plus bias would give.
     """
     m_in, m_out, n_r, l_th, n_s, l_al, L, _ = filters.shape
     d_step = vals.shape[2] // l_th
@@ -358,9 +362,15 @@ def _group_correlate(vals, filters, bias):
     H, W = vals.shape[-2:]
     p = (L - 1) // 2
     P, Q = H + p, W + p
-    xf = np.empty(vals.shape[:4] + (P, Q // 2 + 1), dtype=complex)
-    rows_in = vals.reshape((-1,) + vals.shape[2:])
-    rows_xf = xf.reshape((-1,) + xf.shape[2:])
+    live = filters.any(axis=(1, 2, 4, 6, 7))  # [M_in, L_theta, L_alpha], over every output channel
+    live_q = np.flatnonzero(live.any(axis=(0, 1)))
+    q0 = int(live_q[0]) if live_q.size else n_s
+    n_w = max(n_s - q0, 0)  # output scales some live tap writes
+    # xf holds the spectra of input scales [q0, S) only
+    xf = np.empty(vals.shape[:3] + (max(vals.shape[3] - q0, 0), P, Q // 2 + 1), dtype=complex)
+    rows = n * vals.shape[1]
+    rows_in = vals[:, :, :, q0:].reshape((rows,) + xf.shape[2:4] + (H, W))
+    rows_xf = xf.reshape((rows,) + xf.shape[2:])
 
     def transform(lo, hi):
         # One (sample, input channel) row at a time, through one zero-padded
@@ -376,8 +386,7 @@ def _group_correlate(vals, filters, bias):
     taps = np.arange(L)
     ey = np.exp(2j * math.pi * (np.outer(np.arange(P), taps) % P) / P)
     ex = np.exp(2j * math.pi * (np.outer(taps, np.arange(Q // 2 + 1)) % Q) / Q)
-    acc = np.zeros((n, m_out, n_r, n_s) + xf.shape[-2:], dtype=complex)
-    live = filters.any(axis=(1, 2, 4, 6, 7))  # [M_in, L_theta, L_alpha], over every output channel
+    acc = np.zeros((n, m_out, n_r, n_w) + xf.shape[-2:], dtype=complex)
 
     def multiply_add(lo, hi):
         part = acc[:, lo:hi]
@@ -397,11 +406,12 @@ def _group_correlate(vals, filters, bias):
                     # at 56x56 together would take about 117 MB.
                     spec = ey @ (filters[i, lo:hi, :, t, :n_val, q] @ (w_alpha[q] / l_th * ex))
                     for b in range(n):
-                        np.multiply(spec[:, :split], xf[b, i, shift:, q : q + n_val], out=scratch[:, :split, :n_val])
-                        np.multiply(spec[:, split:], xf[b, i, :shift, q : q + n_val], out=scratch[:, split:, :n_val])
+                        src = xf[b, i, :, q - q0 : q - q0 + n_val]
+                        np.multiply(spec[:, :split], src[shift:], out=scratch[:, :split, :n_val])
+                        np.multiply(spec[:, split:], src[:shift], out=scratch[:, split:, :n_val])
                         part[b, :, :, :n_val] += scratch[:, :, :n_val]
 
-    run_parts(transform, len(rows_in))
+    run_parts(transform, rows)
     run_parts(multiply_add, m_out)
     del xf, rows_xf  # freed before the output and inverse transforms allocate theirs
     out = np.empty((n, m_out, n_r, n_s, H, W))
@@ -412,7 +422,8 @@ def _group_correlate(vals, filters, bias):
         for o in range(lo, hi):
             for b in range(n):
                 # Assigned: irfft2 with out= returned other values under NumPy 2.4.
-                out[b, o] = np.fft.irfft2(acc[b, o], s=(P, Q))[..., :H, :W]
+                out[b, o, :, :n_w] = np.fft.irfft2(acc[b, o], s=(P, Q))[..., :H, :W]
+                out[b, o, :, n_w:] = 0.0
         part = out[:, lo:hi]
         part += bias[lo:hi, None, None, None, None]
         np.maximum(part, 0.0, out=part)

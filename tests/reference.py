@@ -207,6 +207,31 @@ def fourier_field_value(coeffs, box, comp, x, y):
     return acc
 
 
+def per_order_fb_pool():
+    """basis._fb_pool as built before its Bessel calls were grouped.
+
+    One bessel_zero call for the horizon and, per order m, one bessel_zero
+    call for its 16 zeros and one bessel_j call for J_{m+1} at them.  The
+    rest is the package's arithmetic in the same order, so the grouped pool
+    must match it field for field, bits included.
+    """
+    from rstcnn.basis import FB_POOL_MAX_M, FB_POOL_MAX_Q, BasisElement, _sort_key
+    from rstcnn.bessel import bessel_j, bessel_zero
+
+    horizon = bessel_zero(FB_POOL_MAX_M + 1, 1) ** 2
+    pool = []
+    qs = np.arange(1, FB_POOL_MAX_Q + 1)
+    for m in range(FB_POOL_MAX_M + 1):
+        lams = bessel_zero(m, qs)
+        jnext = np.abs(bessel_j(m + 1, lams))
+        harmonics = ("cos",) if m == 0 else ("cos", "sin")
+        for q, lam, jn in zip(qs.tolist(), lams.tolist(), jnext.tolist()):
+            c = (1.0 if m == 0 else math.sqrt(2.0)) / (math.sqrt(math.pi) * jn)
+            if lam * lam < horizon:
+                pool.extend(BasisElement("fb-disk", (m, q), h, lam * lam, c) for h in harmonics)
+    return tuple(sorted(pool, key=_sort_key))
+
+
 def fb_stack_every_point(elements, points):
     """Values [K, ...] and gradients [K, ..., 2] of Fourier-Bessel elements, J_m at every point.
 

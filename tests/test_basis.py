@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -130,6 +131,48 @@ def test_fb_stack_on_distinct_radii_equals_every_point_evaluation(grid_n, K):
     want_vals, want_grads = reference.fb_stack_every_point(elements, pts)
     assert np.array_equal(vals, want_vals)
     assert np.array_equal(grads, want_grads)
+
+
+def test_fb_stack_gradients_match_scipy_closed_form():
+    # _fill_fb and reference.fb_stack_every_point both take their slopes from
+    # bessel_j_slopes, so a slip there passes the test above.  Here lambda,
+    # the normalization and every radial factor come from SciPy, with
+    # m J_m(r) / r = (J_{m-1}(r) + J_{m+1}(r)) / 2, so no package Bessel
+    # call stands on the reference side (J_m' = (J_{m-1} - J_{m+1}) / 2).
+    scipy_special = pytest.importorskip("scipy.special")
+    pool = build_basis("fb", 100).spatial
+    pts, _ = unit_grid(301)
+    rho = np.hypot(pts[..., 0], pts[..., 1])
+    phi = np.arctan2(pts[..., 1], pts[..., 0])
+    inside = rho < 1.0
+    cu, su, ph = np.cos(phi[inside]), np.sin(phi[inside]), phi[inside]
+    radii, back = np.unique(rho[inside], return_inverse=True)  # SciPy runs on the distinct radii
+
+    @functools.cache
+    def radial(m, q):
+        # lambda, c and c lam (J_m, J_m', m J_m / x) at lam * rho, cos and sin sharing them
+        lam = scipy_special.jn_zeros(m, q)[-1]
+        c = (1.0 if m == 0 else math.sqrt(2.0)) / (math.sqrt(math.pi) * abs(scipy_special.jv(m + 1, lam)))
+        below, at, above = (scipy_special.jv(n, lam * radii)[back] for n in (m - 1, m, m + 1))
+        return c * at, c * lam * 0.5 * (below - above), c * lam * 0.5 * (below + above)
+
+    for lo in range(0, len(pool), 10):  # ten elements at a time keeps memory small
+        chunk = pool[lo : lo + 10]
+        vals, grads = eval_spatial_stack(chunk, pts, grad=True)
+        for k, e in enumerate(chunk):
+            m = e.indices[0]
+            value, slope, over = radial(*e.indices)
+            # the harmonic and its phi-derivative divided by m
+            wave, dwave = (np.cos(m * ph), -np.sin(m * ph)) if e.harmonic == "cos" else (np.sin(m * ph), np.cos(m * ph))
+            d_rho = slope * wave
+            d_phi_over_rho = over * dwave
+            want = np.zeros(vals.shape[1:] + (2,))
+            want[inside, 0] = cu * d_rho - su * d_phi_over_rho
+            want[inside, 1] = su * d_rho + cu * d_phi_over_rho
+            assert np.abs(grads[k] - want).max() <= 1e-12 * np.abs(want).max()
+            want_vals = np.zeros(vals.shape[1:])
+            want_vals[inside] = value * wave
+            assert np.abs(vals[k] - want_vals).max() <= 1e-12 * np.abs(want_vals).max()
 
 
 def test_eval_spatial_stack_rejects_other_kinds():

@@ -5,13 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
+import rstcnn.bessel
 from rstcnn.bessel import (
     UnsupportedOrderError,
     bessel_j,
     bessel_j_derivative,
+    bessel_j_groups,
     bessel_j_over_x,
     bessel_j_slopes,
     bessel_zero,
+    bessel_zero_groups,
 )
 
 # 17-digit values computed with mpmath at 25-digit precision.
@@ -205,3 +209,93 @@ def test_fb_basis_is_the_k_lowest_disk_modes():
     assert K == 101
     # the pool's horizon j_{16,1} lies below every zero beyond its q box
     assert bessel_zero(0, FB_POOL_MAX_Q + 1) > bessel_zero(FB_POOL_MAX_M + 1, 1)
+
+
+# (order, points): the series cut is 2*sqrt(m + 1), so 2 for m = 0 and 8.25 for m = 16
+J_GROUPS = [
+    (0, [0.0, 0.5, 1.9, 2.0, 2.1, 7.5, 60.0]),  # x = 0, series and recurrence points
+    (16, [0.0, 3.0, 8.2, 8.3, 40.0]),  # the top order, both regimes
+    (1, [7.5]),  # one point, far below the largest x of the groups around it
+    (1, [0.3, 7.5, 60.0]),  # the same order and point, a later start order
+    (5, [0.1, 1.0, 4.0]),  # no recurrence points
+    (16, [9.0, 12.5]),  # no series points
+    (3, [0.0]),
+]
+
+
+def test_grouped_evaluation_keeps_each_groups_bits():
+    # every point runs the recurrence from its own group's start order and
+    # leaves the series with its own group, so grouping changes no bit
+    orders = [m for m, _ in J_GROUPS]
+    xs = [np.array(x) for _, x in J_GROUPS]
+    for got, m, x in zip(bessel_j_groups(orders, xs), orders, xs):
+        assert np.array_equal(got, bessel_j(m, x))
+    # the groups are not bit-equal to one call over their union, so the test can see a shared start
+    assert bessel_j(1, [7.5])[0] != bessel_j(1, [7.5, 60.0])[0]
+    assert bessel_j_groups([2, 0], [3.5, np.array([[1.0, 9.0]])])[0] == bessel_j(2, 3.5)
+
+
+def test_grouped_zeros_keep_each_orders_bits():
+    orders = list(range(17))
+    qs = [np.arange(1, 17)] * 16 + [1]
+    got = bessel_zero_groups(orders, qs)
+    for z, m, q in zip(got, orders, qs):
+        one = bessel_zero(m, q)
+        assert np.array_equal(z, one) and type(z) is type(one)
+    qs2 = np.array([[3, 1], [7, 2]])
+    assert np.array_equal(bessel_zero_groups([5, 0], [qs2, 4])[0], bessel_zero(5, qs2))
+    with pytest.raises(UnsupportedOrderError):
+        bessel_zero_groups([3, 17], [1, 1])
+    with pytest.raises(ValueError):
+        bessel_zero_groups([3, 4], [1, 0])
+    with pytest.raises(ValueError, match="2 orders for 1"):
+        bessel_zero_groups([3, 4], [1])
+    with pytest.raises(ValueError, match="1 orders for 2"):
+        bessel_j_groups([3], [1.0, 2.0])
+
+
+@pytest.mark.parametrize("m", [0, 1, 16])
+def test_recurrence_renormalizes_and_stays_accurate(m, monkeypatch):
+    # A point just above the series cut, run from the start order of x = 1000,
+    # grows past any float64 on the way down unless the state is rescaled.
+    scipy_special = pytest.importorskip("scipy.special")
+    xs = np.array([2.0 * math.sqrt(m + 1.0) + 0.01, 1000.0])
+    got = bessel_j(m, xs)
+    assert np.abs(got - scipy_special.jv(m, xs)).max() < 1e-12
+    # the rescaling is by an exact power of two, so checking at every order gives the same bits
+    monkeypatch.setattr(rstcnn.bessel, "_RENORM_EVERY", 1)
+    assert np.array_equal(bessel_j(m, xs), got)
+    # and without it the state does overflow
+    monkeypatch.setattr(rstcnn.bessel, "_RENORM_ROOM", math.inf)
+    with np.errstate(all="ignore"):
+        assert not np.isfinite(bessel_j(m, xs)[0])
+
+
+def test_fb_pool_equals_the_per_order_pool_bit_for_bit():
+    from rstcnn.basis import _fb_pool
+
+    def fields(pool):
+        return [(e.kind, e.indices, e.harmonic, e.eigenvalue.hex(), e.normalization.hex()) for e in pool]
+
+    assert fields(_fb_pool()) == fields(reference.per_order_fb_pool())
+
+
+def test_fb_pool_makes_a_fixed_number_of_recurrence_passes(monkeypatch):
+    # one grouped scan, six grouped Newton steps and one grouped
+    # normalization pass, whatever the number of orders
+    from rstcnn.basis import _fb_pool
+
+    miller = rstcnn.bessel._miller
+    passes = []
+
+    def counted(orders, xs):
+        passes.append(len(orders))
+        return miller(orders, xs)
+
+    monkeypatch.setattr(rstcnn.bessel, "_miller", counted)
+    _fb_pool.cache_clear()
+    try:
+        _fb_pool()
+    finally:
+        _fb_pool.cache_clear()
+    assert len(passes) <= 8

@@ -294,22 +294,41 @@ def test_joint_conv_is_bit_identical_for_every_part_count(m_out, monkeypatch):
 
 @pytest.mark.parametrize("m_out", [1, 2, 3])
 def test_joint_conv_skips_all_zero_tap_slices_exactly(m_out, monkeypatch):
-    # The fig3 L_alpha = 3 pattern: both end scale taps are zero for every
-    # channel, and tap (t=1, q=1) is zero for input channel 1 only.
+    # With q0 the lowest live scale tap, input scales below q0 are read by no
+    # tap and output scales from n_s - q0 on are written by none: neither is
+    # transformed, and the dead outputs are exactly relu(0 + bias).
     rng = np.random.default_rng(54)
-    spec = LayerSpec(2, m_out, 1, 5, L_theta=2, L_alpha=3)
-    vals = rng.standard_normal((2, 2, 4, 3, 6, 7))
-    feat = FeatureMap(vals, math.pi / 2, np.linspace(-1.0, 1.0, 3))
-    filters = rng.standard_normal((2, m_out, 4, 2, 3, 3, 5, 5))
-    filters[:, :, :, :, :, [0, 2]] = 0.0
-    filters[1, :, :, 1, :, 1] = 0.0
-    bias = rng.standard_normal(m_out)
-    outs = outputs_per_part_count(monkeypatch, lambda: joint_conv(feat, filters, bias, spec).values)
-    for out in outs[1:]:
-        assert np.array_equal(out, outs[0])
-    for pos in np.ndindex(outs[0].shape):
-        want = reference.naive_joint_at(vals[pos[0]], filters, bias, *pos[1:])
-        assert outs[0][pos] == pytest.approx(want, abs=1e-10)
+    scales_seen = []
+    for name in ("rfft2", "irfft2"):
+        fft = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name, lambda a, *args, fft=fft, **kw: scales_seen.append(a.shape[1]) or fft(a, *args, **kw))
+    cases = [
+        # the fig3 L_alpha = 3 pattern: both end scale taps are zero for every
+        # channel, and tap (t=1, q=1) is zero for input channel 1 only
+        (3, [0, 2], (1, 1)),
+        # only the top tap lives: two dead channels at each end of the scale axis
+        (4, [0, 1], (1, 2)),
+    ]
+    for n_s, dead_taps, (dead_t, dead_q) in cases:
+        spec = LayerSpec(2, m_out, 1, 5, L_theta=2, L_alpha=3)
+        vals = rng.standard_normal((2, 2, 4, n_s, 6, 7))
+        feat = FeatureMap(vals, math.pi / 2, np.linspace(-1.0, 1.0, n_s))
+        filters = rng.standard_normal((2, m_out, 4, 2, n_s, 3, 5, 5))
+        filters[:, :, :, :, :, dead_taps] = 0.0
+        filters[1, :, :, dead_t, :, dead_q] = 0.0
+        bias = rng.standard_normal(m_out)
+        q0 = min(set(range(3)) - set(dead_taps))
+        scales_seen.clear()
+        outs = outputs_per_part_count(monkeypatch, lambda: joint_conv(feat, filters, bias, spec).values)
+        assert set(scales_seen) == {n_s - q0}
+        for out in outs[1:]:
+            assert np.array_equal(out, outs[0])
+        top = outs[0][:, :, :, n_s - q0 :]
+        dead = np.broadcast_to(np.maximum(0.0 + bias, 0.0)[None, :, None, None, None, None], top.shape)
+        assert np.array_equal(top, dead) and np.array_equal(np.signbit(top), np.signbit(dead))
+        for pos in np.ndindex(outs[0].shape):
+            want = reference.naive_joint_at(vals[pos[0]], filters, bias, *pos[1:])
+            assert outs[0][pos] == pytest.approx(want, abs=1e-10)
 
 
 def test_concurrent_callers_share_the_part_pool(monkeypatch):
