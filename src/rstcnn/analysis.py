@@ -15,11 +15,12 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .basis import angular_matrix, eval_spatial_stack, unit_grid
+from .basis import angular_matrix, eval_spatial_stack, in_domain, unit_grid
 from .deform import apply_deformation, tau_norms
 from .group import FeatureMap, ImageTensor, act_on_feature, act_on_image, channel_sources
-from .net import aggregate_channels, filter_amplitude, forward, forward_layers, layer_basis, run_parts, theta_taps
+from .net import aggregate_channels, filter_amplitude, forward, forward_layers, layer_basis, theta_taps
 from .norms import feature_norm
+from .parts import run_parts
 
 
 class UndefinedEquivarianceError(ArithmeticError):
@@ -300,12 +301,16 @@ def disk_quadrature(basis, grid_n):
         raise ValueError(f"grid_n must be >= 2, got {grid_n}")
     pts, h2 = unit_grid(grid_n)
     pts = pts.reshape(-1, 2)
-    vals, grads = eval_spatial_stack(basis.spatial, pts, grad=True)
-    grads = np.moveaxis(grads, -1, 0)  # [2, K, n*n]
-    keep = (vals != 0.0).any(axis=0) | (grads != 0.0).any(axis=(0, 1))
-    gx, gy = grads.compress(keep, axis=2)
-    radius = np.sqrt((pts[keep] ** 2).sum(axis=1))
-    return _DiskQuadrature(basis.spatial, vals.compress(keep, axis=1), gx, gy, radius, h2)
+    # Only the points inside the elements' domain are evaluated; every
+    # element and its gradient are exactly zero at the others.
+    pts = pts[in_domain(basis.spatial, pts)]
+    vals, (gx, gy) = eval_spatial_stack(basis.spatial, pts, grad=True)
+    keep = (vals != 0.0).any(axis=0) | (gx != 0.0).any(axis=0) | (gy != 0.0).any(axis=0)
+    if not keep.all():
+        vals, gx, gy = (a.compress(keep, axis=1) for a in (vals, gx, gy))
+        pts = pts[keep]
+    radius = np.sqrt((pts**2).sum(axis=1))
+    return _DiskQuadrature(basis.spatial, vals, gx, gy, radius, h2)
 
 
 # Size of each GEMM of _pair_sums, rows x basis elements x support points.

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import bessel_j, bessel_j_groups, bessel_j_slopes, bessel_zero_groups
+from .bessel import bessel_j_groups, bessel_j_slopes, bessel_zero_groups
+from .parts import run_parts
 
 FB_POOL_MAX_M = 15
 FB_POOL_MAX_Q = 16
@@ -134,76 +135,107 @@ def build_basis(spatial_kind, K, max_angular=4, n_scale=1):
     return BasisSet(spatial_kind, spatial, max_angular, n_scale)
 
 
-def eval_spatial_stack(elements, points, grad=False):
-    """Spatial elements at points[..., 2] in unit-domain coordinates: values [K, ...].
+def in_domain(elements, points):
+    """Mask of the points[..., 2] inside the domain of some of the spatial elements.
 
-    With grad=True returns (values, gradients [K, ..., 2]), the Cartesian
-    gradients.  Both are zero on and outside each element's domain.  Shared
-    work is done once per call: one J_m pass (and, for gradients, one
-    J_{m-1} pass) per Fourier-Bessel radial mode, over the distinct radii of
-    the points, serves its cos and sin elements, and sine-basis elements
-    share their per-index sine and cosine factors.
+    Fourier-Bessel elements live on the open unit disk and sine elements on
+    the open square (-1, 1)^2; each element and its gradient are exactly
+    zero everywhere else.
     """
     pts = np.asarray(points, dtype=np.float64)
     x = pts[..., 0]
     y = pts[..., 1]
+    inside = np.zeros(x.shape, dtype=bool)
+    for kind, (domain, _fill) in _SPATIAL_FILLS.items():
+        if any(e.kind == kind for e in elements):
+            inside |= domain(x, y)
+    return inside
+
+
+def eval_spatial_stack(elements, points, grad=False):
+    """Spatial elements at points[..., 2] in unit-domain coordinates: values [K, ...].
+
+    With grad=True returns (values, gradients [2, K, ...]), the x and y
+    components of the Cartesian gradients, each contiguous.  Both are zero
+    on and outside each element's domain.  Shared work is done once per
+    call: one Bessel pass per Fourier-Bessel radial mode gives its J_m (and,
+    for gradients, its J_{m-1}) over the distinct radii of the points and
+    serves its cos and sin elements, and the modes are split over the part
+    pool; sine-basis elements share their per-index sine and cosine factors.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    shape = pts.shape[:-1]
+    # the fills work on the points as one flat axis, a single point included
+    flat = pts.reshape(-1, 2)
+    x, y = flat[:, 0], flat[:, 1]
     for e in elements:
         if e.kind not in _SPATIAL_FILLS:
             raise ValueError(f"not a spatial element: {e.kind}")
-    vals = np.zeros((len(elements),) + x.shape)
-    grads = np.zeros(vals.shape + (2,)) if grad else None
-    for kind, fill in _SPATIAL_FILLS.items():
+    vals = np.zeros((len(elements), x.size))
+    grads = np.zeros((2,) + vals.shape) if grad else None
+    for kind, (domain, fill) in _SPATIAL_FILLS.items():
         rows = [k for k, e in enumerate(elements) if e.kind == kind]
         if rows:
-            fill(elements, rows, x, y, vals, grads)
-    return (vals, grads) if grad else vals
+            fill(elements, rows, x, y, domain(x, y), vals, grads)
+    vals = vals.reshape((len(elements),) + shape)
+    return (vals, grads.reshape((2,) + vals.shape)) if grad else vals
 
 
-def _fill_fb(elements, rows, x, y, vals, grads):
-    rho = np.hypot(x, y)
-    inside = rho < 1.0
-    phi = np.arctan2(y, x)
+def _fill_fb(elements, rows, x, y, inside, vals, grads):
+    phi = np.arctan2(y[inside], x[inside])
     # Each radial function runs on the distinct radii only (16,515 of the
     # 70,663 inside points of a 301 x 301 grid) and is scattered back.  That
     # changes no bit: bessel_j sees its points only through their largest
     # value and their set of values, which the distinct radii share.
-    radii, back = np.unique(rho[inside], return_inverse=True)
+    radii, back = np.unique(np.hypot(x[inside], y[inside]), return_inverse=True)
+    # Outside the disk a value is c * 0.0 * (cos or sin)(m phi): a zero with
+    # the sign of the harmonic, which the bank bytes keep.
+    outside = ~inside
+    phi_out = np.arctan2(y[outside], x[outside]) if outside.any() else None
     if grads is not None:
-        cu = np.cos(phi[inside])
-        su = np.sin(phi[inside])
+        cu = np.cos(phi)
+        su = np.sin(phi)
     modes = {}
     for k in rows:
         modes.setdefault((elements[k].indices[0], elements[k].eigenvalue), []).append(k)
-    for (m, mu), members in modes.items():
-        lam = math.sqrt(mu)
-        r = lam * radii
-        radial = np.zeros_like(rho)
-        jm = bessel_j(m, r)
-        radial[inside] = jm[back]
-        harmonics = {elements[k].harmonic for k in members}
-        trig = {h: np.cos(m * phi) if h == "cos" else np.sin(m * phi) for h in harmonics}
-        for k in members:
-            vals[k] = elements[k].normalization * radial * trig[elements[k].harmonic]
-        if grads is None:
-            continue
-        # J_m'(r) and m J_m(r) / r, so m J_m(lam rho) / rho = lam * j_over
-        jprime, j_over = (v[back] for v in bessel_j_slopes(m, r, jm))
-        cphi = np.cos(m * phi[inside])
-        sphi = np.sin(m * phi[inside])
-        for k in members:
-            c = elements[k].normalization
-            if elements[k].harmonic == "cos":
-                d_rho = c * lam * jprime * cphi
-                d_phi_over_rho = -c * lam * j_over * sphi
-            else:
-                d_rho = c * lam * jprime * sphi
-                d_phi_over_rho = c * lam * j_over * cphi
-            grads[k, ..., 0][inside] = cu * d_rho - su * d_phi_over_rho
-            grads[k, ..., 1][inside] = su * d_rho + cu * d_phi_over_rho
+    modes = list(modes.items())
+
+    def part(lo, hi):
+        for (m, mu), members in modes[lo:hi]:
+            lam = math.sqrt(mu)
+            r = lam * radii
+            # one Bessel pass per mode: J_m, and for gradients J_{m-1} (J_1
+            # for m = 0); each group keeps the bits of its own bessel_j call
+            orders = [m] if grads is None else [m, 1 if m == 0 else m - 1]
+            js = bessel_j_groups(orders, [r] * len(orders))
+            radial = js[0][back]
+            harmonics = {"cos", "sin"} if grads is not None else {elements[k].harmonic for k in members}
+            wave = {h: np.cos(m * phi) if h == "cos" else np.sin(m * phi) for h in harmonics}
+            for k in members:
+                c, h = elements[k].normalization, elements[k].harmonic
+                vals[k][inside] = c * radial * wave[h]
+                if phi_out is not None:
+                    vals[k][outside] = c * 0.0 * (np.cos(m * phi_out) if h == "cos" else np.sin(m * phi_out))
+            if grads is None:
+                continue
+            # J_m'(r) and m J_m(r) / r, so m J_m(lam rho) / rho = lam * j_over
+            jprime, j_over = (v[back] for v in bessel_j_slopes(m, r, *js))
+            cphi, sphi = wave["cos"], wave["sin"]
+            for k in members:
+                c = elements[k].normalization
+                if elements[k].harmonic == "cos":
+                    d_rho = c * lam * jprime * cphi
+                    d_phi_over_rho = -c * lam * j_over * sphi
+                else:
+                    d_rho = c * lam * jprime * sphi
+                    d_phi_over_rho = c * lam * j_over * cphi
+                grads[0, k][inside] = cu * d_rho - su * d_phi_over_rho
+                grads[1, k][inside] = su * d_rho + cu * d_phi_over_rho
+
+    run_parts(part, len(modes))
 
 
-def _fill_sl(elements, rows, x, y, vals, grads):
-    inside = (np.abs(x) < 1.0) & (np.abs(y) < 1.0)
+def _fill_sl(elements, rows, x, y, inside, vals, grads):
     coords = (x[inside], y[inside])
 
     @functools.cache
@@ -221,11 +253,15 @@ def _fill_sl(elements, rows, x, y, vals, grads):
         if grads is not None:
             hp, sx, cx = wave_grad(p, 0)
             hq, sy, cy = wave_grad(q, 1)
-            grads[k, ..., 0][inside] = hp * cx * sy
-            grads[k, ..., 1][inside] = hq * sx * cy
+            grads[0, k][inside] = hp * cx * sy
+            grads[1, k][inside] = hq * sx * cy
 
 
-_SPATIAL_FILLS = {"fb-disk": _fill_fb, "sl-square": _fill_sl}
+# kind -> (its domain as a mask of x and y, its fill)
+_SPATIAL_FILLS = {
+    "fb-disk": (lambda x, y: np.hypot(x, y) < 1.0, _fill_fb),
+    "sl-square": (lambda x, y: (np.abs(x) < 1.0) & (np.abs(y) < 1.0), _fill_sl),
+}
 
 
 def eval_spatial(element, points):
@@ -235,7 +271,7 @@ def eval_spatial(element, points):
 
 def eval_spatial_grad(element, points):
     """Cartesian gradient [..., 2] of one spatial element; a view of eval_spatial_stack."""
-    return eval_spatial_stack((element,), points, grad=True)[1][0]
+    return np.moveaxis(eval_spatial_stack((element,), points, grad=True)[1][:, 0], 0, -1)
 
 
 def angular_matrix(basis, thetas):

@@ -185,9 +185,20 @@ def bessel_j(order, x):
     return bessel_j_groups([order], [x])[0]
 
 
-def _slopes(m, x, jm, jbelow):
-    # (J_m'(x), m J_m(x) / x) from jm = J_m(x) and jbelow = J_{m-1}(x), or
-    # J_1(x) for m = 0
+def bessel_j_slopes(order, x, jm, jbelow=None):
+    """(J_order'(x), order * J_order(x) / x) for an array x >= 0 and jm = J_order(x).
+
+    J_0' = -J_1 and J_m' = J_{m-1} - m J_m / x, so no order above m is
+    evaluated.  jbelow is J_{m-1}(x), or J_1(x) for m = 0; a caller that
+    already holds it (from the bessel_j_groups pass that gave jm, say)
+    passes it, and otherwise one bessel_j call computes it.  m J_m(x) / x
+    stays finite as x -> 0 (limit 1/2 for m = 1, else 0): below x = 1e-8
+    the leading series term of J_m(x) / x, (x/2)^{m-1} / (2 m!), replaces
+    the division.
+    """
+    m = _check_order(order)
+    if jbelow is None:
+        jbelow = bessel_j(1 if m == 0 else m - 1, x)
     if m == 0:
         return -jbelow, np.zeros_like(x)
     j_over = np.empty_like(x)
@@ -195,18 +206,6 @@ def _slopes(m, x, jm, jbelow):
     j_over[tiny] = m * (0.5 * x[tiny]) ** (m - 1) / (2.0 * math.factorial(m))
     j_over[~tiny] = m * jm[~tiny] / x[~tiny]
     return jbelow - j_over, j_over
-
-
-def bessel_j_slopes(order, x, jm):
-    """(J_order'(x), order * J_order(x) / x) for an array x >= 0 and jm = J_order(x).
-
-    J_0' = -J_1 and J_m' = J_{m-1} - m J_m / x, so no order above m is
-    evaluated.  m J_m(x) / x stays finite as x -> 0 (limit 1/2 for m = 1,
-    else 0): below x = 1e-8 the leading series term of J_m(x) / x,
-    (x/2)^{m-1} / (2 m!), replaces the division.
-    """
-    m = _check_order(order)
-    return _slopes(m, x, jm, bessel_j(1 if m == 0 else m - 1, x))
 
 
 def bessel_j_derivative(order, x):
@@ -256,7 +255,7 @@ def bessel_zero_groups(orders, qs):
     for _ in range(6):
         js = bessel_j_groups(orders + below, roots + roots)
         roots = [
-            np.clip(root - j / _slopes(m, root, j, jb)[0], lo, hi)
+            np.clip(root - j / bessel_j_slopes(m, root, j, jb)[0], lo, hi)
             for m, root, j, jb, (lo, hi) in zip(orders, roots, js, js[len(orders) :], brackets)
         ]
     return [float(root[0]) if qa.ndim == 0 else root for root, qa in zip(roots, qas)]

@@ -36,26 +36,17 @@ through as one batch of 2, and the non-expansiveness report sends 4 trial
 pairs (8 samples) per batch.  Larger batches would run faster but raise the
 memory peak, which grows with the batch.
 
-Each correlation runs on every CPU the process may use.  The forward rfft2
-is split into contiguous parts over the flattened (sample, input channel)
-rows, and the spectra, multiply-add passes and inverse transforms into
-contiguous parts over the output channels.  The caller runs the first part
-itself and a shared pool of threads, started on first use, runs the rest,
-so a one-CPU machine runs serially.  Every output element goes through the
-same operations in the same order whatever the split, and the FFTs
-transform each row on its own, so results are bit-identical for every part
-count.  analysis.filter_bound_report runs the theta samples of a joint
-layer's bounds on the same pool through run_parts: each sample's sums go to
-their own row and the caller sums the rows once all are written, so its
-report is bit-identical for every part count too.
+Each correlation runs on every CPU the process may use, through
+parts.run_parts: the forward rfft2 is split over the flattened (sample,
+input channel) rows, and the spectra, multiply-add passes and inverse
+transforms over the output channels, with bit-identical results for every
+part count.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +55,7 @@ from .bank import default_layer_scale, sample_filter_bank, scale_channel_grid
 from .basis import angular_matrix, build_basis, scale_matrix
 from .group import FeatureMap
 from .norms import fb_norm, fb_norm_joint
+from .parts import run_parts
 
 
 class ConfigError(ValueError):
@@ -305,35 +297,6 @@ def init_coeffs(net, seed=None):
     """draw_coeffs for every layer, layer idx from the stream (seed, idx); seed defaults to net.seed."""
     root = net.seed if seed is None else seed
     return [draw_coeffs(net, idx, np.random.default_rng([root, idx])) for idx in range(net.depth)]
-
-
-# Parts per parallel stage of _group_correlate and of the theta loop of
-# analysis.filter_bound_report: the CPUs this process may use.
-try:
-    _PARTS = len(os.sched_getaffinity(0))
-except AttributeError:  # no affinity call on this platform
-    _PARTS = os.cpu_count() or 1
-# The caller of run_parts runs one part (which peaks lower in memory than
-# handing every part to the pool); these threads start on the first submit.
-_POOL = ThreadPoolExecutor(max(1, _PARTS - 1), thread_name_prefix="rstcnn-part")
-
-
-def run_parts(fn, count):
-    """fn(lo, hi) over at most _PARTS contiguous near-equal parts of range(count).
-
-    The caller runs the first part and the pool the others.  Every part has
-    finished before this returns or raises, so none writes after its caller
-    has moved on; the first exception a part raised is re-raised.
-    """
-    k = max(1, min(_PARTS, count))
-    bounds = [(count * j // k, count * (j + 1) // k) for j in range(k)]
-    futures = [_POOL.submit(fn, lo, hi) for lo, hi in bounds[1:]]
-    try:
-        fn(*bounds[0])
-    finally:
-        wait(futures)
-    for future in futures:
-        future.result()
 
 
 def _group_correlate(vals, filters, bias):

@@ -1,0 +1,72 @@
+"""The part pool: every CPU the process may use, shared by the parallel stages.
+
+run_parts(fn, count) splits range(count) into at most _PARTS contiguous
+near-equal parts, one per CPU.  The caller runs the first part itself and a
+shared pool of threads, started on first use, runs the rest, so a one-CPU
+machine runs serially.  Three stages use it, and each gives bit-identical
+results for every part count:
+- net._group_correlate splits its forward rfft2 over the flattened (sample,
+  input channel) rows, and its spectra, multiply-add passes and inverse
+  transforms over the output channels.  Every output element goes through
+  the same operations in the same order whatever the split, and the FFTs
+  transform each row on its own.
+- analysis.filter_bound_report splits the theta samples of a joint layer's
+  bounds.  Each sample's sums go to their own row, and the caller sums the
+  rows once all are written.
+- basis.eval_spatial_stack splits the Fourier-Bessel radial modes.  Each
+  mode's J_m and J_{m-1} come from one bessel_j_groups pass, which gives the
+  bits of one bessel_j call per order, and a part writes only the rows of
+  its own modes.
+
+A part must not call run_parts itself: on 2 CPUs the pool has one thread,
+and a nested call would wait on the thread it runs in.  run_parts raises
+RuntimeError when a pool thread calls it.
+"""
+
+from __future__ import annotations
+
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
+
+try:
+    _PARTS = len(os.sched_getaffinity(0))
+except AttributeError:  # no affinity call on this platform
+    _PARTS = os.cpu_count() or 1
+
+_IN_POOL = threading.local()
+
+
+def _mark_pool_thread():
+    _IN_POOL.active = True
+
+
+# The caller of run_parts runs one part (which peaks lower in memory than
+# handing every part to the pool); these threads start on the first submit.
+_POOL = ThreadPoolExecutor(max(1, _PARTS - 1), thread_name_prefix="rstcnn-part", initializer=_mark_pool_thread)
+
+
+def _split(count):
+    """The (lo, hi) bounds of the at most _PARTS contiguous near-equal parts of range(count)."""
+    k = max(1, min(_PARTS, count))
+    return [(count * j // k, count * (j + 1) // k) for j in range(k)]
+
+
+def run_parts(fn, count):
+    """fn(lo, hi) over at most _PARTS contiguous near-equal parts of range(count).
+
+    The caller runs the first part and the pool the others.  Every part has
+    finished before this returns or raises, so none writes after its caller
+    has moved on; the first exception a part raised is re-raised.  A call
+    from inside a part that the pool runs raises RuntimeError.
+    """
+    if getattr(_IN_POOL, "active", False):
+        raise RuntimeError("run_parts called from a part-pool thread: the nested parts would wait on the pool running them")
+    bounds = _split(count)
+    futures = [_POOL.submit(fn, lo, hi) for lo, hi in bounds[1:]]
+    try:
+        fn(*bounds[0])
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-import rstcnn.net
+import rstcnn.parts
 from rstcnn import ImageTensor, LayerSpec, NetworkConfig, init_coeffs
 
 
@@ -53,11 +53,27 @@ PART_COUNTS = (1, 2, 3)
 
 
 def outputs_per_part_count(monkeypatch, run):
-    """run() once for each forced part count of the part pool (net.run_parts)."""
+    """run() once for each forced part count of the part pool (parts.run_parts).
+
+    Each run also checks that the forced count took effect: the most parts
+    any one run_parts call ran is the forced count, or the largest count it
+    was asked to split when that is smaller (1 when run() splits nothing).
+    """
+    split = rstcnn.parts._split
     outs = []
     for parts in PART_COUNTS:
-        monkeypatch.setattr(rstcnn.net, "_PARTS", parts)
+        seen = []  # (count, parts run) of each run_parts call
+
+        def recorded(count, seen=seen):
+            bounds = split(count)
+            seen.append((count, len(bounds)))
+            return bounds
+
+        monkeypatch.setattr(rstcnn.parts, "_PARTS", parts)
+        monkeypatch.setattr(rstcnn.parts, "_split", recorded)
         outs.append(run())
+        largest = max((count for count, _ in seen), default=1)
+        assert max((ran for _, ran in seen), default=1) == min(parts, largest)
     return outs
 
 

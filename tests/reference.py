@@ -233,7 +233,7 @@ def per_order_fb_pool():
 
 
 def fb_stack_every_point(elements, points):
-    """Values [K, ...] and gradients [K, ..., 2] of Fourier-Bessel elements, J_m at every point.
+    """Values [K, ...] and gradients [2, K, ...] of Fourier-Bessel elements, J_m at every point.
 
     Every Bessel call here gets every point inside the disk, repeats
     included, one element at a time, where basis.eval_spatial_stack runs
@@ -251,7 +251,7 @@ def fb_stack_every_point(elements, points):
     phi = np.arctan2(y, x)
     cu, su = np.cos(phi[inside]), np.sin(phi[inside])
     vals = np.zeros((len(elements),) + x.shape)
-    grads = np.zeros(vals.shape + (2,))
+    grads = np.zeros((2,) + vals.shape)
     for k, e in enumerate(elements):
         m, c = e.indices[0], e.normalization
         lam = math.sqrt(e.eigenvalue)
@@ -267,9 +267,49 @@ def fb_stack_every_point(elements, points):
             vals[k] = c * radial * np.sin(m * phi)
             d_rho = c * lam * bessel_j_derivative(m, r) * sphi
             d_phi_over_rho = c * lam * bessel_j_over_x(m, r) * cphi
-        grads[k, ..., 0][inside] = cu * d_rho - su * d_phi_over_rho
-        grads[k, ..., 1][inside] = su * d_rho + cu * d_phi_over_rho
+        grads[0, k][inside] = cu * d_rho - su * d_phi_over_rho
+        grads[1, k][inside] = su * d_rho + cu * d_phi_over_rho
     return vals, grads
+
+
+def whole_grid_quadrature_digests(basis, grid_n, chunk=10):
+    """(shape, sha256) of disk_quadrature's vals, gx, gy and radius, built on the whole grid.
+
+    This is how disk_quadrature built them before it evaluated the domain's
+    points only: every element on all grid_n^2 points, then the points where
+    every value and gradient component is exactly zero dropped.  The
+    elements go through eval_spatial_stack `chunk` at a time (its rows are
+    bit-equal to one-element calls), once for the kept points and once for
+    their columns, and each array's C-order bytes are hashed row block by
+    row block, so no [K, grid_n^2] array forms.  Equal digests mean equal
+    bits, the signs of zeros included.
+    """
+    import hashlib
+
+    from rstcnn.basis import eval_spatial_stack, unit_grid
+
+    pts, _ = unit_grid(grid_n)
+    pts = pts.reshape(-1, 2)
+    chunks = [basis.spatial[lo : lo + chunk] for lo in range(0, basis.n_spatial, chunk)]
+    keep = np.zeros(len(pts), dtype=bool)
+    for elements in chunks:
+        vals, grads = eval_spatial_stack(elements, pts, grad=True)
+        keep |= (vals != 0.0).any(axis=0) | (grads != 0.0).any(axis=(0, 1))
+    hashes = [hashlib.sha256() for _ in range(3)]
+    for elements in chunks:
+        vals, grads = eval_spatial_stack(elements, pts, grad=True)
+        for h, block in zip(hashes, (vals, grads[0], grads[1])):
+            h.update(np.ascontiguousarray(block.compress(keep, axis=1)))
+    shape = (basis.n_spatial, int(keep.sum()))
+    radius = np.sqrt((pts[keep] ** 2).sum(axis=1))
+    return [(shape, h.hexdigest()) for h in hashes] + [array_digest(radius)]
+
+
+def array_digest(a):
+    """(shape, sha256 of the C-order bytes) of an array: equal for equal bits, zero signs included."""
+    import hashlib
+
+    return a.shape, hashlib.sha256(np.ascontiguousarray(a)).hexdigest()
 
 
 def chunked_filter_bounds(coeffs, basis, spec, grid_n, n_theta):

@@ -8,6 +8,7 @@ import pytest
 
 from rstcnn import (
     AssumptionError,
+    BasisSet,
     CoeffTensor,
     FeatureMap,
     GroupElement,
@@ -307,6 +308,34 @@ def test_filter_bounds_are_bit_identical_for_every_part_count(spatial_kind, laye
     expected = reference.chunked_filter_bounds(coeffs, basis, spec, grid_n=41, n_theta=n_theta)
     for name, value in expected.items():
         assert getattr(reports[0], name) == pytest.approx(value, rel=1e-12, abs=0.0)
+
+
+def _orders_from_two(K):
+    # the elements of the K lowest with m >= 2: all values and gradients
+    # vanish at the origin, so the quadrature drops that domain point
+    elements = tuple(e for e in build_basis("fb", K).spatial if e.indices[0] >= 2)
+    return BasisSet("fb", elements, 0, 1)
+
+
+@pytest.mark.parametrize(
+    "make_basis",
+    [lambda: build_basis("fb", 10), lambda: build_basis("fb", 100), lambda: build_basis("sl", 10), lambda: _orders_from_two(10)],
+    ids=["fb10", "fb100", "sl10", "fb10-m2"],
+)
+@pytest.mark.parametrize("grid_n", [41, 301])
+def test_disk_quadrature_equals_whole_grid_then_compress(make_basis, grid_n, monkeypatch):
+    # disk_quadrature evaluates only the points inside the domain; the support,
+    # and so every _pair_sums block and sum, must keep the bits of the
+    # whole-grid build for every part count
+    basis = make_basis()
+    want = reference.whole_grid_quadrature_digests(basis, grid_n)
+
+    def digests():
+        quad = disk_quadrature(basis, grid_n)
+        assert all(a.flags.c_contiguous for a in (quad.vals, quad.gx, quad.gy))
+        return [reference.array_digest(a) for a in (quad.vals, quad.gx, quad.gy, quad.radius)]
+
+    assert outputs_per_part_count(monkeypatch, digests) == [want] * 3
 
 
 def test_filter_bounds_reject_a_mismatched_quadrature():

@@ -7,6 +7,8 @@ from rstcnn.bank import default_layer_scale, sample_filter_bank, scale_channel_g
 from rstcnn.basis import build_basis, eval_spatial
 from rstcnn.container import dump_bank, load_bank
 
+from conftest import outputs_per_part_count
+
 
 def test_default_layer_scale_gives_unit_pitch():
     # stencil of width L spans the support diameter 2 * 2^j at alpha = 0
@@ -24,6 +26,17 @@ def test_even_stencil_rejected():
     basis = build_basis("fb", 3)
     with pytest.raises(ValueError, match="odd"):
         sample_filter_bank(basis, 4, 3, 1.0, 8, layer_scale=0.0)
+
+
+@pytest.mark.parametrize("K", [10, 100])
+def test_bank_is_bit_identical_for_every_part_count(K, monkeypatch):
+    # the radial modes are split over the part pool; the fig3 bank shape, with
+    # the signed zeros outside the disk that the bank bytes keep
+    basis = build_basis("fb", K)
+    banks = outputs_per_part_count(monkeypatch, lambda: sample_filter_bank(basis, 8, 9, 1.0, 9, layer_scale=2.0).values)
+    assert np.signbit(banks[0][banks[0] == 0.0]).any()
+    for bank in banks[1:]:
+        assert np.array_equal(bank, banks[0]) and np.array_equal(np.signbit(bank), np.signbit(banks[0]))
 
 
 def test_identity_slice_is_direct_sampling():

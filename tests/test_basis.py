@@ -114,9 +114,10 @@ def test_eval_spatial_stack_equals_one_element_calls(case):
     elements = _stack_cases()[case]
     pts, _ = unit_grid(61)  # includes the origin and points on the domain boundary
     vals, grads = eval_spatial_stack(elements, pts, grad=True)
-    assert vals.shape == (len(elements), 61, 61) and grads.shape == vals.shape + (2,)
+    assert vals.shape == (len(elements), 61, 61) and grads.shape == (2,) + vals.shape
+    assert grads[0].flags.c_contiguous and grads[1].flags.c_contiguous
     assert np.array_equal(vals, np.stack([eval_spatial(e, pts) for e in elements]))
-    assert np.array_equal(grads, np.stack([eval_spatial_grad(e, pts) for e in elements]))
+    assert np.array_equal(np.moveaxis(grads, 0, -1), np.stack([eval_spatial_grad(e, pts) for e in elements]))
     assert np.array_equal(eval_spatial_stack(elements, pts), vals)
 
 
@@ -129,8 +130,8 @@ def test_fb_stack_on_distinct_radii_equals_every_point_evaluation(grid_n, K):
     pts, _ = unit_grid(grid_n)
     vals, grads = eval_spatial_stack(elements, pts, grad=True)
     want_vals, want_grads = reference.fb_stack_every_point(elements, pts)
-    assert np.array_equal(vals, want_vals)
-    assert np.array_equal(grads, want_grads)
+    assert np.array_equal(vals, want_vals) and np.array_equal(np.signbit(vals), np.signbit(want_vals))
+    assert np.array_equal(grads, want_grads) and np.array_equal(np.signbit(grads), np.signbit(want_grads))
 
 
 def test_fb_stack_gradients_match_scipy_closed_form():
@@ -169,10 +170,23 @@ def test_fb_stack_gradients_match_scipy_closed_form():
             want = np.zeros(vals.shape[1:] + (2,))
             want[inside, 0] = cu * d_rho - su * d_phi_over_rho
             want[inside, 1] = su * d_rho + cu * d_phi_over_rho
-            assert np.abs(grads[k] - want).max() <= 1e-12 * np.abs(want).max()
+            assert np.abs(np.moveaxis(grads[:, k], 0, -1) - want).max() <= 1e-12 * np.abs(want).max()
             want_vals = np.zeros(vals.shape[1:])
             want_vals[inside] = value * wave
             assert np.abs(vals[k] - want_vals).max() <= 1e-12 * np.abs(want_vals).max()
+
+
+@pytest.mark.parametrize("kind", ["fb", "sl"])
+def test_single_point_evaluates_like_a_one_point_array(kind):
+    # a points array of shape (2,) gives values [K] and gradients [2, K]
+    # (the sine fill raised TypeError on it before)
+    elements = build_basis(kind, 6).spatial
+    for p in ([0.3, -0.2], [0.0, 0.0], [1.5, 0.2]):
+        vals, grads = eval_spatial_stack(elements, p, grad=True)
+        want_vals, want_grads = eval_spatial_stack(elements, [p], grad=True)
+        assert vals.shape == (6,) and grads.shape == (2, 6)
+        assert np.array_equal(vals, want_vals[:, 0]) and np.array_equal(np.signbit(vals), np.signbit(want_vals[:, 0]))
+        assert np.array_equal(grads, want_grads[..., 0])
 
 
 def test_eval_spatial_stack_rejects_other_kinds():

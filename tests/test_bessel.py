@@ -134,6 +134,33 @@ def test_slopes_obey_the_neighbour_identities():
         assert np.array_equal(j_over, bessel_j_over_x(m, xs))
 
 
+def test_slopes_are_the_closed_form_bit_for_bit(monkeypatch):
+    # J_m' = J_{m-1} - m J_m / x and m J_m / x in the package's operation
+    # order: a reordering such as m / x * jm moves a last bit and fails here.
+    # Below x = 1e-8 the division gives way to the leading series term.
+    xs = np.concatenate([[0.0, 1e-300, 1e-12, 9.9e-9, 1e-8, 1.1e-8], np.linspace(0.05, 20.0, 96)])
+    tiny = xs < 1e-8
+    for m in range(rstcnn.bessel.MAX_ORDER + 1):
+        jm = bessel_j(m, xs)
+        jbelow = bessel_j(1 if m == 0 else m - 1, xs)
+        if m == 0:
+            want_prime, want_over = -jbelow, np.zeros_like(xs)
+        else:
+            want_over = np.empty_like(xs)
+            want_over[tiny] = m * (0.5 * xs[tiny]) ** (m - 1) / (2.0 * math.factorial(m))
+            want_over[~tiny] = m * jm[~tiny] / xs[~tiny]
+            want_prime = jbelow - want_over
+        given = bessel_j_slopes(m, xs, jm)
+        for got, want in zip(given, (want_prime, want_over)):
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+        # a precomputed J_{m-1} (J_1 for m = 0) gives the same bits and no bessel_j call
+        with monkeypatch.context() as patch:
+            patch.setattr(rstcnn.bessel, "bessel_j", None)
+            held = bessel_j_slopes(m, xs, jm, jbelow)
+        for got, want in zip(held, given):
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_unsupported_order():
     with pytest.raises(UnsupportedOrderError):
         bessel_j(17, 1.0)

@@ -16,6 +16,7 @@ import pytest
 
 import reference
 import rstcnn.net
+import rstcnn.parts
 from rstcnn import (
     ConfigError,
     CoeffTensor,
@@ -339,9 +340,9 @@ def test_concurrent_callers_share_the_part_pool(monkeypatch):
     feat = FeatureMap(rng.standard_normal((2, 4, 3, 6, 6)), math.pi / 2, np.linspace(-1.0, 1.0, 3))
     filters = rng.standard_normal((2, 3, 4, 2, 3, 2, 3, 3))
     bias = rng.standard_normal(3)
-    monkeypatch.setattr(rstcnn.net, "_PARTS", 1)
+    monkeypatch.setattr(rstcnn.parts, "_PARTS", 1)
     want = joint_conv(feat, filters, bias, spec).values
-    monkeypatch.setattr(rstcnn.net, "_PARTS", 3)
+    monkeypatch.setattr(rstcnn.parts, "_PARTS", 3)
     results = []
 
     def caller():
@@ -363,7 +364,7 @@ def test_concurrent_callers_share_the_part_pool(monkeypatch):
 
 
 def test_part_failure_reaches_the_caller(monkeypatch):
-    monkeypatch.setattr(rstcnn.net, "_PARTS", 3)
+    monkeypatch.setattr(rstcnn.parts, "_PARTS", 3)
     done = []
 
     def part(lo, hi):
@@ -372,8 +373,26 @@ def test_part_failure_reaches_the_caller(monkeypatch):
         done.append((lo, hi))
 
     with pytest.raises(RuntimeError, match="part 2 failed"):
-        rstcnn.net.run_parts(part, 3)
+        rstcnn.parts.run_parts(part, 3)
     assert sorted(done) == [(0, 1), (1, 2)]
+
+
+def test_nested_run_parts_call_raises_instead_of_deadlocking(monkeypatch):
+    # on 2 CPUs the pool has one thread: a part it runs that called run_parts
+    # would wait on itself, so that call raises and the caller sees why
+    monkeypatch.setattr(rstcnn.parts, "_PARTS", 2)
+    done = []
+
+    def part(lo, hi):
+        rstcnn.parts.run_parts(lambda a, b: done.append((a, b)), 2)
+
+    with pytest.raises(RuntimeError, match="part-pool thread"):
+        rstcnn.parts.run_parts(part, 2)
+    # the caller's own part is not a pool thread: its nested call ran both
+    # halves, the pool's once the pool's part had raised
+    assert sorted(done) == [(0, 1), (1, 2)]
+    rstcnn.parts.run_parts(lambda lo, hi: done.append((lo, hi)), 2)  # the pool is free again
+    assert len(done) == 4
 
 
 def test_import_starts_no_thread():
