@@ -100,6 +100,7 @@ from .net import (
     NetworkConfig,
     alpha_taps,
     alpha_weights,
+    channel_cone,
     draw_coeffs,
     filter_amplitude,
     forward,

@@ -41,28 +41,14 @@ def _slice_error(direct, reference, margin):
     return num, den
 
 
-def _reference_slice(g, feat, mid):
-    """D_g feat at rotation 0 and scale channel mid, [M, H, W]: one warped channel.
-
-    The channel it reads comes from channel_sources; one read from beyond
-    the scale axis is zero.  Equal to act_on_feature(g, feat).values[:, 0,
-    mid] without warping the other channels.
-    """
-    rot, sc = channel_sources(g, feat)
-    s = sc[mid]
-    vals = feat.values
-    chan = vals[:, rot[0], s] if 0 <= s < len(sc) else np.zeros_like(vals[:, 0, 0])
-    return act_on_image(g, ImageTensor(chan)).values
-
-
-def _forward_pair(net, coeffs, a, b):
+def _forward_pair(net, coeffs, a, b, keep=None):
     """Per layer, the features of the images a and b ([M, H, W] values) as a pair of FeatureMaps.
 
-    Both images go through one forward as a batch of 2, and the layers come
-    from forward_layers one at a time, so a caller that reduces each pair
-    before the next never holds every layer.
+    Both images go through one forward as a batch of 2, limited to keep
+    (forward_layers), and the layers come one at a time, so a caller that
+    reduces each pair before the next never holds every layer.
     """
-    for f in forward_layers(net, coeffs, ImageTensor(np.stack([a, b]))):
+    for f in forward_layers(net, coeffs, ImageTensor(np.stack([a, b])), keep=keep):
         yield tuple(FeatureMap(f.values[i], f.rotation_step, f.scale_grid) for i in (0, 1))
 
 
@@ -103,13 +89,24 @@ class EquivarianceCurve:
 def equivariance_curve(net, coeffs, x, g, margin=4):
     """Per-layer equivariance errors from one forward pass over the pair (D_g x, x).
 
-    Only the compared slice of D_g x^(l)[x] is built: the one channel it
-    reads, warped by act_on_image.
+    The compared slices are channel (0, mid) of x^(l)[D_g x] and the one
+    channel of x^(l)[x] that channel (0, mid) of D_g reads (channel_sources;
+    a read from beyond the scale axis is zero), warped by act_on_image.  The
+    forward computes only the cone of channels those two depend on.
     """
-    mid = net.n_scales // 2
+    n_r, n_s = net.n_rotations, net.n_scales
+    mid = n_s // 2
+    probe = FeatureMap(np.zeros((1, n_r, n_s, 1, 1)), 2.0 * math.pi / n_r, net.scale_grid)
+    rot, sc = channel_sources(g, probe)
+    keep = np.zeros((n_r, n_s), dtype=bool)
+    keep[0, mid] = True
+    source = (rot[0], sc[mid]) if 0 <= sc[mid] < n_s else None
+    if source is not None:
+        keep[source] = True
     errors = []
-    for direct, plain in _forward_pair(net, coeffs, act_on_image(g, x).values, x.values):
-        num, den = _slice_error(direct.values[:, 0, mid], _reference_slice(g, plain, mid), margin)
+    for direct, plain in _forward_pair(net, coeffs, act_on_image(g, x).values, x.values, keep):
+        chan = plain.values[:, source[0], source[1]] if source is not None else np.zeros_like(plain.values[:, 0, 0])
+        num, den = _slice_error(direct.values[:, 0, mid], act_on_image(g, ImageTensor(chan)).values, margin)
         errors.append(num / den if den > 0.0 else math.inf)
     return EquivarianceCurve(tuple(errors))
 
@@ -215,9 +212,10 @@ class NonexpansivenessReport:
 
 
 # Trial pairs per forward of nonexpansiveness_report.  Larger batches run
-# faster but raise the memory peak: 4 pairs (8 samples at 28x28) peak below a
-# fig3 K=10, L_alpha=3 forward of 2 samples at 56x56, and 10 pairs already
-# peak well above it.
+# faster but raise the memory peak: 4 pairs (8 samples at 28x28) peak at 34
+# MB traced, below the 43 MB of a full forward of a fig3 K=10, L_alpha=3 pair
+# at 56x56, and 10 pairs at 75 MB, well above it.  The sweep forwards only
+# the cone of its compared channels, which peaks at 27 MB for that pair.
 REPORT_PAIRS = 4
 
 

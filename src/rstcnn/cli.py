@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import fields, replace
@@ -144,7 +145,12 @@ def _cmd_bank_build(args):
 
 def _cmd_equi_sweep(args):
     cfg = _experiment_config(args, experiments.fig3_config())
-    _write_text(args.out, experiments.run_equivariance_sweep(cfg))
+    text = experiments.run_equivariance_sweep(cfg)
+    _write_text(args.out, text)
+    errors = [row[-1] for row in experiments.parse_sweep_csv(text)]
+    n_inf = sum(math.isinf(e) for e in errors)
+    if n_inf:
+        sys.stderr.write(f"{n_inf} of {len(errors)} rows are inf: their reference slice D_g x^(l)[x] is zero\n")
     return 0
 
 

@@ -36,6 +36,20 @@ through as one batch of 2, and the non-expansiveness report sends 4 trial
 pairs (8 samples) per batch.  Larger batches would run faster but raise the
 memory peak, which grows with the batch.
 
+forward_layers(..., keep) computes only what the channels of keep, one
+boolean [N_r, N_s] mask read at every layer, depend on.  A joint layer's
+tap t reads rotation r + t * N_r / L_theta, so each residue class of
+rotations mod N_r / L_theta reads only itself, and its live scale taps q
+(the filter slices nonzero for some channel pair) read scale s + q, nothing
+above the top channel.  channel_cone walks back from the last layer and
+gives each layer the whole residue classes and the scale window that cover
+keep and what the next layer reads there.  Those channels are
+bit-identical to the full forward's; every other channel holds NaN, so a
+missed dependency cannot pass unseen.  equivariance_curve keeps its two
+compared channels, which on the fig3 sweep leaves 4 of 8 rotations and 3
+to 5 of 9 scales per layer.  keep=None keeps every channel, through the
+same code.
+
 Each correlation runs on every CPU the process may use, through
 parts.run_parts: the forward rfft2 is split over the flattened (sample,
 input channel) rows, and the spectra, multiply-add passes and inverse
@@ -299,7 +313,35 @@ def init_coeffs(net, seed=None):
     return [draw_coeffs(net, idx, np.random.default_rng([root, idx])) for idx in range(net.depth)]
 
 
-def _group_correlate(vals, filters, bias):
+def _live_taps(filters):
+    """[M_in, L_theta, L_alpha]: whether an (input channel, tap) slice of joint filters is nonzero for some output channel."""
+    return filters.any(axis=(1, 2, 4, 6, 7))
+
+
+def _rotation_reads(rows, l_theta):
+    """The rotations that the rotation mask rows [N_r] reads through L_theta taps, as a mask.
+
+    Tap t reads rotation r + t * N_r / L_theta (cyclic), so a residue class
+    mod N_r / L_theta reads only itself: the reads are the whole classes
+    that rows meets.
+    """
+    return np.tile(rows.reshape(l_theta, -1).any(axis=0), l_theta)
+
+
+def _scale_reads(lo, hi, live_q, n_in):
+    """The input scales [i0, i1) that output scales [lo, hi) read through the live scale taps live_q.
+
+    Tap q reads scale s + q and nothing from the top channel n_in on, so the
+    reads lie in [lo + q0, hi + q1) cut at n_in, for the lowest and highest
+    live taps q0 and q1; i0 == i1 when nothing is read.
+    """
+    if not live_q.size:
+        return lo, lo
+    i0 = lo + int(live_q[0])
+    return i0, max(i0, min(hi + int(live_q[-1]), n_in))
+
+
+def _group_correlate(vals, filters, bias, window=None):
     """relu(bias + tap-weighted spatial correlations), evaluated on rfft2 spectra.
 
     vals [N, M_in, R, S, H, W] (N samples; R, S the input's group sizes, or 1
@@ -309,39 +351,52 @@ def _group_correlate(vals, filters, bias):
     and carries weight alpha_weights(L_alpha)[q] / L_theta.  Returns [N,
     M_out, N_r, N_s, H, W].
 
+    window (rows, lo, hi) restricts the output to the rotations of the mask
+    rows [N_r] and the scales [lo, hi); None is every channel.  When R > 1
+    the rows are widened to the residue classes they read (_rotation_reads),
+    which are gathered in ascending order: tap t then steps t * len / L_theta
+    rows within them.  Every output channel outside the window is NaN, and
+    only the input channels the window reads are transformed.
+
     A (tap, input channel) slice whose filters are zero for every output
     channel (the end scale taps of a Dirichlet profile, say) gets no
     spectrum and adds no products: acc starts at +0 and never becomes -0,
-    so adding its +-0 products would change no bit.  Tap q reads input
-    scales [q, S) and writes output scales [0, N_s - q), so with q0 the
-    lowest live scale tap, input scales below q0 get no forward transform
-    and output scales from N_s - q0 on no inverse one: they are
-    relu(bias), as the inverse transform of zeros plus bias would give.
+    so adding its +-0 products would change no bit.  With q0 the lowest live
+    scale tap, the window reads input scales from lo + q0 on, and output
+    scales from N_s - q0 on get no inverse transform: they are relu(bias),
+    as the inverse transform of zeros plus bias would give.
     """
     m_in, m_out, n_r, l_th, n_s, l_al, L, _ = filters.shape
-    d_step = vals.shape[2] // l_th
+    n, _, R, S, H, W = vals.shape
+    rows, s_lo, s_hi = window if window is not None else (np.ones(n_r, dtype=bool), 0, n_s)
+    rows = np.flatnonzero(_rotation_reads(rows, l_th) if R > 1 else rows)
+    r_n = len(rows)
+    rows_sel = slice(None) if r_n == n_r else rows
+    r_in = r_n if R > 1 else 1
+    d_step = r_in // l_th
     w_alpha = alpha_weights(l_al)
-    n = vals.shape[0]
-    H, W = vals.shape[-2:]
     p = (L - 1) // 2
     P, Q = H + p, W + p
-    live = filters.any(axis=(1, 2, 4, 6, 7))  # [M_in, L_theta, L_alpha], over every output channel
+    live = _live_taps(filters)  # over every output channel
     live_q = np.flatnonzero(live.any(axis=(0, 1)))
     q0 = int(live_q[0]) if live_q.size else n_s
-    n_w = max(n_s - q0, 0)  # output scales some live tap writes
-    # xf holds the spectra of input scales [q0, S) only
-    xf = np.empty(vals.shape[:3] + (max(vals.shape[3] - q0, 0), P, Q // 2 + 1), dtype=complex)
-    rows = n * vals.shape[1]
-    rows_in = vals[:, :, :, q0:].reshape((rows,) + xf.shape[2:4] + (H, W))
-    rows_xf = xf.reshape((rows,) + xf.shape[2:])
+    w_hi = max(s_lo, min(s_hi, n_s - q0))  # output scales [s_lo, w_hi) some live tap writes
+    n_w = w_hi - s_lo
+    # xf holds the spectra of the input scales [i0, i1) the window reads
+    i0, i1 = (0, min(n_w, 1)) if S == 1 else _scale_reads(s_lo, s_hi, live_q, S)
+    xf = np.empty((n, m_in, r_in, i1 - i0, P, Q // 2 + 1), dtype=complex)
+    n_rows = n * m_in
+    rows_in = vals.reshape((n_rows,) + vals.shape[2:])
+    rows_xf = xf.reshape((n_rows,) + xf.shape[2:])
+    rot_in = rows_sel if R > 1 else slice(None)
 
     def transform(lo, hi):
         # One (sample, input channel) row at a time, through one zero-padded
         # buffer per part: the temporaries of the running parts stay small,
         # without np.pad's cost per call.
-        padded = np.zeros(rows_in.shape[1:-2] + (P, Q))
+        padded = np.zeros(xf.shape[2:4] + (P, Q))
         for j in range(lo, hi):
-            padded[..., p : p + H, p : p + W] = rows_in[j]
+            padded[..., p : p + H, p : p + W] = rows_in[j][rot_in, i0:i1]
             rows_xf[j] = np.fft.rfft2(padded)
 
     # Conjugated DFT rows restricted to the L-tap support: ey @ f @ ex is the
@@ -349,7 +404,8 @@ def _group_correlate(vals, filters, bias):
     taps = np.arange(L)
     ey = np.exp(2j * math.pi * (np.outer(np.arange(P), taps) % P) / P)
     ex = np.exp(2j * math.pi * (np.outer(taps, np.arange(Q // 2 + 1)) % Q) / Q)
-    acc = np.zeros((n, m_out, n_r, n_w) + xf.shape[-2:], dtype=complex)
+    filt = filters[:, :, rows_sel, :, s_lo:w_hi]  # the window's output channels
+    acc = np.zeros((n, m_out, r_n, n_w) + xf.shape[-2:], dtype=complex)
 
     def multiply_add(lo, hi):
         part = acc[:, lo:hi]
@@ -357,37 +413,43 @@ def _group_correlate(vals, filters, bias):
         # each sample's products are added before the next sample's are formed.
         scratch = np.empty(part.shape[1:], dtype=complex)
         for t in range(l_th):
-            # Output rotation r reads input rotation (r + shift) mod N_r: rows
-            # [shift, N_r) feed r < N_r - shift and rows [0, shift) the rest.
-            shift = t * d_step % n_r
-            split = n_r - shift
+            # Output row r reads input row (r + shift) mod r_n: rows
+            # [shift, r_n) feed r < r_n - shift and rows [0, shift) the rest.
+            shift = t * d_step % r_n
+            split = r_n - shift
             for q in range(min(l_al, n_s)):
-                n_val = n_s - q
-                for i in np.flatnonzero(live[:, t, q]):
+                n_val = min(w_hi, n_s - q) - s_lo  # outputs [s_lo, s_lo + n_val) read s + q
+                k = s_lo + q - i0 if S > 1 else 0  # their first input in xf
+                for i in np.flatnonzero(live[:, t, q]) if n_val > 0 else ():
                     # Spectra of one (tap, input channel) slice at a time, shared
                     # by every sample: all slices of a fig3 K=10, L_alpha=3 layer
                     # at 56x56 together would take about 117 MB.
-                    spec = ey @ (filters[i, lo:hi, :, t, :n_val, q] @ (w_alpha[q] / l_th * ex))
+                    spec = ey @ (filt[i, lo:hi, :, t, :n_val, q] @ (w_alpha[q] / l_th * ex))
                     for b in range(n):
-                        src = xf[b, i, :, q - q0 : q - q0 + n_val]
+                        src = xf[b, i, :, k : k + n_val]
                         np.multiply(spec[:, :split], src[shift:], out=scratch[:, :split, :n_val])
                         np.multiply(spec[:, split:], src[:shift], out=scratch[:, split:, :n_val])
                         part[b, :, :, :n_val] += scratch[:, :, :n_val]
 
-    run_parts(transform, rows)
+    run_parts(transform, n_rows)
     run_parts(multiply_add, m_out)
     del xf, rows_xf  # freed before the output and inverse transforms allocate theirs
     out = np.empty((n, m_out, n_r, n_s, H, W))
+    if r_n < n_r or s_hi - s_lo < n_s:
+        out.fill(np.nan)  # the channels outside the window
 
     def inverse(lo, hi):
         # One (sample, output channel) slice at a time: the temporaries of
         # every running part together stay below one full inverse transform.
         for o in range(lo, hi):
             for b in range(n):
-                # Assigned: irfft2 with out= returned other values under NumPy 2.4.
-                out[b, o, :, :n_w] = np.fft.irfft2(acc[b, o], s=(P, Q))[..., :H, :W]
-                out[b, o, :, n_w:] = 0.0
-        part = out[:, lo:hi]
+                # irfft2(acc[b, o], s=(P, Q))[..., :H, :W] as its two passes,
+                # with the rows the crop drops left out of the second one.
+                cols = np.fft.ifft(acc[b, o], axis=-2)[..., :H, :]
+                out[b, o, rows_sel, s_lo:w_hi] = np.fft.irfft(cols, n=Q, axis=-1)[..., :W]
+                out[b, o, rows_sel, w_hi:s_hi] = 0.0
+        # Over the window's scales at every rotation: NaN rows stay NaN.
+        part = out[:, lo:hi, :, s_lo:s_hi]
         part += bias[lo:hi, None, None, None, None]
         np.maximum(part, 0.0, out=part)
 
@@ -395,24 +457,25 @@ def _group_correlate(vals, filters, bias):
     return out
 
 
-def lifting_conv(x, filters, bias, scale_grid):
+def lifting_conv(x, filters, bias, scale_grid, window=None):
     """Lift an image to a feature map: one 2-d correlation per (rotation, scale).
 
     x^{(1)}(u, theta_r, alpha_s, out) = relu(sum_in sum_{u'} x(u+u', in) *
     filters[in, out, r, s, u'] + bias[out]), "same" zero padding.  A batch
-    [N, M, H, W] of images gives a batch [N, M_out, N_r, N_s, H, W].
+    [N, M, H, W] of images gives a batch [N, M_out, N_r, N_s, H, W].  A
+    window (rows, lo, hi) computes only those channels (_group_correlate).
     """
     m_in, _, n_r = filters.shape[:3]
     vals = x.values
     if vals.shape[-3] != m_in:
         raise ConfigError(f"input channels {vals.shape[-3]} != filter in_channels {m_in}")
     batch = vals.reshape((-1,) + vals.shape[-3:])[:, :, None, None]
-    out = _group_correlate(batch, filters[:, :, :, None, :, None], bias)
+    out = _group_correlate(batch, filters[:, :, :, None, :, None], bias, window=window)
     out = out.reshape(vals.shape[:-3] + out.shape[1:])
     return FeatureMap(out, 2.0 * math.pi / n_r, np.asarray(scale_grid, dtype=np.float64))
 
 
-def joint_conv(x, filters, bias, spec):
+def joint_conv(x, filters, bias, spec, window=None):
     """One joint convolution layer over (space, rotation, scale).
 
     For each tap (l_theta, l_alpha): read the input rotated forward by
@@ -420,7 +483,8 @@ def joint_conv(x, filters, bias, spec):
     (zero beyond the top), correlate spatially with the filter slice
     [:, :, r, l_theta, s, l_alpha, :, :], and accumulate with quadrature
     weight (1/L_theta) * trapezoid(l_alpha); then bias and ReLU.  A batched
-    feature map [N, M, N_r, N_s, H, W] gives a batch of the same rank.
+    feature map [N, M, N_r, N_s, H, W] gives a batch of the same rank.  A
+    window (rows, lo, hi) computes only those channels (_group_correlate).
     """
     m_in, _, n_r_f, l_th, n_s_f, l_al = filters.shape[:6]
     vals = x.values
@@ -433,12 +497,45 @@ def joint_conv(x, filters, bias, spec):
         raise ConfigError("filter tap axes do not match the layer spec")
     if n_r % l_th != 0:
         raise ConfigError(f"L_theta={l_th} does not divide N_r={n_r}")
-    out = _group_correlate(vals.reshape((-1,) + vals.shape[-5:]), filters, bias)
+    out = _group_correlate(vals.reshape((-1,) + vals.shape[-5:]), filters, bias, window=window)
     out = out.reshape(vals.shape[:-5] + out.shape[1:])
     return FeatureMap(out, x.rotation_step, x.scale_grid.copy())
 
 
-def forward_layers(net, coeffs, x):
+def channel_cone(net, filters, keep):
+    """Per layer, the window (rows, lo, hi) that forward_layers computes for keep.
+
+    keep [N_r, N_s] is a boolean mask of the channels the caller reads at
+    every layer.  Walking back from the last layer, each layer's window is
+    the rotation mask rows [N_r] and the scales [lo, hi) that cover keep and
+    every channel the next layer's window reads: whole residue classes of
+    rotations (_rotation_reads) and the scales its live taps reach
+    (_scale_reads).  filters are the layers' synthesized filters; only the
+    joint layers' live taps are read.
+    """
+    keep = np.asarray(keep)
+    shape = (net.n_rotations, net.n_scales)
+    if keep.dtype != bool or keep.shape != shape or not keep.any():
+        raise ValueError(f"keep must be a boolean {shape} mask with a channel set, got {keep.dtype} {keep.shape}")
+    keep_rows, keep_scales = keep.any(axis=1), keep.any(axis=0)
+    rows_read, scales_read = np.zeros_like(keep_rows), np.zeros_like(keep_scales)
+    windows = []
+    for idx in range(net.depth - 1, -1, -1):
+        rows = keep_rows | rows_read
+        scales = np.flatnonzero(keep_scales | scales_read)
+        lo, hi = int(scales[0]), int(scales[-1]) + 1
+        if idx > 0:
+            rows = _rotation_reads(rows, net.layers[idx].L_theta)
+            live_q = np.flatnonzero(_live_taps(filters[idx]).any(axis=(0, 1)))
+            i0, i1 = _scale_reads(lo, hi, live_q, shape[1])
+            rows_read = rows & (i1 > i0)
+            scales_read = np.zeros_like(keep_scales)
+            scales_read[i0:i1] = True
+        windows.append((rows, lo, hi))
+    return windows[::-1]
+
+
+def forward_layers(net, coeffs, x, keep=None):
     """Run the network layer by layer, yielding each layer's FeatureMap in turn.
 
     x may hold one image [M, H, W] or a batch [N, M, H, W]; a batch runs every
@@ -446,6 +543,11 @@ def forward_layers(net, coeffs, x):
     to its own single-image run.  Only the layer being computed and its input
     are held here, so a caller that reduces each map before asking for the
     next never holds every layer at once.
+
+    keep, a boolean [N_r, N_s] mask of the channels the caller reads at every
+    layer, limits each layer to its channel_cone window: those channels are
+    bit-identical to the full run's and every other channel is NaN.  None
+    keeps every channel.
     """
     if len(coeffs) != net.depth:
         raise ConfigError(f"expected {net.depth} coefficient tensors, got {len(coeffs)}")
@@ -453,13 +555,16 @@ def forward_layers(net, coeffs, x):
     # synthesis einsum can make a multi-threaded BLAS call, after which the
     # BLAS threads spin for a while on the CPUs the correlation parts need.
     filters = [synthesize_filters(coeffs[idx], layer_bank(net, idx), spec) for idx, spec in enumerate(net.layers)]
+    if keep is None:
+        keep = np.ones((net.n_rotations, net.n_scales), dtype=bool)
+    windows = channel_cone(net, filters, keep)
     cur = x
     for idx, spec in enumerate(net.layers):
         filt, filters[idx] = filters[idx], None  # freed once used
         if idx == 0:
-            cur = lifting_conv(cur, filt, coeffs[idx].b, net.scale_grid)
+            cur = lifting_conv(cur, filt, coeffs[idx].b, net.scale_grid, window=windows[idx])
         else:
-            cur = joint_conv(cur, filt, coeffs[idx].b, spec)
+            cur = joint_conv(cur, filt, coeffs[idx].b, spec, window=windows[idx])
         yield cur
 
 

@@ -442,3 +442,54 @@ def full_map_equivariance_errors(net, coeffs, x, g, margin=4):
         den = float(np.linalg.norm(b))
         errors.append(float(np.linalg.norm(a - b)) / den if den > 0.0 else math.inf)
     return tuple(errors)
+
+
+def cone_dependence(net, coeffs, x, windows, seed=0):
+    """The dependence oracle for per-layer channel windows, one (kept, moved) pair per layer l = 1..L-1.
+
+    windows holds one (rows, lo, hi) per layer, as net.channel_cone returns
+    them: the rotation mask rows [N_r] and the scales [lo, hi).  For each l
+    the full forward runs to layer l - 1, every channel of layer l - 1
+    outside its window is replaced by finite random values, and layers l, l
+    + 1, ... run in full again, with no window.  kept says whether every
+    window channel of those layers kept its bits, sign bits included; moved
+    says whether any other channel changed, so that the perturbation was
+    read at all.
+    """
+    from rstcnn.group import FeatureMap
+    from rstcnn.net import joint_conv, layer_bank, lifting_conv, synthesize_filters
+
+    filters = [synthesize_filters(coeffs[i], layer_bank(net, i), spec) for i, spec in enumerate(net.layers)]
+
+    def run(cur, start):
+        maps = []
+        for i in range(start, net.depth):
+            if i == 0:
+                cur = lifting_conv(cur, filters[0], coeffs[0].b, net.scale_grid)
+            else:
+                cur = joint_conv(cur, filters[i], coeffs[i].b, net.layers[i])
+            maps.append(cur.values)
+        return maps
+
+    base = run(x, 0)
+    masks = []
+    for rows, lo, hi in windows:
+        mask = np.zeros((net.n_rotations, net.n_scales), dtype=bool)
+        mask[rows, lo:hi] = True
+        masks.append(mask)
+    rng = np.random.default_rng(seed)
+    flags = []
+    for l in range(1, net.depth):
+        vals = base[l - 1].copy()
+        outside = ~masks[l - 1]
+        vals[:, :, outside] = rng.uniform(-1.0, 1.0, size=vals[:, :, outside].shape)
+        grid = np.asarray(net.scale_grid, dtype=np.float64)
+        maps = run(FeatureMap(vals, 2.0 * math.pi / net.n_rotations, grid), l)
+        kept, moved = True, False
+        for k, (got, want) in enumerate(zip(maps, base[l:]), start=l):
+            inside = masks[k]
+            a, b = got[:, :, inside], want[:, :, inside]
+            kept = kept and np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+            moved = moved or not np.array_equal(got[:, :, ~inside], want[:, :, ~inside])
+        flags.append((kept, moved))
+    return flags

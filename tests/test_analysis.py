@@ -18,6 +18,7 @@ from rstcnn import (
     UndefinedEquivarianceError,
     build_basis,
     build_network,
+    channel_cone,
     disk_quadrature,
     equivariance_curve,
     equivariance_error,
@@ -35,6 +36,7 @@ from rstcnn import (
     normalize_coeffs_A2,
     smooth_feature_values,
     stability_certificate,
+    synthesize_filters,
     sweep_input,
     tau_norms,
 )
@@ -170,27 +172,78 @@ def test_nonexpansiveness_report_equals_per_pair_oracle(n_trials):
 
 
 @pytest.mark.parametrize(
-    "L_alpha, v, beta",
-    [(3, (0.0, 0.0), -0.5), (3, (1.5, -2.0), -0.5), (1, (2.0, 1.0), -0.5), (1, (0.0, 0.0), 1.5)],
-    ids=["fig3-La3", "fig3-La3-translated", "fig3-La1-translated", "beyond-scale-axis"],
+    "L_alpha, v, beta, eta, kind, layers",
+    [
+        (3, (0.0, 0.0), -0.5, -math.pi / 2.0, "fb", 5),
+        (3, (1.5, -2.0), -0.5, -math.pi / 2.0, "fb", 5),
+        (1, (2.0, 1.0), -0.5, -math.pi / 2.0, "fb", 5),
+        (1, (0.0, 0.0), 1.5, -math.pi / 2.0, "fb", 5),
+        (3, (0.5, 0.0), -0.5, math.pi / 4.0, "fb", 5),
+        (3, (0.0, 1.0), 0.5, -math.pi / 2.0, "fb", 5),
+        (3, (1.0, 1.0), -0.5, -math.pi / 2.0, "sl", 5),
+        (1, (0.0, 0.0), -0.5, -math.pi / 2.0, "fb", 1),
+    ],
+    ids=[
+        "fig3-La3",
+        "fig3-La3-translated",
+        "fig3-La1-translated",
+        "beyond-scale-axis",
+        "eta-quarter-pi",
+        "beta-up",
+        "sine-basis",
+        "one-layer",
+    ],
 )
-def test_equivariance_curve_equals_full_map_oracle(L_alpha, v, beta):
-    # the curve warps only the compared channel; the oracle warps every channel and slices
-    cfg = fig3_config(height=24, width=24, channels=1, k_list=(3,))
+def test_equivariance_curve_equals_full_map_oracle(L_alpha, v, beta, eta, kind, layers):
+    # the curve forwards only the cone of its two compared channels and warps
+    # only one of them; the oracle forwards and warps every channel and slices.
+    # At eta = pi/4 the two channels lie in different residue classes of rotations.
+    cfg = fig3_config(height=24, width=24, channels=1, k_list=(3,), spatial_kind=kind, layers=layers)
     net = build_network(cfg, 3, L_alpha, seed=0)
     coeffs = init_coeffs(net)
-    g = GroupElement(-math.pi / 2.0, beta, v)
+    g = GroupElement(eta, beta, v)
     errors = equivariance_curve(net, coeffs, sweep_input(cfg, 0), g).errors
+    assert len(errors) == layers
     assert errors == reference.full_map_equivariance_errors(net, coeffs, sweep_input(cfg, 0), g)
-    if L_alpha == 3:
+    if L_alpha == 3 and beta == -0.5:
         assert math.isinf(errors[3]) and math.isinf(errors[4]) and all(math.isfinite(e) for e in errors[:3])
     if beta == 1.5:  # the middle of 9 channels 0.25 apart reads channel 4 - 6 = -2
         assert all(math.isinf(e) for e in errors)
+    else:
+        assert math.isfinite(errors[0])
+
+
+def test_sweep_cell_transforms_only_its_cone(monkeypatch):
+    # fig3 K=10, L_alpha=1, g = (-pi/2, -0.5, 0): the compared channels are
+    # (0, 4) of D_g x and (2, 6) of x, one residue class mod 2 of rotations.
+    # Each rfft2 and ifft call counts the 2-D slices it transforms.
+    cfg = fig3_config()
+    net = build_network(cfg, 10, 1, seed=0)
+    coeffs = init_coeffs(net)
+    keep = np.zeros((8, 9), dtype=bool)
+    keep[0, 4] = keep[2, 6] = True
+    filters = [synthesize_filters(coeffs[i], layer_bank(net, i), spec) for i, spec in enumerate(net.layers)]
+    windows = channel_cone(net, filters, keep)
+    assert [(w[0].tolist(), w[1], w[2]) for w in windows] == [([True, False] * 4, 4, 7)] * 5
+    slices = []
+    for name in ("rfft2", "ifft"):
+        fft = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name, lambda a, *args, fft=fft, **kw: slices.append(math.prod(a.shape[:-2])) or fft(a, *args, **kw))
+    equivariance_curve(net, coeffs, sweep_input(cfg, 0), cfg.group_element)
+    # per sample: the lifting layer transforms its one image and inverse-transforms
+    # its window; a joint layer with one live scale tap reads its own window
+    cone = [int(w[0].sum()) * (w[2] - w[1]) for w in windows]
+    per_sample = sum(
+        spec.in_channels * (1 if idx == 0 else cone[idx]) + spec.out_channels * cone[idx]
+        for idx, spec in enumerate(net.layers)
+    )
+    assert sum(slices) == 2 * per_sample == 2 * (1 + 2 * 12 + 4 * (2 * 12 + 2 * 12))
 
 
 def test_batched_report_forward_peaks_below_a_sweep_forward():
-    # one REPORT_PAIRS batch of the criterion-5 network at 28x28 against one
-    # fig3 K=10, L_alpha=3 pair at 56x56, the largest forward of a sweep
+    # one REPORT_PAIRS batch of the criterion-5 network at 28x28 against a full
+    # forward (every channel) of one fig3 K=10, L_alpha=3 pair at 56x56; the
+    # sweep forwards only the cone of its compared channels, which peaks lower
     cfg = fig3_config()
     runs = []
     for K, L_alpha, samples, side in ((5, 1, 2 * REPORT_PAIRS, 28), (10, 3, 2, 56)):

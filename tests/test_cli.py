@@ -8,7 +8,7 @@ import struct
 import numpy as np
 import pytest
 
-from rstcnn import parse_sweep_csv, read_bank
+from rstcnn import fig3_config, parse_sweep_csv, read_bank, run_equivariance_sweep
 from rstcnn.cli import main
 from rstcnn.data import synthetic_blob_set, write_idx
 
@@ -87,6 +87,21 @@ def test_equi_sweep_identity_zero(tmp_path, net_cfg):
     rows = parse_sweep_csv(text)
     assert len(rows) == 2  # one seed, two layers
     assert all(err == 0.0 for *_k, err in rows)
+
+
+def test_equi_sweep_names_the_cause_of_inf_rows(capsys):
+    # the fig3 L_alpha = 3 network's reference slice is zero at layers 4 and 5:
+    # one stderr line says so, and stdout is the CSV the runner returns
+    argv = ["equi", "sweep", "--k-list", "3", "--seeds", "0", "--channels", "1", "--height", "24", "--width", "24"]
+    assert main(argv + ["--l-alpha-list", "3"]) == 0
+    out, err = capsys.readouterr()
+    cfg = fig3_config(k_list=(3,), l_alpha_list=(3,), seeds=(0,), channels=1, height=24, width=24)
+    assert out == run_equivariance_sweep(cfg)
+    assert [layer for _k, _la, _s, layer, e in parse_sweep_csv(out) if math.isinf(e)] == [4, 5]
+    assert err == "2 of 5 rows are inf: their reference slice D_g x^(l)[x] is zero\n"
+    assert main(argv + ["--l-alpha-list", "1"]) == 0
+    out, err = capsys.readouterr()
+    assert all(math.isfinite(e) for *_key, e in parse_sweep_csv(out)) and err == ""
 
 
 def test_equi_sweep_flags_override_config(tmp_path, net_cfg):

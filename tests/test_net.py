@@ -26,6 +26,7 @@ from rstcnn import (
     NetworkConfig,
     alpha_taps,
     alpha_weights,
+    channel_cone,
     draw_coeffs,
     filter_amplitude,
     forward,
@@ -300,7 +301,7 @@ def test_joint_conv_skips_all_zero_tap_slices_exactly(m_out, monkeypatch):
     # transformed, and the dead outputs are exactly relu(0 + bias).
     rng = np.random.default_rng(54)
     scales_seen = []
-    for name in ("rfft2", "irfft2"):
+    for name in ("rfft2", "ifft"):
         fft = getattr(np.fft, name)
         monkeypatch.setattr(np.fft, name, lambda a, *args, fft=fft, **kw: scales_seen.append(a.shape[1]) or fft(a, *args, **kw))
     cases = [
@@ -416,6 +417,142 @@ def test_forward_batch_is_bit_identical_per_sample():
             assert f.values.shape == (len(order), 2, 4, 3, 15, 17)
             for b, i in enumerate(order):
                 assert np.array_equal(f.values[b], singles[i][layer].values)
+
+
+def _cone_net(depth, L_theta, L_alpha):
+    return small_net(layers=depth, channels=2, K=3, n_rotations=8, n_scales=5, L_theta=L_theta, L_alpha=L_alpha)
+
+
+def _window_mask(net, window):
+    rows, lo, hi = window
+    mask = np.zeros((net.n_rotations, net.n_scales), dtype=bool)
+    mask[rows, lo:hi] = True
+    return mask
+
+
+def _layer_filters(net, coeffs):
+    return [synthesize_filters(coeffs[i], layer_bank(net, i), spec) for i, spec in enumerate(net.layers)]
+
+
+def _keep(*channels):
+    keep = np.zeros((8, 5), dtype=bool)
+    for channel in channels:
+        keep[channel] = True
+    return keep
+
+
+# one residue class (whatever L_theta), two classes unless L_theta = 8, and the top scale channel
+CONE_MASKS = {"one-class": _keep((0, 2)), "two-classes": _keep((0, 2), (3, 1)), "top-scale": _keep((5, 4))}
+
+
+@pytest.mark.parametrize("depth", [1, 5])
+@pytest.mark.parametrize("L_alpha", [1, 2, 3])
+@pytest.mark.parametrize("L_theta", [1, 2, 4, 8])
+def test_cone_forward_equals_full_forward_on_the_cone(depth, L_theta, L_alpha, monkeypatch):
+    # channels in each layer's window keep the full run's bits whatever the
+    # batch order and part count; every other channel is NaN
+    net = _cone_net(depth, L_theta, L_alpha)
+    coeffs = init_coeffs(net, seed=L_theta + 10 * L_alpha)
+    xs = np.stack([interior_image(height=11, width=10, margin=2, seed=s).values for s in range(3)])
+    full = [f.values for f in forward_layers(net, coeffs, ImageTensor(xs))]
+    filters = _layer_filters(net, coeffs)
+    for keep in CONE_MASKS.values():
+        masks = [_window_mask(net, w) for w in channel_cone(net, filters, keep)]
+        for mask in masks:
+            assert (mask | keep).tolist() == mask.tolist()
+        orders = iter(([2, 0, 1], [1, 2], [0, 1, 2]))
+
+        def run():
+            order = next(orders)
+            return order, [f.values for f in forward_layers(net, coeffs, ImageTensor(xs[order]), keep=keep)]
+
+        for order, layers in outputs_per_part_count(monkeypatch, run):
+            for got, want, mask in zip(layers, full, masks):
+                inside, kept = got[:, :, mask], want[order][:, :, mask]
+                assert np.array_equal(inside, kept) and np.array_equal(np.signbit(inside), np.signbit(kept))
+                assert np.isnan(got[:, :, ~mask]).all()
+
+
+def test_cone_of_a_one_live_scale_tap_network():
+    # L_theta = 4 on 8 rotations: residue classes mod 2.  Only the middle of
+    # the 3 scale taps lives, so each joint layer reads one channel higher.
+    net = _cone_net(5, 4, 3)
+    filters = _layer_filters(net, init_coeffs(net, seed=0))
+    windows = channel_cone(net, filters, CONE_MASKS["one-class"])
+    assert [(w[0].tolist(), w[1], w[2]) for w in windows] == [
+        ([True, False] * 4, 2, 5),  # the lifting layer reads no channel
+        ([True, False] * 4, 2, 5),
+        ([True, False] * 4, 2, 5),
+        ([True, False] * 4, 2, 4),
+        ([True, False] * 4, 2, 3),
+    ]
+    windows = channel_cone(net, filters, CONE_MASKS["two-classes"])
+    assert [(w[0].all(), w[1], w[2]) for w in windows] == [(True, 1, 5)] * 3 + [(True, 1, 4), (True, 1, 3)]
+
+
+@pytest.mark.parametrize("L_theta, L_alpha", [(2, 1), (4, 3), (8, 1), (1, 3)])
+@pytest.mark.parametrize("mask", sorted(CONE_MASKS))
+def test_cone_passes_the_dependence_oracle(L_theta, L_alpha, mask):
+    # perturbing every channel outside a layer's window moves no bit inside
+    # the windows above it, and does move some channel outside them
+    net = _cone_net(4, L_theta, L_alpha)
+    coeffs = init_coeffs(net, seed=3)
+    windows = channel_cone(net, _layer_filters(net, coeffs), CONE_MASKS[mask])
+    x = ImageTensor(np.stack([interior_image(height=11, width=10, margin=2, seed=s).values for s in range(2)]))
+    flags = reference.cone_dependence(net, coeffs, x, windows, seed=4)
+    assert all(kept for kept, _ in flags)
+    assert any(moved for _, moved in flags)
+
+
+@pytest.mark.parametrize(
+    "window",
+    [
+        ([True, False, True, False], 0, 3),
+        ([False, True, False, True], 1, 3),
+        ([True] * 4, 1, 2),
+        ([False, True, False, True], 2, 3),
+    ],
+)
+@pytest.mark.parametrize("dead_q", [(), (0,), (2,), (0, 1)])
+def test_joint_conv_window_reads_only_its_cone(window, dead_q):
+    # random filters with live end taps: the input channels the window does
+    # not read hold NaN, and the window still equals the full output
+    rng = np.random.default_rng(61)
+    rows, lo, hi = np.array(window[0]), window[1], window[2]
+    spec = LayerSpec(2, 3, 1, 5, L_theta=2, L_alpha=3)
+    filters = rng.standard_normal((2, 3, 4, 2, 3, 3, 5, 5))
+    filters[:, :, :, :, :, list(dead_q)] = 0.0
+    vals = rng.standard_normal((2, 2, 4, 3, 6, 7))
+    full = joint_conv(FeatureMap(vals, math.pi / 2, np.linspace(-1.0, 1.0, 3)), filters, np.array([0.3, -0.2, 0.0]), spec)
+    live = sorted(set(range(3)) - set(dead_q))
+    read = np.zeros((4, 3), dtype=bool)
+    for q in live:
+        read[np.ix_(np.tile(rows.reshape(2, 2).any(axis=0), 2), np.arange(lo + q, min(hi + q, 3)))] = True
+    blanked = np.where(read[:, :, None, None], vals, np.nan)
+    feat = FeatureMap(blanked, math.pi / 2, np.linspace(-1.0, 1.0, 3))
+    got = joint_conv(feat, filters, np.array([0.3, -0.2, 0.0]), spec, window=(rows, lo, hi)).values
+    mask = np.zeros((4, 3), dtype=bool)
+    mask[rows, lo:hi] = True
+    assert np.array_equal(got[:, :, mask], full.values[:, :, mask])
+    assert np.array_equal(np.signbit(got[:, :, mask]), np.signbit(full.values[:, :, mask]))
+    assert np.isnan(got[:, :, ~mask]).all()
+
+
+@pytest.mark.parametrize(
+    "keep, match",
+    [
+        (np.ones((8, 4), dtype=bool), "keep must be a boolean"),
+        (np.ones((5, 8), dtype=bool), "keep must be a boolean"),
+        (np.ones((8, 5), dtype=int), "keep must be a boolean"),
+        (np.zeros((8, 5), dtype=bool), "keep must be a boolean"),
+    ],
+    ids=["scales", "transposed", "int", "empty"],
+)
+def test_keep_must_be_a_nonempty_boolean_mask(keep, match):
+    net = _cone_net(2, 2, 1)
+    coeffs = init_coeffs(net, seed=0)
+    with pytest.raises(ValueError, match=match):
+        next(forward_layers(net, coeffs, interior_image(height=9, width=9, margin=2), keep=keep))
 
 
 def test_batched_shape_mismatches_raise():
