@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .basis import angular_matrix, eval_spatial_stack, in_domain, unit_grid
+from .basis import SpatialRecipe, angular_matrix, in_domain, unit_grid
 from .deform import apply_deformation, tau_norms
 from .group import FeatureMap, ImageTensor, act_on_feature, act_on_image, channel_sources
 from .net import aggregate_channels, filter_amplitude, forward, forward_layers, layer_basis, theta_taps
@@ -287,9 +287,10 @@ class FilterBoundReport:
         return asdict(self) | {"scaled_D": self.scaled_D}
 
 
-# Basis values and gradient components [K, P] at the P grid points where some
-# element or its gradient is nonzero: every other point adds exactly 0 to each sum.
-_DiskQuadrature = namedtuple("_DiskQuadrature", "spatial vals gx gy radius h2")
+# The basis at the P grid points where some element or its gradient is
+# nonzero (every other point adds exactly 0 to each sum), as a
+# basis.SpatialRecipe that assembles any block of them, with their radii.
+_DiskQuadrature = namedtuple("_DiskQuadrature", "spatial recipe radius h2")
 BOUND_GRID_N = 301  # the grid bounds report integrates on
 
 
@@ -300,44 +301,81 @@ def disk_quadrature(basis, grid_n):
     pts, h2 = unit_grid(grid_n)
     pts = pts.reshape(-1, 2)
     # Only the points inside the elements' domain are evaluated; every
-    # element and its gradient are exactly zero at the others.
+    # element and its gradient are exactly zero at the others.  Of those,
+    # the points where every value and gradient is exactly zero (the origin
+    # when no element has m < 2) go too: one assembly pass over the chunks,
+    # split over the part pool, keeps only that mask.
     pts = pts[in_domain(basis.spatial, pts)]
-    vals, (gx, gy) = eval_spatial_stack(basis.spatial, pts, grad=True)
-    keep = (vals != 0.0).any(axis=0) | (gx != 0.0).any(axis=0) | (gy != 0.0).any(axis=0)
+    recipe = SpatialRecipe(basis.spatial, pts, grad=True)
+    keep = np.empty(recipe.size, dtype=bool)
+
+    def mask(lo, hi):
+        vals, (gx, gy) = recipe.assemble(lo, hi)
+        keep[lo:hi] = (vals != 0.0).any(axis=0) | (gx != 0.0).any(axis=0) | (gy != 0.0).any(axis=0)
+
+    recipe.for_chunks(mask)
     if not keep.all():
-        vals, gx, gy = (a.compress(keep, axis=1) for a in (vals, gx, gy))
-        pts = pts[keep]
+        recipe, pts = recipe.take(keep), pts[keep]
     radius = np.sqrt((pts**2).sum(axis=1))
-    return _DiskQuadrature(basis.spatial, vals, gx, gy, radius, h2)
+    return _DiskQuadrature(basis.spatial, recipe, radius, h2)
 
 
-# Size of each GEMM of _pair_sums, rows x basis elements x support points.
+# Size of each GEMM of _block_sums, rows x basis elements x support points.
 # Above about 1e6 OpenBLAS starts its own threads for a GEMM, which then
-# compete with the part pool running the theta samples; smaller blocks pay
-# more Python overhead, which the GIL serializes.  On 2 CPUs the split slowed
-# past 8192 points at 12 rows and K = 10 (16384 is 2.0e6), and past 2048 at
-# 27 or 48 rows or at K = 30.  The joint layer of bounds report (12 rows,
-# K = 10, 64 samples, median of 9) took 0.37-0.40 s serially, and split with
-# no blocks 0.44-0.52, in blocks of 1024 points 0.45, 2048 0.29, 4096 0.24,
-# 8192 0.20 and 16384 0.52.  This size gives it blocks of 4096.
+# compete with the part pool running the blocks; smaller blocks pay more
+# Python overhead, which the GIL serializes, and more assemblies.  On 2
+# CPUs the joint layer of bounds report (12 rows, K = 10, 64 samples,
+# median of 9) took 0.36-0.46 s serially in blocks of 4096 points, and split
+# over the pool in blocks of 1024 points 0.67-0.68 s, 2048 0.35-0.36, 4096
+# 0.26-0.30, 8192 0.28-0.31 and 16384 0.61-0.80.  This size gives it blocks
+# of 4096.
 _BLOCK_SIZE = 12 * 10 * 4096
 
 
-def _pair_sums(c, quad):
-    """Per row of c [R, K]: the sums of |W|, r |grad W| and |grad W| for W = c @ basis, as [3, R]."""
-    sums = np.zeros((3, len(c)))
-    step = max(1, _BLOCK_SIZE // c.size)
-    for lo in range(0, quad.radius.size, step):
-        block = slice(lo, lo + step)
-        w = c @ quad.vals[:, block]
-        b = np.abs(w, out=w).sum(axis=1)
-        gx = c @ quad.gx[:, block]
-        gy = np.matmul(c, quad.gy[:, block], out=w)
+# A lifting block (24,576 points at K = 10) is several of the recipe's chunks.
+# Its products are filled span by span, each span assembled once, so no
+# [K, block] array forms.  Spans are whole multiples of _SPAN points from
+# the block's start and the last keeps at least _SPAN: every point then
+# meets the same OpenBLAS kernel tile as in one product over the whole
+# block, and the products keep their bits (spans of 819 points at K = 100
+# changed 14 of 4914 outputs).  A one-row product goes to gemv, which
+# OpenBLAS splits over its threads at a point of its own, so it stays whole.
+_SPAN = 256
+
+
+def _spans(lo, hi, chunk):
+    """The (a, b) spans of about chunk points that fill the products of the block lo..hi."""
+    cuts = list(range(lo, hi, max(_SPAN, chunk // _SPAN * _SPAN)))[1:]
+    if cuts and hi - cuts[-1] < _SPAN:
+        cuts.pop()
+    return list(zip([lo] + cuts, cuts + [hi]))
+
+
+def _block_sums(cs, quad, lo, hi):
+    """[T, 3, R]: per c [R, K] of cs, the sums of |W|, r |grad W| and |grad W| over support points lo..hi, W = c @ basis."""
+    hi = min(hi, quad.radius.size)
+    rows = len(cs[0])
+    spans = _spans(lo, hi, quad.recipe.chunk) if len(cs) == 1 and rows > 1 else [(lo, hi)]
+    # theta samples share one assembly of the block
+    whole = quad.recipe.assemble(lo, hi) if len(spans) == 1 else None
+    w, gx, gy = np.empty((3, rows, hi - lo))
+    radius = quad.radius[lo:hi]
+    sums = np.empty((len(cs), 3, rows))
+
+    def products(c, a, b, vals, grads):
+        for out, factor in zip((w, gx, gy), (vals, *grads)):
+            np.matmul(c, factor, out=out[:, a - lo : b - lo])
+
+    for t, c in enumerate(cs):
+        for a, b in spans:
+            # a span's assembly is freed before the next one forms
+            products(c, a, b, *(whole or quad.recipe.assemble(a, b)))
+        total = np.abs(w, out=w).sum(axis=1)
         np.square(gx, out=gx)
         np.square(gy, out=gy)
         gx += gy
         gmag = np.sqrt(gx, out=gx)
-        sums += np.stack([b, gmag @ quad.radius[block], gmag.sum(axis=1)])
+        sums[t] = total, gmag @ radius, gmag.sum(axis=1)
     return sums
 
 
@@ -356,21 +394,30 @@ def filter_bound_report(coeffs, basis, spec, quad, n_theta=64):
     a = coeffs.a
     m_in, m_out, K = a.shape[:3]
     if coeffs.is_lifting:
-        sums = _pair_sums(a.reshape(-1, K), quad) * quad.h2
+        cs = [a.reshape(-1, K)]
     else:
         phi = angular_matrix(basis, theta_taps(n_theta))  # [n_ang, n_theta]
-        # The normalized-S^1 theta average, one sample at a time: each is three
-        # small GEMMs per block of support points, and no grid-sized tensor
-        # per theta forms.  The samples are split over the part pool; each
-        # writes its own row, and the rows are summed once all are written,
-        # so the sums are bit-identical for every part count.
-        per_theta = np.empty((n_theta, 3, m_in * m_out * a.shape[4]))
+        cs = [np.einsum("abkmn,m->abnk", a, phi[:, t]).reshape(-1, K) for t in range(n_theta)]
+    # The support points go in blocks, split over the part pool.  Each block
+    # is assembled once and every theta sample's three small GEMMs run on it
+    # while it is in cache, so no grid-sized tensor forms.  Each block writes
+    # its own sums, which are then added in block order, so the sums are
+    # bit-identical for every part count.
+    step = max(1, _BLOCK_SIZE // cs[0].size)
+    starts = range(0, quad.radius.size, step)
+    per_block = np.empty((len(starts), len(cs), 3, len(cs[0])))
 
-        def part(lo, hi):
-            for t in range(lo, hi):
-                per_theta[t] = _pair_sums(np.einsum("abkmn,m->abnk", a, phi[:, t]).reshape(-1, K), quad)
+    def part(lo, hi):
+        for i in range(lo, hi):
+            per_block[i] = _block_sums(cs, quad, starts[i], starts[i] + step)
 
-        run_parts(part, n_theta)
+    run_parts(part, len(starts))
+    per_theta = np.zeros(per_block.shape[1:])
+    for block in per_block:
+        per_theta += block
+    if coeffs.is_lifting:
+        sums = per_theta[0] * quad.h2
+    else:
         sums = per_theta.sum(axis=0) * (quad.h2 / n_theta)
     B, C, Du = (aggregate_channels(p, joint=not coeffs.is_lifting) for p in sums.reshape(3, m_in, m_out, -1))
     j = spec.resolved_scale

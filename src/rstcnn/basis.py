@@ -12,6 +12,7 @@ their sizes and evaluated in closed form by angular_matrix and scale_matrix.
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 from dataclasses import dataclass
@@ -146,10 +147,78 @@ def in_domain(elements, points):
     x = pts[..., 0]
     y = pts[..., 1]
     inside = np.zeros(x.shape, dtype=bool)
-    for kind, (domain, _fill) in _SPATIAL_FILLS.items():
+    for kind, (domain, _factors) in _SPATIAL_KINDS.items():
         if any(e.kind == kind for e in elements):
             inside |= domain(x, y)
     return inside
+
+
+# Values per assembled chunk, K elements x points: 4096 points at K = 10,
+# 1 MB for the values and both gradient components, whose assembly stays in
+# cache (on a 2-vCPU VM it took 260-300 ns a point, against 490-770 ns at
+# 6144 or 8192 points).  An evaluation goes in whole chunks, the last taking
+# the rest, so one of fewer than two chunks (a K = 10 bank samples 5,832
+# points) runs on the caller's thread alone; a larger one splits its Bessel
+# passes and its chunks over the part pool.
+_CHUNK_VALUES = 10 * 4096
+
+
+class SpatialRecipe:
+    """Spatial elements at fixed points[..., 2], held as the factors their values share.
+
+    Per Fourier-Bessel radial mode, one bessel_j_groups pass gives J_m (and,
+    with grad, J_m' and m J_m / x) on the distinct radii of the points inside
+    the disk, and each point keeps its phi, cos phi, sin phi and the index of
+    its radius.  Sine elements keep their per-index factors on the distinct
+    coordinates of each axis.  assemble and fill build any range of points
+    from these with the arithmetic of one whole-array evaluation, so the
+    bits do not depend on the ranges; values and gradients are zero on and
+    outside each element's domain.
+    """
+
+    def __init__(self, elements, points, grad=False):
+        for e in elements:
+            if e.kind not in _SPATIAL_KINDS:
+                raise ValueError(f"not a spatial element: {e.kind}")
+        flat = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+        x, y = flat[:, 0], flat[:, 1]
+        self.n_elements, self.size, self.grad = len(elements), x.size, grad
+        self.chunk = max(1, _CHUNK_VALUES // max(1, len(elements)))
+        split = self.size // self.chunk > 1
+        self.kinds = []
+        for kind, (domain, factors) in _SPATIAL_KINDS.items():
+            rows = [k for k, e in enumerate(elements) if e.kind == kind]
+            if rows:
+                self.kinds.append(factors(elements, rows, x, y, domain(x, y), grad, split))
+
+    def fill(self, lo, hi, vals, grads=None):
+        """Write points lo..hi into vals [K, hi - lo] and, with grad, grads [2, K, hi - lo]."""
+        for factors in self.kinds:
+            factors.fill(slice(lo, hi), vals, grads)
+
+    def assemble(self, lo, hi):
+        """Values [K, hi - lo] and, with grad, gradients [2, K, hi - lo] of points lo..hi."""
+        vals = np.empty((self.n_elements, hi - lo))
+        grads = np.empty((2,) + vals.shape) if self.grad else None
+        self.fill(lo, hi, vals, grads)
+        return vals, grads
+
+    def take(self, keep):
+        """This recipe at the points where the mask keep is True, sharing its radial tables and factors."""
+        new = copy.copy(self)
+        new.kinds = [f.take(keep) for f in self.kinds]
+        new.size = int(np.count_nonzero(keep))
+        return new
+
+    def for_chunks(self, fn):
+        """fn(lo, hi) over whole chunks of the points, the last taking the rest, split over the part pool."""
+        count = max(1, self.size // self.chunk)
+
+        def part(a, b):
+            for i in range(a, b):
+                fn(i * self.chunk, self.size if i == count - 1 else (i + 1) * self.chunk)
+
+        run_parts(part, count)
 
 
 def eval_spatial_stack(elements, points, grad=False):
@@ -157,110 +226,164 @@ def eval_spatial_stack(elements, points, grad=False):
 
     With grad=True returns (values, gradients [2, K, ...]), the x and y
     components of the Cartesian gradients, each contiguous.  Both are zero
-    on and outside each element's domain.  Shared work is done once per
-    call: one Bessel pass per Fourier-Bessel radial mode gives its J_m (and,
-    for gradients, its J_{m-1}) over the distinct radii of the points and
-    serves its cos and sin elements, and the modes are split over the part
-    pool; sine-basis elements share their per-index sine and cosine factors.
+    on and outside each element's domain.  One SpatialRecipe of the points
+    is assembled in one go, so its shared work is done once per call.
     """
     pts = np.asarray(points, dtype=np.float64)
-    shape = pts.shape[:-1]
-    # the fills work on the points as one flat axis, a single point included
-    flat = pts.reshape(-1, 2)
-    x, y = flat[:, 0], flat[:, 1]
-    for e in elements:
-        if e.kind not in _SPATIAL_FILLS:
-            raise ValueError(f"not a spatial element: {e.kind}")
-    vals = np.zeros((len(elements), x.size))
-    grads = np.zeros((2,) + vals.shape) if grad else None
-    for kind, (domain, fill) in _SPATIAL_FILLS.items():
-        rows = [k for k, e in enumerate(elements) if e.kind == kind]
-        if rows:
-            fill(elements, rows, x, y, domain(x, y), vals, grads)
-    vals = vals.reshape((len(elements),) + shape)
+    recipe = SpatialRecipe(elements, pts, grad)
+    vals = np.empty((len(elements), recipe.size))
+    grads = np.empty((2,) + vals.shape) if grad else None
+    recipe.for_chunks(lambda lo, hi: recipe.fill(lo, hi, vals[:, lo:hi], None if grads is None else grads[..., lo:hi]))
+    vals = vals.reshape((len(elements),) + pts.shape[:-1])
     return (vals, grads.reshape((2,) + vals.shape)) if grad else vals
 
 
-def _fill_fb(elements, rows, x, y, inside, vals, grads):
-    phi = np.arctan2(y[inside], x[inside])
-    # Each radial function runs on the distinct radii only (16,515 of the
-    # 70,663 inside points of a 301 x 301 grid) and is scattered back.  That
-    # changes no bit: bessel_j sees its points only through their largest
-    # value and their set of values, which the distinct radii share.
-    radii, back = np.unique(np.hypot(x[inside], y[inside]), return_inverse=True)
-    # Outside the disk a value is c * 0.0 * (cos or sin)(m phi): a zero with
-    # the sign of the harmonic, which the bank bytes keep.
-    outside = ~inside
-    phi_out = np.arctan2(y[outside], x[outside]) if outside.any() else None
-    if grads is not None:
-        cu = np.cos(phi)
-        su = np.sin(phi)
-    modes = {}
-    for k in rows:
-        modes.setdefault((elements[k].indices[0], elements[k].eigenvalue), []).append(k)
-    modes = list(modes.items())
-
-    def part(lo, hi):
-        for (m, mu), members in modes[lo:hi]:
-            lam = math.sqrt(mu)
-            r = lam * radii
-            # one Bessel pass per mode: J_m, and for gradients J_{m-1} (J_1
-            # for m = 0); each group keeps the bits of its own bessel_j call
-            orders = [m] if grads is None else [m, 1 if m == 0 else m - 1]
-            js = bessel_j_groups(orders, [r] * len(orders))
-            radial = js[0][back]
-            harmonics = {"cos", "sin"} if grads is not None else {elements[k].harmonic for k in members}
-            wave = {h: np.cos(m * phi) if h == "cos" else np.sin(m * phi) for h in harmonics}
-            for k in members:
-                c, h = elements[k].normalization, elements[k].harmonic
-                vals[k][inside] = c * radial * wave[h]
-                if phi_out is not None:
-                    vals[k][outside] = c * 0.0 * (np.cos(m * phi_out) if h == "cos" else np.sin(m * phi_out))
-            if grads is None:
-                continue
-            # J_m'(r) and m J_m(r) / r, so m J_m(lam rho) / rho = lam * j_over
-            jprime, j_over = (v[back] for v in bessel_j_slopes(m, r, *js))
-            cphi, sphi = wave["cos"], wave["sin"]
-            for k in members:
-                c = elements[k].normalization
-                if elements[k].harmonic == "cos":
-                    d_rho = c * lam * jprime * cphi
-                    d_phi_over_rho = -c * lam * j_over * sphi
-                else:
-                    d_rho = c * lam * jprime * sphi
-                    d_phi_over_rho = c * lam * j_over * cphi
-                grads[0, k][inside] = cu * d_rho - su * d_phi_over_rho
-                grads[1, k][inside] = su * d_rho + cu * d_phi_over_rho
-
-    run_parts(part, len(modes))
+def _pointwise(factors, keep, names):
+    new = copy.copy(factors)
+    for name in names:
+        value = getattr(factors, name)
+        setattr(new, name, None if value is None else value[..., keep])
+    return new
 
 
-def _fill_sl(elements, rows, x, y, inside, vals, grads):
-    coords = (x[inside], y[inside])
+def _zero_outside(factors, sel, arrays):
+    # a point outside the domain gets exactly +0.0
+    if factors.inside is not None:
+        outside = np.flatnonzero(~factors.inside[sel])
+        for a in arrays:
+            a[np.ix_(factors.rows, outside)] = 0.0
 
-    @functools.cache
-    def wave(n, axis):
-        return np.sin(n * math.pi * (coords[axis] + 1.0) / 2.0)
 
-    @functools.cache
-    def wave_grad(n, axis):
-        h = n * math.pi / 2.0
-        return h, np.sin(h * (coords[axis] + 1.0)), np.cos(h * (coords[axis] + 1.0))
+class _FbFactors:
+    # Every row of one fill goes through each step at once, with the
+    # arithmetic of a per-element evaluation, so a chunk costs a fixed number
+    # of array operations whatever K.
+    def __init__(self, elements, rows, x, y, inside, grad, split):
+        self.rows = rows
+        self.inside = None if inside.all() else inside
+        self.phi = np.arctan2(y, x)
+        self.cu, self.su = (np.cos(self.phi), np.sin(self.phi)) if grad else (None, None)
+        # Each radial function runs on the distinct radii only (16,515 of the
+        # 70,663 inside points of a 301 x 301 grid).  That changes no bit:
+        # bessel_j sees its points only through their largest value and their
+        # set of values, which the distinct radii share.  A point outside the
+        # disk reads the zero after them, so its value is c * 0.0 * (cos or
+        # sin)(m phi): a zero with the sign of the harmonic, which the bank
+        # bytes keep.
+        radii, back = np.unique(np.hypot(x[inside], y[inside]), return_inverse=True)
+        self.at = np.full(x.size, radii.size)
+        self.at[inside] = back
+        modes = {}
+        for k in rows:
+            modes.setdefault((elements[k].indices[0], elements[k].eigenvalue), len(modes))
+        keys = list(modes)
+        lams = [math.sqrt(mu) for _, mu in keys]
+        mode = np.array([modes[elements[k].indices[0], elements[k].eigenvalue] for k in rows])
+        is_sin = np.array([elements[k].harmonic == "sin" for k in rows])
+        c = np.array([elements[k].normalization for k in rows])
+        lam = np.array(lams)[mode]
+        # rows of the stacked [cos(m phi); sin(m phi)] of the distinct m: each
+        # element's own harmonic and the other one
+        self.m, m_at = np.unique([elements[k].indices[0] for k in rows], return_inverse=True)
+        self.own = m_at + self.m.size * is_sin
+        self.other = m_at + self.m.size * ~is_sin
+        self.mode, self.c = mode, c
+        # c lam for J_m', and -c lam (cos) or c lam (sin) for m J_m / x
+        self.c_slope, self.c_over = c * lam, np.where(is_sin, c, -c) * lam
+        # per mode J_m, and for gradients J_m' and m J_m / x, each ending in the outside zero
+        self.tables = np.zeros((3 if grad else 1, len(modes), radii.size + 1))
 
-    for k in rows:
-        p, q = elements[k].indices
-        vals[k][inside] = wave(p, 0) * wave(q, 1)
+        def passes(which):
+            # J_m, and for gradients J_{m-1} (J_1 for m = 0), of the modes
+            # which in one bessel_j_groups pass; each group keeps the bits of
+            # its own bessel_j call
+            rs = [lams[i] * radii for i in which]
+            orders = [[keys[i][0], 1 if keys[i][0] == 0 else keys[i][0] - 1][: 2 if grad else 1] for i in which]
+            js = iter(bessel_j_groups([m for o in orders for m in o], [r for r, o in zip(rs, orders) for _ in o]))
+            for i, r, o in zip(which, rs, orders):
+                group = [next(js) for _ in o]
+                self.tables[0, i, :-1] = group[0]
+                if grad:
+                    self.tables[1, i, :-1], self.tables[2, i, :-1] = bessel_j_slopes(o[0], r, *group)
+
+        # A large evaluation gives each mode its own pass, split over the
+        # part pool, which keeps the passes' memory small; a small one makes
+        # one pass for all modes on the caller's thread.
+        if split:
+            run_parts(lambda lo, hi: [passes([i]) for i in range(lo, hi)], len(modes))
+        else:
+            passes(range(len(modes)))
+
+    def take(self, keep):
+        return _pointwise(self, keep, ("inside", "phi", "cu", "su", "at"))
+
+    def fill(self, sel, vals, grads):
+        # the radial factors at these points, [1 or 3, modes, points]
+        radial = np.take(self.tables, self.at[sel], axis=2)
+        mphi = self.m[:, None] * self.phi[sel]
+        waves = np.empty((2,) + mphi.shape)
+        np.cos(mphi, out=waves[0])
+        np.sin(mphi, out=waves[1])
+        waves = waves.reshape(-1, mphi.shape[1])
+        own = waves[self.own]
+        # each product in place, in the order c * J_m * (cos or sin)(m phi)
+        value = radial[0][self.mode]
+        value *= self.c[:, None]
+        value *= own
+        vals[self.rows] = value
+        if grads is None:
+            return
+        # m J_m(lam rho) / rho = lam * (m J_m / x)(lam rho)
+        d_rho = radial[1][self.mode]
+        d_rho *= self.c_slope[:, None]
+        d_rho *= own
+        d_phi_over_rho = radial[2][self.mode]
+        d_phi_over_rho *= self.c_over[:, None]
+        d_phi_over_rho *= waves[self.other]
+        del radial, waves, own, value  # freed before the gradients' temporaries form
+        cu, su = self.cu[sel], self.su[sel]
+        # cu d_rho - su d_phi_over_rho, then su d_rho + cu d_phi_over_rho
+        gx = cu * d_rho
+        gx -= su * d_phi_over_rho
+        grads[0, self.rows] = gx
+        d_rho *= su
+        d_phi_over_rho *= cu
+        d_rho += d_phi_over_rho
+        grads[1, self.rows] = d_rho
+        _zero_outside(self, sel, (grads[0], grads[1]))
+
+
+class _SlFactors:
+    def __init__(self, elements, rows, x, y, inside, grad, split):
+        self.rows = rows
+        self.inside = None if inside.all() else inside
+        # per row, its factor of each axis on that axis's distinct coordinates
+        coords, at = zip(*(np.unique(c, return_inverse=True) for c in (x, y)))
+        self.at = np.stack(at)
+        n = [np.array([elements[k].indices[axis] for k in rows])[:, None] for axis in (0, 1)]
+        self.waves = [np.sin(n[a] * math.pi * (coords[a] + 1.0) / 2.0) for a in (0, 1)]
+        self.slopes = None
+        if grad:
+            h = [n[a] * math.pi / 2.0 for a in (0, 1)]
+            self.slopes = [(h[a], np.sin(h[a] * (coords[a] + 1.0)), np.cos(h[a] * (coords[a] + 1.0))) for a in (0, 1)]
+
+    def take(self, keep):
+        return _pointwise(self, keep, ("inside", "at"))
+
+    def fill(self, sel, vals, grads):
+        bx, by = self.at[:, sel]
+        vals[self.rows] = self.waves[0][:, bx] * self.waves[1][:, by]
         if grads is not None:
-            hp, sx, cx = wave_grad(p, 0)
-            hq, sy, cy = wave_grad(q, 1)
-            grads[0, k][inside] = hp * cx * sy
-            grads[1, k][inside] = hq * sx * cy
+            (hp, sx, cx), (hq, sy, cy) = self.slopes
+            grads[0, self.rows] = hp * cx[:, bx] * sy[:, by]
+            grads[1, self.rows] = hq * sx[:, bx] * cy[:, by]
+        _zero_outside(self, sel, (vals,) if grads is None else (vals, grads[0], grads[1]))
 
 
-# kind -> (its domain as a mask of x and y, its fill)
-_SPATIAL_FILLS = {
-    "fb-disk": (lambda x, y: np.hypot(x, y) < 1.0, _fill_fb),
-    "sl-square": (lambda x, y: (np.abs(x) < 1.0) & (np.abs(y) < 1.0), _fill_sl),
+# kind -> (its domain as a mask of x and y, the factors its elements share)
+_SPATIAL_KINDS = {
+    "fb-disk": (lambda x, y: np.hypot(x, y) < 1.0, _FbFactors),
+    "sl-square": (lambda x, y: (np.abs(x) < 1.0) & (np.abs(y) < 1.0), _SlFactors),
 }
 
 

@@ -10,13 +10,16 @@ results for every part count:
   transforms over the output channels.  Every output element goes through
   the same operations in the same order whatever the split, and the FFTs
   transform each row on its own.
-- analysis.filter_bound_report splits the theta samples of a joint layer's
-  bounds.  Each sample's sums go to their own row, and the caller sums the
-  rows once all are written.
-- basis.eval_spatial_stack splits the Fourier-Bessel radial modes.  Each
-  mode's J_m and J_{m-1} come from one bessel_j_groups pass, which gives the
-  bits of one bessel_j call per order, and a part writes only the rows of
-  its own modes.
+- analysis.filter_bound_report splits the blocks of support points.  Each
+  part assembles its blocks from the quadrature's recipe and writes their
+  sums for every theta sample to their own rows, and the caller adds the
+  rows in block order once all are written.
+- basis.SpatialRecipe splits the Fourier-Bessel radial modes, one
+  bessel_j_groups pass each (a group keeps the bits of one bessel_j call
+  per order), and then the chunks of points it assembles, for
+  eval_spatial_stack and for the exact-zero mask of analysis.disk_quadrature.
+  Each part writes only its own modes' tables or its own chunks' columns.
+  An evaluation of fewer than two chunks stays on the caller's thread.
 
 A part must not call run_parts itself: on 2 CPUs the pool has one thread,
 and a nested call would wait on the thread it runs in.  run_parts raises

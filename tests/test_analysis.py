@@ -377,18 +377,76 @@ def _orders_from_two(K):
 )
 @pytest.mark.parametrize("grid_n", [41, 301])
 def test_disk_quadrature_equals_whole_grid_then_compress(make_basis, grid_n, monkeypatch):
-    # disk_quadrature evaluates only the points inside the domain; the support,
-    # and so every _pair_sums block and sum, must keep the bits of the
-    # whole-grid build for every part count
+    # disk_quadrature evaluates only the points inside the domain and keeps
+    # their recipe; the support, and so every _block_sums block and sum, and
+    # the blocks the recipe assembles, concatenated, must keep the bits of
+    # the whole-grid build for every part count
     basis = make_basis()
     want = reference.whole_grid_quadrature_digests(basis, grid_n)
+    step = 4099  # blocks that cut across the recipe's chunks, the last one short
 
     def digests():
         quad = disk_quadrature(basis, grid_n)
-        assert all(a.flags.c_contiguous for a in (quad.vals, quad.gx, quad.gy))
-        return [reference.array_digest(a) for a in (quad.vals, quad.gx, quad.gy, quad.radius)]
+        size = quad.radius.size
+        out = []
+        for component in range(3):  # values, then each gradient component: one [K, P] array at a time
+            whole = np.empty((basis.n_spatial, size))
+            for lo in range(0, size, step):
+                vals, grads = quad.recipe.assemble(lo, min(lo + step, size))
+                assert all(a.flags.c_contiguous for a in (vals, grads[0], grads[1]))
+                whole[:, lo : lo + step] = (vals, grads[0], grads[1])[component]
+            out.append(reference.array_digest(whole))
+        return out + [reference.array_digest(quad.radius)]
 
     assert outputs_per_part_count(monkeypatch, digests) == [want] * 3
+
+
+def test_bound_quadrature_memory_stays_below_the_grids():
+    # The values and gradients of K = 100 elements on the 70,663 disk points
+    # of the 301 x 301 grid would take 162 MB as [K, P] arrays.  The
+    # quadrature holds their radial tables and point geometry (24 MB) and the
+    # report assembles one block at a time, so building both peaks far lower.
+    net = NetworkConfig(layers=(LayerSpec(1, 2, 100, 5),), n_rotations=8, n_scales=9, scale_range=1.0)
+    basis, spec = layer_basis(net, 0), net.layers[0]
+    coeffs = CoeffTensor(np.random.default_rng(0).standard_normal((1, 2, 100)), np.zeros(2))
+    tracemalloc.start()
+    try:
+        report = filter_bound_report(coeffs, basis, spec, disk_quadrature(basis, 301))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.B > 0.0 and peak < 40e6
+
+
+@pytest.mark.parametrize("K, grid_n", [(100, 301), (30, 151)])
+def test_lifting_spans_keep_the_whole_block_bits(K, grid_n, monkeypatch):
+    # A lifting block's products are filled span by span.  Every product
+    # element must keep the bits of one product over the whole block, as
+    # the block was multiplied before spans (at K >= 20 a span that is no
+    # whole multiple of the kernel tile changes some), and so must the sums.
+    net = NetworkConfig(layers=(LayerSpec(1, 2, K, 5),), n_rotations=8, n_scales=9, scale_range=1.0)
+    basis, spec = layer_basis(net, 0), net.layers[0]
+    coeffs = CoeffTensor(np.random.default_rng(K).standard_normal((1, 2, K)), np.zeros(2))
+    quad = disk_quadrature(basis, grid_n)
+    c, size = coeffs.a.reshape(-1, K), quad.radius.size
+    step = rstcnn.analysis._BLOCK_SIZE // c.size
+    blocks = [(lo, min(lo + step, size)) for lo in range(0, size, step)]
+    for lo, hi in blocks:
+        spans = rstcnn.analysis._spans(lo, hi, quad.recipe.chunk)
+        assert len(spans) > 1 or (lo, hi) == blocks[-1]
+        vals, grads = quad.recipe.assemble(lo, hi)
+        pieces = [quad.recipe.assemble(a, b) for a, b in spans]
+        for i, factor in enumerate((vals, grads[0], grads[1])):
+            spanned = np.concatenate([c @ (v, g[0], g[1])[i] for v, g in pieces], axis=1)
+            assert np.array_equal(spanned, c @ factor)
+
+    def sums():
+        report = filter_bound_report(coeffs, basis, spec, quad)
+        return report.B, report.C, report.D
+
+    spanned = sums()
+    monkeypatch.setattr(rstcnn.analysis, "_SPAN", size)  # one span a block
+    assert sums() == spanned
 
 
 def test_filter_bounds_reject_a_mismatched_quadrature():

@@ -123,7 +123,7 @@ def test_eval_spatial_stack_equals_one_element_calls(case):
 
 @pytest.mark.parametrize("grid_n, K", [(301, 10), (41, 100)])
 def test_fb_stack_on_distinct_radii_equals_every_point_evaluation(grid_n, K):
-    # _fill_fb runs each radial function on the distinct radii and scatters
+    # basis._FbFactors runs each radial function on the distinct radii and gathers
     # the result back; bessel_j must give those points the bits it gives
     # them among all the grid's points
     elements = build_basis("fb", K).spatial
@@ -135,7 +135,7 @@ def test_fb_stack_on_distinct_radii_equals_every_point_evaluation(grid_n, K):
 
 
 def test_fb_stack_gradients_match_scipy_closed_form():
-    # _fill_fb and reference.fb_stack_every_point both take their slopes from
+    # basis._FbFactors and reference.fb_stack_every_point both take their slopes from
     # bessel_j_slopes, so a slip there passes the test above.  Here lambda,
     # the normalization and every radial factor come from SciPy, with
     # m J_m(r) / r = (J_{m-1}(r) + J_{m+1}(r)) / 2, so no package Bessel

@@ -6,7 +6,10 @@ import threading
 from pathlib import Path
 
 import rstcnn.parts
-from rstcnn import build_basis, disk_quadrature, sample_filter_bank
+import rstcnn.analysis
+import rstcnn.basis
+from conftest import small_net
+from rstcnn import build_basis, disk_quadrature, filter_bound_report, init_coeffs, layer_basis, sample_filter_bank
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -33,18 +36,37 @@ def test_every_tracer_target_resolves():
 def test_basis_evaluation_parts_call_no_traced_function(monkeypatch):
     # The tracer keeps one span stack for all threads, so a traced function
     # (bessel_j, say) called inside a part of the pool would corrupt the
-    # parent links of its spans.
+    # parent links of its spans.  The parts of a bounds report assemble basis
+    # blocks, so it runs on a lifting and a joint layer too.
     tracer = _tracer_module().Tracer()
     opened_in = []
     open_span = tracer._open
     monkeypatch.setattr(tracer, "_open", lambda name: opened_in.append(threading.current_thread()) or open_span(name))
     monkeypatch.setattr(rstcnn.parts, "_PARTS", 3)
+    # blocks of 4000 / (rows x K) points cut the 41 x 41 support into several per layer
+    monkeypatch.setattr(rstcnn.analysis, "_BLOCK_SIZE", 4000)
+    filled_in = [set()]  # per stage, the threads that assembled basis blocks
+    fill = rstcnn.basis.SpatialRecipe.fill
+    monkeypatch.setattr(rstcnn.basis.SpatialRecipe, "fill", lambda *a: filled_in[-1].add(threading.current_thread()) or fill(*a))
     basis = build_basis("fb", 10)
+    net = small_net(layers=2, channels=2, K=5, L_alpha=2)
+    coeffs = init_coeffs(net, seed=0)
+    quad = disk_quadrature(layer_basis(net, 0), 41)
+    stages = [
+        lambda: disk_quadrature(basis, 301),
+        lambda: sample_filter_bank(basis, 8, 9, 1.0, 9, layer_scale=2.0),
+        *(lambda layer=layer: filter_bound_report(coeffs[layer], layer_basis(net, layer), net.layers[layer], quad, n_theta=8) for layer in (0, 1)),
+    ]
     tracer.install()
     try:
-        disk_quadrature(basis, 41)
-        sample_filter_bank(basis, 8, 9, 1.0, 9, layer_scale=2.0)
+        for stage in stages:
+            filled_in.append(set())
+            stage()
     finally:
         tracer.uninstall()
-    assert {t.name for t in opened_in} <= {threading.main_thread().name}
+    main = threading.main_thread()
+    # the quadrature and both reports run parts on pool threads; the bank's
+    # 5,832 points are fewer than two chunks, which the caller's thread evaluates alone
+    assert [len(threads - {main}) > 0 for threads in filled_in[1:]] == [True, False, True, True]
+    assert {t.name for t in opened_in} <= {main.name}
     assert tracer._stack == []
