@@ -19,11 +19,11 @@ correlation on this grid equals the zero-padded linear one (columns alike).
 Its rfft2 is multiplied by the conjugate spectra of the filters and one
 irfft2 per output slice, cropped to H x W, gives the spatial sums.
 The rotation sum reads the spectrum stack cyclically (tap l_theta reads
-rotation r + l_theta * N_r / L_theta mod N_r, as two contiguous slices of
-the stack rather than a rolled copy); the scale sum is an upward shift of it
-(tap l_alpha reads scale s + l_alpha, and reads above the top channel
-contribute nothing, which is the zero fill).  Every tap's spectrum product
-carries the same quadrature weight as in the defining sum.
+rotation r + l_theta * N_r / L_theta mod N_r, one whole input row per output
+row); the scale sum is an upward shift of it (tap l_alpha reads scale s +
+l_alpha, and reads above the top channel contribute nothing, which is the
+zero fill).  Every tap's spectrum product carries the same quadrature weight
+as in the defining sum.
 
 The convolutions and forward also take a leading batch axis: images [N, M,
 H, W] give feature maps [N, M, N_r, N_s, H, W].  Each filter spectrum is
@@ -52,9 +52,15 @@ same code.
 
 Each correlation runs on every CPU the process may use, through
 parts.run_parts: the forward rfft2 is split over the flattened (sample,
-input channel) rows, and the spectra, multiply-add passes and inverse
-transforms over the output channels, with bit-identical results for every
-part count.
+input channel) rows, and then one pass per (output channel, output
+rotation) row over those rows.  A row's pass forms its filter spectra,
+adds their products with every sample's input spectra into one block of
+that row's spectra (every sample, the scales it writes), inverse-transforms
+the block and applies bias and ReLU into the output.  The block is a few
+hundred KB at the report's and the sweep's shapes, so the multiply-adds run
+in cache, and no accumulator of the whole layer is ever held.  Every output
+element goes through the same operations in the same order whatever the
+split, so the results are bit-identical for every part count.
 """
 
 from __future__ import annotations
@@ -341,6 +347,36 @@ def _scale_reads(lo, hi, live_q, n_in):
     return i0, max(i0, min(hi + int(live_q[-1]), n_in))
 
 
+def _conj_dft(L, P, Q):
+    """(ey [P, L], ex [L, Q/2+1]): the conjugated DFT rows restricted to the L-tap support.
+
+    ey @ f @ ex is the conjugate rfft2 of an L x L slice f laid cyclically on
+    (P, Q), so its products with an input's rfft2 correlate.
+    """
+    taps = np.arange(L)
+    ey = np.exp(2j * math.pi * (np.outer(np.arange(P), taps) % P) / P)
+    ex = np.exp(2j * math.pi * (np.outer(taps, np.arange(Q // 2 + 1)) % Q) / Q)
+    return ey, ex
+
+
+def _row_spectra(row, live, n_val, ey, wex):
+    """The conjugate spectra of one output row's live (input channel, tap) slices, in the defining sum's order.
+
+    row [M_in, L_theta, n_w, L_alpha, L, L] holds the filters of one (output
+    channel, rotation) row over the output scales it writes; live [M_in,
+    L_theta, L_alpha] is _live_taps of the layer's filters; n_val[q] is the
+    number of those scales that tap q writes; ey and wex[q] are _conj_dft's
+    factors, wex[q] carrying tap q's quadrature weight.  Yields (t, q, i,
+    spectrum [n_val[q], P, Q/2+1]) with t outermost and i innermost: ey @ f @
+    wex[q] for each weighted slice f.  A dead slice gets no spectrum.
+    """
+    l_th, l_al = live.shape[1:]
+    for t in range(l_th):
+        for q in range(l_al):
+            for i in np.flatnonzero(live[:, t, q]) if n_val[q] > 0 else ():
+                yield t, q, i, ey @ (row[i, t, : n_val[q], q] @ wex[q])
+
+
 def _group_correlate(vals, filters, bias, window=None):
     """relu(bias + tap-weighted spatial correlations), evaluated on rfft2 spectra.
 
@@ -358,10 +394,16 @@ def _group_correlate(vals, filters, bias, window=None):
     rows within them.  Every output channel outside the window is NaN, and
     only the input channels the window reads are transformed.
 
-    A (tap, input channel) slice whose filters are zero for every output
-    channel (the end scale taps of a Dirichlet profile, say) gets no
-    spectrum and adds no products: acc starts at +0 and never becomes -0,
-    so adding its +-0 products would change no bit.  With q0 the lowest live
+    After the forward transform, one pass per (output channel, output
+    rotation) row does all of that row's work in a block of every sample's
+    spectra, small enough to stay in cache: it forms the row's spectra
+    (_row_spectra), adds their products with the input spectra into the
+    block in the defining sum's (t, q, i) order, then inverse-transforms,
+    crops, adds the bias and applies the ReLU into the output.  A (tap,
+    input channel) slice whose filters are zero for every output channel
+    (the end scale taps of a Dirichlet profile, say) gets no spectrum and
+    adds no products: the block starts at +0 and never becomes -0, so
+    adding its +-0 products would change no bit.  With q0 the lowest live
     scale tap, the window reads input scales from lo + q0 on, and output
     scales from N_s - q0 on get no inverse transform: they are relu(bias),
     as the inverse transform of zeros plus bias would give.
@@ -399,61 +441,45 @@ def _group_correlate(vals, filters, bias, window=None):
             padded[..., p : p + H, p : p + W] = rows_in[j][rot_in, i0:i1]
             rows_xf[j] = np.fft.rfft2(padded)
 
-    # Conjugated DFT rows restricted to the L-tap support: ey @ f @ ex is the
-    # conjugate rfft2 of f laid cyclically on (P, Q), so products with xf correlate.
-    taps = np.arange(L)
-    ey = np.exp(2j * math.pi * (np.outer(np.arange(P), taps) % P) / P)
-    ex = np.exp(2j * math.pi * (np.outer(taps, np.arange(Q // 2 + 1)) % Q) / Q)
-    filt = filters[:, :, rows_sel, :, s_lo:w_hi]  # the window's output channels
-    acc = np.zeros((n, m_out, r_n, n_w) + xf.shape[-2:], dtype=complex)
-
-    def multiply_add(lo, hi):
-        part = acc[:, lo:hi]
-        # Products go through a scratch of one sample's part, not of all of acc:
-        # each sample's products are added before the next sample's are formed.
-        scratch = np.empty(part.shape[1:], dtype=complex)
-        for t in range(l_th):
-            # Output row r reads input row (r + shift) mod r_n: rows
-            # [shift, r_n) feed r < r_n - shift and rows [0, shift) the rest.
-            shift = t * d_step % r_n
-            split = r_n - shift
-            for q in range(min(l_al, n_s)):
-                n_val = min(w_hi, n_s - q) - s_lo  # outputs [s_lo, s_lo + n_val) read s + q
-                k = s_lo + q - i0 if S > 1 else 0  # their first input in xf
-                for i in np.flatnonzero(live[:, t, q]) if n_val > 0 else ():
-                    # Spectra of one (tap, input channel) slice at a time, shared
-                    # by every sample: all slices of a fig3 K=10, L_alpha=3 layer
-                    # at 56x56 together would take about 117 MB.
-                    spec = ey @ (filt[i, lo:hi, :, t, :n_val, q] @ (w_alpha[q] / l_th * ex))
-                    for b in range(n):
-                        src = xf[b, i, :, k : k + n_val]
-                        np.multiply(spec[:, :split], src[shift:], out=scratch[:, :split, :n_val])
-                        np.multiply(spec[:, split:], src[:shift], out=scratch[:, split:, :n_val])
-                        part[b, :, :, :n_val] += scratch[:, :, :n_val]
-
     run_parts(transform, n_rows)
-    run_parts(multiply_add, m_out)
-    del xf, rows_xf  # freed before the output and inverse transforms allocate theirs
+    # allocated after the transform, whose temporaries are gone by then
     out = np.empty((n, m_out, n_r, n_s, H, W))
     if r_n < n_r or s_hi - s_lo < n_s:
         out.fill(np.nan)  # the channels outside the window
+    ey, ex = _conj_dft(L, P, Q)
+    wex = [w_alpha[q] / l_th * ex for q in range(l_al)]
+    n_val = [min(w_hi, n_s - q) - s_lo for q in range(l_al)]  # outputs [s_lo, s_lo + n_val[q]) read s + q
+    filt = filters[:, :, rows_sel, :, s_lo:w_hi]  # the window's output channels
 
-    def inverse(lo, hi):
-        # One (sample, output channel) slice at a time: the temporaries of
-        # every running part together stay below one full inverse transform.
-        for o in range(lo, hi):
-            for b in range(n):
-                # irfft2(acc[b, o], s=(P, Q))[..., :H, :W] as its two passes,
-                # with the rows the crop drops left out of the second one.
-                cols = np.fft.ifft(acc[b, o], axis=-2)[..., :H, :]
-                out[b, o, rows_sel, s_lo:w_hi] = np.fft.irfft(cols, n=Q, axis=-1)[..., :W]
-                out[b, o, rows_sel, w_hi:s_hi] = 0.0
-        # Over the window's scales at every rotation: NaN rows stay NaN.
-        part = out[:, lo:hi, :, s_lo:s_hi]
-        part += bias[lo:hi, None, None, None, None]
-        np.maximum(part, 0.0, out=part)
+    def row_pass(lo, hi):
+        # One (output channel, rotation) row at a time, through three buffers
+        # per part: the row's spectra block, its products (then its column
+        # transform) and its row transform.
+        block = np.empty((n, n_w) + xf.shape[-2:], dtype=complex)
+        scratch = np.empty_like(block)
+        planes = np.empty((n, n_w, H, Q))
+        for j in range(lo, hi):
+            o, r = divmod(j, r_n)
+            block.fill(0.0)
+            row = filt[:, o, r].astype(complex)  # cast once, not in each slice's matmul
+            for t, q, i, spec in _row_spectra(row, live, n_val, ey, wex):
+                # Output row r reads input row (r + t * d_step) mod r_in whole, and
+                # outputs [s_lo, s_lo + n_val[q]) read the inputs from s_lo + q on.
+                k = s_lo + q - i0 if S > 1 else 0
+                src = xf[:, i, (r + t * d_step) % r_in, k : k + n_val[q]]
+                prod = scratch[:, : n_val[q]]
+                np.multiply(spec, src, out=prod)
+                block[:, : n_val[q]] += prod
+            # irfft2(block, s=(P, Q))[..., :H, :W] as its two passes, with the
+            # rows the crop drops left out of the second one.
+            np.fft.ifft(block, axis=-2, out=scratch)
+            np.fft.irfft(scratch[..., :H, :], n=Q, axis=-1, out=planes)
+            dest = out[:, o, rows[r], s_lo:s_hi]
+            np.add(planes[..., :W], bias[o], out=dest[:, :n_w])
+            dest[:, n_w:] = 0.0 + bias[o]
+            np.maximum(dest, 0.0, out=dest)
 
-    run_parts(inverse, m_out)
+    run_parts(row_pass, m_out * r_n)
     return out
 
 

@@ -6,10 +6,11 @@ shared pool of threads, started on first use, runs the rest, so a one-CPU
 machine runs serially.  Three stages use it, and each gives bit-identical
 results for every part count:
 - net._group_correlate splits its forward rfft2 over the flattened (sample,
-  input channel) rows, and its spectra, multiply-add passes and inverse
-  transforms over the output channels.  Every output element goes through
-  the same operations in the same order whatever the split, and the FFTs
-  transform each row on its own.
+  input channel) rows, and its row passes over the (output channel, output
+  rotation) rows: each pass forms its row's spectra, adds the products into
+  its own block, inverse-transforms it and writes its own output rows.
+  Every output element goes through the same operations in the same order
+  whatever the split, and the FFTs transform each row on its own.
 - analysis.filter_bound_report splits the blocks of support points.  Each
   part assembles its blocks from the quadrature's recipe and writes their
   sums for every theta sample to their own rows, and the caller adds the

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -331,6 +332,65 @@ def test_joint_conv_skips_all_zero_tap_slices_exactly(m_out, monkeypatch):
         for pos in np.ndindex(outs[0].shape):
             want = reference.naive_joint_at(vals[pos[0]], filters, bias, *pos[1:])
             assert outs[0][pos] == pytest.approx(want, abs=1e-10)
+
+
+@pytest.mark.parametrize("P, Q", [(11, 9), (8, 12)])
+def test_row_spectra_are_the_conjugate_rfft2_of_the_live_slices(P, Q):
+    # One row's slices over (M_in, L_theta, n_w, L_alpha) = (2, 3, 4, 3);
+    # tap q writes n_val[q] output scales, and the top tap writes none.
+    rng = np.random.default_rng(56)
+    L = 5
+    row = rng.standard_normal((2, 3, 4, 3, L, L))
+    live = rng.random((2, 3, 3)) < 0.6
+    live[0, 0, 0] = live[1, 2, 1] = live[1, 1, 2] = True
+    live[0, 1, 0] = False
+    n_val = [4, 2, 0]
+    weights = rng.uniform(0.1, 1.0, size=3)
+    ey, ex = rstcnn.net._conj_dft(L, P, Q)
+    got = list(rstcnn.net._row_spectra(row, live, n_val, ey, [w * ex for w in weights]))
+    want_keys = [(t, q, i) for t in range(3) for q in range(3) for i in range(2) if live[i, t, q] and n_val[q] > 0]
+    assert [(t, q, i) for t, q, i, _ in got] == want_keys
+    for t, q, i, spec in got:
+        assert spec.shape == (n_val[q], P, Q // 2 + 1)
+        for s in range(n_val[q]):
+            laid = np.zeros((P, Q))
+            laid[:L, :L] = weights[q] * row[i, t, s, q]
+            want = np.conj(np.fft.rfft2(laid))
+            assert np.abs(spec[s] - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("parts", [1, 2])
+def test_joint_conv_memory_is_input_spectra_output_and_row_blocks(parts, monkeypatch):
+    # A joint layer of the criterion-5 report (batch 8, 2 -> 2 channels, N_r = 8,
+    # N_s = 9, 28 x 28, L = 9, L_theta = 4) holds the input spectra, the output
+    # and, per part, one row's block, products and row transform; the slack
+    # covers, per part, the row's filters cast to complex and one filter
+    # spectrum with its factors (about 0.19 MB here).  An accumulator of
+    # the whole layer is as large as the input spectra here, and held beside
+    # them it does not fit even in one part's bound.
+    monkeypatch.setattr(rstcnn.parts, "_PARTS", parts)
+    rng = np.random.default_rng(57)
+    n, m, n_r, n_s, H, W, L = 8, 2, 8, 9, 28, 28, 9
+    spec = LayerSpec(m, m, 1, L, L_theta=4, L_alpha=1)
+    feat = FeatureMap(rng.standard_normal((n, m, n_r, n_s, H, W)), math.pi / 4, np.linspace(-1.0, 1.0, n_s))
+    filters = rng.standard_normal((m, m, n_r, 4, n_s, 1, L, L))
+    bias = rng.standard_normal(m)
+    P, Q = H + (L - 1) // 2, W + (L - 1) // 2
+    spectra = n * m * n_r * n_s * P * (Q // 2 + 1) * 16
+    out = n * m * n_r * n_s * H * W * 8
+    row = 2 * n * n_s * P * (Q // 2 + 1) * 16 + n * n_s * H * Q * 8
+    slack = (parts + 1) * 2**18
+    bound = spectra + out + parts * row + slack
+    if parts == 1:
+        assert spectra + spectra > bound
+    joint_conv(feat, filters, bias, spec)  # warm-up
+    tracemalloc.start()
+    try:
+        joint_conv(feat, filters, bias, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
 
 
 def test_concurrent_callers_share_the_part_pool(monkeypatch):

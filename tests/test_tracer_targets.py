@@ -2,14 +2,28 @@
 
 import importlib
 import importlib.util
+import math
 import threading
 from pathlib import Path
+
+import numpy as np
 
 import rstcnn.parts
 import rstcnn.analysis
 import rstcnn.basis
+import rstcnn.net
 from conftest import small_net
-from rstcnn import build_basis, disk_quadrature, filter_bound_report, init_coeffs, layer_basis, sample_filter_bank
+from rstcnn import (
+    FeatureMap,
+    ImageTensor,
+    LayerSpec,
+    build_basis,
+    disk_quadrature,
+    filter_bound_report,
+    init_coeffs,
+    layer_basis,
+    sample_filter_bank,
+)
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -69,4 +83,37 @@ def test_basis_evaluation_parts_call_no_traced_function(monkeypatch):
     # 5,832 points are fewer than two chunks, which the caller's thread evaluates alone
     assert [len(threads - {main}) > 0 for threads in filled_in[1:]] == [True, False, True, True]
     assert {t.name for t in opened_in} <= {main.name}
+    assert tracer._stack == []
+
+
+def test_correlation_row_passes_call_no_traced_function(monkeypatch):
+    # The row passes of net._group_correlate run on the part pool: each forms
+    # its row's filter spectra, so the spectra helper marks where rows ran.
+    # Like the basis parts, they must open no span there.
+    tracer = _tracer_module().Tracer()
+    opened_in = []
+    open_span = tracer._open
+    monkeypatch.setattr(tracer, "_open", lambda name: opened_in.append(threading.current_thread()) or open_span(name))
+    monkeypatch.setattr(rstcnn.parts, "_PARTS", 3)
+    rows_in = [set()]  # per stage, the threads that ran rows
+    row_spectra = rstcnn.net._row_spectra
+    monkeypatch.setattr(rstcnn.net, "_row_spectra", lambda *a: rows_in[-1].add(threading.current_thread()) or row_spectra(*a))
+    rng = np.random.default_rng(58)
+    spec = LayerSpec(2, 2, 1, 5, L_theta=2, L_alpha=2)
+    feat = FeatureMap(rng.standard_normal((2, 2, 4, 3, 9, 8)), math.pi / 2, np.linspace(-1.0, 1.0, 3))
+    bias = np.zeros(2)
+    stages = [
+        lambda: rstcnn.net.lifting_conv(ImageTensor(rng.standard_normal((2, 2, 9, 8))), rng.standard_normal((2, 2, 4, 3, 5, 5)), bias, feat.scale_grid),
+        lambda: rstcnn.net.joint_conv(feat, rng.standard_normal((2, 2, 4, 2, 3, 2, 5, 5)), bias, spec),
+    ]
+    tracer.install()
+    try:
+        for stage in stages:
+            rows_in.append(set())
+            stage()
+    finally:
+        tracer.uninstall()
+    main = threading.main_thread()
+    assert [len(threads - {main}) > 0 for threads in rows_in[1:]] == [True, True]
+    assert [t.name for t in opened_in] == [main.name, main.name]
     assert tracer._stack == []
