@@ -36,7 +36,7 @@ from .basis import (
     scale_matrix,
     unit_grid,
 )
-from .bessel import UnsupportedOrderError, bessel_j, bessel_j_derivative, bessel_zero
+from .bessel import UnsupportedOrderError, bessel_j, bessel_zero
 from .config import parse_config_text
 from .container import (
     BankArchive,

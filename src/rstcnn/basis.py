@@ -12,7 +12,6 @@ their sizes and evaluated in closed form by angular_matrix and scale_matrix.
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
 from dataclasses import dataclass
@@ -203,13 +202,6 @@ class SpatialRecipe:
         self.fill(lo, hi, vals, grads)
         return vals, grads
 
-    def take(self, keep):
-        """This recipe at the points where the mask keep is True, sharing its radial tables and factors."""
-        new = copy.copy(self)
-        new.kinds = [f.take(keep) for f in self.kinds]
-        new.size = int(np.count_nonzero(keep))
-        return new
-
     def for_chunks(self, fn):
         """fn(lo, hi) over whole chunks of the points, the last taking the rest, split over the part pool."""
         count = max(1, self.size // self.chunk)
@@ -236,14 +228,6 @@ def eval_spatial_stack(elements, points, grad=False):
     recipe.for_chunks(lambda lo, hi: recipe.fill(lo, hi, vals[:, lo:hi], None if grads is None else grads[..., lo:hi]))
     vals = vals.reshape((len(elements),) + pts.shape[:-1])
     return (vals, grads.reshape((2,) + vals.shape)) if grad else vals
-
-
-def _pointwise(factors, keep, names):
-    new = copy.copy(factors)
-    for name in names:
-        value = getattr(factors, name)
-        setattr(new, name, None if value is None else value[..., keep])
-    return new
 
 
 def _zero_outside(factors, sel, arrays):
@@ -314,9 +298,6 @@ class _FbFactors:
         else:
             passes(range(len(modes)))
 
-    def take(self, keep):
-        return _pointwise(self, keep, ("inside", "phi", "cu", "su", "at"))
-
     def fill(self, sel, vals, grads):
         # the radial factors at these points, [1 or 3, modes, points]
         radial = np.take(self.tables, self.at[sel], axis=2)
@@ -366,9 +347,6 @@ class _SlFactors:
         if grad:
             h = [n[a] * math.pi / 2.0 for a in (0, 1)]
             self.slopes = [(h[a], np.sin(h[a] * (coords[a] + 1.0)), np.cos(h[a] * (coords[a] + 1.0))) for a in (0, 1)]
-
-    def take(self, keep):
-        return _pointwise(self, keep, ("inside", "at"))
 
     def fill(self, sel, vals, grads):
         bx, by = self.at[:, sel]

@@ -208,22 +208,6 @@ def bessel_j_slopes(order, x, jm, jbelow=None):
     return jbelow - j_over, j_over
 
 
-def bessel_j_derivative(order, x):
-    """d/dx J_order(x) for scalars or arrays; see bessel_j_slopes."""
-    return _slope(order, x, 0)
-
-
-def bessel_j_over_x(order, x):
-    """order * J_order(x) / x for scalars or arrays; see bessel_j_slopes."""
-    return _slope(order, x, 1)
-
-
-def _slope(order, x, which):
-    xa = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    out = bessel_j_slopes(order, xa, bessel_j(order, xa))[which]
-    return float(out[0]) if np.ndim(x) == 0 else out.reshape(np.shape(x))
-
-
 def bessel_zero_groups(orders, qs):
     """[bessel_zero(m, q) for m, q in zip(orders, qs)], bit for bit.
 

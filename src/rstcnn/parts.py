@@ -17,9 +17,9 @@ results for every part count:
   rows in block order once all are written.
 - basis.SpatialRecipe splits the Fourier-Bessel radial modes, one
   bessel_j_groups pass each (a group keeps the bits of one bessel_j call
-  per order), and then the chunks of points it assembles, for
-  eval_spatial_stack and for the exact-zero mask of analysis.disk_quadrature.
-  Each part writes only its own modes' tables or its own chunks' columns.
+  per order), and eval_spatial_stack splits the chunks of points it
+  assembles.  Each part writes only its own modes' tables or its own
+  chunks' columns.
   An evaluation of fewer than two chunks stays on the caller's thread.
 
 A part must not call run_parts itself: on 2 CPUs the pool has one thread,

@@ -242,7 +242,7 @@ def fb_stack_every_point(elements, points):
     for the claim that the distinct radii change no bit.  The arithmetic is
     the package's, in the same order.
     """
-    from rstcnn.bessel import bessel_j, bessel_j_derivative, bessel_j_over_x
+    from rstcnn.bessel import bessel_j, bessel_j_slopes
 
     pts = np.asarray(points, dtype=np.float64)
     x, y = pts[..., 0], pts[..., 1]
@@ -258,15 +258,16 @@ def fb_stack_every_point(elements, points):
         r = lam * rho[inside]
         radial = np.zeros_like(rho)
         radial[inside] = bessel_j(m, r)
+        jprime, j_over = bessel_j_slopes(m, r, radial[inside])
         cphi, sphi = np.cos(m * phi[inside]), np.sin(m * phi[inside])
         if e.harmonic == "cos":
             vals[k] = c * radial * np.cos(m * phi)
-            d_rho = c * lam * bessel_j_derivative(m, r) * cphi
-            d_phi_over_rho = -c * lam * bessel_j_over_x(m, r) * sphi
+            d_rho = c * lam * jprime * cphi
+            d_phi_over_rho = -c * lam * j_over * sphi
         else:
             vals[k] = c * radial * np.sin(m * phi)
-            d_rho = c * lam * bessel_j_derivative(m, r) * sphi
-            d_phi_over_rho = c * lam * bessel_j_over_x(m, r) * cphi
+            d_rho = c * lam * jprime * sphi
+            d_phi_over_rho = c * lam * j_over * cphi
         grads[0, k][inside] = cu * d_rho - su * d_phi_over_rho
         grads[1, k][inside] = su * d_rho + cu * d_phi_over_rho
     return vals, grads
@@ -310,6 +311,24 @@ def array_digest(a):
     import hashlib
 
     return a.shape, hashlib.sha256(np.ascontiguousarray(a)).hexdigest()
+
+
+def block_sums_per_theta(cs, quad, lo, hi):
+    """analysis._block_sums as one pass per theta sample: its values and gradients together, on one whole-block assembly.
+
+    This is the order filter_bound_report used before it ran every
+    sample's values and then every sample's gradients, and before a lifting
+    block filled its products span by span.
+    """
+    hi = min(hi, quad.radius.size)
+    vals, (gx_basis, gy_basis) = quad.recipe.assemble(lo, hi)
+    radius = quad.radius[lo:hi]
+    sums = []
+    for c in cs:
+        w, gx, gy = c @ vals, c @ gx_basis, c @ gy_basis
+        gmag = np.sqrt(gx * gx + gy * gy)
+        sums.append([np.abs(w).sum(axis=1), gmag @ radius, gmag.sum(axis=1)])
+    return np.array(sums)
 
 
 def chunked_filter_bounds(coeffs, basis, spec, grid_n, n_theta):

@@ -41,7 +41,9 @@ from rstcnn import (
     tau_norms,
 )
 import rstcnn.analysis
+import rstcnn.basis
 from rstcnn.analysis import REPORT_PAIRS
+from rstcnn.basis import eval_spatial_stack, in_domain, unit_grid
 import reference
 from conftest import interior_image, outputs_per_part_count, small_net
 
@@ -361,6 +363,67 @@ def test_filter_bounds_are_bit_identical_for_every_part_count(spatial_kind, laye
     expected = reference.chunked_filter_bounds(coeffs, basis, spec, grid_n=41, n_theta=n_theta)
     for name, value in expected.items():
         assert getattr(reports[0], name) == pytest.approx(value, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("spatial_kind", ["fb", "sl"])
+@pytest.mark.parametrize("layer", [0, 1])
+@pytest.mark.parametrize("block_size", [4000, None])
+def test_block_sums_keep_the_bits_of_one_pass_per_theta(spatial_kind, layer, block_size, monkeypatch):
+    # _block_sums runs every theta sample's values, then every sample's
+    # gradients, and a lifting block fills its products in spans; each
+    # block's sums must keep the bits of one pass per sample over one
+    # assembly of the whole block.  Blocks of 83 or 166 points cut the
+    # 41 x 41 support into several; the default size takes it whole, which
+    # 256-point chunks split into several spans on the lifting layer.
+    net = bounds_net(spatial_kind)
+    coeffs = init_coeffs(net, seed=13)[layer]
+    quad = disk_quadrature(layer_basis(net, 0), 41)
+    quad.recipe.chunk = 256
+    if block_size:
+        monkeypatch.setattr(rstcnn.analysis, "_BLOCK_SIZE", block_size)
+    calls = []
+    block_sums = rstcnn.analysis._block_sums
+
+    def recorded(*args):
+        calls.append((args, block_sums(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(rstcnn.analysis, "_block_sums", recorded)
+    filter_bound_report(coeffs, layer_basis(net, layer), net.layers[layer], quad, n_theta=5)
+    assert len(calls) > 1 if block_size else len(calls) == 1
+    if not block_size and layer == 0:
+        assert len(rstcnn.analysis._spans(0, quad.radius.size, quad.recipe.chunk)) > 1
+    for args, sums in calls:
+        assert np.array_equal(sums, reference.block_sums_per_theta(*args))
+
+
+@pytest.mark.parametrize("spatial_kind", ["fb", "sl"])
+@pytest.mark.parametrize("grid_n", [41, 101])
+def test_pool_elements_vanish_with_their_gradients_only_at_the_origin(spatial_kind, grid_n):
+    # disk_quadrature drops no domain point but the origin, and that one
+    # only when every element is Fourier-Bessel with m >= 2.  That holds for
+    # every subset of the pools because it holds for each element: nonzero,
+    # or with a nonzero gradient, at every grid point of its domain but the
+    # origin, where exactly the m >= 2 elements vanish with their gradients.
+    pts = unit_grid(grid_n)[0].reshape(-1, 2)
+    for e in rstcnn.basis._fb_pool() if spatial_kind == "fb" else rstcnn.basis._sl_pool():
+        inside = pts[in_domain((e,), pts)]
+        vals, grads = eval_spatial_stack((e,), inside, grad=True)
+        zero = (vals[0] == 0.0) & (grads[:, 0] == 0.0).all(axis=0)
+        at_origin = (inside == 0.0).all(axis=1)
+        assert np.array_equal(zero, at_origin if e.kind == "fb-disk" and e.indices[0] >= 2 else np.zeros_like(zero))
+
+
+def test_quadrature_keeps_the_origin_unless_every_element_vanishes_there():
+    fb10, sl3, from_two = build_basis("fb", 10), build_basis("sl", 3), _orders_from_two(10)
+    # J_1' is 1/2 at 0, so an m = 1 element keeps the origin
+    from_one = BasisSet("fb", tuple(e for e in fb10.spatial if e.indices[0] >= 1), 0, 1)
+    mixed = BasisSet("fb", from_two.spatial + sl3.spatial, 0, 1)
+    bases = {"fb10": fb10, "sl3": sl3, "from_one": from_one, "from_two": from_two, "mixed": mixed}
+    origins = {name: int(np.count_nonzero(disk_quadrature(basis, 41).radius == 0.0)) for name, basis in bases.items()}
+    assert origins == {"fb10": 1, "sl3": 1, "from_one": 1, "from_two": 0, "mixed": 1}
+    # an even grid has no point at the origin
+    assert np.count_nonzero(disk_quadrature(fb10, 40).radius == 0.0) == 0
 
 
 def _orders_from_two(K):

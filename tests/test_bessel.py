@@ -10,9 +10,7 @@ import rstcnn.bessel
 from rstcnn.bessel import (
     UnsupportedOrderError,
     bessel_j,
-    bessel_j_derivative,
     bessel_j_groups,
-    bessel_j_over_x,
     bessel_j_slopes,
     bessel_zero,
     bessel_zero_groups,
@@ -48,6 +46,11 @@ DERIV_TABLE = [
 ]
 
 
+def slopes(m, xs):
+    """(J_m'(xs), m J_m(xs) / xs) for an array xs, the J_m(xs) from bessel_j."""
+    return bessel_j_slopes(m, xs, bessel_j(m, xs))
+
+
 @pytest.mark.parametrize("m,x,expected", J_TABLE)
 def test_bessel_j_frozen_values(m, x, expected):
     assert bessel_j(m, x) == pytest.approx(expected, rel=1e-13, abs=1e-15)
@@ -60,7 +63,7 @@ def test_bessel_zero_frozen_values(m, q, expected):
 
 @pytest.mark.parametrize("m,x,expected", DERIV_TABLE)
 def test_bessel_j_derivative_frozen_values(m, x, expected):
-    assert bessel_j_derivative(m, x) == pytest.approx(expected, rel=1e-12, abs=1e-14)
+    assert slopes(m, np.array([x]))[0][0] == pytest.approx(expected, rel=1e-12, abs=1e-14)
 
 
 def test_scipy_cross_check():
@@ -81,8 +84,8 @@ def test_special_points():
     for m in range(1, 9):
         assert bessel_j(m, 0.0) == 0.0
     # J_m(x)/x at 0: 1/2 for m = 1, 0 otherwise
-    assert bessel_j_over_x(1, np.array([0.0]))[0] == pytest.approx(0.5, abs=1e-14)
-    assert bessel_j_over_x(2, np.array([0.0]))[0] == 0.0
+    assert slopes(1, np.array([0.0]))[1][0] == pytest.approx(0.5, abs=1e-14)
+    assert slopes(2, np.array([0.0]))[1][0] == 0.0
 
 
 def test_zeros_interleave_and_increase():
@@ -109,7 +112,7 @@ def test_derivative_matches_finite_difference():
     for m in range(7):
         for x in (0.7, 3.3, 11.2):
             fd = (bessel_j(m, x + h) - bessel_j(m, x - h)) / (2 * h)
-            assert bessel_j_derivative(m, x) == pytest.approx(fd, abs=5e-9)
+            assert slopes(m, np.array([x]))[0][0] == pytest.approx(fd, abs=5e-9)
 
 
 def test_derivative_matches_scipy_through_max_order():
@@ -117,7 +120,7 @@ def test_derivative_matches_scipy_through_max_order():
     scipy_special = pytest.importorskip("scipy.special")
     xs = np.linspace(0.0, 12.0, 241)
     for m in range(17):
-        assert np.abs(bessel_j_derivative(m, xs) - scipy_special.jvp(m, xs)).max() < 1e-12
+        assert np.abs(slopes(m, xs)[0] - scipy_special.jvp(m, xs)).max() < 1e-12
 
 
 def test_slopes_obey_the_neighbour_identities():
@@ -130,8 +133,10 @@ def test_slopes_obey_the_neighbour_identities():
         above = bessel_j(m + 1, xs)
         assert np.abs(jprime - (below - above) / 2.0).max() < 1e-12
         assert np.abs(j_over - (0.0 if m == 0 else (below + above) / 2.0)).max() < 1e-12
-        assert np.array_equal(jprime, bessel_j_derivative(m, xs))
-        assert np.array_equal(j_over, bessel_j_over_x(m, xs))
+        # the J_{m-1} (J_1 for m = 0) bessel_j_slopes computes is the one a caller would pass
+        held = bessel_j_slopes(m, xs, jm, -below if m == 0 else below)
+        assert np.array_equal(jprime, held[0])
+        assert np.array_equal(j_over, held[1])
 
 
 def test_slopes_are_the_closed_form_bit_for_bit(monkeypatch):

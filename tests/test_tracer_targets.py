@@ -59,9 +59,12 @@ def test_basis_evaluation_parts_call_no_traced_function(monkeypatch):
     monkeypatch.setattr(rstcnn.parts, "_PARTS", 3)
     # blocks of 4000 / (rows x K) points cut the 41 x 41 support into several per layer
     monkeypatch.setattr(rstcnn.analysis, "_BLOCK_SIZE", 4000)
-    filled_in = [set()]  # per stage, the threads that assembled basis blocks
+    # per stage, the threads that assembled basis blocks or ran radial Bessel passes
+    worked_in = [set()]
     fill = rstcnn.basis.SpatialRecipe.fill
-    monkeypatch.setattr(rstcnn.basis.SpatialRecipe, "fill", lambda *a: filled_in[-1].add(threading.current_thread()) or fill(*a))
+    monkeypatch.setattr(rstcnn.basis.SpatialRecipe, "fill", lambda *a: worked_in[-1].add(threading.current_thread()) or fill(*a))
+    groups = rstcnn.basis.bessel_j_groups
+    monkeypatch.setattr(rstcnn.basis, "bessel_j_groups", lambda *a: worked_in[-1].add(threading.current_thread()) or groups(*a))
     basis = build_basis("fb", 10)
     net = small_net(layers=2, channels=2, K=5, L_alpha=2)
     coeffs = init_coeffs(net, seed=0)
@@ -74,14 +77,15 @@ def test_basis_evaluation_parts_call_no_traced_function(monkeypatch):
     tracer.install()
     try:
         for stage in stages:
-            filled_in.append(set())
+            worked_in.append(set())
             stage()
     finally:
         tracer.uninstall()
     main = threading.main_thread()
-    # the quadrature and both reports run parts on pool threads; the bank's
-    # 5,832 points are fewer than two chunks, which the caller's thread evaluates alone
-    assert [len(threads - {main}) > 0 for threads in filled_in[1:]] == [True, False, True, True]
+    # the quadrature's radial passes and both reports' blocks run on pool
+    # threads; the bank's 5,832 points are fewer than two chunks, which the
+    # caller's thread evaluates alone
+    assert [len(threads - {main}) > 0 for threads in worked_in[1:]] == [True, False, True, True]
     assert {t.name for t in opened_in} <= {main.name}
     assert tracer._stack == []
 
