@@ -317,125 +317,88 @@ def disk_quadrature(basis, grid_n):
     return _DiskQuadrature(basis.spatial, recipe, radius, h2)
 
 
-# Size of each GEMM of _block_sums, rows x basis elements x support points.
-# Above about 1e6 OpenBLAS starts its own threads for a GEMM, which then
-# compete with the part pool running the blocks; smaller blocks pay more
-# Python overhead, which the GIL serializes, and more assemblies.  On 2
-# CPUs the joint layer of bounds report (12 rows, K = 10, 64 samples,
-# median of 9) took 0.36-0.46 s serially in blocks of 4096 points, and split
-# over the pool in blocks of 1024 points 0.67-0.68 s, 2048 0.35-0.36, 4096
-# 0.26-0.30, 8192 0.28-0.31 and 16384 0.61-0.80.  This size gives it blocks
-# of 4096.
-_BLOCK_SIZE = 12 * 10 * 4096
-
-
-# A lifting block (24,576 points at K = 10) is several of the recipe's chunks.
-# Its products are filled span by span, each span assembled once, so no
-# [K, block] array forms.  Spans are whole multiples of _SPAN points from
-# the block's start and the last keeps at least _SPAN: every point then
-# meets the same OpenBLAS kernel tile as in one product over the whole
-# block, and the products keep their bits (spans of 819 points at K = 100
-# changed 14 of 4914 outputs).  A one-row product goes to gemv, which
-# OpenBLAS splits over its threads at a point of its own, so it stays whole.
-_SPAN = 256
-
-
-def _spans(lo, hi, chunk):
-    """The (a, b) spans of about chunk points that fill the products of the block lo..hi."""
-    cuts = list(range(lo, hi, max(_SPAN, chunk // _SPAN * _SPAN)))[1:]
-    if cuts and hi - cuts[-1] < _SPAN:
-        cuts.pop()
-    return list(zip([lo] + cuts, cuts + [hi]))
-
-
-def _block_sums(cs, quad, lo, hi):
-    """[T, 3, R]: per c [R, K] of cs, the sums of |W|, r |grad W| and |grad W| over support points lo..hi, W = c @ basis."""
-    hi = min(hi, quad.radius.size)
-    rows = len(cs[0])
-    w, gx, gy = np.empty((3, rows, hi - lo))
-    radius = quad.radius[lo:hi]
-    sums = np.empty((len(cs), 3, rows))
-
-    def products(c, cols, vals, grads):
-        for out, factor in zip((w, gx, gy), (vals, *grads)):
-            np.matmul(c, factor, out=out[:, cols])
-
-    def value_sums(t):
+def _block_sums(cs, vals, grads, radius):
+    """[T, 3, R]: per c [R, K] of cs, the sums of |W|, r |grad W| and |grad W| over one assembled block, W = c @ basis."""
+    w, gx, gy = np.empty((3, len(cs[0]), vals.shape[1]))
+    sums = np.empty((len(cs), 3, len(cs[0])))
+    # Every theta sample's values go first, then every sample's gradients,
+    # so each loop reads and writes less at a time: at K = 10 and 12 rows,
+    # 0.7 MB and then 1.4 MB, where both at once (2.2 MB) outgrow a 2 MB L2
+    # cache.
+    for t, c in enumerate(cs):
+        np.matmul(c, vals, out=w)
         np.abs(w, out=w).sum(axis=1, out=sums[t, 0])
-
-    def gradient_sums(t):
+    for t, c in enumerate(cs):
+        np.matmul(c, grads[0], out=gx)
+        np.matmul(c, grads[1], out=gy)
         np.square(gx, out=gx)
         np.square(gy, out=gy)
         gmag = np.sqrt(np.add(gx, gy, out=gx), out=gx)
         np.matmul(gmag, radius, out=sums[t, 1])
         gmag.sum(axis=1, out=sums[t, 2])
-
-    if len(cs) == 1 and rows > 1:
-        for a, b in _spans(lo, hi, quad.recipe.chunk):
-            # a span's assembly is freed before the next one forms
-            products(cs[0], slice(a - lo, b - lo), *quad.recipe.assemble(a, b))
-        value_sums(0)
-        gradient_sums(0)
-        return sums
-    # The theta samples share one assembly of the block.  Every sample's
-    # values go first, then every sample's gradients, so each loop reads
-    # and writes less at a time: at K = 10 and 12 rows, 0.7 MB and then
-    # 1.4 MB, where both at once (2.2 MB) outgrow a 2 MB L2 cache.
-    vals, (vx, vy) = quad.recipe.assemble(lo, hi)
-    for t, c in enumerate(cs):
-        np.matmul(c, vals, out=w)
-        value_sums(t)
-    for t, c in enumerate(cs):
-        np.matmul(c, vx, out=gx)
-        np.matmul(c, vy, out=gy)
-        gradient_sums(t)
     return sums
 
 
-def filter_bound_report(coeffs, basis, spec, quad, n_theta=64):
-    """Quadrature B, C, D aggregates for one layer against its amplitude bound.
+def filter_bound_report(coeffs, bases, specs, quad, n_theta=64):
+    """Quadrature B, C, D aggregates of layers against their amplitude bounds: one report per layer.
 
-    Spatial integrals on the grid of quad, a disk_quadrature of this basis
-    (the basis is supported on the unit disk); joint layers integrate over
-    theta with the normalized S^1 measure on n_theta uniform samples.
-    Gradients come from the analytic basis derivatives.
+    coeffs, bases and specs hold one entry per layer.  Spatial integrals on
+    the grid of quad, a disk_quadrature of the layers' common spatial
+    elements (the basis is supported on the unit disk); joint layers
+    integrate over theta with the normalized S^1 measure on n_theta uniform
+    samples.  Gradients come from the analytic basis derivatives.
     """
     if n_theta < 1:
         raise ValueError(f"n_theta must be >= 1, got {n_theta}")
-    if quad.spatial != basis.spatial:
+    if not len(coeffs) == len(bases) == len(specs):
+        raise ValueError(f"{len(coeffs)} coefficient tensors, {len(bases)} bases and {len(specs)} layer specs")
+    if any(quad.spatial != basis.spatial for basis in bases):
         raise ValueError("quadrature was built for other spatial elements than this basis")
-    a = coeffs.a
-    m_in, m_out, K = a.shape[:3]
-    if coeffs.is_lifting:
-        cs = [a.reshape(-1, K)]
-    else:
-        phi = angular_matrix(basis, theta_taps(n_theta))  # [n_ang, n_theta]
-        cs = [np.einsum("abkmn,m->abnk", a, phi[:, t]).reshape(-1, K) for t in range(n_theta)]
-    # The support points go in blocks, split over the part pool.  Each block
-    # is assembled once and every theta sample's three small GEMMs run on it
-    # while it is in cache, so no grid-sized tensor forms.  Each block writes
-    # its own sums, which are then added in block order, so the sums are
-    # bit-identical for every part count.
-    step = max(1, _BLOCK_SIZE // cs[0].size)
-    starts = range(0, quad.radius.size, step)
-    per_block = np.empty((len(starts), len(cs), 3, len(cs[0])))
+    layers = []  # per layer, its [R, K] filter matrix of each theta sample
+    for c, basis in zip(coeffs, bases):
+        K = c.a.shape[2]
+        if c.is_lifting:
+            layers.append([c.a.reshape(-1, K)])
+        else:
+            phi = angular_matrix(basis, theta_taps(n_theta))  # [n_ang, n_theta]
+            layers.append([np.einsum("abkmn,m->abnk", c.a, phi[:, t]).reshape(-1, K) for t in range(n_theta)])
+    # The support goes in the recipe's chunks, the last one short, split
+    # over the part pool.  Each chunk is assembled once and every layer's
+    # theta samples run their small GEMMs on it while it is in cache, so no
+    # grid-sized tensor forms.  The chunk is the block because its GEMMs
+    # stay small: it holds 40,960 / K points, so a GEMM of 12 filter rows
+    # takes 491,520 multiply-adds whatever K, below the size of about 1e6
+    # at which OpenBLAS starts threads of its own, which would compete with
+    # the part pool.  Each block writes its own sums, which are then added
+    # in block order, so the sums are bit-identical for every part count
+    # and whichever layers share the pass.
+    size, step = quad.radius.size, quad.recipe.chunk
+    starts = range(0, size, step)
+    per_block = [np.empty((len(starts), len(cs), 3, len(cs[0]))) for cs in layers]
 
     def part(lo, hi):
         for i in range(lo, hi):
-            per_block[i] = _block_sums(cs, quad, starts[i], starts[i] + step)
+            a, b = starts[i], min(starts[i] + step, size)
+            vals, grads = quad.recipe.assemble(a, b)
+            for cs, out in zip(layers, per_block):
+                out[i] = _block_sums(cs, vals, grads, quad.radius[a:b])
 
     run_parts(part, len(starts))
-    per_theta = np.zeros(per_block.shape[1:])
-    for block in per_block:
-        per_theta += block
-    if coeffs.is_lifting:
-        sums = per_theta[0] * quad.h2
-    else:
-        sums = per_theta.sum(axis=0) * (quad.h2 / n_theta)
-    B, C, Du = (aggregate_channels(p, joint=not coeffs.is_lifting) for p in sums.reshape(3, m_in, m_out, -1))
-    j = spec.resolved_scale
-    A = filter_amplitude(coeffs, basis)
-    return FilterBoundReport(B=float(B), C=float(C), D=float(Du) * 2.0**-j, A=A, layer_scale=j)
+    reports = []
+    for c, basis, spec, blocks in zip(coeffs, bases, specs, per_block):
+        per_theta = np.zeros(blocks.shape[1:])
+        for block in blocks:
+            per_theta += block
+        if c.is_lifting:
+            sums = per_theta[0] * quad.h2
+        else:
+            sums = per_theta.sum(axis=0) * (quad.h2 / n_theta)
+        m_in, m_out = c.a.shape[:2]
+        B, C, Du = (aggregate_channels(p, joint=not c.is_lifting) for p in sums.reshape(3, m_in, m_out, -1))
+        j = spec.resolved_scale
+        A = filter_amplitude(c, basis)
+        reports.append(FilterBoundReport(B=float(B), C=float(C), D=float(Du) * 2.0**-j, A=A, layer_scale=j))
+    return reports
 
 
 def isometry_deviation(feat, g):

@@ -279,16 +279,16 @@ class _FbFactors:
 
         def passes(which):
             # J_m, and for gradients J_{m-1} (J_1 for m = 0), of the modes
-            # which in one bessel_j_groups pass; each group keeps the bits of
-            # its own bessel_j call
+            # which in one bessel_j_groups pass: each mode is one group, so
+            # its two orders share one recurrence and keep the bits of their
+            # own bessel_j calls
             rs = [lams[i] * radii for i in which]
-            orders = [[keys[i][0], 1 if keys[i][0] == 0 else keys[i][0] - 1][: 2 if grad else 1] for i in which]
-            js = iter(bessel_j_groups([m for o in orders for m in o], [r for r, o in zip(rs, orders) for _ in o]))
-            for i, r, o in zip(which, rs, orders):
-                group = [next(js) for _ in o]
-                self.tables[0, i, :-1] = group[0]
+            ms = [keys[i][0] for i in which]
+            orders = [(m, 1 if m == 0 else m - 1)[: 2 if grad else 1] for m in ms]
+            for i, r, m, js in zip(which, rs, ms, bessel_j_groups(orders, rs)):
+                self.tables[0, i, :-1] = js[0]
                 if grad:
-                    self.tables[1, i, :-1], self.tables[2, i, :-1] = bessel_j_slopes(o[0], r, *group)
+                    self.tables[1, i, :-1], self.tables[2, i, :-1] = bessel_j_slopes(m, r, *js)
 
         # A large evaluation gives each mode its own pass, split over the
         # part pool, which keeps the passes' memory small; a small one makes

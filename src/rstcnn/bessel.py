@@ -16,6 +16,9 @@ for bit what one bessel_j or bessel_zero call per group gives, and those
 two are their one-group views.  Only the start order carries bits: a
 series term that passes the convergence test is below half an ulp of a
 normal partial sum, so leaving later would change nothing but the cost.
+A group may carry several orders on one point set: orders whose start
+orders agree share one recurrence, which captures each of them as the
+state passes it, so J_m and J_{m-1} cost one recurrence, not two.
 """
 
 from __future__ import annotations
@@ -90,37 +93,42 @@ def _series(orders, xs):
     return results
 
 
+def _start(m, xmax):
+    # the order the recurrence for J_m starts from, on points up to xmax
+    return max(m, math.ceil(xmax)) + 60 + math.ceil(0.5 * xmax)
+
+
 def _miller(orders, xs):
     # Downward recurrence J_{n-1} = (2n/x) J_n - J_{n+1} from a start order
     # well above both m and the group's largest x, normalized by
-    # J_0 + 2*sum J_{2t} = 1.  A group's points join the running state at
-    # its start order; groups are laid out latest joiner last, so the
-    # running points are always a prefix of x.
-    starts = []
-    for m, x in zip(orders, xs):
-        xmax = float(np.max(x))
-        starts.append(max(m, int(np.ceil(xmax))) + 60 + int(np.ceil(0.5 * xmax)))
+    # J_0 + 2*sum J_{2t} = 1.  A group is a tuple of orders whose start
+    # orders agree, each captured as the state passes it.  A group's points
+    # join the running state at its start order; groups are laid out latest
+    # joiner last, so the running points are always a prefix of x.
+    starts = [_start(max(o), float(np.max(x))) for o, x in zip(orders, xs)]
     rank = sorted(range(len(xs)), key=lambda g: -starts[g])
     x = np.concatenate([xs[g] for g in rank])
     ends = np.cumsum([xs[g].size for g in rank])
     joins = {}  # start order -> number of points running from there on
-    captures = {}  # n -> slices of the groups whose J_m is the state after step n
+    captures = {}  # n -> (slot, slice) of the group orders whose J is the state after step n
     for g, e in zip(rank, ends):
         joins[starts[g]] = e
-        captures.setdefault(orders[g] + 1, []).append(slice(e - xs[g].size, e))
-    jp = jc = ssum = want = np.empty(0)
+        for k, m in enumerate(orders[g]):
+            captures.setdefault(m + 1, []).append((k, slice(e - xs[g].size, e)))
+    jp = jc = ssum = np.empty(0)
+    want = [np.empty(0)] * max(len(o) for o in orders)  # one slot per order of a group
     for n in range(starts[rank[0]], 0, -1):
         if n in joins:
             new = joins[n] - jc.size
             jp = np.concatenate([jp, np.zeros(new)])
             jc = np.concatenate([jc, np.full(new, 1e-30)])
             ssum = np.concatenate([ssum, np.zeros(new)])
-            want = np.concatenate([want, np.zeros(new)])
+            want = [np.concatenate([w, np.zeros(new)]) for w in want]
             xn = x[: joins[n]]
         jm = (2.0 * n / xn) * jc - jp
         jp, jc = jc, jm
-        for s in captures.get(n, ()):
-            want[s] = jc[s]
+        for k, s in captures.get(n, ()):
+            want[k][s] = jc[s]
         if (n - 1) >= 2 and (n - 1) % 2 == 0:
             ssum = ssum + 2.0 * jc
         if n % _RENORM_EVERY == 0:
@@ -130,12 +138,13 @@ def _miller(orders, xs):
                 jp = jp * scale
                 jc = jc * scale
                 ssum = ssum * scale
-                want = want * scale
+                want = [w * scale for w in want]
     ssum = ssum + jc  # jc is now J_0
-    vals = want / ssum
+    vals = [w / ssum for w in want]
     results = [None] * len(xs)
     for g, e in zip(rank, ends):
-        results[g] = vals[e - xs[g].size : e]
+        s = slice(e - xs[g].size, e)
+        results[g] = [vals[k][s] for k in range(len(orders[g]))]
     return results
 
 
@@ -144,11 +153,16 @@ def bessel_j_groups(orders, xs):
 
     All groups' series points share one series loop and all their
     recurrence points one downward recurrence, so the per-step cost is paid
-    once for the lot instead of once per group.
+    once for the lot instead of once per group.  An entry of orders may be
+    a tuple of orders on its point set, whose result is the tuple of their
+    values: its orders whose recurrences would start from the same order
+    (every order up to the points' largest x) are captured from one state,
+    and each value still keeps the bits of its own bessel_j call, because
+    every recurrence step is elementwise per point.
     """
     if len(orders) != len(xs):
         raise ValueError(f"{len(orders)} orders for {len(xs)} point sets")
-    orders = [_check_order(m) for m in orders]
+    tuples = [tuple(map(_check_order, o)) if isinstance(o, tuple) else (_check_order(o),) for o in orders]
     flat = []
     for x in xs:
         xa = np.asarray(x, dtype=np.float64)
@@ -157,15 +171,39 @@ def bessel_j_groups(orders, xs):
         if np.any(xa < 0):
             raise ValueError("bessel_j requires x >= 0")
         flat.append(np.atleast_1d(xa).ravel())
-    outs = [np.empty_like(xa) for xa in flat]
-    lows = [xa <= 2.0 * np.sqrt(m + 1.0) for m, xa in zip(orders, flat)]
-    for regime, picks in ((_series, lows), (_miller, [~lo for lo in lows])):
-        groups = [g for g, pick in enumerate(picks) if np.any(pick)]
-        if groups:
-            vals = regime([orders[g] for g in groups], [flat[g][picks[g]] for g in groups])
-            for g, v in zip(groups, vals):
-                outs[g][picks[g]] = v
-    return [float(out[0]) if np.ndim(x) == 0 else out.reshape(np.shape(x)) for out, x in zip(outs, xs)]
+    # series groups: one per (order, point set); recurrence groups: one per
+    # start order of a point set, on the points any of its orders needs.  A
+    # point set's largest x is a recurrence point of each order that has
+    # any, so it sets every such order's start order; a lone order needs none.
+    outs, series, series_at, miller, miller_at = [], [], [], [], []
+    for g, (o, xa) in enumerate(zip(tuples, flat)):
+        outs.append([np.empty_like(xa) for _ in o])
+        xmax = float(xa.max()) if len(o) > 1 and xa.size else None
+        by_start = {}
+        for k, m in enumerate(o):
+            low = xa <= 2.0 * math.sqrt(m + 1.0)
+            high = ~low
+            if low.any():
+                series.append((m, xa[low]))
+                series_at.append((g, k, low))
+            if high.any():
+                by_start.setdefault(None if xmax is None else _start(m, xmax), []).append((k, high))
+        for members in by_start.values():
+            union = members[0][1] if len(members) == 1 else np.logical_or.reduce([h for _, h in members])
+            miller.append((tuple(o[k] for k, _ in members), xa[union]))
+            miller_at.append([(g, k, union, h) for k, h in members])
+    if series:
+        for (g, k, pick), v in zip(series_at, _series(*zip(*series))):
+            outs[g][k][pick] = v
+    if miller:
+        for at, vs in zip(miller_at, _miller(*zip(*miller))):
+            for (g, k, union, pick), v in zip(at, vs):
+                outs[g][k][pick] = v if pick is union else v[pick[union]]
+    results = []
+    for o, group, x in zip(orders, outs, xs):
+        values = [float(out[0]) for out in group] if np.ndim(x) == 0 else [out.reshape(np.shape(x)) for out in group]
+        results.append(tuple(values) if isinstance(o, tuple) else values[0])
+    return results
 
 
 def bessel_j(order, x):

@@ -290,16 +290,18 @@ def run_bounds_report(cfg):
     K = max(cfg.k_list)
     # the sweep's network for the largest (K, L_alpha); its first two layers are the ones bounded
     netc = build_network(replace(cfg, layers=2), K, max(cfg.l_alpha_list))
+    bases = [layer_basis(netc, idx) for idx in range(netc.depth)]
     # both layers expand in the same K spatial elements: evaluate them on the grid once
-    quad = analysis.disk_quadrature(layer_basis(netc, 0), analysis.BOUND_GRID_N)
+    quad = analysis.disk_quadrature(bases[0], analysis.BOUND_GRID_N)
     draws = []
     worst = 0.0
     for seed in cfg.seeds:
         rng = np.random.default_rng([seed, 31])
         per_draw = {"seed": seed}
-        for idx, name in enumerate(("lifting", "joint")):
-            coeffs = draw_coeffs(netc, idx, rng)
-            rep = analysis.filter_bound_report(coeffs, layer_basis(netc, idx), netc.layers[idx], quad)
+        # both layers' sums come from one pass over the support
+        coeffs = [draw_coeffs(netc, idx, rng) for idx in range(netc.depth)]
+        reports = analysis.filter_bound_report(coeffs, bases, netc.layers, quad)
+        for name, rep in zip(("lifting", "joint"), reports):
             ratio = max(rep.B, rep.C, rep.scaled_D) / rep.A if rep.A > 0 else 0.0
             worst = max(worst, ratio)
             d = rep.to_dict()

@@ -11,15 +11,15 @@ results for every part count:
   its own block, inverse-transforms it and writes its own output rows.
   Every output element goes through the same operations in the same order
   whatever the split, and the FFTs transform each row on its own.
-- analysis.filter_bound_report splits the blocks of support points.  Each
-  part assembles its blocks from the quadrature's recipe and writes their
-  sums for every theta sample to their own rows, and the caller adds the
-  rows in block order once all are written.
+- analysis.filter_bound_report splits the quadrature recipe's chunks of
+  support points.  Each part assembles its chunks once and writes their
+  sums for every layer and theta sample to their own rows, and the caller
+  adds the rows in chunk order once all are written.
 - basis.SpatialRecipe splits the Fourier-Bessel radial modes, one
-  bessel_j_groups pass each (a group keeps the bits of one bessel_j call
-  per order), and eval_spatial_stack splits the chunks of points it
-  assembles.  Each part writes only its own modes' tables or its own
-  chunks' columns.
+  bessel_j_groups pass each, whose one recurrence gives J_m and J_{m-1}
+  with the bits of one bessel_j call per order, and eval_spatial_stack
+  splits the chunks of points it assembles.  Each part writes only its own
+  modes' tables or its own chunks' columns.
   An evaluation of fewer than two chunks stays on the caller's thread.
 
 A part must not call run_parts itself: on 2 CPUs the pool has one thread,

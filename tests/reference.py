@@ -313,19 +313,15 @@ def array_digest(a):
     return a.shape, hashlib.sha256(np.ascontiguousarray(a)).hexdigest()
 
 
-def block_sums_per_theta(cs, quad, lo, hi):
-    """analysis._block_sums as one pass per theta sample: its values and gradients together, on one whole-block assembly.
+def block_sums_per_theta(cs, vals, grads, radius):
+    """analysis._block_sums as one pass per theta sample: its values and gradients together.
 
     This is the order filter_bound_report used before it ran every
-    sample's values and then every sample's gradients, and before a lifting
-    block filled its products span by span.
+    sample's values and then every sample's gradients.
     """
-    hi = min(hi, quad.radius.size)
-    vals, (gx_basis, gy_basis) = quad.recipe.assemble(lo, hi)
-    radius = quad.radius[lo:hi]
     sums = []
     for c in cs:
-        w, gx, gy = c @ vals, c @ gx_basis, c @ gy_basis
+        w, gx, gy = c @ vals, c @ grads[0], c @ grads[1]
         gmag = np.sqrt(gx * gx + gy * gy)
         sums.append([np.abs(w).sum(axis=1), gmag @ radius, gmag.sum(axis=1)])
     return np.array(sums)

@@ -270,7 +270,7 @@ def test_filter_bounds_vanish_for_zero_coefficients(tiny_net):
     spec = tiny_net.layers[0]
     basis = layer_basis(tiny_net, 0)
     zero = CoeffTensor(np.zeros((1, 1, spec.K)), np.zeros(1))
-    report = filter_bound_report(zero, basis, spec, disk_quadrature(basis, 101), n_theta=8)
+    (report,) = filter_bound_report([zero], [basis], [spec], disk_quadrature(basis, 101), n_theta=8)
     assert report.B == report.C == report.D == report.A == 0.0
     assert report.scaled_D == 0.0
     assert report.to_dict()["layer_scale"] == spec.resolved_scale
@@ -284,7 +284,7 @@ def test_filter_bound_single_element_against_radial_quadrature(tiny_net):
     basis = layer_basis(tiny_net, 0)
     a = np.zeros((1, 1, spec.K))
     a[0, 0, 0] = -1.4
-    report = filter_bound_report(CoeffTensor(a, np.zeros(1)), basis, spec, disk_quadrature(basis, 301))
+    (report,) = filter_bound_report([CoeffTensor(a, np.zeros(1))], [basis], [spec], disk_quadrature(basis, 301))
     rs = np.linspace(0.0, 1.0, 20001)
     pts = np.stack([rs, np.zeros_like(rs)], axis=-1)
     psi = eval_spatial(basis.spatial[0], pts)
@@ -305,12 +305,12 @@ def test_filter_bound_joint_constant_angular_profile_doubles_lifting():
     lift_spec = net.layers[0]
     lift = CoeffTensor(ak[None, None, :], np.zeros(1))
     quad = disk_quadrature(layer_basis(net, 0), 151)
-    lift_report = filter_bound_report(lift, layer_basis(net, 0), lift_spec, quad, n_theta=8)
+    (lift_report,) = filter_bound_report([lift], [layer_basis(net, 0)], [lift_spec], quad, n_theta=8)
     joint_spec = net.layers[1]
     aj = np.zeros((1, 1, joint_spec.K, joint_spec.n_angular, 1))
     aj[0, 0, :, 0, 0] = ak
     joint = CoeffTensor(aj, np.zeros(1))
-    joint_report = filter_bound_report(joint, layer_basis(net, 1), joint_spec, quad, n_theta=8)
+    (joint_report,) = filter_bound_report([joint], [layer_basis(net, 1)], [joint_spec], quad, n_theta=8)
     for name in ("B", "C", "D"):
         assert getattr(joint_report, name) == pytest.approx(
             2.0 * getattr(lift_report, name), rel=1e-10
@@ -340,7 +340,7 @@ def test_filter_bounds_match_chunked_grid_oracle(spatial_kind, layer, n_theta):
     basis, spec = layer_basis(net, layer), net.layers[layer]
     expected = reference.chunked_filter_bounds(coeffs, basis, spec, grid_n=41, n_theta=n_theta)
     # one quadrature from layer 0's basis serves both layers, as in run_bounds_report
-    report = filter_bound_report(coeffs, basis, spec, disk_quadrature(layer_basis(net, 0), 41), n_theta=n_theta)
+    (report,) = filter_bound_report([coeffs], [basis], [spec], disk_quadrature(layer_basis(net, 0), 41), n_theta=n_theta)
     for name, value in expected.items():
         assert getattr(report, name) == pytest.approx(value, rel=1e-12, abs=0.0)
 
@@ -349,15 +349,14 @@ def test_filter_bounds_match_chunked_grid_oracle(spatial_kind, layer, n_theta):
 @pytest.mark.parametrize("layer", [0, 1])
 @pytest.mark.parametrize("n_theta", [1, 5])
 def test_filter_bounds_are_bit_identical_for_every_part_count(spatial_kind, layer, n_theta, monkeypatch):
-    # n_theta = 1 leaves parts with no theta sample; blocks of 83 points
-    # (joint, 12 x 4 coefficients) or 166 (lifting, 6 x 4) cut the 41 x 41
-    # support into several blocks, the last one short
+    # n_theta = 1 leaves parts with no theta sample; chunks of 100 points
+    # cut the 41 x 41 support into several blocks, the last one short
     net = bounds_net(spatial_kind)
     coeffs = init_coeffs(net, seed=12)[layer]
     basis, spec = layer_basis(net, layer), net.layers[layer]
     quad = disk_quadrature(layer_basis(net, 0), 41)
-    monkeypatch.setattr(rstcnn.analysis, "_BLOCK_SIZE", 4000)
-    reports = outputs_per_part_count(monkeypatch, lambda: filter_bound_report(coeffs, basis, spec, quad, n_theta=n_theta))
+    quad.recipe.chunk = 100
+    reports = outputs_per_part_count(monkeypatch, lambda: filter_bound_report([coeffs], [basis], [spec], quad, n_theta=n_theta)[0])
     for report in reports[1:]:
         assert (report.B, report.C, report.D) == (reports[0].B, reports[0].C, reports[0].D)
     expected = reference.chunked_filter_bounds(coeffs, basis, spec, grid_n=41, n_theta=n_theta)
@@ -366,21 +365,50 @@ def test_filter_bounds_are_bit_identical_for_every_part_count(spatial_kind, laye
 
 
 @pytest.mark.parametrize("spatial_kind", ["fb", "sl"])
+@pytest.mark.parametrize("n_theta", [1, 5])
+def test_layers_sharing_one_pass_keep_their_own_bits(spatial_kind, n_theta, monkeypatch):
+    # the lifting and joint layers' sums come from one assembly of each
+    # chunk, and each report keeps the bits of its one-layer call, for
+    # every part count
+    net = bounds_net(spatial_kind)
+    coeffs = init_coeffs(net, seed=14)
+    bases = [layer_basis(net, layer) for layer in (0, 1)]
+    quad = disk_quadrature(bases[0], 41)
+    quad.recipe.chunk = 100
+
+    def run():
+        alone = [filter_bound_report([coeffs[i]], [bases[i]], [net.layers[i]], quad, n_theta=n_theta)[0] for i in (0, 1)]
+        return filter_bound_report(coeffs, bases, net.layers, quad, n_theta=n_theta), alone
+
+    runs = outputs_per_part_count(monkeypatch, run)
+    for both, alone in runs:
+        assert both == alone == runs[0][1]
+    # and the two-layer call assembles each chunk once
+    assembled = []
+    assemble = quad.recipe.assemble
+    monkeypatch.setattr(quad.recipe, "assemble", lambda lo, hi: assembled.append((lo, hi)) or assemble(lo, hi))
+    filter_bound_report(coeffs, bases, net.layers, quad, n_theta=n_theta)
+    assert sorted(assembled) == [(lo, min(lo + 100, quad.radius.size)) for lo in range(0, quad.radius.size, 100)]
+    with pytest.raises(ValueError, match="2 coefficient tensors, 1 bases and 2 layer specs"):
+        filter_bound_report(coeffs, bases[:1], net.layers, quad)
+
+
+@pytest.mark.parametrize("spatial_kind", ["fb", "sl"])
 @pytest.mark.parametrize("layer", [0, 1])
 @pytest.mark.parametrize("block_size", [4000, None])
 def test_block_sums_keep_the_bits_of_one_pass_per_theta(spatial_kind, layer, block_size, monkeypatch):
     # _block_sums runs every theta sample's values, then every sample's
-    # gradients, and a lifting block fills its products in spans; each
-    # block's sums must keep the bits of one pass per sample over one
-    # assembly of the whole block.  Blocks of 83 or 166 points cut the
-    # 41 x 41 support into several; the default size takes it whole, which
-    # 256-point chunks split into several spans on the lifting layer.
+    # gradients; each block's sums must keep the bits of one pass per
+    # sample, one GEMM per sample and factor over the whole block.  With
+    # block_size, chunks of block_size // 40 = 100 points cut the 41 x 41
+    # support into several blocks, the last one short; the default chunk
+    # takes the support whole.
     net = bounds_net(spatial_kind)
     coeffs = init_coeffs(net, seed=13)[layer]
     quad = disk_quadrature(layer_basis(net, 0), 41)
-    quad.recipe.chunk = 256
     if block_size:
-        monkeypatch.setattr(rstcnn.analysis, "_BLOCK_SIZE", block_size)
+        quad.recipe.chunk = block_size // 40
+    size, step = quad.radius.size, quad.recipe.chunk
     calls = []
     block_sums = rstcnn.analysis._block_sums
 
@@ -389,10 +417,10 @@ def test_block_sums_keep_the_bits_of_one_pass_per_theta(spatial_kind, layer, blo
         return calls[-1][1]
 
     monkeypatch.setattr(rstcnn.analysis, "_block_sums", recorded)
-    filter_bound_report(coeffs, layer_basis(net, layer), net.layers[layer], quad, n_theta=5)
-    assert len(calls) > 1 if block_size else len(calls) == 1
-    if not block_size and layer == 0:
-        assert len(rstcnn.analysis._spans(0, quad.radius.size, quad.recipe.chunk)) > 1
+    filter_bound_report([coeffs], [layer_basis(net, layer)], [net.layers[layer]], quad, n_theta=5)
+    widths = [min(step, size - lo) for lo in range(0, size, step)]
+    assert sorted(args[1].shape[1] for args, _ in calls) == sorted(widths)
+    assert widths[-1] < step if block_size else widths == [size]
     for args, sums in calls:
         assert np.array_equal(sums, reference.block_sums_per_theta(*args))
 
@@ -474,42 +502,11 @@ def test_bound_quadrature_memory_stays_below_the_grids():
     coeffs = CoeffTensor(np.random.default_rng(0).standard_normal((1, 2, 100)), np.zeros(2))
     tracemalloc.start()
     try:
-        report = filter_bound_report(coeffs, basis, spec, disk_quadrature(basis, 301))
+        (report,) = filter_bound_report([coeffs], [basis], [spec], disk_quadrature(basis, 301))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert report.B > 0.0 and peak < 40e6
-
-
-@pytest.mark.parametrize("K, grid_n", [(100, 301), (30, 151)])
-def test_lifting_spans_keep_the_whole_block_bits(K, grid_n, monkeypatch):
-    # A lifting block's products are filled span by span.  Every product
-    # element must keep the bits of one product over the whole block, as
-    # the block was multiplied before spans (at K >= 20 a span that is no
-    # whole multiple of the kernel tile changes some), and so must the sums.
-    net = NetworkConfig(layers=(LayerSpec(1, 2, K, 5),), n_rotations=8, n_scales=9, scale_range=1.0)
-    basis, spec = layer_basis(net, 0), net.layers[0]
-    coeffs = CoeffTensor(np.random.default_rng(K).standard_normal((1, 2, K)), np.zeros(2))
-    quad = disk_quadrature(basis, grid_n)
-    c, size = coeffs.a.reshape(-1, K), quad.radius.size
-    step = rstcnn.analysis._BLOCK_SIZE // c.size
-    blocks = [(lo, min(lo + step, size)) for lo in range(0, size, step)]
-    for lo, hi in blocks:
-        spans = rstcnn.analysis._spans(lo, hi, quad.recipe.chunk)
-        assert len(spans) > 1 or (lo, hi) == blocks[-1]
-        vals, grads = quad.recipe.assemble(lo, hi)
-        pieces = [quad.recipe.assemble(a, b) for a, b in spans]
-        for i, factor in enumerate((vals, grads[0], grads[1])):
-            spanned = np.concatenate([c @ (v, g[0], g[1])[i] for v, g in pieces], axis=1)
-            assert np.array_equal(spanned, c @ factor)
-
-    def sums():
-        report = filter_bound_report(coeffs, basis, spec, quad)
-        return report.B, report.C, report.D
-
-    spanned = sums()
-    monkeypatch.setattr(rstcnn.analysis, "_SPAN", size)  # one span a block
-    assert sums() == spanned
 
 
 def test_filter_bounds_reject_a_mismatched_quadrature():
@@ -517,7 +514,7 @@ def test_filter_bounds_reject_a_mismatched_quadrature():
     coeffs, basis, spec = init_coeffs(net, seed=0)[1], layer_basis(net, 1), net.layers[1]
     for other in (layer_basis(bounds_net("sl"), 1), build_basis("fb", spec.K + 1)):
         with pytest.raises(ValueError, match="other spatial elements"):
-            filter_bound_report(coeffs, basis, spec, disk_quadrature(other, 41))
+            filter_bound_report([coeffs], [basis], [spec], disk_quadrature(other, 41))
 
 
 @pytest.mark.parametrize("bad", [{"n_theta": 0}, {"n_theta": -1}, {"grid_n": 1}, {"grid_n": 0}])
@@ -528,7 +525,7 @@ def test_filter_bounds_reject_an_empty_quadrature(bad):
     (name,) = bad
     with pytest.raises(ValueError, match=name):
         quad = disk_quadrature(basis, bad.get("grid_n", 41))
-        filter_bound_report(coeffs, basis, spec, quad, n_theta=bad.get("n_theta", 64))
+        filter_bound_report([coeffs], [basis], [spec], quad, n_theta=bad.get("n_theta", 64))
 
 
 def test_isometry_deviation_zero_for_exact_translation():

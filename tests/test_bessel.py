@@ -267,6 +267,60 @@ def test_grouped_evaluation_keeps_each_groups_bits():
     assert bessel_j_groups([2, 0], [3.5, np.array([[1.0, 9.0]])])[0] == bessel_j(2, 3.5)
 
 
+def _recording_miller(monkeypatch):
+    # the groups of orders each _miller call receives, one list per call
+    calls = []
+    miller = rstcnn.bessel._miller
+    monkeypatch.setattr(rstcnn.bessel, "_miller", lambda orders, xs: calls.append(list(orders)) or miller(orders, xs))
+    return calls
+
+
+def test_a_group_of_orders_shares_one_recurrence_bit_for_bit(monkeypatch):
+    # (m, m - 1) and (0, 1) on one point set start their recurrences from
+    # the same order, so one recurrence captures both, and each keeps the
+    # bits of its own bessel_j call; the points lie on both sides of both
+    # orders' series cuts
+    calls = _recording_miller(monkeypatch)
+    for m in range(17):
+        for pair in ((m, 1 if m == 0 else m - 1), (0, 1)):
+            cuts = [2.0 * math.sqrt(n + 1.0) for n in pair]
+            x = np.array([0.0, 1.0, 40.0] + [c + d for c in cuts for d in (-0.01, 0.0, 0.01)])
+            calls.clear()
+            got = bessel_j_groups([pair], [x])[0]
+            assert calls == [[pair]]
+            assert len(got) == 2
+            for values, n in zip(got, pair):
+                assert np.array_equal(values, bessel_j(n, x))
+    assert bessel_j_groups([(2, 1), 3], [3.5, [9.0]]) == [(bessel_j(2, 3.5), bessel_j(1, 3.5)), bessel_j(3, [9.0])]
+    assert [a.shape for a in bessel_j_groups([(3, 2)], [np.empty((0, 2))])[0]] == [(0, 2), (0, 2)]
+    # J_16 and J_15 on points below 15 start one order apart: two recurrences
+    x = np.array([9.0, 12.5])
+    calls.clear()
+    got = bessel_j_groups([(16, 15)], [x])[0]
+    assert sorted(calls[0]) == [(15,), (16,)]
+    assert np.array_equal(got[0], bessel_j(16, x)) and np.array_equal(got[1], bessel_j(15, x))
+
+
+@pytest.mark.parametrize("grad", [True, False])
+def test_recipe_runs_one_recurrence_per_radial_mode(grad, monkeypatch):
+    # a K = 10 recipe on the 301 grid passes each radial mode's J_m, and
+    # for gradients its J_{m-1} (J_1 for m = 0), as one recurrence group:
+    # each of the orders whose series cut some lam * radius passes
+    from rstcnn.basis import SpatialRecipe, build_basis, unit_grid
+
+    elements = build_basis("fb", 10).spatial
+    modes = sorted({(e.indices[0], e.eigenvalue) for e in elements})
+    pts = unit_grid(301)[0]
+    radius = np.hypot(pts[..., 0], pts[..., 1])
+    rmax = radius[radius < 1.0].max()
+    calls = _recording_miller(monkeypatch)
+    SpatialRecipe(elements, pts, grad)
+    orders = [(m, 1 if m == 0 else m - 1)[: 2 if grad else 1] for m, _ in modes]
+    want = [tuple(n for n in o if math.sqrt(mu) * rmax > 2.0 * math.sqrt(n + 1.0)) for o, (_, mu) in zip(orders, modes)]
+    assert sorted(group for call in calls for group in call) == sorted(want)
+    assert sum(len(group) == 2 for group in want) == (len(modes) - 1 if grad else 0)
+
+
 def test_grouped_zeros_keep_each_orders_bits():
     orders = list(range(17))
     qs = [np.arange(1, 17)] * 16 + [1]

@@ -320,3 +320,18 @@ def test_bounds_report_structure():
         assert draw[part]["ratio"] <= 1.02
         assert draw[part]["A"] <= 1.0 + 1e-9
         assert draw[part]["B"] > 0.0
+
+
+def test_bounds_report_joint_layer_keeps_its_bytes():
+    # The joint layer of the benchmark's bounds_config(0) and of criterion
+    # 8's seed 0 (K = 10, L_alpha = 3: the same network and draw) has 12
+    # filter rows, whose blocks were the recipe's chunks before its sums
+    # shared one pass over the support with the lifting layer's, so its B,
+    # C and D keep these bytes.
+    want = {"B": "0x1.31c3f16a536b0p-4", "C": "0x1.3195f4967480cp-2", "D": "0x1.e2eb1f85d52c0p-4"}
+    for cfg in (
+        ExperimentConfig(kind="bounds-report", k_list=(10,), l_alpha_list=(3,), seeds=(0,)),
+        ExperimentConfig(kind="bounds-report", seeds=(0,)),
+    ):
+        (draw,) = run_bounds_report(cfg)["draws"]
+        assert {name: draw["joint"][name].hex() for name in want} == want

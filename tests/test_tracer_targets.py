@@ -57,8 +57,6 @@ def test_basis_evaluation_parts_call_no_traced_function(monkeypatch):
     open_span = tracer._open
     monkeypatch.setattr(tracer, "_open", lambda name: opened_in.append(threading.current_thread()) or open_span(name))
     monkeypatch.setattr(rstcnn.parts, "_PARTS", 3)
-    # blocks of 4000 / (rows x K) points cut the 41 x 41 support into several per layer
-    monkeypatch.setattr(rstcnn.analysis, "_BLOCK_SIZE", 4000)
     # per stage, the threads that assembled basis blocks or ran radial Bessel passes
     worked_in = [set()]
     fill = rstcnn.basis.SpatialRecipe.fill
@@ -69,10 +67,11 @@ def test_basis_evaluation_parts_call_no_traced_function(monkeypatch):
     net = small_net(layers=2, channels=2, K=5, L_alpha=2)
     coeffs = init_coeffs(net, seed=0)
     quad = disk_quadrature(layer_basis(net, 0), 41)
+    quad.recipe.chunk = 200  # several blocks of the 41 x 41 support, the last one short
     stages = [
         lambda: disk_quadrature(basis, 301),
         lambda: sample_filter_bank(basis, 8, 9, 1.0, 9, layer_scale=2.0),
-        *(lambda layer=layer: filter_bound_report(coeffs[layer], layer_basis(net, layer), net.layers[layer], quad, n_theta=8) for layer in (0, 1)),
+        *(lambda layer=layer: filter_bound_report([coeffs[layer]], [layer_basis(net, layer)], [net.layers[layer]], quad, n_theta=8) for layer in (0, 1)),
     ]
     tracer.install()
     try:
