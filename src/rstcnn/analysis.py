@@ -367,9 +367,9 @@ def filter_bound_report(coeffs, bases, specs, quad, n_theta=64):
     # theta samples run their small GEMMs on it while it is in cache, so no
     # grid-sized tensor forms.  The chunk is the block because its GEMMs
     # stay small: it holds 40,960 / K points, so a GEMM of 12 filter rows
-    # takes 491,520 multiply-adds whatever K, below the size of about 1e6
-    # at which OpenBLAS starts threads of its own, which would compete with
-    # the part pool.  Each block writes its own sums, which are then added
+    # takes 491,520 multiply-adds whatever K, below 2 * parts.BLAS_ONE_THREAD,
+    # so OpenBLAS starts no threads of its own to compete with the part pool
+    # (see rstcnn.parts).  Each block writes its own sums, which are then added
     # in block order, so the sums are bit-identical for every part count
     # and whichever layers share the pass.
     size, step = quad.radius.size, quad.recipe.chunk

@@ -159,15 +159,8 @@ def bilinear_sample(values, x, y):
     read a copy of the values in a zero frame, one row and column before the
     grid and two after, which holds all four taps of a point clipped to rows
     [-1, H] and columns [-1, W]; the clip changes no value and bounds floor().
-    """
-    return _sample_planes(values, 2, np.zeros((), dtype=np.int64), x, y)
-
-
-def _sample_planes(values, planes, source, x, y):
-    """bilinear_sample of a stack of planes: the last `planes` axes of values flatten to framed H x W planes.
-
-    Output plane c reads stack plane source[c], or only zeros where source[c]
-    < 0; the result has shape values.shape[:-planes] + source.shape + S.
+    One [S] index serves every plane, and the four taps go through one reused
+    buffer: each is gathered into it, weighted and added to the output.
     """
     H, W = values.shape[-2], values.shape[-1]
     col = np.clip(np.asarray(x, dtype=np.float64) + (W - 1) / 2.0, -1.0, W)
@@ -178,19 +171,22 @@ def _sample_planes(values, planes, source, x, y):
     fc = col - c0
     framed = np.zeros(values.shape[:-2] + (H + 3, W + 3), dtype=np.float64)
     framed[..., 1 : H + 1, 1 : W + 1] = values
-    flat = framed.reshape(values.shape[:-planes] + (-1,))
-    # A point clipped to (H, W) reads only the frame, so source < 0 reads there.
-    source = source.reshape(source.shape + (1,) * col.ndim)
+    flat = framed.reshape(values.shape[:-2] + (-1,))
+    # take writes straight into tap only in a mode other than "raise"; the
+    # last tap index, (H + 2)(W + 3) + W + 2, is inside the framed plane, so
+    # "clip" clips nothing.
     top_left = (r0 + 1) * (W + 3) + c0 + 1
-    top_left = np.where(source < 0, (H + 1) * (W + 3) + W + 1, source * (H + 3) * (W + 3) + top_left)
     out = np.zeros(flat.shape[:-1] + top_left.shape, dtype=np.float64)
+    tap = np.empty_like(out)
     for offset, w in (
         (0, (1.0 - fr) * (1.0 - fc)),
         (1, (1.0 - fr) * fc),
         (W + 3, fr * (1.0 - fc)),
         (W + 4, fr * fc),
     ):
-        out += w * np.take(flat, top_left + offset, axis=-1)
+        np.take(flat, top_left + offset, axis=-1, out=tap, mode="clip")
+        tap *= w
+        out += tap
     return out
 
 
@@ -246,11 +242,14 @@ def act_on_feature(g, feat):
     alpha - beta).  eta must be a multiple of rotation_step and beta a
     multiple of the scale-channel step (OffLatticeError otherwise); scale
     channels shifted in from beyond the truncated axis are zero.  The
-    channel each output channel reads is channel_sources(g, feat).
+    channel each output channel reads is channel_sources(g, feat): those
+    planes are gathered first, zero planes off the scale axis, and then one
+    bilinear_sample warps every plane on the same grid.
     """
     rot, sc = channel_sources(g, feat)
-    n_s = len(sc)
-    # One gather: each output channel's taps read its source's framed plane.
-    source = np.where((sc >= 0) & (sc < n_s), rot[:, None] * n_s + sc, -1)
-    warped = _sample_planes(feat.values, 4, source, *_warp_grid(g, *feat.values.shape[-2:]))
+    moved = np.zeros_like(feat.values)
+    for s, src in enumerate(sc):
+        if 0 <= src < len(sc):
+            moved[..., s, :, :] = feat.values[..., rot, src, :, :]
+    warped = bilinear_sample(moved, *_warp_grid(g, *feat.values.shape[-2:]))
     return FeatureMap(warped, feat.rotation_step, feat.scale_grid.copy())

@@ -75,7 +75,7 @@ from .bank import default_layer_scale, sample_filter_bank, scale_channel_grid
 from .basis import angular_matrix, build_basis, scale_matrix
 from .group import FeatureMap
 from .norms import fb_norm, fb_norm_joint
-from .parts import run_parts
+from .parts import BLAS_ONE_THREAD, run_parts
 
 
 class ConfigError(ValueError):
@@ -263,7 +263,23 @@ def synthesize_filters(coeffs, bank, spec):
     basis = build_basis(bank.spatial_kind, spec.K, max_angular=spec.max_angular, n_scale=spec.n_scale)
     phi = angular_matrix(basis, theta_taps(spec.L_theta))  # [n_ang, L_theta]
     xi = scale_matrix(basis, alpha_taps(spec.L_alpha))  # [n_scale, L_alpha]
-    return np.einsum("abkmn,krsij,mt,nq->abrtsqij", a, bank.values, phi, xi, optimize=True)
+    # The steps of einsum("abkmn,krsij,mt,nq->abrtsqij", ..., optimize=True):
+    # the m and n sums in the order it picks, then one [(a b t q), K] @
+    # [K, (r s i j)] GEMM, here in column blocks of at most BLAS_ONE_THREAD
+    # multiply-adds, which OpenBLAS runs on the calling thread (see
+    # rstcnn.parts).  Each element is the same K products summed in the same
+    # order, so the filters keep the whole-layer einsum's bits.
+    rows = np.einsum("abkmn,mt,nq->abtqk", a, phi, xi, optimize=True).reshape(-1, bank.K)
+    cols = bank.values.reshape(bank.K, -1)
+    n = cols.shape[1]
+    flat = np.empty((rows.shape[0], n))
+    blocks = -(-n // max(1, BLAS_ONE_THREAD // rows.size))
+    for j in range(blocks):  # near-equal blocks: no one-column GEMV
+        lo, hi = n * j // blocks, n * (j + 1) // blocks
+        np.matmul(rows, cols[:, lo:hi], out=flat[:, lo:hi])
+    m_in, m_out = a.shape[:2]
+    shape = (m_in, m_out, spec.L_theta, spec.L_alpha) + bank.values.shape[1:]
+    return flat.reshape(shape).transpose(0, 1, 4, 2, 5, 3, 6, 7)
 
 
 def aggregate_channels(norms, joint):
@@ -577,9 +593,8 @@ def forward_layers(net, coeffs, x, keep=None):
     """
     if len(coeffs) != net.depth:
         raise ConfigError(f"expected {net.depth} coefficient tensors, got {len(coeffs)}")
-    # Every layer's filters are synthesized before the first correlation: the
-    # synthesis einsum can make a multi-threaded BLAS call, after which the
-    # BLAS threads spin for a while on the CPUs the correlation parts need.
+    # Every layer's filters are synthesized before the first correlation, as
+    # channel_cone reads the live taps of them all.
     filters = [synthesize_filters(coeffs[idx], layer_bank(net, idx), spec) for idx, spec in enumerate(net.layers)]
     if keep is None:
         keep = np.ones((net.n_rotations, net.n_scales), dtype=bool)

@@ -22,6 +22,15 @@ results for every part count:
   modes' tables or its own chunks' columns.
   An evaluation of fewer than two chunks stays on the caller's thread.
 
+OpenBLAS runs a GEMM of at most BLAS_ONE_THREAD = 262,144 multiply-adds
+(65,536 times its default GEMM_MULTITHREAD_THRESHOLD of 4) on the calling
+thread, and one below twice that too, as each of its threads needs 262,144;
+the OpenBLAS 0.3.31 bundled with NumPy 2.4.6 switched only above 1,000,000.
+A larger GEMM wakes its own threads, which then spin on the pool's CPUs, so
+net.synthesize_filters runs its filter GEMM in column blocks of at most
+BLAS_ONE_THREAD, and analysis.filter_bound_report's GEMMs on a chunk of
+40,960 / K points take 491,520 multiply-adds for 12 filter rows.
+
 A part must not call run_parts itself: on 2 CPUs the pool has one thread,
 and a nested call would wait on the thread it runs in.  run_parts raises
 RuntimeError when a pool thread calls it.
@@ -37,6 +46,8 @@ try:
     _PARTS = len(os.sched_getaffinity(0))
 except AttributeError:  # no affinity call on this platform
     _PARTS = os.cpu_count() or 1
+
+BLAS_ONE_THREAD = 262_144
 
 _IN_POOL = threading.local()
 

@@ -110,6 +110,30 @@ def test_bilinear_far_outside_reads_zero_without_overflow():
         assert np.all(bilinear_sample(vals, np.zeros(6), far) == 0.0)
 
 
+def test_bilinear_tap_indices_stay_in_the_framed_plane(monkeypatch):
+    # The taps are read with take(mode="clip"), which never raises, so the
+    # clip of the coordinates alone must keep every tap index inside the
+    # framed (H + 3) x (W + 3) plane: the last one, read by a point clipped
+    # to (H, W), is (H + 2)(W + 3) + W + 2 < (H + 3)(W + 3).
+    H, W = 5, 6
+    seen = []
+    take = np.take
+
+    def checked_take(a, indices, *args, **kwargs):
+        seen.append((indices.min(), indices.max(), a.shape[-1]))
+        return take(a, indices, *args, **kwargs)
+
+    monkeypatch.setattr(np, "take", checked_take)
+    far = np.array([-np.inf, -1e300, -7.0, 0.0, 7.0, 1e300, np.inf])
+    X, Y = np.meshgrid(far, far)
+    out = bilinear_sample(np.ones((2, H, W)), X, Y)
+    assert np.all(out[:, (X != 0.0) | (Y != 0.0)] == 0.0) and np.all(out[:, 3, 3] == 1.0)
+    assert len(seen) == 4
+    assert min(lo for lo, _, _ in seen) == 0
+    assert max(hi for _, hi, _ in seen) == (H + 2) * (W + 3) + W + 2
+    assert all(n == (H + 3) * (W + 3) for _, _, n in seen)
+
+
 def test_bilinear_matches_scipy():
     ndimage = pytest.importorskip("scipy.ndimage")
     rng = np.random.default_rng(2)
@@ -216,16 +240,23 @@ def test_feature_scale_shift_zero_fill():
 @pytest.mark.parametrize("d_rot, d_sc", [(0, 0), (1, 0), (-3, 1), (2, -2), (5, 3), (0, -4)])
 def test_feature_channel_shift_matches_roll_and_copy(d_rot, d_sc):
     feat = make_feature(n_r=4, n_s=3, h=9, w=10, seed=5)
-    g = GroupElement(d_rot * feat.rotation_step, d_sc * feat.scale_step, (0.7, -1.2))
-    out = act_on_feature(g, feat)
-    shifted = reference.shift_feature_channels(feat.values, d_rot, d_sc)
-    assert np.array_equal(out.values, bilinear_sample(shifted, *_warp_grid(g, 9, 10)))
-    # channel_sources names the channel each shifted channel copies, or one beyond the scale axis
-    rot, sc = channel_sources(g, feat)
-    for r in range(4):
-        for s in range(3):
-            want = feat.values[:, rot[r], sc[s]] if 0 <= sc[s] < 3 else 0.0
-            assert np.array_equal(shifted[:, r, s], np.broadcast_to(want, shifted[:, r, s].shape))
+    # a second map holding -0.0 and +0.0 entries, compared by bytes so zero signs count
+    signed = feat.values.copy()
+    pick = np.random.default_rng(6).uniform(size=signed.shape)
+    signed[pick < 0.3] = -0.0
+    signed[pick > 0.8] = 0.0
+    for values in (feat.values, signed):
+        feat = FeatureMap(values, feat.rotation_step, feat.scale_grid)
+        g = GroupElement(d_rot * feat.rotation_step, d_sc * feat.scale_step, (0.7, -1.2))
+        out = act_on_feature(g, feat)
+        shifted = reference.shift_feature_channels(feat.values, d_rot, d_sc)
+        assert out.values.tobytes() == bilinear_sample(shifted, *_warp_grid(g, 9, 10)).tobytes()
+        # channel_sources names the channel each shifted channel copies, or one beyond the scale axis
+        rot, sc = channel_sources(g, feat)
+        for r in range(4):
+            for s in range(3):
+                want = feat.values[:, rot[r], sc[s]] if 0 <= sc[s] < 3 else 0.0
+                assert np.array_equal(shifted[:, r, s], np.broadcast_to(want, shifted[:, r, s].shape))
 
 
 def off_canvas(g, H, W):

@@ -27,8 +27,11 @@ from rstcnn import (
     NetworkConfig,
     alpha_taps,
     alpha_weights,
+    angular_matrix,
+    build_network,
     channel_cone,
     draw_coeffs,
+    fig3_config,
     filter_amplitude,
     forward,
     forward_layers,
@@ -38,6 +41,8 @@ from rstcnn import (
     layer_basis,
     lifting_conv,
     normalize_coeffs_A2,
+    scale_matrix,
+    stability_config,
     synthesize_filters,
     theta_taps,
 )
@@ -113,6 +118,26 @@ def test_synthesize_joint_matches_loop_oracle():
             a, bank.values, spec.L_theta, spec.L_alpha, pos
         )
         assert filt[pos] == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("preset", [fig3_config, stability_config])
+@pytest.mark.parametrize("kind", ["fb", "sl"])
+@pytest.mark.parametrize("K", [3, 5, 10])
+@pytest.mark.parametrize("L_alpha", [1, 3])
+def test_synthesize_joint_keeps_the_whole_layer_einsum_bits(preset, kind, K, L_alpha):
+    # The filter GEMM runs in column blocks small enough for one BLAS thread;
+    # every element must keep the bits of the one whole-layer einsum, whose
+    # GEMM OpenBLAS may split over threads, and whose contraction order
+    # depends on the sizes.
+    net = build_network(preset(spatial_kind=kind), K, L_alpha, seed=K + L_alpha)
+    coeffs = init_coeffs(net)
+    for idx in range(1, net.depth):
+        spec, bank, basis = net.layers[idx], layer_bank(net, idx), layer_basis(net, idx)
+        phi = angular_matrix(basis, theta_taps(spec.L_theta))
+        xi = scale_matrix(basis, alpha_taps(spec.L_alpha))
+        want = np.einsum("abkmn,krsij,mt,nq->abrtsqij", coeffs[idx].a, bank.values, phi, xi, optimize=True)
+        got = synthesize_filters(coeffs[idx], bank, spec)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_synthesize_is_linear_in_coefficients():
