@@ -5,6 +5,10 @@ the relative equivariance error on the (theta=0, alpha=0) slice, the
 deformation-stability certificate lhs <= 2^(beta+1) (4 L |grad tau| +
 2^(-j_L) |tau|) ||x||, non-expansiveness of the layer stack, and quadrature
 values of the filter integral bounds B, C, D against the amplitude bound A.
+The bounds integrate on a product Gauss-Legendre rule fitted to the
+basis's domain (disk_quadrature): polar on the unit disk, Cartesian on the
+square, every node strictly inside, so no domain edge cuts the rule where
+|grad W| jumps to zero.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .basis import SpatialRecipe, angular_matrix, in_domain, unit_grid
+from .basis import SpatialRecipe, angular_matrix
 from .deform import apply_deformation, tau_norms
 from .group import FeatureMap, ImageTensor, act_on_feature, act_on_image, channel_sources
 from .net import aggregate_channels, filter_amplitude, forward, forward_layers, layer_basis, theta_taps
@@ -287,38 +291,53 @@ class FilterBoundReport:
         return asdict(self) | {"scaled_D": self.scaled_D}
 
 
-# The basis at the P grid points where some element or its gradient is
-# nonzero (every other point adds exactly 0 to each sum), as a
-# basis.SpatialRecipe that assembles any block of them, with their radii.
-_DiskQuadrature = namedtuple("_DiskQuadrature", "spatial recipe radius h2")
-BOUND_GRID_N = 301  # the grid bounds report integrates on
+# The basis at the nodes of a quadrature rule as a basis.SpatialRecipe that
+# assembles any block of them, with the nodes, their radii, their weights and
+# the rule's name.
+_DiskQuadrature = namedtuple("_DiskQuadrature", "spatial recipe points radius weights rule")
+# The order of the rule bounds report integrates on: n^2 = 16,384 nodes.  At
+# K = 10 the largest relative deviation of B, C or 2^j D from an n = 1024
+# rule is 1.9e-5 (fb, in B) and 4.7e-6 (sl); at K = 100 (fb) 1.6e-4, in B
+# (BENCH_bounds_gauss.json).
+BOUND_QUAD_N = 128
 
 
-def disk_quadrature(basis, grid_n):
-    """The basis's spatial elements on a grid_n x grid_n unit-square grid, for filter_bound_report."""
-    if grid_n < 2:
-        raise ValueError(f"grid_n must be >= 2, got {grid_n}")
-    pts, h2 = unit_grid(grid_n)
+def disk_quadrature(basis, n=BOUND_QUAD_N):
+    """A product Gauss-Legendre rule of n^2 nodes fitted to the basis's domain, for filter_bound_report.
+
+    Fourier-Bessel elements live on the unit disk: n/2 Gauss-Legendre radii
+    r_i = (x_i + 1) / 2 with weights (w_i / 2) r_i times 2n uniform angles
+    2 pi (j + 1/2) / (2n) with weights 2 pi / (2n).  Sine elements live on
+    the square: n x n Gauss-Legendre nodes on (-1, 1)^2.  Every node lies
+    strictly inside the domain and off the origin, so no edge cuts the rule
+    and no node is dropped.  A basis that mixes both kinds has no one domain
+    and raises ValueError.
+    """
+    kinds = sorted({e.kind for e in basis.spatial})
+    if kinds not in (["fb-disk"], ["sl-square"]):
+        raise ValueError(f"spatial elements of kinds {' and '.join(map(repr, kinds))} share no one domain")
+    if n < 2 or n % 2:
+        raise ValueError(f"n must be even and >= 2, got {n}")
+    if kinds == ["fb-disk"]:
+        x, w = np.polynomial.legendre.leggauss(n // 2)
+        r = (x + 1.0) / 2.0
+        phi = 2.0 * math.pi * (np.arange(2 * n) + 0.5) / (2 * n)
+        pts = np.stack([r[:, None] * np.cos(phi), r[:, None] * np.sin(phi)], axis=-1)
+        weights = np.repeat(w / 2.0 * r * (2.0 * math.pi / (2 * n)), 2 * n)
+        rule = "gauss-polar"
+    else:
+        x, w = np.polynomial.legendre.leggauss(n)
+        pts = np.stack(np.meshgrid(x, x, indexing="xy"), axis=-1)
+        weights = np.outer(w, w).ravel()
+        rule = "gauss-square"
     pts = pts.reshape(-1, 2)
-    # Only the points inside the elements' domain are evaluated; every
-    # element and its gradient are exactly zero at the others.  Inside, the
-    # one point where all of them can be is the origin, and it is when every
-    # element is Fourier-Bessel with m >= 2: J_m, J_m' and m J_m / x all
-    # vanish at 0.  Every other element is nonzero, or has a nonzero
-    # gradient, at every grid point of its domain (a test checks each pool
-    # element on the 41- and 101-point grids; the 300- and 301-point grids
-    # agree too).
-    keep = in_domain(basis.spatial, pts)
-    if all(e.kind == "fb-disk" and e.indices[0] >= 2 for e in basis.spatial):
-        keep &= (pts != 0.0).any(axis=1)
-    pts = pts[keep]
     recipe = SpatialRecipe(basis.spatial, pts, grad=True)
     radius = np.sqrt((pts**2).sum(axis=1))
-    return _DiskQuadrature(basis.spatial, recipe, radius, h2)
+    return _DiskQuadrature(basis.spatial, recipe, pts, radius, weights, rule)
 
 
-def _block_sums(cs, vals, grads, radius):
-    """[T, 3, R]: per c [R, K] of cs, the sums of |W|, r |grad W| and |grad W| over one assembled block, W = c @ basis."""
+def _block_sums(cs, vals, grads, weights, radius_weights):
+    """[T, 3, R]: per c [R, K] of cs, the weighted sums of |W|, r |grad W| and |grad W| over one assembled block, W = c @ basis."""
     w, gx, gy = np.empty((3, len(cs[0]), vals.shape[1]))
     sums = np.empty((len(cs), 3, len(cs[0])))
     # Every theta sample's values go first, then every sample's gradients,
@@ -327,26 +346,26 @@ def _block_sums(cs, vals, grads, radius):
     # cache.
     for t, c in enumerate(cs):
         np.matmul(c, vals, out=w)
-        np.abs(w, out=w).sum(axis=1, out=sums[t, 0])
+        np.matmul(np.abs(w, out=w), weights, out=sums[t, 0])
     for t, c in enumerate(cs):
         np.matmul(c, grads[0], out=gx)
         np.matmul(c, grads[1], out=gy)
         np.square(gx, out=gx)
         np.square(gy, out=gy)
         gmag = np.sqrt(np.add(gx, gy, out=gx), out=gx)
-        np.matmul(gmag, radius, out=sums[t, 1])
-        gmag.sum(axis=1, out=sums[t, 2])
+        np.matmul(gmag, radius_weights, out=sums[t, 1])
+        np.matmul(gmag, weights, out=sums[t, 2])
     return sums
 
 
 def filter_bound_report(coeffs, bases, specs, quad, n_theta=64):
     """Quadrature B, C, D aggregates of layers against their amplitude bounds: one report per layer.
 
-    coeffs, bases and specs hold one entry per layer.  Spatial integrals on
-    the grid of quad, a disk_quadrature of the layers' common spatial
-    elements (the basis is supported on the unit disk); joint layers
-    integrate over theta with the normalized S^1 measure on n_theta uniform
-    samples.  Gradients come from the analytic basis derivatives.
+    coeffs, bases and specs hold one entry per layer.  Spatial integrals are
+    weighted sums over the nodes of quad, a disk_quadrature of the layers'
+    common spatial elements; joint layers integrate over theta with the
+    normalized S^1 measure on n_theta uniform samples.  Gradients come from
+    the analytic basis derivatives.
     """
     if n_theta < 1:
         raise ValueError(f"n_theta must be >= 1, got {n_theta}")
@@ -362,10 +381,10 @@ def filter_bound_report(coeffs, bases, specs, quad, n_theta=64):
         else:
             phi = angular_matrix(basis, theta_taps(n_theta))  # [n_ang, n_theta]
             layers.append([np.einsum("abkmn,m->abnk", c.a, phi[:, t]).reshape(-1, K) for t in range(n_theta)])
-    # The support goes in the recipe's chunks, the last one short, split
-    # over the part pool.  Each chunk is assembled once and every layer's
-    # theta samples run their small GEMMs on it while it is in cache, so no
-    # grid-sized tensor forms.  The chunk is the block because its GEMMs
+    # The nodes go in the recipe's chunks, the last one short, split over
+    # the part pool.  Each chunk is assembled once and every layer's theta
+    # samples run their small GEMMs on it while it is in cache, so no
+    # rule-sized tensor forms.  The chunk is the block because its GEMMs
     # stay small: it holds 40,960 / K points, so a GEMM of 12 filter rows
     # takes 491,520 multiply-adds whatever K, below 2 * parts.BLAS_ONE_THREAD,
     # so OpenBLAS starts no threads of its own to compete with the part pool
@@ -373,6 +392,7 @@ def filter_bound_report(coeffs, bases, specs, quad, n_theta=64):
     # in block order, so the sums are bit-identical for every part count
     # and whichever layers share the pass.
     size, step = quad.radius.size, quad.recipe.chunk
+    radius_weights = quad.radius * quad.weights
     starts = range(0, size, step)
     per_block = [np.empty((len(starts), len(cs), 3, len(cs[0]))) for cs in layers]
 
@@ -381,7 +401,7 @@ def filter_bound_report(coeffs, bases, specs, quad, n_theta=64):
             a, b = starts[i], min(starts[i] + step, size)
             vals, grads = quad.recipe.assemble(a, b)
             for cs, out in zip(layers, per_block):
-                out[i] = _block_sums(cs, vals, grads, quad.radius[a:b])
+                out[i] = _block_sums(cs, vals, grads, quad.weights[a:b], radius_weights[a:b])
 
     run_parts(part, len(starts))
     reports = []
@@ -389,10 +409,7 @@ def filter_bound_report(coeffs, bases, specs, quad, n_theta=64):
         per_theta = np.zeros(blocks.shape[1:])
         for block in blocks:
             per_theta += block
-        if c.is_lifting:
-            sums = per_theta[0] * quad.h2
-        else:
-            sums = per_theta.sum(axis=0) * (quad.h2 / n_theta)
+        sums = per_theta[0] if c.is_lifting else per_theta.sum(axis=0) / n_theta
         m_in, m_out = c.a.shape[:2]
         B, C, Du = (aggregate_channels(p, joint=not c.is_lifting) for p in sums.reshape(3, m_in, m_out, -1))
         j = spec.resolved_scale

@@ -135,23 +135,6 @@ def build_basis(spatial_kind, K, max_angular=4, n_scale=1):
     return BasisSet(spatial_kind, spatial, max_angular, n_scale)
 
 
-def in_domain(elements, points):
-    """Mask of the points[..., 2] inside the domain of some of the spatial elements.
-
-    Fourier-Bessel elements live on the open unit disk and sine elements on
-    the open square (-1, 1)^2; each element and its gradient are exactly
-    zero everywhere else.
-    """
-    pts = np.asarray(points, dtype=np.float64)
-    x = pts[..., 0]
-    y = pts[..., 1]
-    inside = np.zeros(x.shape, dtype=bool)
-    for kind, (domain, _factors) in _SPATIAL_KINDS.items():
-        if any(e.kind == kind for e in elements):
-            inside |= domain(x, y)
-    return inside
-
-
 # Values per assembled chunk, K elements x points: 4096 points at K = 10,
 # 1 MB for the values and both gradient components, whose assembly stays in
 # cache (on a 2-vCPU VM it took 260-300 ns a point, against 490-770 ns at

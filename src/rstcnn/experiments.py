@@ -291,14 +291,14 @@ def run_bounds_report(cfg):
     # the sweep's network for the largest (K, L_alpha); its first two layers are the ones bounded
     netc = build_network(replace(cfg, layers=2), K, max(cfg.l_alpha_list))
     bases = [layer_basis(netc, idx) for idx in range(netc.depth)]
-    # both layers expand in the same K spatial elements: evaluate them on the grid once
-    quad = analysis.disk_quadrature(bases[0], analysis.BOUND_GRID_N)
+    # both layers expand in the same K spatial elements: evaluate them on the rule's nodes once
+    quad = analysis.disk_quadrature(bases[0])
     draws = []
     worst = 0.0
     for seed in cfg.seeds:
         rng = np.random.default_rng([seed, 31])
         per_draw = {"seed": seed}
-        # both layers' sums come from one pass over the support
+        # both layers' sums come from one pass over the nodes
         coeffs = [draw_coeffs(netc, idx, rng) for idx in range(netc.depth)]
         reports = analysis.filter_bound_report(coeffs, bases, netc.layers, quad)
         for name, rep in zip(("lifting", "joint"), reports):
@@ -311,7 +311,7 @@ def run_bounds_report(cfg):
     return {
         "kind": cfg.kind,
         "K": K,
-        "grid_n": analysis.BOUND_GRID_N,
+        "quadrature": {"rule": quad.rule, "nodes": int(quad.radius.size)},
         "draws": draws,
         "worst_ratio": worst,
         "ok": bool(worst <= 1.02),

@@ -12,9 +12,10 @@ results for every part count:
   Every output element goes through the same operations in the same order
   whatever the split, and the FFTs transform each row on its own.
 - analysis.filter_bound_report splits the quadrature recipe's chunks of
-  support points.  Each part assembles its chunks once and writes their
-  sums for every layer and theta sample to their own rows, and the caller
-  adds the rows in chunk order once all are written.
+  rule nodes (16,384 at the default order, 4 chunks at K = 10).  Each part
+  assembles its chunks once and writes their weighted sums for every layer
+  and theta sample to their own rows, and the caller adds the rows in
+  chunk order once all are written.
 - basis.SpatialRecipe splits the Fourier-Bessel radial modes, one
   bessel_j_groups pass each, whose one recurrence gives J_m and J_{m-1}
   with the bits of one bessel_j call per order, and eval_spatial_stack

@@ -273,39 +273,6 @@ def fb_stack_every_point(elements, points):
     return vals, grads
 
 
-def whole_grid_quadrature_digests(basis, grid_n, chunk=10):
-    """(shape, sha256) of disk_quadrature's vals, gx, gy and radius, built on the whole grid.
-
-    This is how disk_quadrature built them before it evaluated the domain's
-    points only: every element on all grid_n^2 points, then the points where
-    every value and gradient component is exactly zero dropped.  The
-    elements go through eval_spatial_stack `chunk` at a time (its rows are
-    bit-equal to one-element calls), once for the kept points and once for
-    their columns, and each array's C-order bytes are hashed row block by
-    row block, so no [K, grid_n^2] array forms.  Equal digests mean equal
-    bits, the signs of zeros included.
-    """
-    import hashlib
-
-    from rstcnn.basis import eval_spatial_stack, unit_grid
-
-    pts, _ = unit_grid(grid_n)
-    pts = pts.reshape(-1, 2)
-    chunks = [basis.spatial[lo : lo + chunk] for lo in range(0, basis.n_spatial, chunk)]
-    keep = np.zeros(len(pts), dtype=bool)
-    for elements in chunks:
-        vals, grads = eval_spatial_stack(elements, pts, grad=True)
-        keep |= (vals != 0.0).any(axis=0) | (grads != 0.0).any(axis=(0, 1))
-    hashes = [hashlib.sha256() for _ in range(3)]
-    for elements in chunks:
-        vals, grads = eval_spatial_stack(elements, pts, grad=True)
-        for h, block in zip(hashes, (vals, grads[0], grads[1])):
-            h.update(np.ascontiguousarray(block.compress(keep, axis=1)))
-    shape = (basis.n_spatial, int(keep.sum()))
-    radius = np.sqrt((pts[keep] ** 2).sum(axis=1))
-    return [(shape, h.hexdigest()) for h in hashes] + [array_digest(radius)]
-
-
 def array_digest(a):
     """(shape, sha256 of the C-order bytes) of an array: equal for equal bits, zero signs included."""
     import hashlib
@@ -313,7 +280,7 @@ def array_digest(a):
     return a.shape, hashlib.sha256(np.ascontiguousarray(a)).hexdigest()
 
 
-def block_sums_per_theta(cs, vals, grads, radius):
+def block_sums_per_theta(cs, vals, grads, weights, radius_weights):
     """analysis._block_sums as one pass per theta sample: its values and gradients together.
 
     This is the order filter_bound_report used before it ran every
@@ -323,41 +290,62 @@ def block_sums_per_theta(cs, vals, grads, radius):
     for c in cs:
         w, gx, gy = c @ vals, c @ grads[0], c @ grads[1]
         gmag = np.sqrt(gx * gx + gy * gy)
-        sums.append([np.abs(w).sum(axis=1), gmag @ radius, gmag.sum(axis=1)])
+        sums.append([np.abs(w) @ weights, gmag @ radius_weights, gmag @ weights])
     return np.array(sums)
 
 
-def chunked_filter_bounds(coeffs, basis, spec, grid_n, n_theta):
-    """B, C, D and A of one layer from full-grid einsums, theta in chunks of 8.
+def gauss_rule(kind, n):
+    """(nodes [n^2, 2], weights [n^2]) of the product Gauss-Legendre rule of order n, node by node.
 
-    The quadrature as filter_bound_report computed it before it summed over
-    the disk's support points only: filters and gradients are formed on the
-    whole grid_n x grid_n grid and then summed.  Spatial basis values and
-    the amplitude bound come from the package; the angular profiles are this
-    module's angular_value, and the sums and their aggregation over channels
-    are written out here.
+    On the disk ("fb-disk"): n/2 radii r = (x + 1) / 2 of the Gauss-Legendre
+    nodes x on [-1, 1], with weight (w / 2) r, each at 2n uniform angles
+    2 pi (j + 1/2) / (2n) of weight 2 pi / (2n), radius by radius.  On the
+    square: the n x n Gauss-Legendre nodes, x fastest.
+    """
+    x, w = np.polynomial.legendre.leggauss(n // 2 if kind == "fb-disk" else n)
+    nodes, weights = [], []
+    if kind == "fb-disk":
+        for xi, wi in zip(x, w):
+            r = (xi + 1.0) / 2.0
+            for j in range(2 * n):
+                phi = 2.0 * math.pi * (j + 0.5) / (2 * n)
+                nodes.append((r * math.cos(phi), r * math.sin(phi)))
+                weights.append(wi / 2.0 * r * (2.0 * math.pi / (2 * n)))
+    else:
+        for yi, wy in zip(x, w):
+            for xi, wx in zip(x, w):
+                nodes.append((xi, yi))
+                weights.append(wx * wy)
+    return np.array(nodes), np.array(weights)
+
+
+def chunked_filter_bounds(coeffs, basis, spec, n, n_theta):
+    """B, C, D and A of one layer from einsums over the order-n rule's nodes, theta in chunks of 8.
+
+    Filters and gradients are formed on every node of gauss_rule at once and
+    their weighted sums taken.  Spatial basis values and the amplitude bound
+    come from the package; the nodes, the angular profiles (this module's
+    angular_value), the sums and their aggregation over channels are
+    written out here.
     """
     from rstcnn.basis import eval_spatial, eval_spatial_grad
     from rstcnn.net import filter_amplitude
 
-    xs = np.linspace(-1.0, 1.0, grid_n)
-    X, Y = np.meshgrid(xs, xs)
-    pts = np.stack([X, Y], axis=-1)
-    h2 = (xs[1] - xs[0]) ** 2
+    pts, wts = gauss_rule(basis.spatial[0].kind, n)
     vals = np.stack([eval_spatial(e, pts) for e in basis.spatial])
     grads = np.moveaxis(np.stack([eval_spatial_grad(e, pts) for e in basis.spatial]), -1, 1)
-    radius = np.sqrt(X * X + Y * Y)
+    radius = np.sqrt(pts[:, 0] ** 2 + pts[:, 1] ** 2)
     a = coeffs.a
     m_in, m_out = a.shape[0], a.shape[1]
 
     if coeffs.is_lifting:
-        W = np.einsum("abk,kxy->abxy", a, vals)
-        G = np.einsum("abk,kdxy->abdxy", a, grads)
+        W = np.einsum("abk,kp->abp", a, vals)
+        G = np.einsum("abk,kdp->abdp", a, grads)
         gmag = np.sqrt(G[:, :, 0] ** 2 + G[:, :, 1] ** 2)
         per_pair = [
-            np.abs(W).sum(axis=(2, 3)) * h2,
-            (radius * gmag).sum(axis=(2, 3)) * h2,
-            gmag.sum(axis=(2, 3)) * h2,
+            (np.abs(W) * wts).sum(axis=2),
+            (radius * gmag * wts).sum(axis=2),
+            (gmag * wts).sum(axis=2),
         ]
         aggregated = [
             max(p.sum(axis=0).max(), (m_in / m_out) * p.sum(axis=1).max()) for p in per_pair
@@ -368,13 +356,13 @@ def chunked_filter_bounds(coeffs, basis, spec, grid_n, n_theta):
         per_pair = [np.zeros((m_in, m_out, a.shape[4])) for _ in range(3)]
         for t0 in range(0, n_theta, 8):
             ph = phi[:, t0 : t0 + 8]
-            Wt = np.einsum("abkmn,kxy,mt->abntxy", a, vals, ph, optimize=True)
-            Gt = np.einsum("abkmn,kdxy,mt->abndtxy", a, grads, ph, optimize=True)
+            Wt = np.einsum("abkmn,kp,mt->abntp", a, vals, ph, optimize=True)
+            Gt = np.einsum("abkmn,kdp,mt->abndtp", a, grads, ph, optimize=True)
             gmag = np.sqrt(Gt[:, :, :, 0] ** 2 + Gt[:, :, :, 1] ** 2)
-            per_pair[0] += np.abs(Wt).sum(axis=(3, 4, 5))
-            per_pair[1] += (radius * gmag).sum(axis=(3, 4, 5))
-            per_pair[2] += gmag.sum(axis=(3, 4, 5))
-        per_pair = [p * (h2 / n_theta) for p in per_pair]
+            per_pair[0] += (np.abs(Wt) * wts).sum(axis=(3, 4))
+            per_pair[1] += (radius * gmag * wts).sum(axis=(3, 4))
+            per_pair[2] += (gmag * wts).sum(axis=(3, 4))
+        per_pair = [p / n_theta for p in per_pair]
         aggregated = [
             max(
                 p.sum(axis=2).sum(axis=0).max(),

@@ -43,7 +43,7 @@ from rstcnn import (
 import rstcnn.analysis
 import rstcnn.basis
 from rstcnn.analysis import REPORT_PAIRS
-from rstcnn.basis import eval_spatial_stack, in_domain, unit_grid
+from rstcnn.basis import eval_spatial_stack
 import reference
 from conftest import interior_image, outputs_per_part_count, small_net
 
@@ -270,29 +270,56 @@ def test_filter_bounds_vanish_for_zero_coefficients(tiny_net):
     spec = tiny_net.layers[0]
     basis = layer_basis(tiny_net, 0)
     zero = CoeffTensor(np.zeros((1, 1, spec.K)), np.zeros(1))
-    (report,) = filter_bound_report([zero], [basis], [spec], disk_quadrature(basis, 101), n_theta=8)
+    (report,) = filter_bound_report([zero], [basis], [spec], disk_quadrature(basis, 32), n_theta=8)
     assert report.B == report.C == report.D == report.A == 0.0
     assert report.scaled_D == 0.0
     assert report.to_dict()["layer_scale"] == spec.resolved_scale
 
 
 def test_filter_bound_single_element_against_radial_quadrature(tiny_net):
-    # element 0 is radially symmetric: B = |a| * 2 pi * int_0^1 |psi(r)| r dr
-    from rstcnn import build_basis, eval_spatial
+    # element 0 is the radial m = 0 element, so each bound is |a| times a
+    # 1-D radial integral: B = 2 pi int |psi| r dr, C = 2 pi int r |psi'| r dr
+    # and 2^j D = 2 pi int |psi'| r dr.  Neither integrand has a kink on
+    # [0, 1] (J_0 and J_1 keep their signs below j_{0,1}), so the polar
+    # Gauss rule is exact on them to rounding and a fine trapezoid's
+    # 1e-10-sized error decides the tolerance.
+    from rstcnn import eval_spatial, eval_spatial_grad
 
     spec = tiny_net.layers[0]
     basis = layer_basis(tiny_net, 0)
+    assert basis.spatial[0].kind == "fb-disk" and basis.spatial[0].indices == (0, 1)
     a = np.zeros((1, 1, spec.K))
     a[0, 0, 0] = -1.4
-    (report,) = filter_bound_report([CoeffTensor(a, np.zeros(1))], [basis], [spec], disk_quadrature(basis, 301))
+    (report,) = filter_bound_report([CoeffTensor(a, np.zeros(1))], [basis], [spec], disk_quadrature(basis))
     rs = np.linspace(0.0, 1.0, 20001)
-    pts = np.stack([rs, np.zeros_like(rs)], axis=-1)
+    # the element and its gradient are zero on the edge, so the last sample
+    # sits just inside it, where psi' keeps its limit
+    pts = np.stack([np.minimum(rs, np.nextafter(1.0, 0.0)), np.zeros_like(rs)], axis=-1)
     psi = eval_spatial(basis.spatial[0], pts)
-    radial = 2.0 * math.pi * np.trapezoid(np.abs(psi) * rs, rs)
-    assert report.B == pytest.approx(1.4 * radial, rel=2e-2)
+    dpsi = eval_spatial_grad(basis.spatial[0], pts)[:, 0]  # on the x axis the gradient is (psi', 0)
+    radial = {
+        "B": 2.0 * math.pi * np.trapezoid(np.abs(psi) * rs, rs),
+        "C": 2.0 * math.pi * np.trapezoid(np.abs(dpsi) * rs * rs, rs),
+        "scaled_D": 2.0 * math.pi * np.trapezoid(np.abs(dpsi) * rs, rs),
+    }
+    for name, value in radial.items():
+        assert getattr(report, name) == pytest.approx(1.4 * value, rel=1e-8)
     # and the analytic ordering B <= A = pi sqrt(mu_0) |a|
     assert report.B <= report.A
     assert report.A == pytest.approx(math.pi * math.sqrt(basis.spatial_eigenvalues[0]) * 1.4, rel=1e-12)
+
+
+def test_filter_bound_of_the_first_sine_element_is_exact():
+    # psi = sin(pi (x + 1) / 2) sin(pi (y + 1) / 2) is positive on the open
+    # square, so int |psi| = c (4 / pi)^2 exactly; the integrand is smooth
+    # up to the edge, and the Gauss rule is exact on it to rounding
+    net = small_net(layers=1, K=3, spatial_kind="sl")
+    spec, basis = net.layers[0], layer_basis(net, 0)
+    assert basis.spatial[0].indices == (1, 1)
+    a = np.zeros((1, 1, spec.K))
+    a[0, 0, 0] = 0.7
+    (report,) = filter_bound_report([CoeffTensor(a, np.zeros(1))], [basis], [spec], disk_quadrature(basis))
+    assert report.B == pytest.approx(0.7 * basis.spatial[0].normalization * (4.0 / math.pi) ** 2, rel=1e-12)
 
 
 def test_filter_bound_joint_constant_angular_profile_doubles_lifting():
@@ -304,7 +331,7 @@ def test_filter_bound_joint_constant_angular_profile_doubles_lifting():
     ak = rng.standard_normal(net.layers[0].K)
     lift_spec = net.layers[0]
     lift = CoeffTensor(ak[None, None, :], np.zeros(1))
-    quad = disk_quadrature(layer_basis(net, 0), 151)
+    quad = disk_quadrature(layer_basis(net, 0), 64)
     (lift_report,) = filter_bound_report([lift], [layer_basis(net, 0)], [lift_spec], quad, n_theta=8)
     joint_spec = net.layers[1]
     aj = np.zeros((1, 1, joint_spec.K, joint_spec.n_angular, 1))
@@ -317,12 +344,12 @@ def test_filter_bound_joint_constant_angular_profile_doubles_lifting():
         )
 
 
-def bounds_net(spatial_kind):
+def bounds_net(spatial_kind, K=4):
     # M_in != M_out on both layers and two scale modes on the joint one
     return NetworkConfig(
         layers=(
-            LayerSpec(2, 3, 4, 5),
-            LayerSpec(3, 2, 4, 5, L_theta=2, L_alpha=2, max_angular=2, n_scale=2),
+            LayerSpec(2, 3, K, 5),
+            LayerSpec(3, 2, K, 5, L_theta=2, L_alpha=2, max_angular=2, n_scale=2),
         ),
         n_rotations=4,
         n_scales=3,
@@ -338,9 +365,9 @@ def test_filter_bounds_match_chunked_grid_oracle(spatial_kind, layer, n_theta):
     net = bounds_net(spatial_kind)
     coeffs = init_coeffs(net, seed=11)[layer]
     basis, spec = layer_basis(net, layer), net.layers[layer]
-    expected = reference.chunked_filter_bounds(coeffs, basis, spec, grid_n=41, n_theta=n_theta)
+    expected = reference.chunked_filter_bounds(coeffs, basis, spec, n=42, n_theta=n_theta)
     # one quadrature from layer 0's basis serves both layers, as in run_bounds_report
-    (report,) = filter_bound_report([coeffs], [basis], [spec], disk_quadrature(layer_basis(net, 0), 41), n_theta=n_theta)
+    (report,) = filter_bound_report([coeffs], [basis], [spec], disk_quadrature(layer_basis(net, 0), 42), n_theta=n_theta)
     for name, value in expected.items():
         assert getattr(report, name) == pytest.approx(value, rel=1e-12, abs=0.0)
 
@@ -350,16 +377,17 @@ def test_filter_bounds_match_chunked_grid_oracle(spatial_kind, layer, n_theta):
 @pytest.mark.parametrize("n_theta", [1, 5])
 def test_filter_bounds_are_bit_identical_for_every_part_count(spatial_kind, layer, n_theta, monkeypatch):
     # n_theta = 1 leaves parts with no theta sample; chunks of 100 points
-    # cut the 41 x 41 support into several blocks, the last one short
+    # cut the 1,764 nodes of the n = 42 rule into several blocks, the last
+    # one short
     net = bounds_net(spatial_kind)
     coeffs = init_coeffs(net, seed=12)[layer]
     basis, spec = layer_basis(net, layer), net.layers[layer]
-    quad = disk_quadrature(layer_basis(net, 0), 41)
+    quad = disk_quadrature(layer_basis(net, 0), 42)
     quad.recipe.chunk = 100
     reports = outputs_per_part_count(monkeypatch, lambda: filter_bound_report([coeffs], [basis], [spec], quad, n_theta=n_theta)[0])
     for report in reports[1:]:
         assert (report.B, report.C, report.D) == (reports[0].B, reports[0].C, reports[0].D)
-    expected = reference.chunked_filter_bounds(coeffs, basis, spec, grid_n=41, n_theta=n_theta)
+    expected = reference.chunked_filter_bounds(coeffs, basis, spec, n=42, n_theta=n_theta)
     for name, value in expected.items():
         assert getattr(reports[0], name) == pytest.approx(value, rel=1e-12, abs=0.0)
 
@@ -373,7 +401,7 @@ def test_layers_sharing_one_pass_keep_their_own_bits(spatial_kind, n_theta, monk
     net = bounds_net(spatial_kind)
     coeffs = init_coeffs(net, seed=14)
     bases = [layer_basis(net, layer) for layer in (0, 1)]
-    quad = disk_quadrature(bases[0], 41)
+    quad = disk_quadrature(bases[0], 42)
     quad.recipe.chunk = 100
 
     def run():
@@ -400,12 +428,12 @@ def test_block_sums_keep_the_bits_of_one_pass_per_theta(spatial_kind, layer, blo
     # _block_sums runs every theta sample's values, then every sample's
     # gradients; each block's sums must keep the bits of one pass per
     # sample, one GEMM per sample and factor over the whole block.  With
-    # block_size, chunks of block_size // 40 = 100 points cut the 41 x 41
-    # support into several blocks, the last one short; the default chunk
-    # takes the support whole.
+    # block_size, chunks of block_size // 40 = 100 nodes cut the 1,764 nodes
+    # of the n = 42 rule into several blocks, the last one short; the
+    # default chunk takes them whole.
     net = bounds_net(spatial_kind)
     coeffs = init_coeffs(net, seed=13)[layer]
-    quad = disk_quadrature(layer_basis(net, 0), 41)
+    quad = disk_quadrature(layer_basis(net, 0), 42)
     if block_size:
         quad.recipe.chunk = block_size // 40
     size, step = quad.radius.size, quad.recipe.chunk
@@ -425,84 +453,93 @@ def test_block_sums_keep_the_bits_of_one_pass_per_theta(spatial_kind, layer, blo
         assert np.array_equal(sums, reference.block_sums_per_theta(*args))
 
 
+@pytest.mark.parametrize("kind", ["fb", "sl"])
+@pytest.mark.parametrize("n", [42, 128])
+def test_quadrature_nodes_lie_strictly_inside_the_domain_off_the_origin(kind, n):
+    # no node sits on the domain's edge, where |grad W| jumps, or at the
+    # origin, and the weights are positive and add up to the domain's area
+    quad = disk_quadrature(build_basis(kind, 10), n)
+    x, y = quad.points.T
+    assert quad.points.shape == (n * n, 2) and quad.weights.shape == (n * n,)
+    assert quad.rule == {"fb": "gauss-polar", "sl": "gauss-square"}[kind]
+    assert (quad.radius > 0.0).all()
+    if kind == "fb":
+        assert (quad.radius < 1.0).all()
+    else:
+        assert ((np.abs(x) < 1.0) & (np.abs(y) < 1.0)).all()
+    assert (quad.weights > 0.0).all()
+    assert quad.weights.sum() == pytest.approx(math.pi if kind == "fb" else 4.0, rel=1e-13)
+    # the rule's nodes and weights, written out node by node
+    nodes, weights = reference.gauss_rule(quad.spatial[0].kind, n)
+    np.testing.assert_allclose(quad.points, nodes, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(quad.weights, weights, rtol=1e-14, atol=0.0)
+
+
+def test_quadrature_rejects_a_basis_of_two_domains():
+    # a basis that mixes Fourier-Bessel and sine elements has no one
+    # domain to fit a rule to
+    mixed = BasisSet("fb", build_basis("fb", 3).spatial + build_basis("sl", 3).spatial, 0, 1)
+    with pytest.raises(ValueError, match="'fb-disk' and 'sl-square'"):
+        disk_quadrature(mixed)
+
+
 @pytest.mark.parametrize("spatial_kind", ["fb", "sl"])
-@pytest.mark.parametrize("grid_n", [41, 101])
-def test_pool_elements_vanish_with_their_gradients_only_at_the_origin(spatial_kind, grid_n):
-    # disk_quadrature drops no domain point but the origin, and that one
-    # only when every element is Fourier-Bessel with m >= 2.  That holds for
-    # every subset of the pools because it holds for each element: nonzero,
-    # or with a nonzero gradient, at every grid point of its domain but the
-    # origin, where exactly the m >= 2 elements vanish with their gradients.
-    pts = unit_grid(grid_n)[0].reshape(-1, 2)
-    for e in rstcnn.basis._fb_pool() if spatial_kind == "fb" else rstcnn.basis._sl_pool():
-        inside = pts[in_domain((e,), pts)]
-        vals, grads = eval_spatial_stack((e,), inside, grad=True)
-        zero = (vals[0] == 0.0) & (grads[:, 0] == 0.0).all(axis=0)
-        at_origin = (inside == 0.0).all(axis=1)
-        assert np.array_equal(zero, at_origin if e.kind == "fb-disk" and e.indices[0] >= 2 else np.zeros_like(zero))
-
-
-def test_quadrature_keeps_the_origin_unless_every_element_vanishes_there():
-    fb10, sl3, from_two = build_basis("fb", 10), build_basis("sl", 3), _orders_from_two(10)
-    # J_1' is 1/2 at 0, so an m = 1 element keeps the origin
-    from_one = BasisSet("fb", tuple(e for e in fb10.spatial if e.indices[0] >= 1), 0, 1)
-    mixed = BasisSet("fb", from_two.spatial + sl3.spatial, 0, 1)
-    bases = {"fb10": fb10, "sl3": sl3, "from_one": from_one, "from_two": from_two, "mixed": mixed}
-    origins = {name: int(np.count_nonzero(disk_quadrature(basis, 41).radius == 0.0)) for name, basis in bases.items()}
-    assert origins == {"fb10": 1, "sl3": 1, "from_one": 1, "from_two": 0, "mixed": 1}
-    # an even grid has no point at the origin
-    assert np.count_nonzero(disk_quadrature(fb10, 40).radius == 0.0) == 0
-
-
-def _orders_from_two(K):
-    # the elements of the K lowest with m >= 2: all values and gradients
-    # vanish at the origin, so the quadrature drops that domain point
-    elements = tuple(e for e in build_basis("fb", K).spatial if e.indices[0] >= 2)
-    return BasisSet("fb", elements, 0, 1)
+def test_filter_bounds_converge_in_the_rule_order(spatial_kind):
+    # C and 2^j D, whose integrands |grad W| jump at the domain's edge on a
+    # square grid, agree at n = 128 and at 2n: the rule fits the edge
+    net = bounds_net(spatial_kind, K=10)
+    coeffs = init_coeffs(net, seed=21)
+    bases = [layer_basis(net, layer) for layer in (0, 1)]
+    n = rstcnn.analysis.BOUND_QUAD_N
+    coarse, fine = (filter_bound_report(coeffs, bases, net.layers, disk_quadrature(bases[0], m)) for m in (n, 2 * n))
+    for a, b in zip(coarse, fine):
+        assert a.C == pytest.approx(b.C, rel=1e-4) and a.scaled_D == pytest.approx(b.scaled_D, rel=1e-4)
 
 
 @pytest.mark.parametrize(
     "make_basis",
-    [lambda: build_basis("fb", 10), lambda: build_basis("fb", 100), lambda: build_basis("sl", 10), lambda: _orders_from_two(10)],
-    ids=["fb10", "fb100", "sl10", "fb10-m2"],
+    [lambda: build_basis("fb", 10), lambda: build_basis("fb", 100), lambda: build_basis("sl", 10)],
+    ids=["fb10", "fb100", "sl10"],
 )
-@pytest.mark.parametrize("grid_n", [41, 301])
-def test_disk_quadrature_equals_whole_grid_then_compress(make_basis, grid_n, monkeypatch):
-    # disk_quadrature evaluates only the points inside the domain and keeps
-    # their recipe; the support, and so every _block_sums block and sum, and
-    # the blocks the recipe assembles, concatenated, must keep the bits of
-    # the whole-grid build for every part count
+@pytest.mark.parametrize("n", [42, 128])
+def test_disk_quadrature_assembles_eval_spatial_stack_of_its_nodes(make_basis, n, monkeypatch):
+    # the blocks the recipe assembles, concatenated, keep the bits of one
+    # eval_spatial_stack call on the rule's nodes, for every part count
     basis = make_basis()
-    want = reference.whole_grid_quadrature_digests(basis, grid_n)
     step = 4099  # blocks that cut across the recipe's chunks, the last one short
 
     def digests():
-        quad = disk_quadrature(basis, grid_n)
+        quad = disk_quadrature(basis, n)
+        vals, grads = eval_spatial_stack(basis.spatial, quad.points, grad=True)
+        want = [reference.array_digest(a) for a in (vals, grads[0], grads[1])]
         size = quad.radius.size
-        out = []
+        got = []
         for component in range(3):  # values, then each gradient component: one [K, P] array at a time
             whole = np.empty((basis.n_spatial, size))
             for lo in range(0, size, step):
-                vals, grads = quad.recipe.assemble(lo, min(lo + step, size))
-                assert all(a.flags.c_contiguous for a in (vals, grads[0], grads[1]))
-                whole[:, lo : lo + step] = (vals, grads[0], grads[1])[component]
-            out.append(reference.array_digest(whole))
-        return out + [reference.array_digest(quad.radius)]
+                block_vals, block_grads = quad.recipe.assemble(lo, min(lo + step, size))
+                assert all(a.flags.c_contiguous for a in (block_vals, block_grads[0], block_grads[1]))
+                whole[:, lo : lo + step] = (block_vals, block_grads[0], block_grads[1])[component]
+            got.append(reference.array_digest(whole))
+        assert got == want
+        return got
 
-    assert outputs_per_part_count(monkeypatch, digests) == [want] * 3
+    runs = outputs_per_part_count(monkeypatch, digests)
+    assert runs == [runs[0]] * len(runs)
 
 
 def test_bound_quadrature_memory_stays_below_the_grids():
-    # The values and gradients of K = 100 elements on the 70,663 disk points
-    # of the 301 x 301 grid would take 162 MB as [K, P] arrays.  The
-    # quadrature holds their radial tables and point geometry (24 MB) and the
-    # report assembles one block at a time, so building both peaks far lower.
+    # The values and gradients of K = 100 elements on the 16,384 nodes of the
+    # n = 128 rule would take 39 MB as [K, P] arrays.  The quadrature holds
+    # their radial tables and node geometry (2.0 MB) and the report
+    # assembles one block at a time, so building both peaks far lower
+    # (11.5 MB traced).
     net = NetworkConfig(layers=(LayerSpec(1, 2, 100, 5),), n_rotations=8, n_scales=9, scale_range=1.0)
     basis, spec = layer_basis(net, 0), net.layers[0]
     coeffs = CoeffTensor(np.random.default_rng(0).standard_normal((1, 2, 100)), np.zeros(2))
     tracemalloc.start()
     try:
-        (report,) = filter_bound_report([coeffs], [basis], [spec], disk_quadrature(basis, 301))
+        (report,) = filter_bound_report([coeffs], [basis], [spec], disk_quadrature(basis))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -514,17 +551,17 @@ def test_filter_bounds_reject_a_mismatched_quadrature():
     coeffs, basis, spec = init_coeffs(net, seed=0)[1], layer_basis(net, 1), net.layers[1]
     for other in (layer_basis(bounds_net("sl"), 1), build_basis("fb", spec.K + 1)):
         with pytest.raises(ValueError, match="other spatial elements"):
-            filter_bound_report([coeffs], [basis], [spec], disk_quadrature(other, 41))
+            filter_bound_report([coeffs], [basis], [spec], disk_quadrature(other, 42))
 
 
-@pytest.mark.parametrize("bad", [{"n_theta": 0}, {"n_theta": -1}, {"grid_n": 1}, {"grid_n": 0}])
+@pytest.mark.parametrize("bad", [{"n_theta": 0}, {"n_theta": -1}, {"n": 1}, {"n": 0}, {"n": 41}])
 def test_filter_bounds_reject_an_empty_quadrature(bad):
-    # an empty spatial grid fails in disk_quadrature, an empty theta grid in the report
+    # an empty or odd rule fails in disk_quadrature, an empty theta grid in the report
     net = bounds_net("fb")
     coeffs, basis, spec = init_coeffs(net, seed=0)[1], layer_basis(net, 1), net.layers[1]
     (name,) = bad
-    with pytest.raises(ValueError, match=name):
-        quad = disk_quadrature(basis, bad.get("grid_n", 41))
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        quad = disk_quadrature(basis, bad.get("n", 42))
         filter_bound_report([coeffs], [basis], [spec], quad, n_theta=bad.get("n_theta", 64))
 
 

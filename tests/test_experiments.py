@@ -3,6 +3,7 @@
 import json
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -313,7 +314,9 @@ def test_bounds_report_structure():
     cfg = ExperimentConfig(kind="bounds-report", k_list=(3,), l_alpha_list=(1,), channels=1, seeds=(0,))
     report = run_bounds_report(cfg)
     assert report["ok"] is True
-    assert report["grid_n"] == 301
+    assert report["quadrature"] == {"rule": "gauss-polar", "nodes": 16384}
+    sl = run_bounds_report(replace(cfg, spatial_kind="sl"))
+    assert sl["quadrature"] == {"rule": "gauss-square", "nodes": 16384} and sl["ok"] is True
     assert report["worst_ratio"] <= 1.02
     (draw,) = report["draws"]
     for part in ("lifting", "joint"):
@@ -324,11 +327,10 @@ def test_bounds_report_structure():
 
 def test_bounds_report_joint_layer_keeps_its_bytes():
     # The joint layer of the benchmark's bounds_config(0) and of criterion
-    # 8's seed 0 (K = 10, L_alpha = 3: the same network and draw) has 12
-    # filter rows, whose blocks were the recipe's chunks before its sums
-    # shared one pass over the support with the lifting layer's, so its B,
-    # C and D keep these bytes.
-    want = {"B": "0x1.31c3f16a536b0p-4", "C": "0x1.3195f4967480cp-2", "D": "0x1.e2eb1f85d52c0p-4"}
+    # 8's seed 0 (K = 10, L_alpha = 3: the same network and draw) on the
+    # n = 128 Gauss rule (C = 0.2985513, 2^j D = 0.4717278) keeps these
+    # bytes of B, C and D.
+    want = {"B": "0x1.31c42a73e260ap-4", "C": "0x1.31b76ecb9de13p-2", "D": "0x1.e30c9f12de1bep-4"}
     for cfg in (
         ExperimentConfig(kind="bounds-report", k_list=(10,), l_alpha_list=(3,), seeds=(0,)),
         ExperimentConfig(kind="bounds-report", seeds=(0,)),

@@ -66,10 +66,10 @@ def test_basis_evaluation_parts_call_no_traced_function(monkeypatch):
     basis = build_basis("fb", 10)
     net = small_net(layers=2, channels=2, K=5, L_alpha=2)
     coeffs = init_coeffs(net, seed=0)
-    quad = disk_quadrature(layer_basis(net, 0), 41)
-    quad.recipe.chunk = 200  # several blocks of the 41 x 41 support, the last one short
+    quad = disk_quadrature(layer_basis(net, 0), 42)
+    quad.recipe.chunk = 200  # several blocks of the rule's 1,764 nodes, the last one short
     stages = [
-        lambda: disk_quadrature(basis, 301),
+        lambda: disk_quadrature(basis),
         lambda: sample_filter_bank(basis, 8, 9, 1.0, 9, layer_scale=2.0),
         *(lambda layer=layer: filter_bound_report([coeffs[layer]], [layer_basis(net, layer)], [net.layers[layer]], quad, n_theta=8) for layer in (0, 1)),
     ]
