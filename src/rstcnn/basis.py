@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import bessel_j_groups, bessel_j_slopes, bessel_zero_groups
+from .bessel import bessel_j, bessel_j_slopes, bessel_zero
 from .parts import run_parts
 
 FB_POOL_MAX_M = 15
@@ -79,16 +79,15 @@ def _fb_pool():
     # Every "fb" build_basis call takes a prefix of these candidates, so they
     # are enumerated and sorted once per process.  Only modes below j_{16,1}^2,
     # the smallest eigenvalue outside the (m, q) box, are kept, so the pool's
-    # K lowest are the disk's.  The zeros of every order, the horizon's among
-    # them, come from one grouped search and the J_{m+1}(lambda) of the
-    # normalizations from one grouped pass: per-step costs are paid once,
-    # and each group keeps the bits of its own call.
-    orders = list(range(FB_POOL_MAX_M + 1))
+    # K lowest are the disk's.  One bessel_zero call finds the zeros of every
+    # order, the horizon's among them, and one bessel_j call the J_{m+1}(lambda)
+    # of the normalizations.
+    orders = np.arange(FB_POOL_MAX_M + 1)
     qs = np.arange(1, FB_POOL_MAX_Q + 1)
-    *zeros, edge = bessel_zero_groups(orders + [FB_POOL_MAX_M + 1], [qs] * len(orders) + [1])
-    horizon = edge**2
+    zeros = bessel_zero(np.arange(FB_POOL_MAX_M + 2)[:, None], qs)
+    horizon = zeros[-1, 0] ** 2
     pool = []
-    for m, lams, jnext in zip(orders, zeros, bessel_j_groups([m + 1 for m in orders], zeros)):
+    for m, lams, jnext in zip(orders.tolist(), zeros, bessel_j(orders[:, None] + 1, zeros[:-1])):
         harmonics = ("cos",) if m == 0 else ("cos", "sin")
         for q, lam, jn in zip(qs.tolist(), lams.tolist(), np.abs(jnext).tolist()):
             c = (1.0 if m == 0 else math.sqrt(2.0)) / (math.sqrt(math.pi) * jn)
@@ -140,15 +139,15 @@ def build_basis(spatial_kind, K, max_angular=4, n_scale=1):
 # cache (on a 2-vCPU VM it took 260-300 ns a point, against 490-770 ns at
 # 6144 or 8192 points).  An evaluation goes in whole chunks, the last taking
 # the rest, so one of fewer than two chunks (a K = 10 bank samples 5,832
-# points) runs on the caller's thread alone; a larger one splits its Bessel
-# passes and its chunks over the part pool.
+# points) runs on the caller's thread alone; a larger one splits its chunks
+# over the part pool.
 _CHUNK_VALUES = 10 * 4096
 
 
 class SpatialRecipe:
     """Spatial elements at fixed points[..., 2], held as the factors their values share.
 
-    Per Fourier-Bessel radial mode, one bessel_j_groups pass gives J_m (and,
+    One bessel_j call gives every Fourier-Bessel radial mode's J_m (and,
     with grad, J_m' and m J_m / x) on the distinct radii of the points inside
     the disk, and each point keeps its phi, cos phi, sin phi and the index of
     its radius.  Sine elements keep their per-index factors on the distinct
@@ -166,12 +165,11 @@ class SpatialRecipe:
         x, y = flat[:, 0], flat[:, 1]
         self.n_elements, self.size, self.grad = len(elements), x.size, grad
         self.chunk = max(1, _CHUNK_VALUES // max(1, len(elements)))
-        split = self.size // self.chunk > 1
         self.kinds = []
         for kind, (domain, factors) in _SPATIAL_KINDS.items():
             rows = [k for k, e in enumerate(elements) if e.kind == kind]
             if rows:
-                self.kinds.append(factors(elements, rows, x, y, domain(x, y), grad, split))
+                self.kinds.append(factors(elements, rows, x, y, domain(x, y), grad))
 
     def fill(self, lo, hi, vals, grads=None):
         """Write points lo..hi into vals [K, hi - lo] and, with grad, grads [2, K, hi - lo]."""
@@ -225,16 +223,14 @@ class _FbFactors:
     # Every row of one fill goes through each step at once, with the
     # arithmetic of a per-element evaluation, so a chunk costs a fixed number
     # of array operations whatever K.
-    def __init__(self, elements, rows, x, y, inside, grad, split):
+    def __init__(self, elements, rows, x, y, inside, grad):
         self.rows = rows
         self.inside = None if inside.all() else inside
         self.phi = np.arctan2(y, x)
         self.cu, self.su = (np.cos(self.phi), np.sin(self.phi)) if grad else (None, None)
-        # Each radial function runs on the distinct radii only (16,515 of the
-        # 70,663 inside points of a 301 x 301 grid).  That changes no bit:
-        # bessel_j sees its points only through their largest value and their
-        # set of values, which the distinct radii share.  A point outside the
-        # disk reads the zero after them, so its value is c * 0.0 * (cos or
+        # Each radial function runs on the distinct radii only (191 of the
+        # 16,384 nodes of the bounds quadrature).  A point outside the disk
+        # reads the zero after them, so its value is c * 0.0 * (cos or
         # sin)(m phi): a zero with the sign of the harmonic, which the bank
         # bytes keep.
         radii, back = np.unique(np.hypot(x[inside], y[inside]), return_inverse=True)
@@ -243,12 +239,12 @@ class _FbFactors:
         modes = {}
         for k in rows:
             modes.setdefault((elements[k].indices[0], elements[k].eigenvalue), len(modes))
-        keys = list(modes)
-        lams = [math.sqrt(mu) for _, mu in keys]
+        mode_m = np.array([m for m, _ in modes], dtype=np.intp)
+        lams = np.sqrt([mu for _, mu in modes])
         mode = np.array([modes[elements[k].indices[0], elements[k].eigenvalue] for k in rows])
         is_sin = np.array([elements[k].harmonic == "sin" for k in rows])
         c = np.array([elements[k].normalization for k in rows])
-        lam = np.array(lams)[mode]
+        lam = lams[mode]
         # rows of the stacked [cos(m phi); sin(m phi)] of the distinct m: each
         # element's own harmonic and the other one
         self.m, m_at = np.unique([elements[k].indices[0] for k in rows], return_inverse=True)
@@ -259,27 +255,15 @@ class _FbFactors:
         self.c_slope, self.c_over = c * lam, np.where(is_sin, c, -c) * lam
         # per mode J_m, and for gradients J_m' and m J_m / x, each ending in the outside zero
         self.tables = np.zeros((3 if grad else 1, len(modes), radii.size + 1))
-
-        def passes(which):
-            # J_m, and for gradients J_{m-1} (J_1 for m = 0), of the modes
-            # which in one bessel_j_groups pass: each mode is one group, so
-            # its two orders share one recurrence and keep the bits of their
-            # own bessel_j calls
-            rs = [lams[i] * radii for i in which]
-            ms = [keys[i][0] for i in which]
-            orders = [(m, 1 if m == 0 else m - 1)[: 2 if grad else 1] for m in ms]
-            for i, r, m, js in zip(which, rs, ms, bessel_j_groups(orders, rs)):
-                self.tables[0, i, :-1] = js[0]
-                if grad:
-                    self.tables[1, i, :-1], self.tables[2, i, :-1] = bessel_j_slopes(m, r, *js)
-
-        # A large evaluation gives each mode its own pass, split over the
-        # part pool, which keeps the passes' memory small; a small one makes
-        # one pass for all modes on the caller's thread.
-        if split:
-            run_parts(lambda lo, hi: [passes([i]) for i in range(lo, hi)], len(modes))
+        # one bessel_j call for every mode, and with gradients for its J_{m-1}
+        # (J_1 for m = 0) too, which the same recurrence gives
+        r = lams[:, None] * radii
+        if grad:
+            jm, jbelow = bessel_j(np.stack([mode_m, np.where(mode_m == 0, 1, mode_m - 1)])[:, :, None], r)
+            self.tables[1, :, :-1], self.tables[2, :, :-1] = bessel_j_slopes(mode_m[:, None], r, jm, jbelow)
         else:
-            passes(range(len(modes)))
+            jm = bessel_j(mode_m[:, None], r)
+        self.tables[0, :, :-1] = jm
 
     def fill(self, sel, vals, grads):
         # the radial factors at these points, [1 or 3, modes, points]
@@ -318,7 +302,7 @@ class _FbFactors:
 
 
 class _SlFactors:
-    def __init__(self, elements, rows, x, y, inside, grad, split):
+    def __init__(self, elements, rows, x, y, inside, grad):
         self.rows = rows
         self.inside = None if inside.all() else inside
         # per row, its factor of each axis on that axis's distinct coordinates
@@ -400,16 +384,12 @@ def laplacian_residuals(basis):
 
     Each is ||Lap_h psi + mu psi|| / ||mu psi|| over grid points at least
     `margin` inside the domain boundary (where the stencil never straddles
-    the Dirichlet edge).  All elements share one eval_spatial_stack pass.
+    the Dirichlet edge).  All elements share one eval_spatial_stack pass,
+    and the stencil and residual run one element at a time on its values.
     """
     grid_n, margin = 401, 0.1
     pts, _ = unit_grid(grid_n)
     h = 2.0 / (grid_n - 1)
-    vals = eval_spatial_stack(basis.spatial, pts)
-    lap = np.zeros_like(vals)
-    lap[:, 1:-1, 1:-1] = (
-        vals[:, 1:-1, 2:] + vals[:, 1:-1, :-2] + vals[:, 2:, 1:-1] + vals[:, :-2, 1:-1] - 4.0 * vals[:, 1:-1, 1:-1]
-    ) / (h * h)
     x = pts[..., 0]
     y = pts[..., 1]
     if basis.spatial_kind == "fb":
@@ -417,7 +397,12 @@ def laplacian_residuals(basis):
     else:
         interior = np.maximum(np.abs(x), np.abs(y)) <= 1.0 - margin
     interior[0, :] = interior[-1, :] = interior[:, 0] = interior[:, -1] = False
-    mu_vals = basis.spatial_eigenvalues[:, None] * vals[:, interior]
-    resid = lap[:, interior] + mu_vals
-    # one 1-d sum per element: a sum along axis 1 groups the terms differently
-    return np.array([np.sqrt(np.sum(r**2)) / np.sqrt(np.sum(m**2)) for r, m in zip(resid, mu_vals)])
+    # interior leaves out the edge rows and columns, where the stencil has no value
+    inner = interior[1:-1, 1:-1]
+    residuals = []
+    for v, mu in zip(eval_spatial_stack(basis.spatial, pts), basis.spatial_eigenvalues):
+        lap = (v[1:-1, 2:] + v[1:-1, :-2] + v[2:, 1:-1] + v[:-2, 1:-1] - 4.0 * v[1:-1, 1:-1]) / (h * h)
+        mu_v = mu * v[1:-1, 1:-1][inner]
+        resid = lap[inner] + mu_v
+        residuals.append(np.sqrt(np.sum(resid**2)) / np.sqrt(np.sum(mu_v**2)))
+    return np.array(residuals)

@@ -16,12 +16,9 @@ results for every part count:
   assembles its chunks once and writes their weighted sums for every layer
   and theta sample to their own rows, and the caller adds the rows in
   chunk order once all are written.
-- basis.SpatialRecipe splits the Fourier-Bessel radial modes, one
-  bessel_j_groups pass each, whose one recurrence gives J_m and J_{m-1}
-  with the bits of one bessel_j call per order, and eval_spatial_stack
-  splits the chunks of points it assembles.  Each part writes only its own
-  modes' tables or its own chunks' columns.
-  An evaluation of fewer than two chunks stays on the caller's thread.
+- basis.eval_spatial_stack splits the chunks of points it assembles, and
+  each part writes only its own chunks' columns.  An evaluation of fewer
+  than two chunks stays on the caller's thread.
 
 OpenBLAS runs a GEMM of at most BLAS_ONE_THREAD = 262,144 multiply-adds
 (65,536 times its default GEMM_MULTITHREAD_THRESHOLD of 4) on the calling

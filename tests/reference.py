@@ -208,11 +208,12 @@ def fourier_field_value(coeffs, box, comp, x, y):
 
 
 def per_order_fb_pool():
-    """basis._fb_pool as built before its Bessel calls were grouped.
+    """basis._fb_pool with one Bessel call per order.
 
     One bessel_zero call for the horizon and, per order m, one bessel_zero
     call for its 16 zeros and one bessel_j call for J_{m+1} at them.  The
-    rest is the package's arithmetic in the same order, so the grouped pool
+    rest is the package's arithmetic in the same order, and every Bessel
+    value depends on its (order, x) alone, so the pool's broadcast calls
     must match it field for field, bits included.
     """
     from rstcnn.basis import FB_POOL_MAX_M, FB_POOL_MAX_Q, BasisElement, _sort_key
@@ -237,10 +238,10 @@ def fb_stack_every_point(elements, points):
 
     Every Bessel call here gets every point inside the disk, repeats
     included, one element at a time, where basis.eval_spatial_stack runs
-    each radial function on the distinct radii only.  A bessel_j value
-    depends on the point set it is evaluated with, so this is the oracle
-    for the claim that the distinct radii change no bit.  The arithmetic is
-    the package's, in the same order.
+    all radial functions on the distinct radii in one call.  A bessel_j
+    value depends on its (order, x) alone, so the two agree bit for bit
+    when the gather back to the points and the arithmetic after it are the
+    package's, in the same order.
     """
     from rstcnn.bessel import bessel_j, bessel_j_slopes
 
@@ -258,7 +259,7 @@ def fb_stack_every_point(elements, points):
         r = lam * rho[inside]
         radial = np.zeros_like(rho)
         radial[inside] = bessel_j(m, r)
-        jprime, j_over = bessel_j_slopes(m, r, radial[inside])
+        jprime, j_over = bessel_j_slopes(m, r, radial[inside], bessel_j(1 if m == 0 else m - 1, r))
         cphi, sphi = np.cos(m * phi[inside]), np.sin(m * phi[inside])
         if e.harmonic == "cos":
             vals[k] = c * radial * np.cos(m * phi)

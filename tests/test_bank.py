@@ -30,7 +30,7 @@ def test_even_stencil_rejected():
 
 @pytest.mark.parametrize("K", [10, 100])
 def test_bank_is_bit_identical_for_every_part_count(K, monkeypatch):
-    # the radial modes are split over the part pool; the fig3 bank shape, with
+    # the point chunks are split over the part pool; the fig3 bank shape, with
     # the signed zeros outside the disk that the bank bytes keep
     basis = build_basis("fb", K)
     banks = outputs_per_part_count(monkeypatch, lambda: sample_filter_bank(basis, 8, 9, 1.0, 9, layer_scale=2.0).values)

@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -64,6 +65,47 @@ def test_laplacian_eigen_residual(kind):
     assert residuals.shape == (10,)
     for k in range(10):
         assert residuals[k] < 5e-2
+
+
+def whole_stack_laplacian_residuals(basis):
+    """basis.laplacian_residuals with the stencil and residual over the whole [K, 401, 401] stack at once."""
+    pts, _ = unit_grid(401)
+    h = 2.0 / 400
+    vals = eval_spatial_stack(basis.spatial, pts)
+    lap = np.zeros_like(vals)
+    lap[:, 1:-1, 1:-1] = (
+        vals[:, 1:-1, 2:] + vals[:, 1:-1, :-2] + vals[:, 2:, 1:-1] + vals[:, :-2, 1:-1] - 4.0 * vals[:, 1:-1, 1:-1]
+    ) / (h * h)
+    x, y = pts[..., 0], pts[..., 1]
+    if basis.spatial_kind == "fb":
+        interior = np.hypot(x, y) <= 0.9
+    else:
+        interior = np.maximum(np.abs(x), np.abs(y)) <= 0.9
+    interior[0, :] = interior[-1, :] = interior[:, 0] = interior[:, -1] = False
+    mu_vals = basis.spatial_eigenvalues[:, None] * vals[:, interior]
+    resid = lap[:, interior] + mu_vals
+    return np.array([np.sqrt(np.sum(r**2)) / np.sqrt(np.sum(m**2)) for r, m in zip(resid, mu_vals)])
+
+
+@pytest.mark.parametrize("kind", ["fb", "sl"])
+def test_laplacian_residuals_run_one_element_at_a_time(kind):
+    # K = 100 values on the 401 x 401 grid take 128.6 MB.  The stencil and
+    # the residual run on one element's 1.3 MB plane at a time, so the peak
+    # stays within the values and 20 planes, where temporaries of the whole
+    # stack took it to 515 MB (fb) and 571 MB (sl).  The residuals keep the
+    # bits of the whole-stack arithmetic.
+    basis = build_basis(kind, 100)
+    plane = 401 * 401 * 8
+    tracemalloc.start()
+    try:
+        residuals = laplacian_residuals(basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (100 + 20) * plane
+    few = build_basis(kind, 12)
+    assert np.array_equal(laplacian_residuals(few), whole_stack_laplacian_residuals(few))
+    assert np.array_equal(residuals[:12], laplacian_residuals(few))
 
 
 @pytest.mark.parametrize("kind", ["fb", "sl"])

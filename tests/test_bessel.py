@@ -2,19 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
 import rstcnn.bessel
-from rstcnn.bessel import (
-    UnsupportedOrderError,
-    bessel_j,
-    bessel_j_groups,
-    bessel_j_slopes,
-    bessel_zero,
-    bessel_zero_groups,
-)
+from rstcnn.bessel import UnsupportedOrderError, bessel_j, bessel_j_slopes, bessel_zero
 
 # 17-digit values computed with mpmath at 25-digit precision.
 J_TABLE = [
@@ -47,8 +40,13 @@ DERIV_TABLE = [
 
 
 def slopes(m, xs):
-    """(J_m'(xs), m J_m(xs) / xs) for an array xs, the J_m(xs) from bessel_j."""
-    return bessel_j_slopes(m, xs, bessel_j(m, xs))
+    """(J_m'(xs), m J_m(xs) / xs) for an array xs, J_m(xs) and J_{m-1}(xs) (J_1 for m = 0) from bessel_j."""
+    return bessel_j_slopes(m, xs, bessel_j(m, xs), bessel_j(1 if m == 0 else m - 1, xs))
+
+
+def bits(a):
+    """The float64 bit patterns of a, so that equality also tells -0.0 from 0.0."""
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
 
 
 @pytest.mark.parametrize("m,x,expected", J_TABLE)
@@ -103,8 +101,8 @@ def test_vectorized_matches_scalar():
     vec = bessel_j(3, xs)
     assert vec.shape == xs.shape
     for i, x in enumerate(xs):
-        # array and scalar paths may differ in the last ulp
-        assert vec[i] == pytest.approx(bessel_j(3, float(x)), rel=1e-14, abs=1e-300)
+        one = bessel_j(3, float(x))
+        assert isinstance(one, float) and bits(vec[i]) == bits(one)
 
 
 def test_derivative_matches_finite_difference():
@@ -127,16 +125,11 @@ def test_slopes_obey_the_neighbour_identities():
     # with jm = J_m(x): J_m' = (J_{m-1} - J_{m+1}) / 2 and m J_m / x = (J_{m-1} + J_{m+1}) / 2
     xs = np.concatenate([[0.0, 1e-9], np.linspace(0.05, 20.0, 200)])
     for m in range(16):
-        jm = bessel_j(m, xs)
-        jprime, j_over = bessel_j_slopes(m, xs, jm)
+        jprime, j_over = slopes(m, xs)
         below = -bessel_j(1, xs) if m == 0 else bessel_j(m - 1, xs)
         above = bessel_j(m + 1, xs)
         assert np.abs(jprime - (below - above) / 2.0).max() < 1e-12
         assert np.abs(j_over - (0.0 if m == 0 else (below + above) / 2.0)).max() < 1e-12
-        # the J_{m-1} (J_1 for m = 0) bessel_j_slopes computes is the one a caller would pass
-        held = bessel_j_slopes(m, xs, jm, -below if m == 0 else below)
-        assert np.array_equal(jprime, held[0])
-        assert np.array_equal(j_over, held[1])
 
 
 def test_slopes_are_the_closed_form_bit_for_bit(monkeypatch):
@@ -145,25 +138,28 @@ def test_slopes_are_the_closed_form_bit_for_bit(monkeypatch):
     # Below x = 1e-8 the division gives way to the leading series term.
     xs = np.concatenate([[0.0, 1e-300, 1e-12, 9.9e-9, 1e-8, 1.1e-8], np.linspace(0.05, 20.0, 96)])
     tiny = xs < 1e-8
-    for m in range(rstcnn.bessel.MAX_ORDER + 1):
-        jm = bessel_j(m, xs)
-        jbelow = bessel_j(1 if m == 0 else m - 1, xs)
+    orders = np.arange(rstcnn.bessel.MAX_ORDER + 1)
+    jm = bessel_j(orders[:, None], xs)
+    jbelow = bessel_j(np.where(orders == 0, 1, orders - 1)[:, None], xs)
+    wants = []
+    for m in orders.tolist():
         if m == 0:
-            want_prime, want_over = -jbelow, np.zeros_like(xs)
+            want_prime, want_over = -jbelow[m], np.zeros_like(xs)
         else:
             want_over = np.empty_like(xs)
-            want_over[tiny] = m * (0.5 * xs[tiny]) ** (m - 1) / (2.0 * math.factorial(m))
-            want_over[~tiny] = m * jm[~tiny] / xs[~tiny]
-            want_prime = jbelow - want_over
-        given = bessel_j_slopes(m, xs, jm)
-        for got, want in zip(given, (want_prime, want_over)):
-            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
-        # a precomputed J_{m-1} (J_1 for m = 0) gives the same bits and no bessel_j call
-        with monkeypatch.context() as patch:
-            patch.setattr(rstcnn.bessel, "bessel_j", None)
-            held = bessel_j_slopes(m, xs, jm, jbelow)
-        for got, want in zip(held, given):
-            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+            # the leading term's power with an array exponent, like the package's
+            want_over[tiny] = m * (0.5 * xs[tiny]) ** np.full(tiny.sum(), m - 1) / (2.0 * math.factorial(m))
+            want_over[~tiny] = m * jm[m, ~tiny] / xs[~tiny]
+            want_prime = jbelow[m] - want_over
+        for got, want in zip(bessel_j_slopes(m, xs, jm[m], jbelow[m]), (want_prime, want_over)):
+            assert np.array_equal(bits(got), bits(want))
+        wants.append((want_prime, want_over))
+    # one call over every order broadcasts like bessel_j, gives the same bits, and calls no bessel_j
+    with monkeypatch.context() as patch:
+        patch.setattr(rstcnn.bessel, "bessel_j", None)
+        given = bessel_j_slopes(orders[:, None], xs, jm, jbelow)
+    for got, want in zip(given, zip(*wants)):
+        assert np.array_equal(bits(got), bits(np.stack(want)))
 
 
 def test_unsupported_order():
@@ -171,6 +167,19 @@ def test_unsupported_order():
         bessel_j(17, 1.0)
     with pytest.raises(UnsupportedOrderError):
         bessel_zero(17, 1)
+    for bad in (-1, 1.0, np.array([3, 17]), np.array([1.0, 2.0]), "3"):
+        with pytest.raises(UnsupportedOrderError):
+            bessel_j(bad, [1.0, 2.0])
+        with pytest.raises(UnsupportedOrderError):
+            bessel_zero(bad, 1)
+    with pytest.raises(UnsupportedOrderError):
+        bessel_j_slopes(np.array([2, 17]), np.ones(2), np.ones(2), np.ones(2))
+
+
+@pytest.mark.parametrize("x", [-1.0, [2.0, -0.5], math.inf, [1.0, math.nan]])
+def test_bad_points_rejected(x):
+    with pytest.raises(ValueError, match="finite x|x >= 0"):
+        bessel_j(np.array([0, 1]), x)
 
 
 @settings(max_examples=60, deadline=None)
@@ -247,8 +256,8 @@ def test_fb_basis_is_the_k_lowest_disk_modes():
 J_GROUPS = [
     (0, [0.0, 0.5, 1.9, 2.0, 2.1, 7.5, 60.0]),  # x = 0, series and recurrence points
     (16, [0.0, 3.0, 8.2, 8.3, 40.0]),  # the top order, both regimes
-    (1, [7.5]),  # one point, far below the largest x of the groups around it
-    (1, [0.3, 7.5, 60.0]),  # the same order and point, a later start order
+    (1, [7.5]),  # one point, far below the largest x of the calls around it
+    (1, [0.3, 7.5, 60.0]),  # the same order and point among larger ones
     (5, [0.1, 1.0, 4.0]),  # no recurrence points
     (16, [9.0, 12.5]),  # no series points
     (3, [0.0]),
@@ -256,105 +265,163 @@ J_GROUPS = [
 
 
 def test_grouped_evaluation_keeps_each_groups_bits():
-    # every point runs the recurrence from its own group's start order and
-    # leaves the series with its own group, so grouping changes no bit
-    orders = [m for m, _ in J_GROUPS]
-    xs = [np.array(x) for _, x in J_GROUPS]
-    for got, m, x in zip(bessel_j_groups(orders, xs), orders, xs):
-        assert np.array_equal(got, bessel_j(m, x))
-    # the groups are not bit-equal to one call over their union, so the test can see a shared start
-    assert bessel_j(1, [7.5])[0] != bessel_j(1, [7.5, 60.0])[0]
-    assert bessel_j_groups([2, 0], [3.5, np.array([[1.0, 9.0]])])[0] == bessel_j(2, 3.5)
+    # one call over every (order, point) pair of the groups gives each the
+    # bits of its own group's call and of its one-point call
+    orders = np.concatenate([np.full(len(x), m) for m, x in J_GROUPS])
+    xs = np.concatenate([x for _, x in J_GROUPS])
+    got = bessel_j(orders, xs)
+    want = np.concatenate([bessel_j(m, np.array(x)) for m, x in J_GROUPS])
+    assert np.array_equal(bits(got), bits(want))
+    assert np.array_equal(bits(got), bits([bessel_j(int(m), float(x)) for m, x in zip(orders, xs)]))
+    # a point's value does not depend on the larger points beside it
+    assert bessel_j(1, [7.5])[0] == bessel_j(1, [7.5, 60.0])[0]
+    # orders broadcast against points: [2] x [1, 2] gives [2, 2], and scalars a float
+    table = bessel_j(np.array([[2], [0]]), np.array([[3.5, 9.0]]))
+    assert table.shape == (2, 2) and table[0, 0] == bessel_j(2, 3.5) and table[1, 1] == bessel_j(0, 9.0)
+    assert bessel_j(np.array([3, 4]), np.empty((0, 1))).shape == (0, 2)
+    with pytest.raises(ValueError):
+        bessel_j(np.array([3, 4]), [1.0, 2.0, 3.0])
 
 
 def _recording_miller(monkeypatch):
-    # the groups of orders each _miller call receives, one list per call
+    # the (orders, points) entries each _miller call receives, one pair per call
     calls = []
     miller = rstcnn.bessel._miller
-    monkeypatch.setattr(rstcnn.bessel, "_miller", lambda orders, xs: calls.append(list(orders)) or miller(orders, xs))
+    monkeypatch.setattr(rstcnn.bessel, "_miller", lambda m, x: calls.append((m.copy(), x.copy())) or miller(m, x))
     return calls
 
 
 def test_a_group_of_orders_shares_one_recurrence_bit_for_bit(monkeypatch):
-    # (m, m - 1) and (0, 1) on one point set start their recurrences from
-    # the same order, so one recurrence captures both, and each keeps the
-    # bits of its own bessel_j call; the points lie on both sides of both
-    # orders' series cuts
+    # (m, m - 1) and (0, 1) broadcast on one point set: every recurrence
+    # point starts from an order set by its x alone, so one recurrence per
+    # distinct x captures both orders, and each keeps the bits of its own
+    # bessel_j call; the points lie on both sides of both orders' series cuts
     calls = _recording_miller(monkeypatch)
+    # the points each recurrence block runs
+    runs = []
+    recurrence = rstcnn.bessel._recurrence
+    monkeypatch.setattr(rstcnn.bessel, "_recurrence", lambda m, xs, at: runs.append(xs.copy()) or recurrence(m, xs, at))
     for m in range(17):
-        for pair in ((m, 1 if m == 0 else m - 1), (0, 1)):
+        for pair in ((m, 1 if m == 0 else m - 1), (0, 1), (16, 15)):
             cuts = [2.0 * math.sqrt(n + 1.0) for n in pair]
-            x = np.array([0.0, 1.0, 40.0] + [c + d for c in cuts for d in (-0.01, 0.0, 0.01)])
+            x = np.array([0.0, 1.0, 40.0, 40.0] + [c + d for c in cuts for d in (-0.01, 0.0, 0.01)])
             calls.clear()
-            got = bessel_j_groups([pair], [x])[0]
-            assert calls == [[pair]]
-            assert len(got) == 2
+            runs.clear()
+            got = bessel_j(np.array(pair)[:, None], x)
+            assert len(calls) == 1
+            orders, points = calls[0]
+            # one entry per order past its cut, and one recurrence per distinct point among them
+            assert orders.size == sum(int(np.sum(x > c)) for c in cuts)
+            assert np.array_equal(np.concatenate(runs), np.unique(x[x > min(cuts)])[::-1])
             for values, n in zip(got, pair):
-                assert np.array_equal(values, bessel_j(n, x))
-    assert bessel_j_groups([(2, 1), 3], [3.5, [9.0]]) == [(bessel_j(2, 3.5), bessel_j(1, 3.5)), bessel_j(3, [9.0])]
-    assert [a.shape for a in bessel_j_groups([(3, 2)], [np.empty((0, 2))])[0]] == [(0, 2), (0, 2)]
-    # J_16 and J_15 on points below 15 start one order apart: two recurrences
-    x = np.array([9.0, 12.5])
-    calls.clear()
-    got = bessel_j_groups([(16, 15)], [x])[0]
-    assert sorted(calls[0]) == [(15,), (16,)]
-    assert np.array_equal(got[0], bessel_j(16, x)) and np.array_equal(got[1], bessel_j(15, x))
+                assert np.array_equal(bits(values), bits(bessel_j(n, x)))
 
 
 @pytest.mark.parametrize("grad", [True, False])
 def test_recipe_runs_one_recurrence_per_radial_mode(grad, monkeypatch):
-    # a K = 10 recipe on the 301 grid passes each radial mode's J_m, and
-    # for gradients its J_{m-1} (J_1 for m = 0), as one recurrence group:
-    # each of the orders whose series cut some lam * radius passes
+    # a K = 10 recipe on the 301 grid passes every radial mode's J_m, and
+    # for gradients its J_{m-1} (J_1 for m = 0), to one recurrence call: one
+    # entry per order whose series cut lam * radius passes
     from rstcnn.basis import SpatialRecipe, build_basis, unit_grid
 
     elements = build_basis("fb", 10).spatial
     modes = sorted({(e.indices[0], e.eigenvalue) for e in elements})
     pts = unit_grid(301)[0]
     radius = np.hypot(pts[..., 0], pts[..., 1])
-    rmax = radius[radius < 1.0].max()
+    radii = np.unique(radius[radius < 1.0])
     calls = _recording_miller(monkeypatch)
     SpatialRecipe(elements, pts, grad)
-    orders = [(m, 1 if m == 0 else m - 1)[: 2 if grad else 1] for m, _ in modes]
-    want = [tuple(n for n in o if math.sqrt(mu) * rmax > 2.0 * math.sqrt(n + 1.0)) for o, (_, mu) in zip(orders, modes)]
-    assert sorted(group for call in calls for group in call) == sorted(want)
-    assert sum(len(group) == 2 for group in want) == (len(modes) - 1 if grad else 0)
+    want = []
+    for m, mu in modes:
+        r = math.sqrt(mu) * radii
+        for n in (m, 1 if m == 0 else m - 1)[: 2 if grad else 1]:
+            want.extend((n, x) for x in r[r > 2.0 * math.sqrt(n + 1.0)].tolist())
+    (orders, points), = calls
+    assert sorted(zip(orders.tolist(), points.tolist())) == sorted(want)
+    # with gradients most distinct points carry two orders, and run one recurrence for both
+    assert np.unique(points).size == len({x for _, x in want})
+    assert (orders.size > 1.9 * np.unique(points).size) == grad
 
 
 def test_grouped_zeros_keep_each_orders_bits():
-    orders = list(range(17))
-    qs = [np.arange(1, 17)] * 16 + [1]
-    got = bessel_zero_groups(orders, qs)
-    for z, m, q in zip(got, orders, qs):
-        one = bessel_zero(m, q)
-        assert np.array_equal(z, one) and type(z) is type(one)
+    orders = np.arange(17)
+    qs = np.arange(1, 17)
+    got = bessel_zero(orders[:, None], qs)
+    assert got.shape == (17, 16)
+    for m in orders.tolist():
+        assert np.array_equal(bits(got[m]), bits(bessel_zero(m, qs)))
+        assert bits(got[m, 3]) == bits(bessel_zero(m, 4))
     qs2 = np.array([[3, 1], [7, 2]])
-    assert np.array_equal(bessel_zero_groups([5, 0], [qs2, 4])[0], bessel_zero(5, qs2))
+    assert np.array_equal(bits(bessel_zero(np.array([[5], [0]]), qs2)), bits(np.stack([bessel_zero(5, qs2[0]), bessel_zero(0, qs2[1])])))
+    assert isinstance(bessel_zero(np.int64(5), np.int64(2)), float)
     with pytest.raises(UnsupportedOrderError):
-        bessel_zero_groups([3, 17], [1, 1])
+        bessel_zero(np.array([3, 17]), 1)
     with pytest.raises(ValueError):
-        bessel_zero_groups([3, 4], [1, 0])
-    with pytest.raises(ValueError, match="2 orders for 1"):
-        bessel_zero_groups([3, 4], [1])
-    with pytest.raises(ValueError, match="1 orders for 2"):
-        bessel_j_groups([3], [1.0, 2.0])
+        bessel_zero(np.array([3, 4]), np.array([1, 0]))
+    with pytest.raises(ValueError):
+        bessel_zero(np.array([3, 4]), np.array([1, 2, 3]))
+
+
+# points that draw repeats often: the series cuts of orders 0, 1 and 16, and the FOUND example's pair
+PURITY_POINTS = st.one_of(
+    st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
+    st.sampled_from([0.0, 2.0, 2.0 * math.sqrt(2.0), 2.0 * math.sqrt(17.0), 7.5, 60.0]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@example(order=1, xs=[7.5, 60.0], seed=0)
+@given(
+    order=st.one_of(st.integers(0, 16), st.lists(st.integers(0, 16), min_size=1, max_size=5)),
+    xs=st.lists(PURITY_POINTS, min_size=1, max_size=12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_bessel_j_is_pointwise_pure(order, xs, seed):
+    # every entry is its one-element call, whatever the shape, order or
+    # company of the call it is part of
+    m = np.array(order)[:, None] if isinstance(order, list) else order
+    x = np.array(xs)
+    got = bessel_j(m, x)
+    mb, xb = np.broadcast_arrays(m, x)
+    assert np.array_equal(bits(got), bits([bessel_j(int(a), float(b)) for a, b in zip(mb.ravel(), xb.ravel())]).reshape(got.shape))
+    perm = np.random.default_rng(seed).permutation(x.size)
+    assert np.array_equal(bits(bessel_j(m, x[perm])), bits(got[..., perm]))
+    assert np.array_equal(bits(bessel_j(m, x[1::2])), bits(got[..., 1::2]))
+    assert np.array_equal(bits(bessel_j(mb.ravel(), xb.ravel())), bits(got.ravel()))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    order=st.lists(st.integers(0, 16), min_size=1, max_size=4),
+    qs=st.lists(st.integers(1, 20), min_size=1, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_bessel_zero_is_pointwise_pure(order, qs, seed):
+    m, q = np.array(order)[:, None], np.array(qs)
+    got = bessel_zero(m, q)
+    mb, qb = np.broadcast_arrays(m, q)
+    assert np.array_equal(bits(got), bits([bessel_zero(int(a), int(b)) for a, b in zip(mb.ravel(), qb.ravel())]).reshape(got.shape))
+    perm = np.random.default_rng(seed).permutation(q.size)
+    assert np.array_equal(bits(bessel_zero(m, q[perm])), bits(got[:, perm]))
+    assert np.array_equal(bits(bessel_zero(m[::-1], q)), bits(got[::-1]))
 
 
 @pytest.mark.parametrize("m", [0, 1, 16])
 def test_recurrence_renormalizes_and_stays_accurate(m, monkeypatch):
-    # A point just above the series cut, run from the start order of x = 1000,
-    # grows past any float64 on the way down unless the state is rescaled.
+    # A point at x = 3000 starts its own recurrence at order 4560 and grows
+    # past any float64 on the way down unless the state is rescaled.
     scipy_special = pytest.importorskip("scipy.special")
-    xs = np.array([2.0 * math.sqrt(m + 1.0) + 0.01, 1000.0])
+    xs = np.array([2.0 * math.sqrt(m + 1.0) + 0.01, 3000.0])
     got = bessel_j(m, xs)
     assert np.abs(got - scipy_special.jv(m, xs)).max() < 1e-12
     # the rescaling is by an exact power of two, so checking at every order gives the same bits
     monkeypatch.setattr(rstcnn.bessel, "_RENORM_EVERY", 1)
     assert np.array_equal(bessel_j(m, xs), got)
-    # and without it the state does overflow
+    # and without it the large point's state does overflow, while the small one keeps its bits
     monkeypatch.setattr(rstcnn.bessel, "_RENORM_ROOM", math.inf)
     with np.errstate(all="ignore"):
-        assert not np.isfinite(bessel_j(m, xs)[0])
+        raw = bessel_j(m, xs)
+    assert not np.isfinite(raw[1]) and raw[0] == got[0]
 
 
 def test_fb_pool_equals_the_per_order_pool_bit_for_bit():
@@ -367,16 +434,16 @@ def test_fb_pool_equals_the_per_order_pool_bit_for_bit():
 
 
 def test_fb_pool_makes_a_fixed_number_of_recurrence_passes(monkeypatch):
-    # one grouped scan, six grouped Newton steps and one grouped
-    # normalization pass, whatever the number of orders
+    # one broadcast scan, six broadcast Newton steps and one broadcast
+    # normalization call, whatever the number of orders
     from rstcnn.basis import _fb_pool
 
     miller = rstcnn.bessel._miller
     passes = []
 
-    def counted(orders, xs):
-        passes.append(len(orders))
-        return miller(orders, xs)
+    def counted(m, x):
+        passes.append(m.size)
+        return miller(m, x)
 
     monkeypatch.setattr(rstcnn.bessel, "_miller", counted)
     _fb_pool.cache_clear()

@@ -24,8 +24,8 @@ L_alpha = 3
 seed = 3
 """
 PIN_SHA256 = {
-    0: "39d9fa735fb17dfb6d4b12507f888ba8aa71953ec398ce4957e2709c8f061ed3",
-    1: "b3f7706a869891bbb3d840b5e5defc5c8e58fd078bcf5531de23fbc53b702c5b",
+    0: "3801dcc2c107c9396162ccf47f0d1da7ce1c5c5c762a78821a330888ba5f6356",
+    1: "965ea0f8b64202811a9c513c98c0dafc7bdc5c299ce1935322b3b4b51fdfc3bc",
 }
 
 

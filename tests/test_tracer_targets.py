@@ -57,12 +57,12 @@ def test_basis_evaluation_parts_call_no_traced_function(monkeypatch):
     open_span = tracer._open
     monkeypatch.setattr(tracer, "_open", lambda name: opened_in.append(threading.current_thread()) or open_span(name))
     monkeypatch.setattr(rstcnn.parts, "_PARTS", 3)
-    # per stage, the threads that assembled basis blocks or ran radial Bessel passes
+    # per stage, the threads that assembled basis blocks or ran the radial Bessel call
     worked_in = [set()]
     fill = rstcnn.basis.SpatialRecipe.fill
     monkeypatch.setattr(rstcnn.basis.SpatialRecipe, "fill", lambda *a: worked_in[-1].add(threading.current_thread()) or fill(*a))
-    groups = rstcnn.basis.bessel_j_groups
-    monkeypatch.setattr(rstcnn.basis, "bessel_j_groups", lambda *a: worked_in[-1].add(threading.current_thread()) or groups(*a))
+    bessel_j = rstcnn.basis.bessel_j
+    monkeypatch.setattr(rstcnn.basis, "bessel_j", lambda *a: worked_in[-1].add(threading.current_thread()) or bessel_j(*a))
     basis = build_basis("fb", 10)
     net = small_net(layers=2, channels=2, K=5, L_alpha=2)
     coeffs = init_coeffs(net, seed=0)
@@ -81,10 +81,10 @@ def test_basis_evaluation_parts_call_no_traced_function(monkeypatch):
     finally:
         tracer.uninstall()
     main = threading.main_thread()
-    # the quadrature's radial passes and both reports' blocks run on pool
-    # threads; the bank's 5,832 points are fewer than two chunks, which the
-    # caller's thread evaluates alone
-    assert [len(threads - {main}) > 0 for threads in worked_in[1:]] == [True, False, True, True]
+    # both reports' blocks run on pool threads; the quadrature's one radial
+    # Bessel call runs on the caller's thread, and the bank's 5,832 points are
+    # fewer than two chunks, which the caller's thread evaluates alone
+    assert [len(threads - {main}) > 0 for threads in worked_in[1:]] == [False, False, True, True]
     assert {t.name for t in opened_in} <= {main.name}
     assert tracer._stack == []
 
