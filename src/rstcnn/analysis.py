@@ -1,6 +1,6 @@
 """Equivariance, stability, and filter-bound measurements.
 
-Everything here measures a trained-free network against the group action:
+Everything here measures a training-free network against the group action:
 the relative equivariance error on the (theta=0, alpha=0) slice, the
 deformation-stability certificate lhs <= 2^(beta+1) (4 L |grad tau| +
 2^(-j_L) |tau|) ||x||, non-expansiveness of the layer stack, and quadrature
@@ -310,15 +310,12 @@ def disk_quadrature(basis, n=BOUND_QUAD_N):
     2 pi (j + 1/2) / (2n) with weights 2 pi / (2n).  Sine elements live on
     the square: n x n Gauss-Legendre nodes on (-1, 1)^2.  Every node lies
     strictly inside the domain and off the origin, so no edge cuts the rule
-    and no node is dropped.  A basis that mixes both kinds has no one domain
-    and raises ValueError.
+    and no node is dropped.  A basis that mixes both kinds has no one domain,
+    and its SpatialRecipe raises ValueError.
     """
-    kinds = sorted({e.kind for e in basis.spatial})
-    if kinds not in (["fb-disk"], ["sl-square"]):
-        raise ValueError(f"spatial elements of kinds {' and '.join(map(repr, kinds))} share no one domain")
     if n < 2 or n % 2:
         raise ValueError(f"n must be even and >= 2, got {n}")
-    if kinds == ["fb-disk"]:
+    if basis.spatial_kind == "fb":
         x, w = np.polynomial.legendre.leggauss(n // 2)
         r = (x + 1.0) / 2.0
         phi = 2.0 * math.pi * (np.arange(2 * n) + 0.5) / (2 * n)
@@ -391,19 +388,18 @@ def filter_bound_report(coeffs, bases, specs, quad, n_theta=64):
     # (see rstcnn.parts).  Each block writes its own sums, which are then added
     # in block order, so the sums are bit-identical for every part count
     # and whichever layers share the pass.
-    size, step = quad.radius.size, quad.recipe.chunk
+    chunks = quad.recipe.chunks
     radius_weights = quad.radius * quad.weights
-    starts = range(0, size, step)
-    per_block = [np.empty((len(starts), len(cs), 3, len(cs[0]))) for cs in layers]
+    per_block = [np.empty((len(chunks), len(cs), 3, len(cs[0]))) for cs in layers]
 
     def part(lo, hi):
         for i in range(lo, hi):
-            a, b = starts[i], min(starts[i] + step, size)
+            a, b = chunks[i]
             vals, grads = quad.recipe.assemble(a, b)
             for cs, out in zip(layers, per_block):
                 out[i] = _block_sums(cs, vals, grads, quad.weights[a:b], radius_weights[a:b])
 
-    run_parts(part, len(starts))
+    run_parts(part, len(chunks))
     reports = []
     for c, basis, spec, blocks in zip(coeffs, bases, specs, per_block):
         per_theta = np.zeros(blocks.shape[1:])

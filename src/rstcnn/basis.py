@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bessel import bessel_j, bessel_j_slopes, bessel_zero
-from .parts import run_parts
 
 FB_POOL_MAX_M = 15
 FB_POOL_MAX_Q = 16
@@ -137,17 +136,18 @@ def build_basis(spatial_kind, K, max_angular=4, n_scale=1):
 # Values per assembled chunk, K elements x points: 4096 points at K = 10,
 # 1 MB for the values and both gradient components, whose assembly stays in
 # cache (on a 2-vCPU VM it took 260-300 ns a point, against 490-770 ns at
-# 6144 or 8192 points).  An evaluation goes in whole chunks, the last taking
-# the rest, so one of fewer than two chunks (a K = 10 bank samples 5,832
-# points) runs on the caller's thread alone; a larger one splits its chunks
-# over the part pool.
+# 6144 or 8192 points).  An evaluation goes in whole chunks, the last one
+# short, on the caller's thread, so its temporaries stay chunk-sized (a
+# K = 100 evaluation on the 401 x 401 grid of laplacian_residuals takes 394
+# chunks of 409 points).
 _CHUNK_VALUES = 10 * 4096
 
 
 class SpatialRecipe:
-    """Spatial elements at fixed points[..., 2], held as the factors their values share.
+    """Spatial elements of one kind at fixed points[..., 2], held as the factors their values share.
 
-    One bessel_j call gives every Fourier-Bessel radial mode's J_m (and,
+    Elements of two kinds share no one domain and raise ValueError.  One
+    bessel_j call gives every Fourier-Bessel radial mode's J_m (and,
     with grad, J_m' and m J_m / x) on the distinct radii of the points inside
     the disk, and each point keeps its phi, cos phi, sin phi and the index of
     its radius.  Sine elements keep their per-index factors on the distinct
@@ -158,23 +158,27 @@ class SpatialRecipe:
     """
 
     def __init__(self, elements, points, grad=False):
-        for e in elements:
-            if e.kind not in _SPATIAL_KINDS:
-                raise ValueError(f"not a spatial element: {e.kind}")
+        kinds = sorted({e.kind for e in elements})
+        for kind in kinds:
+            if kind not in _SPATIAL_KINDS:
+                raise ValueError(f"not a spatial element: {kind}")
+        if len(kinds) != 1:
+            raise ValueError(f"spatial elements of kinds {' and '.join(map(repr, kinds))} share no one domain")
         flat = np.asarray(points, dtype=np.float64).reshape(-1, 2)
         x, y = flat[:, 0], flat[:, 1]
         self.n_elements, self.size, self.grad = len(elements), x.size, grad
-        self.chunk = max(1, _CHUNK_VALUES // max(1, len(elements)))
-        self.kinds = []
-        for kind, (domain, factors) in _SPATIAL_KINDS.items():
-            rows = [k for k, e in enumerate(elements) if e.kind == kind]
-            if rows:
-                self.kinds.append(factors(elements, rows, x, y, domain(x, y), grad))
+        self.chunk = max(1, _CHUNK_VALUES // len(elements))
+        domain, factors = _SPATIAL_KINDS[kinds[0]]
+        self.factors = factors(elements, x, y, domain(x, y), grad)
+
+    @property
+    def chunks(self):
+        """The (lo, hi) of each chunk of the points: whole chunks, the last one short."""
+        return [(lo, min(lo + self.chunk, self.size)) for lo in range(0, self.size, self.chunk)]
 
     def fill(self, lo, hi, vals, grads=None):
         """Write points lo..hi into vals [K, hi - lo] and, with grad, grads [2, K, hi - lo]."""
-        for factors in self.kinds:
-            factors.fill(slice(lo, hi), vals, grads)
+        self.factors.fill(slice(lo, hi), vals, grads)
 
     def assemble(self, lo, hi):
         """Values [K, hi - lo] and, with grad, gradients [2, K, hi - lo] of points lo..hi."""
@@ -183,16 +187,6 @@ class SpatialRecipe:
         self.fill(lo, hi, vals, grads)
         return vals, grads
 
-    def for_chunks(self, fn):
-        """fn(lo, hi) over whole chunks of the points, the last taking the rest, split over the part pool."""
-        count = max(1, self.size // self.chunk)
-
-        def part(a, b):
-            for i in range(a, b):
-                fn(i * self.chunk, self.size if i == count - 1 else (i + 1) * self.chunk)
-
-        run_parts(part, count)
-
 
 def eval_spatial_stack(elements, points, grad=False):
     """Spatial elements at points[..., 2] in unit-domain coordinates: values [K, ...].
@@ -200,13 +194,14 @@ def eval_spatial_stack(elements, points, grad=False):
     With grad=True returns (values, gradients [2, K, ...]), the x and y
     components of the Cartesian gradients, each contiguous.  Both are zero
     on and outside each element's domain.  One SpatialRecipe of the points
-    is assembled in one go, so its shared work is done once per call.
+    does the shared work once per call, and its chunks are filled in turn.
     """
     pts = np.asarray(points, dtype=np.float64)
     recipe = SpatialRecipe(elements, pts, grad)
     vals = np.empty((len(elements), recipe.size))
     grads = np.empty((2,) + vals.shape) if grad else None
-    recipe.for_chunks(lambda lo, hi: recipe.fill(lo, hi, vals[:, lo:hi], None if grads is None else grads[..., lo:hi]))
+    for lo, hi in recipe.chunks:
+        recipe.fill(lo, hi, vals[:, lo:hi], None if grads is None else grads[..., lo:hi])
     vals = vals.reshape((len(elements),) + pts.shape[:-1])
     return (vals, grads.reshape((2,) + vals.shape)) if grad else vals
 
@@ -216,15 +211,14 @@ def _zero_outside(factors, sel, arrays):
     if factors.inside is not None:
         outside = np.flatnonzero(~factors.inside[sel])
         for a in arrays:
-            a[np.ix_(factors.rows, outside)] = 0.0
+            a[:, outside] = 0.0
 
 
 class _FbFactors:
-    # Every row of one fill goes through each step at once, with the
+    # Every element of one fill goes through each step at once, with the
     # arithmetic of a per-element evaluation, so a chunk costs a fixed number
     # of array operations whatever K.
-    def __init__(self, elements, rows, x, y, inside, grad):
-        self.rows = rows
+    def __init__(self, elements, x, y, inside, grad):
         self.inside = None if inside.all() else inside
         self.phi = np.arctan2(y, x)
         self.cu, self.su = (np.cos(self.phi), np.sin(self.phi)) if grad else (None, None)
@@ -237,17 +231,17 @@ class _FbFactors:
         self.at = np.full(x.size, radii.size)
         self.at[inside] = back
         modes = {}
-        for k in rows:
-            modes.setdefault((elements[k].indices[0], elements[k].eigenvalue), len(modes))
+        for e in elements:
+            modes.setdefault((e.indices[0], e.eigenvalue), len(modes))
         mode_m = np.array([m for m, _ in modes], dtype=np.intp)
         lams = np.sqrt([mu for _, mu in modes])
-        mode = np.array([modes[elements[k].indices[0], elements[k].eigenvalue] for k in rows])
-        is_sin = np.array([elements[k].harmonic == "sin" for k in rows])
-        c = np.array([elements[k].normalization for k in rows])
+        mode = np.array([modes[e.indices[0], e.eigenvalue] for e in elements])
+        is_sin = np.array([e.harmonic == "sin" for e in elements])
+        c = np.array([e.normalization for e in elements])
         lam = lams[mode]
         # rows of the stacked [cos(m phi); sin(m phi)] of the distinct m: each
         # element's own harmonic and the other one
-        self.m, m_at = np.unique([elements[k].indices[0] for k in rows], return_inverse=True)
+        self.m, m_at = np.unique([e.indices[0] for e in elements], return_inverse=True)
         self.own = m_at + self.m.size * is_sin
         self.other = m_at + self.m.size * ~is_sin
         self.mode, self.c = mode, c
@@ -277,8 +271,7 @@ class _FbFactors:
         # each product in place, in the order c * J_m * (cos or sin)(m phi)
         value = radial[0][self.mode]
         value *= self.c[:, None]
-        value *= own
-        vals[self.rows] = value
+        np.multiply(value, own, out=vals)
         if grads is None:
             return
         # m J_m(lam rho) / rho = lam * (m J_m / x)(lam rho)
@@ -293,22 +286,21 @@ class _FbFactors:
         # cu d_rho - su d_phi_over_rho, then su d_rho + cu d_phi_over_rho
         gx = cu * d_rho
         gx -= su * d_phi_over_rho
-        grads[0, self.rows] = gx
+        grads[0] = gx
         d_rho *= su
         d_phi_over_rho *= cu
         d_rho += d_phi_over_rho
-        grads[1, self.rows] = d_rho
+        grads[1] = d_rho
         _zero_outside(self, sel, (grads[0], grads[1]))
 
 
 class _SlFactors:
-    def __init__(self, elements, rows, x, y, inside, grad):
-        self.rows = rows
+    def __init__(self, elements, x, y, inside, grad):
         self.inside = None if inside.all() else inside
-        # per row, its factor of each axis on that axis's distinct coordinates
+        # per element, its factor of each axis on that axis's distinct coordinates
         coords, at = zip(*(np.unique(c, return_inverse=True) for c in (x, y)))
         self.at = np.stack(at)
-        n = [np.array([elements[k].indices[axis] for k in rows])[:, None] for axis in (0, 1)]
+        n = [np.array([e.indices[axis] for e in elements])[:, None] for axis in (0, 1)]
         self.waves = [np.sin(n[a] * math.pi * (coords[a] + 1.0) / 2.0) for a in (0, 1)]
         self.slopes = None
         if grad:
@@ -317,11 +309,11 @@ class _SlFactors:
 
     def fill(self, sel, vals, grads):
         bx, by = self.at[:, sel]
-        vals[self.rows] = self.waves[0][:, bx] * self.waves[1][:, by]
+        vals[:] = self.waves[0][:, bx] * self.waves[1][:, by]
         if grads is not None:
             (hp, sx, cx), (hq, sy, cy) = self.slopes
-            grads[0, self.rows] = hp * cx[:, bx] * sy[:, by]
-            grads[1, self.rows] = hq * sx[:, bx] * cy[:, by]
+            grads[0] = hp * cx[:, bx] * sy[:, by]
+            grads[1] = hq * sx[:, bx] * cy[:, by]
         _zero_outside(self, sel, (vals,) if grads is None else (vals, grads[0], grads[1]))
 
 

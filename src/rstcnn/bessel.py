@@ -2,11 +2,13 @@
 
 Self-contained evaluation of J_m(x) and its zeros, elementwise over numpy
 arrays: the order is an int or an integer array broadcast against the
-points, and Python floats take the same array path.  Two regimes: an
-ascending power series where its terms are non-increasing (no
-cancellation), and Miller's downward recurrence with normalization
-J_0(x) + 2*sum_t J_{2t}(x) = 1 elsewhere.  Accuracy is ~1e-12 absolute for
-J_m over the supported order range, and ~1e-14 for its zeros.
+points, and Python floats take the same array path.  Orders run 0 to
+MAX_ORDER and points 0 to X_MAX = 500, far past the largest argument a
+basis reaches: its radial modes stay below j_{16,1} = 21.1 inside the
+unit disk, and the scans for their zeros end below 80.  Two regimes: an ascending power series where its terms
+are non-increasing (no cancellation), and Miller's downward recurrence
+with normalization J_0(x) + 2*sum_t J_{2t}(x) = 1 elsewhere.  Accuracy is
+~1e-12 absolute for J_m over that domain, and ~1e-14 for its zeros.
 
 Every value depends on its (order, x) alone, never on the other entries of
 a call.  A recurrence point starts from an order set by its own x, and the
@@ -25,15 +27,11 @@ import numpy as np
 
 MAX_ORDER = 16
 
-# Renormalization guard for the downward recurrence, checked every
-# _RENORM_EVERY orders.  Recurrence points have x > 2 (the series cut
-# 2*sqrt(m+1) is at least 2), so a step from order n grows the running state
-# by at most 2n/x + 1 <= n + 1: a state below _RENORM_ROOM / (n + 1)^_RENORM_EVERY
-# at a check cannot overflow before the next one.  Rescaling by an exact
-# power of two changes no bit of the result, whenever it happens.
-_RENORM_EVERY = 16
-_RENORM_ROOM = 2.0**1000
-_RENORM_SCALE = 2.0**-1000
+# The largest point bessel_j accepts.  A recurrence step from order n grows
+# the running state by at most 2n/x + 1, so from its start value 1e-30 the
+# state of any point x <= X_MAX stays below 1e287 (at most 1e284, near
+# X_MAX), and its normalization sum below the float64 maximum.
+X_MAX = 500.0
 _SERIES_TOL = 1e-18
 # recurrence points per block, whose state stays in cache
 _BLOCK = 32768
@@ -122,21 +120,12 @@ def _recurrence(m, xs, at):
             captured[n - 1] = jc
         if (n - 1) >= 2 and (n - 1) % 2 == 0:
             half[:k] += jc[:k]
-        if n % _RENORM_EVERY == 0:
-            big = np.maximum(np.abs(jc[:k]), np.abs(jp[:k])) > _RENORM_ROOM / (n + 1.0) ** _RENORM_EVERY
-            if np.any(big):
-                scale = np.where(big, _RENORM_SCALE, 1.0)
-                jp[:k] *= scale
-                jc[:k] *= scale
-                half[:k] *= scale
-                if n - 1 <= MAX_ORDER:
-                    captured[n - 1 :] *= scale
     norm = 2.0 * half + jc  # jc is now J_0
     return captured[m, at] / norm[at]
 
 
 def bessel_j(order, x):
-    """J_order(x) for integer 0 <= order <= MAX_ORDER and x >= 0, elementwise.
+    """J_order(x) for integer 0 <= order <= MAX_ORDER and 0 <= x <= X_MAX, elementwise.
 
     order is an int or an integer array, broadcast against x; the result
     is a float when both are scalars and a float64 array of the broadcast
@@ -149,6 +138,8 @@ def bessel_j(order, x):
         raise ValueError("bessel_j requires finite x")
     if np.any(xa < 0):
         raise ValueError("bessel_j requires x >= 0")
+    if np.any(xa > X_MAX):
+        raise ValueError(f"bessel_j requires x <= X_MAX = {X_MAX:g}, got {float(xa.max())!r}")
     shape = np.broadcast_shapes(m.shape, xa.shape)
     ms, xs = (np.broadcast_to(a, shape).ravel() for a in (m, xa))
     out = np.empty(xs.size)
@@ -192,7 +183,8 @@ def bessel_zero(order, q):
     A grid point is start + 0.2 i, so a longer grid brackets each zero
     alike.  Six Newton steps from the bracket midpoints, each one bessel_j
     call for J_m and J_{m-1} at every zero and clipped to its bracket so it
-    cannot reach a neighbouring zero, then refine every zero at once.
+    cannot reach a neighbouring zero, then refine every zero at once.  A q
+    whose scan would pass X_MAX raises ValueError.
     """
     m = _orders(order)
     qa = np.asarray(q)
@@ -204,7 +196,10 @@ def bessel_zero(order, q):
     step = 0.2
     starts = np.where(orders == 0, 1e-9, 0.5 * orders)
     stop = (int(qa.max()) + 0.5 * orders.max() + 0.75) * math.pi
-    grid = starts[:, None] + step * np.arange(int((stop - starts.min()) / step) + 2)
+    count = int((stop - starts.min()) / step) + 2
+    if starts.max() + step * (count - 1) > X_MAX:
+        raise ValueError(f"zero index q = {int(qa.max())} needs a scan past X_MAX = {X_MAX:g}")
+    grid = starts[:, None] + step * np.arange(count)
     f = bessel_j(orders[:, None], grid)
     changes = np.cumsum((f[:, :-1] * f[:, 1:] < 0) | (f[:, 1:] == 0.0), axis=1)
     # the q-th sign change of each entry's order is where its count reaches q

@@ -76,6 +76,9 @@ class ExperimentConfig:
             raise ConfigError(f"seeds must be >= 0, got {min(self.seeds)}")
         if min(self.k_list) < 1:
             raise ConfigError(f"k_list entries must be >= 1, got {min(self.k_list)}")
+        if 2 in self.l_alpha_list:
+            # alpha_taps(2) is (-1, 1), where every Dirichlet scale profile is 0
+            raise ConfigError("L_alpha = 2 puts both scale taps on the edges alpha = -1, 1, where every joint filter is zero")
         if not self.grad_levels or not all(level >= 0 for level in self.grad_levels):
             raise ConfigError(f"grad_levels must be non-empty and >= 0, got {self.grad_levels}")
         if (self.idx_images is None) != (self.idx_labels is None):

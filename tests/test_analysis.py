@@ -97,7 +97,7 @@ def test_curve_echoes_configuration(tiny_net, tiny_coeffs):
 
 def stability_setup(seed=0, level=0.05):
     # n_scales = 5 on [-1, 1] gives scale step 0.5, so beta = -0.5 is on-lattice
-    net = small_net(layers=2, channels=2, L_alpha=2, max_angular=2, n_scales=5)
+    net = small_net(layers=2, channels=2, L_alpha=3, max_angular=2, n_scales=5)
     coeffs = init_coeffs(net, seed=seed)
     x = interior_image(height=29, width=29, margin=8, seed=seed)
     tau = make_tau_targeting_grad([seed, 99], level, 3, 29, 29)
@@ -153,7 +153,7 @@ def test_gradient_precondition_named_a3():
 
 
 def test_nonexpansiveness_with_normalized_coefficients():
-    net = small_net(layers=2, channels=2, L_alpha=2, max_angular=2)
+    net = small_net(layers=2, channels=2, L_alpha=3, max_angular=2)
     coeffs = init_coeffs(net, seed=6)
     report = nonexpansiveness_report(net, coeffs, n_trials=4, seed=11, height=15, width=15)
     assert report.n_trials == 4
@@ -166,7 +166,7 @@ def test_nonexpansiveness_with_normalized_coefficients():
 @pytest.mark.parametrize("n_trials", [1, 3, 4, 5, 9])
 def test_nonexpansiveness_report_equals_per_pair_oracle(n_trials):
     # partial and whole batches of REPORT_PAIRS trial pairs give the per-pair report exactly
-    net = small_net(layers=3, channels=2, L_alpha=2, max_angular=2)
+    net = small_net(layers=3, channels=2, L_alpha=3, max_angular=2)
     coeffs = init_coeffs(net, seed=6)
     got = nonexpansiveness_report(net, coeffs, n_trials=n_trials, seed=11, height=15, width=15)
     want = reference.pairwise_nonexpansiveness_report(net, coeffs, n_trials=n_trials, seed=11, height=15, width=15)
@@ -349,7 +349,7 @@ def bounds_net(spatial_kind, K=4):
     return NetworkConfig(
         layers=(
             LayerSpec(2, 3, K, 5),
-            LayerSpec(3, 2, K, 5, L_theta=2, L_alpha=2, max_angular=2, n_scale=2),
+            LayerSpec(3, 2, K, 5, L_theta=2, L_alpha=3, max_angular=2, n_scale=2),
         ),
         n_rotations=4,
         n_scales=3,
@@ -569,7 +569,7 @@ def test_isometry_deviation_zero_for_exact_translation():
     # lifting features of a strictly interior image stay interior (the
     # stencil spreads support by 2 pixels against an 8-pixel margin), so an
     # integer shift relocates every nonzero value without loss
-    net = small_net(layers=2, channels=2, L_alpha=2, max_angular=2)
+    net = small_net(layers=2, channels=2, L_alpha=3, max_angular=2)
     coeffs = init_coeffs(net, seed=9)
     feats = forward(net, coeffs, interior_image(height=25, width=25, margin=8, seed=9), return_all=True)
     assert feature_norm(feats[0]) > 0.0

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import rstcnn.basis
+import rstcnn.parts
 from rstcnn.bank import default_layer_scale, sample_filter_bank, scale_channel_grid
-from rstcnn.basis import build_basis, eval_spatial
+from rstcnn.basis import SpatialRecipe, build_basis, eval_spatial, eval_spatial_stack, unit_grid
 from rstcnn.container import dump_bank, load_bank
-
-from conftest import outputs_per_part_count
 
 
 def test_default_layer_scale_gives_unit_pitch():
@@ -28,15 +28,38 @@ def test_even_stencil_rejected():
         sample_filter_bank(basis, 4, 3, 1.0, 8, layer_scale=0.0)
 
 
-@pytest.mark.parametrize("K", [10, 100])
-def test_bank_is_bit_identical_for_every_part_count(K, monkeypatch):
-    # the point chunks are split over the part pool; the fig3 bank shape, with
-    # the signed zeros outside the disk that the bank bytes keep
-    basis = build_basis("fb", K)
-    banks = outputs_per_part_count(monkeypatch, lambda: sample_filter_bank(basis, 8, 9, 1.0, 9, layer_scale=2.0).values)
-    assert np.signbit(banks[0][banks[0] == 0.0]).any()
-    for bank in banks[1:]:
-        assert np.array_equal(bank, banks[0]) and np.array_equal(np.signbit(bank), np.signbit(banks[0]))
+@pytest.mark.parametrize("evaluate", ["bank", "grid"])
+def test_many_chunk_evaluation_stays_on_the_callers_thread_and_keeps_its_bytes(evaluate, monkeypatch):
+    # At K = 100 a chunk holds 409 points: the fig3-shaped bank's 5,832
+    # points take 15 chunks and a 401 x 401 grid 394.  Neither calls
+    # run_parts, and both keep the bytes of one fill over all their points,
+    # with the signed zeros outside the disk that the bank bytes keep.
+    basis = build_basis("fb", 100)
+    if evaluate == "bank":
+        chunks = 15
+
+        def run():
+            return sample_filter_bank(basis, 8, 9, 1.0, 9, layer_scale=2.0).values
+
+    else:
+        chunks = 394
+
+        def run():
+            vals, grads = eval_spatial_stack(basis.spatial, unit_grid(401)[0], grad=True)
+            return np.concatenate([vals[None], grads])
+
+    splits, fills = [], []
+    split, fill = rstcnn.parts._split, SpatialRecipe.fill
+    monkeypatch.setattr(rstcnn.parts, "_split", lambda count: splits.append(count) or split(count))
+    monkeypatch.setattr(SpatialRecipe, "fill", lambda self, *a: fills.append(a[:2]) or fill(self, *a))
+    chunked = run()
+    assert splits == [] and len(fills) == chunks
+    monkeypatch.setattr(rstcnn.basis, "_CHUNK_VALUES", 100 * chunked.size)
+    fills.clear()
+    whole = run()
+    assert len(fills) == 1
+    assert np.signbit(chunked[chunked == 0.0]).any()
+    assert np.array_equal(chunked, whole) and np.array_equal(np.signbit(chunked), np.signbit(whole))
 
 
 def test_identity_slice_is_direct_sampling():

@@ -407,21 +407,29 @@ def test_bessel_zero_is_pointwise_pure(order, qs, seed):
 
 
 @pytest.mark.parametrize("m", [0, 1, 16])
-def test_recurrence_renormalizes_and_stays_accurate(m, monkeypatch):
-    # A point at x = 3000 starts its own recurrence at order 4560 and grows
-    # past any float64 on the way down unless the state is rescaled.
+def test_recurrence_stays_accurate_up_to_x_max(m):
+    # X_MAX = 500 starts the largest recurrence, at order 810, whose state
+    # stays finite with no rescaling
     scipy_special = pytest.importorskip("scipy.special")
-    xs = np.array([2.0 * math.sqrt(m + 1.0) + 0.01, 3000.0])
+    xs = np.array([2.0 * math.sqrt(m + 1.0) + 0.01, 250.0, rstcnn.bessel.X_MAX])
     got = bessel_j(m, xs)
+    assert np.all(np.isfinite(got))
     assert np.abs(got - scipy_special.jv(m, xs)).max() < 1e-12
-    # the rescaling is by an exact power of two, so checking at every order gives the same bits
-    monkeypatch.setattr(rstcnn.bessel, "_RENORM_EVERY", 1)
-    assert np.array_equal(bessel_j(m, xs), got)
-    # and without it the large point's state does overflow, while the small one keeps its bits
-    monkeypatch.setattr(rstcnn.bessel, "_RENORM_ROOM", math.inf)
-    with np.errstate(all="ignore"):
-        raw = bessel_j(m, xs)
-    assert not np.isfinite(raw[1]) and raw[0] == got[0]
+
+
+@pytest.mark.parametrize("x", [1e6, 1e19, [1.0, 1e6], np.nextafter(500.0, 600.0)])
+def test_points_past_x_max_are_rejected_before_any_recurrence(x, monkeypatch):
+    # 1e6 would run a 1.5 M-step recurrence, and 1e19 gave nan; neither
+    # reaches the recurrence now, nor does the one zero scan that would pass X_MAX
+    def no_recurrence(m, x):
+        raise AssertionError("a point past X_MAX reached the recurrence")
+
+    monkeypatch.setattr(rstcnn.bessel, "_miller", no_recurrence)
+    with pytest.raises(ValueError, match="X_MAX = 500"):
+        bessel_j(0, x)
+    for q in (200, 10**12):
+        with pytest.raises(ValueError, match=f"q = {q} needs a scan past X_MAX"):
+            bessel_zero(np.array([0, 3]), q)
 
 
 def test_fb_pool_equals_the_per_order_pool_bit_for_bit():

@@ -141,6 +141,19 @@ def test_idx_sweep_runs_and_echoes_height_by_width(tmp_path, net_cfg, monkeypatc
     assert len(parse_sweep_csv(text)) == 4  # two seeds, two layers
 
 
+def test_l_alpha_two_exits_two_naming_it(tmp_path, capsys):
+    # alpha_taps(2) is (-1, 1), where every scale profile is zero, so each
+    # joint filter would be zero: a flag or a config file that asks for it
+    # is bad input, reported on one stderr line
+    cfg = tmp_path / "la2.cfg"
+    cfg.write_text(TINY_NET_CFG.replace("L_alpha = 1", "L_alpha = 2"))
+    for argv in (["equi", "sweep", "--l-alpha-list", "2"], ["equi", "sweep", "--l-alpha-list", "1,2"],
+                 ["equi", "sweep", "--config", str(cfg)], ["bank", "build", "--config", str(cfg), "--out", str(tmp_path / "b")]):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and err.startswith("config error: L_alpha = 2 ")
+
+
 def test_unknown_config_key_exits_two(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("bogus = 1\n")
@@ -372,13 +385,13 @@ def _character_cases(cfg, data_dir):
     """(argv, expected ExperimentConfig fields) per experiment subcommand."""
     out = ["--out", os.path.join(data_dir, "out.txt")]
     every_sweep_flag = [
-        "--k-list", "3,5", "--l-alpha-list", "1,2", "--seeds", "4,2", "--layers", "3",
+        "--k-list", "3,5", "--l-alpha-list", "1,3", "--seeds", "4,2", "--layers", "3",
         "--channels", "2", "--eta", "3.141592653589793", "--beta", "-1", "--vx", "1.5", "--vy", "-2",
         "--margin", "3", "--height", "32", "--width", "32", "--idx-images", "im.idx",
         "--idx-labels", os.path.join(data_dir, "abs.idx"), "--kind", "sl",
     ]
     sweep_fields = dict(
-        k_list=(3, 5), l_alpha_list=(1, 2), seeds=(4, 2), layers=3, channels=2, eta=math.pi, beta=-1.0,
+        k_list=(3, 5), l_alpha_list=(1, 3), seeds=(4, 2), layers=3, channels=2, eta=math.pi, beta=-1.0,
         v=(1.5, -2.0), margin=3, height=32, width=32, idx_images=os.path.join(data_dir, "im.idx"),
         idx_labels=os.path.join(data_dir, "abs.idx"), spatial_kind="sl",
     )

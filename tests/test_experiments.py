@@ -61,6 +61,9 @@ def test_config_validation():
         tiny_sweep_config(idx_images="a.idx")
     with pytest.raises(ConfigError, match="layers"):
         tiny_sweep_config(layers=0)
+    for l_alpha_list in ((2,), (1, 2, 3)):
+        with pytest.raises(ConfigError, match="L_alpha = 2 "):
+            tiny_sweep_config(l_alpha_list=l_alpha_list)
 
 
 def test_sweep_rejects_group_elements_that_empty_the_compared_slice():
@@ -114,13 +117,13 @@ def test_echo_lines():
 
 def test_build_network_wiring():
     cfg = tiny_sweep_config(layers=3, channels=2)
-    net = build_network(cfg, K=3, L_alpha=2, seed=9)
+    net = build_network(cfg, K=3, L_alpha=3, seed=9)
     assert net.depth == 3 and net.seed == 9
     assert net.layers[0].in_channels == 1 and net.layers[0].out_channels == 2
     for spec in net.layers[1:]:
         assert (spec.in_channels, spec.out_channels) == (2, 2)
-        assert spec.L_theta == cfg.L_theta and spec.L_alpha == 2
-        assert spec.n_scale == 2 and spec.max_angular == 4
+        assert spec.L_theta == cfg.L_theta and spec.L_alpha == 3
+        assert spec.n_scale == 3 and spec.max_angular == 4
 
 
 def test_fig3_layers_share_one_bank():

@@ -51,7 +51,7 @@ from conftest import interior_image, outputs_per_part_count, small_net
 
 
 def joint_net():
-    return small_net(layers=2, channels=2, L_alpha=2, max_angular=2)
+    return small_net(layers=2, channels=2, L_alpha=3, max_angular=2)
 
 
 def test_alpha_taps_and_weights_match_reference():
@@ -491,7 +491,7 @@ def test_import_starts_no_thread():
 
 
 def test_forward_batch_is_bit_identical_per_sample():
-    net = small_net(layers=3, channels=2, L_alpha=2, max_angular=2)
+    net = small_net(layers=3, channels=2, L_alpha=3, max_angular=2)
     coeffs = init_coeffs(net, seed=1)
     xs = np.stack([interior_image(height=15, width=17, margin=4, seed=s).values for s in range(3)])
     singles = [forward(net, coeffs, ImageTensor(x), return_all=True) for x in xs]
@@ -767,7 +767,7 @@ def test_init_coeffs_deterministic_normalized_zero_bias():
 
 @pytest.mark.parametrize("seed", [0, 4])
 def test_init_coeffs_draws_each_layer_from_its_own_stream(seed):
-    net = small_net(layers=3, channels=2, L_alpha=2, max_angular=2)
+    net = small_net(layers=3, channels=2, L_alpha=3, max_angular=2)
     coeffs = init_coeffs(net, seed=seed)
     assert len(coeffs) == net.depth
     for idx, got in enumerate(coeffs):
@@ -776,12 +776,12 @@ def test_init_coeffs_draws_each_layer_from_its_own_stream(seed):
     # the shared stream of a bounds report: layer 1 continues where layer 0 stopped
     rng = np.random.default_rng([seed, 31])
     first, second = draw_coeffs(net, 0, rng), draw_coeffs(net, 1, rng)
-    assert first.a.shape == (1, 2, 3) and second.a.shape == (2, 2, 3, 5, 2)
+    assert first.a.shape == (1, 2, 3) and second.a.shape == (2, 2, 3, 5, 3)
     assert not np.array_equal(second.a, draw_coeffs(net, 1, np.random.default_rng([seed, 31])).a)
 
 
 def test_forward_shapes_and_return_all():
-    net = small_net(layers=3, channels=2, L_alpha=2, max_angular=2)
+    net = small_net(layers=3, channels=2, L_alpha=3, max_angular=2)
     coeffs = init_coeffs(net, seed=1)
     single = interior_image(height=15, width=17, margin=4, channels=1)
     pair = ImageTensor(np.stack([interior_image(height=15, width=17, margin=4, seed=s).values for s in range(2)]))

@@ -64,7 +64,7 @@ def test_basis_evaluation_parts_call_no_traced_function(monkeypatch):
     bessel_j = rstcnn.basis.bessel_j
     monkeypatch.setattr(rstcnn.basis, "bessel_j", lambda *a: worked_in[-1].add(threading.current_thread()) or bessel_j(*a))
     basis = build_basis("fb", 10)
-    net = small_net(layers=2, channels=2, K=5, L_alpha=2)
+    net = small_net(layers=2, channels=2, K=5, L_alpha=3)
     coeffs = init_coeffs(net, seed=0)
     quad = disk_quadrature(layer_basis(net, 0), 42)
     quad.recipe.chunk = 200  # several blocks of the rule's 1,764 nodes, the last one short
@@ -82,8 +82,8 @@ def test_basis_evaluation_parts_call_no_traced_function(monkeypatch):
         tracer.uninstall()
     main = threading.main_thread()
     # both reports' blocks run on pool threads; the quadrature's one radial
-    # Bessel call runs on the caller's thread, and the bank's 5,832 points are
-    # fewer than two chunks, which the caller's thread evaluates alone
+    # Bessel call and the bank's chunks run on the caller's thread, as every
+    # basis evaluation outside a bounds report does
     assert [len(threads - {main}) > 0 for threads in worked_in[1:]] == [False, False, True, True]
     assert {t.name for t in opened_in} <= {main.name}
     assert tracer._stack == []
