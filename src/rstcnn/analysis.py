@@ -45,17 +45,6 @@ def _slice_error(direct, reference, margin):
     return num, den
 
 
-def _forward_pair(net, coeffs, a, b, keep=None):
-    """Per layer, the features of the images a and b ([M, H, W] values) as a pair of FeatureMaps.
-
-    Both images go through one forward as a batch of 2, limited to keep
-    (forward_layers), and the layers come one at a time, so a caller that
-    reduces each pair before the next never holds every layer.
-    """
-    for f in forward_layers(net, coeffs, ImageTensor(np.stack([a, b])), keep=keep):
-        yield tuple(FeatureMap(f.values[i], f.rotation_step, f.scale_grid) for i in (0, 1))
-
-
 def equivariance_error(net, coeffs, x, g, layer, margin=4):
     """Relative L2 error of Eq.-style equivariance at one layer.
 
@@ -108,9 +97,11 @@ def equivariance_curve(net, coeffs, x, g, margin=4):
     if source is not None:
         keep[source] = True
     errors = []
-    for direct, plain in _forward_pair(net, coeffs, act_on_image(g, x).values, x.values, keep):
-        chan = plain.values[:, source[0], source[1]] if source is not None else np.zeros_like(plain.values[:, 0, 0])
-        num, den = _slice_error(direct.values[:, 0, mid], act_on_image(g, ImageTensor(chan)).values, margin)
+    pair = ImageTensor(np.stack([act_on_image(g, x).values, x.values]))
+    for f in forward_layers(net, coeffs, pair, keep=keep):
+        direct, plain = f.values
+        chan = plain[:, source[0], source[1]] if source is not None else np.zeros_like(plain[:, 0, 0])
+        num, den = _slice_error(direct[:, 0, mid], act_on_image(g, ImageTensor(chan)).values, margin)
         errors.append(num / den if den > 0.0 else math.inf)
     return EquivarianceCurve(tuple(errors))
 
@@ -166,10 +157,10 @@ def stability_certificate(net, coeffs, x, g, tau):
             f"(A3) violated: |grad tau|_inf = {sup_grad:.6g} >= 1/5"
         )
 
-    deformed = act_on_image(g, apply_deformation(tau, x))
+    pair = ImageTensor(np.stack([act_on_image(g, apply_deformation(tau, x)).values, x.values]))
     per_layer = tuple(
-        feature_norm(f.values - act_on_feature(g, p).values)
-        for f, p in _forward_pair(net, coeffs, deformed.values, x.values)
+        feature_norm(f.values[0] - act_on_feature(g, FeatureMap(f.values[1], f.rotation_step, f.scale_grid)).values)
+        for f in forward_layers(net, coeffs, pair)
     )
     lhs = per_layer[-1]
 

@@ -356,7 +356,7 @@ def scale_matrix(basis, alphas):
 
 
 def unit_grid(n):
-    """n x n grid of cell centers covering [-1, 1]^2, with the cell area."""
+    """n x n grid of nodes spanning [-1, 1]^2, edges included, with the cell area h^2 per node."""
     xs = np.linspace(-1.0, 1.0, n)
     h = xs[1] - xs[0]
     X, Y = np.meshgrid(xs, xs, indexing="xy")

@@ -228,7 +228,7 @@ def parse_sweep_csv(text):
 
 
 def _stability_trial(cfg, seed, level):
-    net = build_network(cfg, cfg.k_list[0], 1, seed=seed)
+    net = build_network(cfg, cfg.k_list[0], cfg.l_alpha_list[0], seed=seed)
     coeffs = init_coeffs(net)
     x = ImageTensor(synthetic_blobs(cfg.height, cfg.width, np.random.default_rng([seed, INPUT_SALT])))
     tau = make_tau_targeting_grad([seed, TAU_SALT], level, TAU_MAX_FREQ, cfg.height, cfg.width)

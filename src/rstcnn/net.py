@@ -196,9 +196,7 @@ class CoeffTensor:
 
 def alpha_taps(L_alpha):
     """Uniform alpha' tap grid on [-1, 1]; the single tap sits at 0."""
-    if L_alpha == 1:
-        return np.array([0.0])
-    return np.linspace(-1.0, 1.0, L_alpha)
+    return scale_channel_grid(L_alpha, 1.0)
 
 
 def alpha_weights(L_alpha):

@@ -376,9 +376,9 @@ def test_filter_bounds_match_chunked_grid_oracle(spatial_kind, layer, n_theta):
 @pytest.mark.parametrize("layer", [0, 1])
 @pytest.mark.parametrize("n_theta", [1, 5])
 def test_filter_bounds_are_bit_identical_for_every_part_count(spatial_kind, layer, n_theta, monkeypatch):
-    # n_theta = 1 leaves parts with no theta sample; chunks of 100 points
-    # cut the 1,764 nodes of the n = 42 rule into several blocks, the last
-    # one short
+    # the pool splits the rule's chunks, not the theta samples: chunks of 100
+    # points cut the 1,764 nodes of the n = 42 rule into 18 blocks, the last
+    # one short, and n_theta = 1 gives each block one theta sample per layer
     net = bounds_net(spatial_kind)
     coeffs = init_coeffs(net, seed=12)[layer]
     basis, spec = layer_basis(net, layer), net.layers[layer]

@@ -3,8 +3,7 @@
 A joint layer at L_alpha = 2 samples its scale profiles at the taps alpha =
 -1 and 1, where every Dirichlet profile is 0, so each of its filters is zero
 and a test on that layer checks nothing there.  The cone tests of test_net
-still run _cone_net at L_alpha = 2: they check which channels the windows of
-an even tap count compute, which the values do not enter.
+run _cone_net at L_alpha = 4 for an even tap count: its taps +-1/3 are live.
 """
 
 import numpy as np
@@ -23,6 +22,7 @@ FIXTURE_NETWORKS = {
     "three-layer small_net": lambda: small_net(layers=3, channels=2, L_alpha=3, max_angular=2),
     "test_net._cone_net-La1": lambda: _cone_net(5, 4, 1),
     "test_net._cone_net-La3": lambda: _cone_net(5, 4, 3),
+    "test_net._cone_net-La4": lambda: _cone_net(5, 4, 4),
     "test_analysis.stability_setup": lambda: stability_setup()[0],
     "test_analysis.bounds_net-fb": lambda: bounds_net("fb"),
     "test_analysis.bounds_net-sl": lambda: bounds_net("sl"),

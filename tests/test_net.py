@@ -531,7 +531,7 @@ CONE_MASKS = {"one-class": _keep((0, 2)), "two-classes": _keep((0, 2), (3, 1)), 
 
 
 @pytest.mark.parametrize("depth", [1, 5])
-@pytest.mark.parametrize("L_alpha", [1, 2, 3])
+@pytest.mark.parametrize("L_alpha", [1, 3, 4])
 @pytest.mark.parametrize("L_theta", [1, 2, 4, 8])
 def test_cone_forward_equals_full_forward_on_the_cone(depth, L_theta, L_alpha, monkeypatch):
     # channels in each layer's window keep the full run's bits whatever the
