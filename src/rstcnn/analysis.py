@@ -89,8 +89,7 @@ def equivariance_curve(net, coeffs, x, g, margin=4):
     """
     n_r, n_s = net.n_rotations, net.n_scales
     mid = n_s // 2
-    probe = FeatureMap(np.zeros((1, n_r, n_s, 1, 1)), 2.0 * math.pi / n_r, net.scale_grid)
-    rot, sc = channel_sources(g, probe)
+    rot, sc = channel_sources(g, n_r, net.scale_grid)
     keep = np.zeros((n_r, n_s), dtype=bool)
     keep[0, mid] = True
     source = (rot[0], sc[mid]) if 0 <= sc[mid] < n_s else None

@@ -9,6 +9,9 @@ Subcommands::
     rstcnn bounds report    quadrature filter bounds vs. amplitude bound
     rstcnn data rs-make     rotate/rescale/upsample an IDX dataset
 
+Each flag is declared once, in _FLAGS (data rs-make's own in _RS_MAKE_FLAGS),
+and each subcommand is one row of _COMMANDS naming its handler and flags.
+
 Exit codes: 0 success, 2 bad input (configuration, off-lattice group
 element, failed certificate precondition, exhausted basis pool, unsupported
 Bessel order), 3 certificate violation, 4 parse error (IDX or container).
@@ -79,27 +82,34 @@ _float_list = _value_type("comma-separated numbers", lambda text: tuple(float(to
 _trials = _value_type("an integer number of trials", lambda text: tuple(range(int(text))))
 
 
-def _add_common(p):
-    p.add_argument("--config", help="network config file (key = value lines)")
-    p.add_argument("--out", help="output path ('-' or omitted: stdout)")
+# Every flag, declared once: option -> argparse keywords.
+_FLAGS = {
+    "--config": dict(help="network config file (key = value lines)"),
+    "--out": dict(help="output path ('-' or omitted: stdout)"),
+    "--k-list": dict(type=_int_list, help="comma-separated truncation sizes K"),
+    "--l-alpha-list": dict(type=_int_list, help="comma-separated scale tap counts"),
+    "--seeds": dict(type=_int_list, help="comma-separated seeds"),
+    "--trials": dict(dest="seeds", type=_trials, default=tuple(range(20)), help="number of seeded trials"),
+    "--grad-levels": dict(type=_float_list, help="cycled sup|grad tau| targets"),
+    "--layer": dict(type=int, default=0, help="layer index within the config"),
+    "--layers": dict(type=int, help="network depth (lifting + joint)"),
+    "--channels": dict(type=int, help="channels per layer"),
+    "--eta": dict(type=float, help="group rotation (radians)"),
+    "--beta": dict(type=float, help="group log2 scale"),
+    "--vx": dict(type=float, help="group translation x (pixels)"),
+    "--vy": dict(type=float, help="group translation y (pixels)"),
+    "--margin": dict(type=int, help="interior margin (pixels)"),
+    "--height": dict(type=int, help="input height"),
+    "--width": dict(type=int, help="input width"),
+    "--idx-images": dict(type=_data_path, help="IDX image file for real inputs"),
+    "--idx-labels": dict(type=_data_path, help="IDX label file for real inputs"),
+    "--kind": dict(dest="spatial_kind", choices=("fb", "sl"), help="spatial basis family"),
+}
 
 
-def _add_sweep_axes(p):
-    p.add_argument("--k-list", type=_int_list, help="comma-separated truncation sizes")
-    p.add_argument("--l-alpha-list", type=_int_list, help="comma-separated scale tap counts")
-    p.add_argument("--seeds", type=_int_list, help="comma-separated seeds")
-    p.add_argument("--layers", type=int, help="network depth (lifting + joint)")
-    p.add_argument("--channels", type=int, help="channels per layer")
-    p.add_argument("--eta", type=float, help="group rotation (radians)")
-    p.add_argument("--beta", type=float, help="group log2 scale")
-    p.add_argument("--vx", type=float, help="group translation x (pixels)")
-    p.add_argument("--vy", type=float, help="group translation y (pixels)")
-    p.add_argument("--margin", type=int, help="interior margin (pixels)")
-    p.add_argument("--height", type=int, help="input height")
-    p.add_argument("--width", type=int, help="input width")
-    p.add_argument("--idx-images", type=_data_path, help="IDX image file for real inputs")
-    p.add_argument("--idx-labels", type=_data_path, help="IDX label file for real inputs")
-    p.add_argument("--kind", dest="spatial_kind", choices=("fb", "sl"), help="spatial basis family")
+def _flags(*options):
+    """--config, --out and the given options, with their _FLAGS keywords."""
+    return {option: _FLAGS[option] for option in ("--config", "--out") + options}
 
 
 # Every parser dest that names an ExperimentConfig field sets that field.
@@ -119,11 +129,16 @@ def _experiment_config(args, preset):
     return replace(preset, **kwargs)
 
 
-def _cmd_basis_validate(args):
-    cfg = _experiment_config(args, experiments.ExperimentConfig(kind="basis-validate"))
-    report = experiments.run_basis_validate(cfg)
-    _write_text(args.out, json.dumps(report, sort_keys=True, indent=1) + "\n")
-    return 0 if report["ok"] else 3
+def _json_report(kind, runner):
+    """A handler writing runner(config) of the kind's preset as JSON; exit 3 unless the report is ok."""
+
+    def run(args):
+        cfg = _experiment_config(args, experiments.ExperimentConfig(kind=kind))
+        report = runner(cfg)
+        _write_text(args.out, json.dumps(report, sort_keys=True, indent=1) + "\n")
+        return 0 if report["ok"] else 3
+
+    return run
 
 
 def _cmd_bank_build(args):
@@ -161,13 +176,6 @@ def _cmd_stab_trials(args):
     return 3 if violated else 0
 
 
-def _cmd_bounds_report(args):
-    cfg = _experiment_config(args, experiments.ExperimentConfig(kind="bounds-report"))
-    report = experiments.run_bounds_report(cfg)
-    _write_text(args.out, json.dumps(report, sort_keys=True, indent=1) + "\n")
-    return 0 if report["ok"] else 3
-
-
 def _cmd_data_rs_make(args):
     if not args.out:
         raise ConfigError("data rs-make requires --out prefix")
@@ -177,8 +185,7 @@ def _cmd_data_rs_make(args):
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     src = read_idx(args.idx_images, args.idx_labels)
     out = make_rs_dataset(src, seed=args.seed, upsize=args.upsize)
-    images_path = args.out + ".images.idx"
-    labels_path = args.out + ".labels.idx"
+    images_path, labels_path = args.out + ".images.idx", args.out + ".labels.idx"
     write_idx(images_path, labels_path, out)
     sys.stdout.write(f"wrote {images_path} and {labels_path} ({len(out)} images at {args.upsize}x{args.upsize})\n")
     return 0
@@ -191,68 +198,41 @@ class OneLineParser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
+# data rs-make sets no ExperimentConfig field: its flags are its own
+_RS_MAKE_FLAGS = {
+    "--idx-images": dict(type=_data_path, required=True, help="IDX image file to rotate/rescale"),
+    "--idx-labels": dict(type=_data_path, required=True, help="IDX label file, passed through"),
+    "--out": dict(required=True, help="output prefix (.images.idx / .labels.idx)"),
+    "--seed": dict(type=int, default=0, help="seed of the random rotations and rescalings"),
+    "--upsize": dict(type=int, default=56, help="side of the square output images (pixels)"),
+}
+
+# One row per subcommand: group, its help, command, its help, handler, flags.  A handler
+# reads each runner off experiments when it runs, so a replaced runner is the one called.
+_COMMANDS = (
+    ("basis", "basis diagnostics", "validate", "orthonormality / eigenfunction / zero checks at the largest K",
+     _json_report("basis-validate", lambda cfg: experiments.run_basis_validate(cfg)), _flags("--k-list", "--kind")),
+    ("bank", "filter-bank files", "build", "sample one layer's bank into a container", _cmd_bank_build, _flags("--layer")),
+    ("equi", "equivariance measurements", "sweep", "CSV of per-layer errors over (K, L_alpha, seed)", _cmd_equi_sweep,
+     _flags("--k-list", "--l-alpha-list", "--seeds", "--layers", "--channels", "--eta", "--beta", "--vx", "--vy",
+            "--margin", "--height", "--width", "--idx-images", "--idx-labels", "--kind")),
+    ("stab", "deformation stability", "trials", "JSON stability certificates over seeded trials", _cmd_stab_trials,
+     _flags("--trials", "--grad-levels", "--beta", "--eta", "--channels")),
+    ("bounds", "filter-norm bounds", "report", "JSON B/C/D vs. A over random draws, one report per seed",
+     _json_report("bounds-report", lambda cfg: experiments.run_bounds_report(cfg)), _flags("--k-list", "--seeds", "--kind")),
+    ("data", "dataset files", "rs-make", "random rotate/rescale + upsample an IDX pair", _cmd_data_rs_make, _RS_MAKE_FLAGS),
+)
+
+
 def build_parser():
     parser = OneLineParser(prog="rstcnn", description=__doc__.splitlines()[0])
     groups = parser.add_subparsers(dest="group", required=True)
-
-    basis = groups.add_parser("basis", help="basis diagnostics").add_subparsers(
-        dest="command", required=True
-    )
-    p = basis.add_parser("validate", help="orthonormality / eigenfunction / zero checks")
-    _add_common(p)
-    p.add_argument("--k-list", type=_int_list, help="largest entry sets the checked truncation")
-    p.add_argument("--kind", dest="spatial_kind", choices=("fb", "sl"))
-    p.set_defaults(func=_cmd_basis_validate)
-
-    bank = groups.add_parser("bank", help="filter-bank files").add_subparsers(
-        dest="command", required=True
-    )
-    p = bank.add_parser("build", help="sample one layer's bank into a container")
-    _add_common(p)
-    p.add_argument("--layer", type=int, default=0, help="layer index within the config")
-    p.set_defaults(func=_cmd_bank_build)
-
-    equi = groups.add_parser("equi", help="equivariance measurements").add_subparsers(
-        dest="command", required=True
-    )
-    p = equi.add_parser("sweep", help="CSV of per-layer errors over (K, L_alpha, seed)")
-    _add_common(p)
-    _add_sweep_axes(p)
-    p.set_defaults(func=_cmd_equi_sweep)
-
-    stab = groups.add_parser("stab", help="deformation stability").add_subparsers(
-        dest="command", required=True
-    )
-    p = stab.add_parser("trials", help="JSON stability certificates over seeded trials")
-    _add_common(p)
-    p.add_argument("--trials", dest="seeds", type=_trials, default=tuple(range(20)), help="number of seeded trials")
-    p.add_argument("--grad-levels", type=_float_list, help="cycled sup|grad tau| targets")
-    p.add_argument("--beta", type=float, help="group log2 scale")
-    p.add_argument("--eta", type=float, help="group rotation (radians)")
-    p.add_argument("--channels", type=int)
-    p.set_defaults(func=_cmd_stab_trials)
-
-    bounds = groups.add_parser("bounds", help="filter-norm bounds").add_subparsers(
-        dest="command", required=True
-    )
-    p = bounds.add_parser("report", help="JSON B/C/D vs. A over random draws")
-    _add_common(p)
-    p.add_argument("--k-list", type=_int_list)
-    p.add_argument("--seeds", type=_int_list, help="one bound report per seed")
-    p.add_argument("--kind", dest="spatial_kind", choices=("fb", "sl"))
-    p.set_defaults(func=_cmd_bounds_report)
-
-    data = groups.add_parser("data", help="dataset files").add_subparsers(
-        dest="command", required=True
-    )
-    p = data.add_parser("rs-make", help="random rotate/rescale + upsample an IDX pair")
-    p.add_argument("--idx-images", type=_data_path, required=True)
-    p.add_argument("--idx-labels", type=_data_path, required=True)
-    p.add_argument("--out", required=True, help="output prefix (.images.idx / .labels.idx)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--upsize", type=int, default=56)
-    p.set_defaults(func=_cmd_data_rs_make)
-
+    for group, group_help, command, command_help, func, flags in _COMMANDS:
+        commands = groups.add_parser(group, help=group_help).add_subparsers(dest="command", required=True)
+        p = commands.add_parser(command, help=command_help)
+        for option, kwargs in flags.items():
+            p.add_argument(option, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 

@@ -20,7 +20,7 @@ from .basis import build_basis, gram_matrix, laplacian_residuals
 from .bessel import bessel_j, bessel_zero
 from .data import read_idx_image, rs_image, synthetic_blobs
 from .deform import make_tau_targeting_grad
-from .group import FeatureMap, GroupElement, ImageTensor, act_on_image, channel_sources
+from .group import GroupElement, ImageTensor, act_on_image, channel_sources
 from .net import ConfigError, LayerSpec, NetworkConfig, draw_coeffs, init_coeffs, layer_basis
 
 INPUT_SALT = 7777
@@ -100,13 +100,12 @@ class ExperimentConfig:
                 raise ConfigError(f"v={self.v} moves every source point in the margin-{m} interior off the {H}x{W} input")
         if self.kind in ("equivariance-sweep", "stability-trials"):
             # channel_sources names the scale channel each channel of D_g reads, and raises
-            # OffLatticeError for an off-lattice eta or beta.  The probe's sizes come from a
+            # OffLatticeError for an off-lattice eta or beta.  The lattice comes from a
             # one-layer network whose NetworkConfig rejects N_r, N_s < 1 and T <= 0 first (a
-            # bank-build view, so it runs no probe of its own).
+            # bank-build view, so it runs no lattice check of its own).
             lift = build_network(replace(self, kind="bank-build", layers=1), self.k_list[0], 1)
-            n_r, n_s = lift.n_rotations, lift.n_scales
-            probe = FeatureMap(np.zeros((1, n_r, n_s, 1, 1)), 2.0 * math.pi / n_r, lift.scale_grid)
-            _, sc = channel_sources(GroupElement(self.eta, self.beta), probe)
+            n_s = lift.n_scales
+            _, sc = channel_sources(GroupElement(self.eta, self.beta), lift.n_rotations, lift.scale_grid)
             stored = (sc >= 0) & (sc < n_s)
             # the sweep compares the middle scale channel, a trial every channel
             sweep = self.kind == "equivariance-sweep"

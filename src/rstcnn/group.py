@@ -126,12 +126,6 @@ class FeatureMap:
                 raise ValueError("scale_grid must be uniform")
 
     @property
-    def scale_step(self):
-        if len(self.scale_grid) < 2:
-            return 0.0
-        return float(self.scale_grid[1] - self.scale_grid[0])
-
-    @property
     def shape(self):
         return self.values.shape
 
@@ -151,27 +145,37 @@ def pixel_coords(H, W):
     return np.meshgrid(*pixel_axes(H, W), indexing="xy")
 
 
+def _zero_frame(shape):
+    """Zeros for a [..., H, W] map in bilinear_sample's frame: one row and column before the grid, two after."""
+    return np.zeros(shape[:-2] + (shape[-2] + 3, shape[-1] + 3), dtype=np.float64)
+
+
 def bilinear_sample(values, x, y):
     """Sample values[..., H, W] at spatial points (x, y); outside reads 0.
 
     x, y are arrays of one shape S; the result has shape values.shape[:-2] + S.
     Sampling at exact pixel centers reproduces stored values exactly.  Taps
-    read a copy of the values in a zero frame, one row and column before the
-    grid and two after, which holds all four taps of a point clipped to rows
-    [-1, H] and columns [-1, W]; the clip changes no value and bounds floor().
-    One [S] index serves every plane, and the four taps go through one reused
-    buffer: each is gathered into it, weighted and added to the output.
+    read a copy of the values in a zero frame (_zero_frame) that holds all four
+    taps of a point clipped to rows [-1, H] and columns [-1, W]; the clip
+    changes no value and bounds floor().  One [S] index serves every plane,
+    and the four taps go through one reused buffer: each is gathered into it,
+    weighted and added to the output.
     """
-    H, W = values.shape[-2], values.shape[-1]
+    framed = _zero_frame(values.shape)
+    framed[..., 1:-2, 1:-2] = values
+    return _sample_framed(framed, x, y)
+
+
+def _sample_framed(framed, x, y):
+    """bilinear_sample of the map held in the interior [..., 1:-2, 1:-2] of a _zero_frame array."""
+    H, W = framed.shape[-2] - 3, framed.shape[-1] - 3
     col = np.clip(np.asarray(x, dtype=np.float64) + (W - 1) / 2.0, -1.0, W)
     row = np.clip(np.asarray(y, dtype=np.float64) + (H - 1) / 2.0, -1.0, H)
     r0 = np.floor(row).astype(np.int64)
     c0 = np.floor(col).astype(np.int64)
     fr = row - r0
     fc = col - c0
-    framed = np.zeros(values.shape[:-2] + (H + 3, W + 3), dtype=np.float64)
-    framed[..., 1 : H + 1, 1 : W + 1] = values
-    flat = framed.reshape(values.shape[:-2] + (-1,))
+    flat = framed.reshape(framed.shape[:-2] + (-1,))
     # take writes straight into tap only in a mode other than "raise"; the
     # last tap index, (H + 2)(W + 3) + W + 2, is inside the framed plane, so
     # "clip" clips nothing.
@@ -221,18 +225,18 @@ def _lattice_steps(value, step, name):
     return int(kr)
 
 
-def channel_sources(g, feat):
-    """The input channels act_on_feature(g, feat) reads, as (rot, sc) index arrays.
+def channel_sources(g, n_rotations, scale_grid):
+    """The input channels act_on_feature(g, .) reads on the lattice of N_r = n_rotations angles and scale_grid: (rot, sc).
 
     Output channel (r, s) reads input rotation rot[r] = (r - d_rot) mod N_r
-    and input scale sc[s] = s - d_sc, where eta = d_rot * rotation_step and
-    beta = d_sc * scale_step (OffLatticeError otherwise); an sc[s] outside
-    [0, N_s) lies beyond the truncated axis and reads zero.
+    and input scale sc[s] = s - d_sc, where eta = d_rot * 2 pi / N_r and
+    beta = d_sc times the scale_grid step (OffLatticeError otherwise); an
+    sc[s] outside [0, N_s) lies beyond the truncated axis and reads zero.
     """
-    d_rot = _lattice_steps(g.eta, feat.rotation_step, "eta")
-    d_sc = _lattice_steps(g.beta, feat.scale_step, "beta")
-    n_r, n_s = feat.values.shape[-4:-2]
-    return (np.arange(n_r) - d_rot) % n_r, np.arange(n_s) - d_sc
+    n_s = len(scale_grid)
+    d_rot = _lattice_steps(g.eta, 2.0 * math.pi / n_rotations, "eta")
+    d_sc = _lattice_steps(g.beta, float(scale_grid[1] - scale_grid[0]) if n_s > 1 else 0.0, "beta")
+    return (np.arange(n_rotations) - d_rot) % n_rotations, np.arange(n_s) - d_sc
 
 
 def act_on_feature(g, feat):
@@ -242,14 +246,14 @@ def act_on_feature(g, feat):
     alpha - beta).  eta must be a multiple of rotation_step and beta a
     multiple of the scale-channel step (OffLatticeError otherwise); scale
     channels shifted in from beyond the truncated axis are zero.  The
-    channel each output channel reads is channel_sources(g, feat): those
-    planes are gathered first, zero planes off the scale axis, and then one
-    bilinear_sample warps every plane on the same grid.
+    channel each output channel reads is channel_sources(g, N_r, scale_grid):
+    those planes are gathered straight into bilinear_sample's zero frame,
+    zero planes off the scale axis, and one pass then warps them all.
     """
-    rot, sc = channel_sources(g, feat)
-    moved = np.zeros_like(feat.values)
+    rot, sc = channel_sources(g, feat.values.shape[-4], feat.scale_grid)
+    framed = _zero_frame(feat.values.shape)
     for s, src in enumerate(sc):
         if 0 <= src < len(sc):
-            moved[..., s, :, :] = feat.values[..., rot, src, :, :]
-    warped = bilinear_sample(moved, *_warp_grid(g, *feat.values.shape[-2:]))
+            framed[..., s, 1:-2, 1:-2] = feat.values[..., rot, src, :, :]
+    warped = _sample_framed(framed, *_warp_grid(g, *feat.values.shape[-2:]))
     return FeatureMap(warped, feat.rotation_step, feat.scale_grid.copy())

@@ -298,7 +298,7 @@ def test_missing_file_exits_four(tmp_path, capsys):
         (["equi", "sweep", "--height", "24", "--width", "24", "--beta", "-1.25"], "config error", "beta=-1.25", "N_s = 9\n"),
         # every channel of D_g x^(L)[x] reads from beyond the 5-channel axis, so the reference is zero
         (["stab", "trials", "--trials", "1", "--beta", "5"], "config error", "beta=5.0", ""),
-        # group sizes no network can have are rejected before the channel probe is built from them
+        # group sizes no network can have are rejected before channel_sources reads their lattice
         (["equi", "sweep"], "config error", "n_rotations", "N_r = 0\n"),
         (["stab", "trials", "--trials", "1"], "config error", "n_rotations", "N_r = 0\n"),
         (["equi", "sweep"], "config error", "n_scales", "N_s = 0\n"),
@@ -486,3 +486,106 @@ def test_every_experiment_field_is_settable():
         dests |= set(vars(parser.parse_args(argv)))
     keys = set(experiment_fields(dict.fromkeys(DEFAULTS, 1)))
     assert {f.name for f in fields(ExperimentConfig)} - dests - keys == SET_FROM_PYTHON
+
+
+def _subparsers(parser):
+    import argparse
+
+    (action,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def _command_actions():
+    """{(group, command): [argparse action]} of every subcommand, --help left out."""
+    import argparse
+
+    from rstcnn.cli import build_parser
+
+    return {
+        (group, command): [a for a in p._actions if not isinstance(a, argparse._HelpAction)]
+        for group, gp in _subparsers(build_parser()).items()
+        for command, p in _subparsers(gp).items()
+    }
+
+
+def _type_name(t):
+    from rstcnn import cli
+
+    if t is None or t in (int, float):
+        return t and t.__name__
+    (name,) = (n for n, v in vars(cli).items() if v is t)
+    return name
+
+
+_COMMON = {"--config": ("config", None, None, False, None), "--out": ("out", None, None, False, None)}
+_KIND = ("spatial_kind", None, None, False, ("fb", "sl"))
+
+# option -> (dest, type, default, required, choices) of each subcommand
+FLAG_MATRIX = {
+    ("basis", "validate"): {**_COMMON, "--k-list": ("k_list", "_int_list", None, False, None), "--kind": _KIND},
+    ("bank", "build"): {**_COMMON, "--layer": ("layer", "int", 0, False, None)},
+    ("equi", "sweep"): {
+        **_COMMON,
+        "--k-list": ("k_list", "_int_list", None, False, None),
+        "--l-alpha-list": ("l_alpha_list", "_int_list", None, False, None),
+        "--seeds": ("seeds", "_int_list", None, False, None),
+        "--layers": ("layers", "int", None, False, None),
+        "--channels": ("channels", "int", None, False, None),
+        "--eta": ("eta", "float", None, False, None),
+        "--beta": ("beta", "float", None, False, None),
+        "--vx": ("vx", "float", None, False, None),
+        "--vy": ("vy", "float", None, False, None),
+        "--margin": ("margin", "int", None, False, None),
+        "--height": ("height", "int", None, False, None),
+        "--width": ("width", "int", None, False, None),
+        "--idx-images": ("idx_images", "_data_path", None, False, None),
+        "--idx-labels": ("idx_labels", "_data_path", None, False, None),
+        "--kind": _KIND,
+    },
+    ("stab", "trials"): {
+        **_COMMON,
+        "--trials": ("seeds", "_trials", tuple(range(20)), False, None),
+        "--grad-levels": ("grad_levels", "_float_list", None, False, None),
+        "--beta": ("beta", "float", None, False, None),
+        "--eta": ("eta", "float", None, False, None),
+        "--channels": ("channels", "int", None, False, None),
+    },
+    ("bounds", "report"): {
+        **_COMMON,
+        "--k-list": ("k_list", "_int_list", None, False, None),
+        "--seeds": ("seeds", "_int_list", None, False, None),
+        "--kind": _KIND,
+    },
+    ("data", "rs-make"): {
+        "--idx-images": ("idx_images", "_data_path", None, True, None),
+        "--idx-labels": ("idx_labels", "_data_path", None, True, None),
+        "--out": ("out", None, None, True, None),
+        "--seed": ("seed", "int", 0, False, None),
+        "--upsize": ("upsize", "int", 56, False, None),
+    },
+}
+
+
+def test_flag_matrix_is_pinned():
+    # every subcommand's flags, with what each sets and how it parses
+    got = {
+        key: {
+            option: (a.dest, _type_name(a.type), a.default, a.required, a.choices)
+            for a in actions
+            for option in a.option_strings
+        }
+        for key, actions in _command_actions().items()
+    }
+    assert got == FLAG_MATRIX
+
+
+def test_every_flag_has_help():
+    missing = [(key, a.option_strings) for key, actions in _command_actions().items() for a in actions if not a.help]
+    assert missing == []
+
+
+def test_every_declared_flag_is_taken():
+    from rstcnn.cli import _FLAGS
+
+    taken = {option for actions in _command_actions().values() for a in actions for option in a.option_strings}
+    assert set(_FLAGS) - taken == set()

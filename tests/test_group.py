@@ -247,12 +247,12 @@ def test_feature_channel_shift_matches_roll_and_copy(d_rot, d_sc):
     signed[pick > 0.8] = 0.0
     for values in (feat.values, signed):
         feat = FeatureMap(values, feat.rotation_step, feat.scale_grid)
-        g = GroupElement(d_rot * feat.rotation_step, d_sc * feat.scale_step, (0.7, -1.2))
+        g = GroupElement(d_rot * feat.rotation_step, d_sc * (feat.scale_grid[1] - feat.scale_grid[0]), (0.7, -1.2))
         out = act_on_feature(g, feat)
         shifted = reference.shift_feature_channels(feat.values, d_rot, d_sc)
         assert out.values.tobytes() == bilinear_sample(shifted, *_warp_grid(g, 9, 10)).tobytes()
         # channel_sources names the channel each shifted channel copies, or one beyond the scale axis
-        rot, sc = channel_sources(g, feat)
+        rot, sc = channel_sources(g, 4, feat.scale_grid)
         for r in range(4):
             for s in range(3):
                 want = feat.values[:, rot[r], sc[s]] if 0 <= sc[s] < 3 else 0.0
