@@ -65,7 +65,6 @@ from .data import (
 from .deform import (
     DeformationField,
     apply_deformation,
-    make_tau,
     make_tau_targeting_grad,
     tau_norms,
 )

@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .basis import SpatialRecipe, angular_matrix
 from .deform import apply_deformation, tau_norms
-from .group import FeatureMap, ImageTensor, act_on_feature, act_on_image, channel_sources
+from .group import ImageTensor, act_on_feature, act_on_image, channel_sources
 from .net import aggregate_channels, filter_amplitude, forward, forward_layers, layer_basis, theta_taps
 from .norms import feature_norm
 from .parts import run_parts
@@ -158,13 +158,13 @@ def stability_certificate(net, coeffs, x, g, tau):
 
     pair = ImageTensor(np.stack([act_on_image(g, apply_deformation(tau, x)).values, x.values]))
     per_layer = tuple(
-        feature_norm(f.values[0] - act_on_feature(g, FeatureMap(f.values[1], f.rotation_step, f.scale_grid)).values)
+        feature_norm(f.values[0] - act_on_feature(g, replace(f, values=f.values[1])).values)
         for f in forward_layers(net, coeffs, pair)
     )
     lhs = per_layer[-1]
 
     L = net.depth
-    j_last = net.layers[-1].resolved_scale
+    j_last = net.layers[-1].layer_scale
     rhs = (
         2.0 ** (g.beta + 1.0)
         * (4.0 * L * sup_grad + 2.0 ** (-j_last) * sup_tau)
@@ -398,7 +398,7 @@ def filter_bound_report(coeffs, bases, specs, quad, n_theta=64):
         sums = per_theta[0] if c.is_lifting else per_theta.sum(axis=0) / n_theta
         m_in, m_out = c.a.shape[:2]
         B, C, Du = (aggregate_channels(p, joint=not c.is_lifting) for p in sums.reshape(3, m_in, m_out, -1))
-        j = spec.resolved_scale
+        j = spec.layer_scale
         A = filter_amplitude(c, basis)
         reports.append(FilterBoundReport(B=float(B), C=float(C), D=float(Du) * 2.0**-j, A=A, layer_scale=j))
     return reports

@@ -70,9 +70,8 @@ class FilterBank:
 def sample_filter_bank(basis, n_rotations, n_scales, scale_range, stencil, layer_scale):
     """Sample a BasisSet's spatial elements onto the [K, N_r, N_s, L, L] bank.
 
-    layer_scale is j (LayerSpec.resolved_scale gives a layer's).  Sample
-    points that fall on or outside the (rescaled) domain boundary are
-    exactly zero.
+    layer_scale is j (a LayerSpec's layer_scale).  Sample points that fall
+    on or outside the (rescaled) domain boundary are exactly zero.
     """
     if stencil < 1 or stencil % 2 == 0:
         raise ValueError(f"stencil width must be odd, got {stencil}")
@@ -86,19 +85,11 @@ def sample_filter_bank(basis, n_rotations, n_scales, scale_range, stencil, layer
 
     offs = (np.arange(stencil) - (stencil - 1) / 2.0) * bank.pitch
     X, Y = np.meshgrid(offs, offs, indexing="xy")  # X[i,t]=offs[t], Y[i,t]=offs[i]
-    pts = np.stack([X, Y], axis=-1)  # [L, L, 2]
-
-    # args[r, s, i, t, 2] = 2^{-(alpha_s + j)} R_{-theta_r} u'
-    args = np.empty((n_rotations, n_scales, stencil, stencil, 2))
-    for r in range(n_rotations):
-        th = r * bank.rotation_step
-        c, s = math.cos(th), math.sin(th)
-        rx = c * pts[..., 0] + s * pts[..., 1]
-        ry = -s * pts[..., 0] + c * pts[..., 1]
-        for si in range(n_scales):
-            f = 2.0 ** (-grid[si] - j)
-            args[r, si, ..., 0] = f * rx
-            args[r, si, ..., 1] = f * ry
+    # args[r, s, i, t, :] = 2^{-(alpha_s + j)} R_{-theta_r} u'; scalar cos, sin and powers keep a per-(r, s) loop's bits
+    angles = [r * bank.rotation_step for r in range(n_rotations)]
+    c, s = (np.array([trig(th) for th in angles]).reshape(-1, 1, 1, 1) for trig in (math.cos, math.sin))
+    f = np.array([2.0 ** (-a - j) for a in grid]).reshape(-1, 1, 1)
+    args = np.stack([f * (c * X + s * Y), f * (-s * X + c * Y)], axis=-1)
 
     amp = (2.0 ** (-2.0 * grid - 2.0 * j))[None, :, None, None]
     np.multiply(amp, eval_spatial_stack(basis.spatial, args), out=bank.values)

@@ -6,12 +6,11 @@ A field is a truncated two-dimensional Fourier sum per component,
                                           + c2 sin(ax)cos(by) + c3 sin(ax)sin(by) ],
 
 with ax = px*pi*x/box, by = py*pi*y/box and box the half-width of the pixel
-coordinate range.  The representation is smooth, has an analytic Jacobian,
-and its sup-norm is bounded by the absolute coefficient sum, which makes
-exact amplitude targeting possible.  Fields are evaluated on tensor grids,
-where each term factors into per-axis trig tables.  Constant fields reduce
-to the pure translation warp bit-for-bit (same sampling path as the group
-action).
+coordinate range.  The representation is smooth and its analytic Jacobian is
+linear in the coefficients, which makes exact gradient targeting possible.
+Fields are evaluated on tensor grids, where each term factors into per-axis
+trig tables.  Constant fields reduce to the pure translation warp
+bit-for-bit (same sampling path as the group action).
 """
 
 from __future__ import annotations
@@ -77,32 +76,6 @@ class DeformationField:
         )
         return tau, jac
 
-    def sup_bound(self):
-        """Analytic upper bound on sup_u |tau(u)|_2 via absolute coefficient sums."""
-        per_comp = np.abs(self.coeffs).sum(axis=(1, 2, 3))
-        return float(np.hypot(per_comp[0], per_comp[1]))
-
-
-def make_tau(seed, amplitude, max_freq, height, width):
-    """Random field whose analytic sup-|tau| bound equals the given amplitude.
-
-    Coefficients are uniform [-1, 1] draws from the seed (sin rows of the
-    zero frequency are dropped since sin(0) = 0), then rescaled as a whole.
-    Deterministic in seed; amplitude 0 yields the zero field.
-    """
-    if amplitude < 0:
-        raise ValueError(f"amplitude must be >= 0, got {amplitude}")
-    rng = np.random.default_rng(seed)
-    c = rng.uniform(-1.0, 1.0, size=(2, max_freq + 1, max_freq + 1, 4))
-    c[:, 0, :, 2:] = 0.0  # sin(0 * x) terms
-    c[:, :, 0, 1] = 0.0  # sin(0 * y) terms
-    c[:, 0, :, 3] = 0.0
-    field = DeformationField(c, height, width)
-    bound = field.sup_bound()
-    if bound == 0.0:
-        return field
-    return DeformationField(c * (amplitude / bound), height, width)
-
 
 def tau_norms(field):
     """(sup |tau|_2, sup ||grad tau||_spectral) on an oversampled grid.
@@ -126,18 +99,22 @@ def tau_norms(field):
 def make_tau_targeting_grad(seed, sup_grad, max_freq, height, width):
     """Random field rescaled so tau_norms reports exactly the requested sup-grad.
 
-    Uses the Jacobian's linearity in the coefficients: one measurement of a
-    unit-amplitude draw fixes the scale factor exactly.
+    Coefficients are uniform [-1, 1] draws from the seed (sin terms of the
+    zero frequency are dropped since sin(0) = 0).  The Jacobian is linear in
+    the coefficients, so one measurement of the draw fixes the scale factor
+    exactly.  Deterministic in seed.
     """
     if sup_grad < 0:
         raise ValueError(f"sup_grad must be >= 0, got {sup_grad}")
     if max_freq < 1:
         raise ValueError("targeting a gradient needs at least one nonzero frequency")
-    base = make_tau(seed, 1.0, max_freq, height, width)
-    _, g0 = tau_norms(base)
+    c = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(2, max_freq + 1, max_freq + 1, 4))
+    c[:, 0, :, 2:] = 0.0  # sin(0 * x) terms
+    c[:, :, 0, 1] = 0.0  # sin(0 * y) terms
+    _, g0 = tau_norms(DeformationField(c, height, width))
     if g0 == 0.0:
         raise ValueError("seed produced a gradient-free field; cannot rescale")
-    return DeformationField(base.coeffs * (sup_grad / g0), height, width)
+    return DeformationField(c * (sup_grad / g0), height, width)
 
 
 def apply_deformation(field, image):

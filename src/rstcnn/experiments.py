@@ -79,8 +79,8 @@ class ExperimentConfig:
         if 2 in self.l_alpha_list:
             # alpha_taps(2) is (-1, 1), where every Dirichlet scale profile is 0
             raise ConfigError("L_alpha = 2 puts both scale taps on the edges alpha = -1, 1, where every joint filter is zero")
-        if not self.grad_levels or not all(level >= 0 for level in self.grad_levels):
-            raise ConfigError(f"grad_levels must be non-empty and >= 0, got {self.grad_levels}")
+        if not self.grad_levels or not all(0 <= level < math.inf for level in self.grad_levels):
+            raise ConfigError(f"grad_levels must be non-empty, finite and >= 0, got {self.grad_levels}")
         if (self.idx_images is None) != (self.idx_labels is None):
             raise ConfigError("idx images and labels must be given together")
         if self.idx_images is not None and self.height != self.width:
@@ -88,6 +88,21 @@ class ExperimentConfig:
         for name, value in (("eta", self.eta), ("beta", self.beta), ("v", self.v)):
             if not np.isfinite(value).all():
                 raise ConfigError(f"{name} must be finite, got {value}")
+        if self.kind in ("equivariance-sweep", "stability-trials"):
+            # channel_sources names the scale channel each channel of D_g reads, and raises
+            # OffLatticeError for an off-lattice eta or beta, before the sweep's reach check
+            # computes 2^-beta.  The lattice comes from a one-layer network whose NetworkConfig
+            # rejects N_r, N_s < 1 and a T <= 0 or beyond float range first (a bank-build view,
+            # so it runs no lattice check of its own).
+            lift = build_network(replace(self, kind="bank-build", layers=1), self.k_list[0], 1)
+            n_s = lift.n_scales
+            _, sc = channel_sources(GroupElement(self.eta, self.beta), lift.n_rotations, lift.scale_grid)
+            stored = (sc >= 0) & (sc < n_s)
+            # the sweep compares the middle scale channel, a trial every channel
+            sweep = self.kind == "equivariance-sweep"
+            if not (stored[n_s // 2] if sweep else stored.any()):
+                which = "the middle scale channel" if sweep else "every scale channel"
+                raise ConfigError(f"beta={self.beta} moves {which} to read beyond the {n_s} scale channels")
         if self.kind == "equivariance-sweep":
             H, W = self.height, self.width
             side = min(H, W)
@@ -98,20 +113,6 @@ class ExperimentConfig:
             reach = act_on_image(self.group_element, ImageTensor(np.ones((1, H, W)))).values[0]
             if not reach[m : H - m, m : W - m].any():
                 raise ConfigError(f"v={self.v} moves every source point in the margin-{m} interior off the {H}x{W} input")
-        if self.kind in ("equivariance-sweep", "stability-trials"):
-            # channel_sources names the scale channel each channel of D_g reads, and raises
-            # OffLatticeError for an off-lattice eta or beta.  The lattice comes from a
-            # one-layer network whose NetworkConfig rejects N_r, N_s < 1 and T <= 0 first (a
-            # bank-build view, so it runs no lattice check of its own).
-            lift = build_network(replace(self, kind="bank-build", layers=1), self.k_list[0], 1)
-            n_s = lift.n_scales
-            _, sc = channel_sources(GroupElement(self.eta, self.beta), lift.n_rotations, lift.scale_grid)
-            stored = (sc >= 0) & (sc < n_s)
-            # the sweep compares the middle scale channel, a trial every channel
-            sweep = self.kind == "equivariance-sweep"
-            if not (stored[n_s // 2] if sweep else stored.any()):
-                which = "the middle scale channel" if sweep else "every scale channel"
-                raise ConfigError(f"beta={self.beta} moves {which} to read beyond the {n_s} scale channels")
 
     @property
     def group_element(self):

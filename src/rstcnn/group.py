@@ -17,7 +17,7 @@ zero fill, which requires eta and beta to lie on the channel lattice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -85,14 +85,6 @@ class ImageTensor:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("image values must be finite")
 
-    @property
-    def channels(self):
-        return self.values.shape[-3]
-
-    @property
-    def shape(self):
-        return self.values.shape
-
 
 @dataclass
 class FeatureMap:
@@ -124,10 +116,6 @@ class FeatureMap:
             steps = np.diff(self.scale_grid)
             if not np.allclose(steps, steps[0], atol=1e-12):
                 raise ValueError("scale_grid must be uniform")
-
-    @property
-    def shape(self):
-        return self.values.shape
 
 
 def pixel_axes(H, W, ny=None, nx=None):
@@ -219,6 +207,9 @@ def _lattice_steps(value, step, name):
             raise OffLatticeError(f"{name}={value} but the axis has a single channel")
         return 0
     k = value / step
+    if not abs(k) < 2**52:
+        # the quotient has no fractional bits left to test, nor an integer shift a C long holds
+        raise OffLatticeError(f"{name}={value} lies 2^52 or more channel steps of {step} from 0")
     kr = round(k)
     if abs(k - kr) > LATTICE_TOL:
         raise OffLatticeError(f"{name}={value} is not a multiple of the channel step {step}")
@@ -256,4 +247,4 @@ def act_on_feature(g, feat):
         if 0 <= src < len(sc):
             framed[..., s, 1:-2, 1:-2] = feat.values[..., rot, src, :, :]
     warped = _sample_framed(framed, *_warp_grid(g, *feat.values.shape[-2:]))
-    return FeatureMap(warped, feat.rotation_step, feat.scale_grid.copy())
+    return replace(feat, values=warped)

@@ -67,7 +67,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -88,7 +88,7 @@ class LayerSpec:
 
     For the lifting layer (position 0 in a network) the inter-rotation /
     inter-scale fields are ignored: its filters have no (theta', alpha')
-    axes.  layer_scale None means the pitch-1 default log2((L-1)/2).
+    axes.  layer_scale None stores the pitch-1 default log2((L-1)/2).
     """
 
     in_channels: int
@@ -112,14 +112,10 @@ class LayerSpec:
             raise ConfigError("L_theta and L_alpha must be >= 1")
         if self.max_angular < 0 or self.n_scale < 1:
             raise ConfigError("max_angular must be >= 0 and n_scale >= 1")
-        if self.layer_scale is not None and not math.isfinite(self.layer_scale):
-            raise ConfigError(f"layer_scale must be finite, got {self.layer_scale}")
-
-    @property
-    def resolved_scale(self):
-        if self.layer_scale is None:
-            return default_layer_scale(self.stencil)
-        return float(self.layer_scale)
+        j = default_layer_scale(self.stencil) if self.layer_scale is None else float(self.layer_scale)
+        if not math.isfinite(j):
+            raise ConfigError(f"layer_scale must be finite, got {j}")
+        object.__setattr__(self, "layer_scale", j)
 
     @property
     def n_angular(self):
@@ -147,6 +143,8 @@ class NetworkConfig:
             raise ConfigError(
                 f"scale_range must be > 0 for {self.n_scales} scale channels, got {self.scale_range}"
             )
+        if self.n_scales > 1 and not math.isfinite(2.0 * self.scale_range):
+            raise ConfigError(f"scale_range T={self.scale_range} makes the scale grid [-T, T] non-finite")
         if self.spatial_kind not in ("fb", "sl"):
             raise ConfigError(f"unknown spatial kind {self.spatial_kind!r}")
         for prev, nxt in zip(self.layers, self.layers[1:]):
@@ -157,7 +155,12 @@ class NetworkConfig:
         for spec in self.layers[1:]:
             if self.n_rotations % spec.L_theta != 0:
                 raise ConfigError(f"L_theta={spec.L_theta} does not divide N_r={self.n_rotations}")
-        scales = [spec.resolved_scale for spec in self.layers]
+        scales = [spec.layer_scale for spec in self.layers]
+        t = float(self.scale_range) if self.n_scales > 1 else 0.0  # the scale grid spans [-t, t]
+        for j in scales:
+            # the bank scales by 2^j and 2^(-2(alpha + j)); 2^e is a finite nonzero float for e in [-1074, 1024)
+            if not all(-1074 <= e < 1024 for e in (j, 2.0 * t - 2.0 * j, -2.0 * t - 2.0 * j)):
+                raise ConfigError(f"layer_scale j={j} makes 2^j or 2^(-2(alpha+j)) zero or non-finite for alpha in [-{t}, {t}]")
         if any(b < a - 1e-12 for a, b in zip(scales, scales[1:])):
             raise ConfigError(f"layer scales must be nondecreasing, got {scales}")
 
@@ -237,7 +240,7 @@ def layer_bank(net, layer_index):
         net.n_scales,
         float(net.scale_range),
         spec.stencil,
-        spec.resolved_scale,
+        spec.layer_scale,
     )
 
 
@@ -539,7 +542,7 @@ def joint_conv(x, filters, bias, spec, window=None):
         raise ConfigError(f"L_theta={l_th} does not divide N_r={n_r}")
     out = _group_correlate(vals.reshape((-1,) + vals.shape[-5:]), filters, bias, window=window)
     out = out.reshape(vals.shape[:-5] + out.shape[1:])
-    return FeatureMap(out, x.rotation_step, x.scale_grid.copy())
+    return replace(x, values=out)
 
 
 def channel_cone(net, filters, keep):

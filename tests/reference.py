@@ -274,6 +274,40 @@ def fb_stack_every_point(elements, points):
     return vals, grads
 
 
+def loop_filter_bank_args(n_rotations, grid, stencil, pitch, layer_scale):
+    """The bank's sample points args[r, s, i, t, :] = 2^{-(alpha_s + j)} R_{-theta_r} u', one (rotation, scale) at a time.
+
+    This is the per-(theta, alpha) double loop sample_filter_bank ran before
+    it broadcast its grid, with the same scalar cos, sin and powers of 2.
+    """
+    offs = (np.arange(stencil) - (stencil - 1) / 2.0) * pitch
+    X, Y = np.meshgrid(offs, offs, indexing="xy")
+    pts = np.stack([X, Y], axis=-1)
+    args = np.empty((n_rotations, len(grid), stencil, stencil, 2))
+    for r in range(n_rotations):
+        th = r * (2.0 * math.pi / n_rotations)
+        c, s = math.cos(th), math.sin(th)
+        rx = c * pts[..., 0] + s * pts[..., 1]
+        ry = -s * pts[..., 0] + c * pts[..., 1]
+        for si in range(len(grid)):
+            f = 2.0 ** (-grid[si] - layer_scale)
+            args[r, si, ..., 0] = f * rx
+            args[r, si, ..., 1] = f * ry
+    return args
+
+
+def loop_filter_bank(basis, n_rotations, n_scales, scale_range, stencil, layer_scale):
+    """sample_filter_bank's values [K, N_r, N_s, L, L] from loop_filter_bank_args' points."""
+    from rstcnn.bank import scale_channel_grid
+    from rstcnn.basis import eval_spatial_stack
+
+    j = float(layer_scale)
+    grid = scale_channel_grid(n_scales, scale_range)
+    pitch = 2.0 * (2.0**j) / (stencil - 1)  # the support 2^j D spans the L taps
+    vals = eval_spatial_stack(basis.spatial, loop_filter_bank_args(n_rotations, grid, stencil, pitch, j))
+    return (2.0 ** (-2.0 * grid - 2.0 * j))[None, :, None, None] * vals
+
+
 def array_digest(a):
     """(shape, sha256 of the C-order bytes) of an array: equal for equal bits, zero signs included."""
     import hashlib
@@ -375,7 +409,7 @@ def chunked_filter_bounds(coeffs, basis, spec, n, n_theta):
     return {
         "B": float(B),
         "C": float(C),
-        "D": float(Du) * 2.0**-spec.resolved_scale,
+        "D": float(Du) * 2.0**-spec.layer_scale,
         "A": filter_amplitude(coeffs, basis),
     }
 

@@ -10,6 +10,7 @@ from rstcnn import (
     AssumptionError,
     BasisSet,
     CoeffTensor,
+    DeformationField,
     FeatureMap,
     GroupElement,
     ImageTensor,
@@ -30,7 +31,6 @@ from rstcnn import (
     isometry_deviation,
     layer_bank,
     layer_basis,
-    make_tau,
     make_tau_targeting_grad,
     nonexpansiveness_report,
     normalize_coeffs_A2,
@@ -123,7 +123,7 @@ def test_stability_rhs_matches_closed_form():
     sup_tau, sup_grad = tau_norms(tau)
     want = (
         2.0 ** (g.beta + 1.0)
-        * (4.0 * net.depth * sup_grad + 2.0 ** (-net.layers[-1].resolved_scale) * sup_tau)
+        * (4.0 * net.depth * sup_grad + 2.0 ** (-net.layers[-1].layer_scale) * sup_tau)
         * feature_norm(x)
     )
     assert report.rhs == pytest.approx(want, rel=1e-12)
@@ -132,7 +132,7 @@ def test_stability_rhs_matches_closed_form():
 
 def test_stability_vacuous_for_zero_field_and_identity():
     net, coeffs, x, _, _ = stability_setup(seed=2)
-    zero_tau = make_tau(0, 0.0, 3, 29, 29)
+    zero_tau = DeformationField(np.zeros((2, 4, 4, 4)), 29, 29)
     report = stability_certificate(net, coeffs, x, IDENTITY, zero_tau)
     assert report.vacuous and not report.violation
     assert report.rhs == 0.0
@@ -273,7 +273,7 @@ def test_filter_bounds_vanish_for_zero_coefficients(tiny_net):
     (report,) = filter_bound_report([zero], [basis], [spec], disk_quadrature(basis, 32), n_theta=8)
     assert report.B == report.C == report.D == report.A == 0.0
     assert report.scaled_D == 0.0
-    assert report.to_dict()["layer_scale"] == spec.resolved_scale
+    assert report.to_dict()["layer_scale"] == spec.layer_scale
 
 
 def test_filter_bound_single_element_against_radial_quadrature(tiny_net):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import reference
 import rstcnn.basis
 import rstcnn.parts
 from rstcnn.bank import default_layer_scale, sample_filter_bank, scale_channel_grid
@@ -60,6 +61,15 @@ def test_many_chunk_evaluation_stays_on_the_callers_thread_and_keeps_its_bytes(e
     assert len(fills) == 1
     assert np.signbit(chunked[chunked == 0.0]).any()
     assert np.array_equal(chunked, whole) and np.array_equal(np.signbit(chunked), np.signbit(whole))
+
+
+@pytest.mark.parametrize("kind", ["fb", "sl"])
+def test_broadcast_sampling_matches_the_loop_oracle_bit_for_bit(kind):
+    # a geometry away from the README config, whose banks the sha256 pins cover
+    basis = build_basis(kind, 6)
+    bank = sample_filter_bank(basis, n_rotations=3, n_scales=2, scale_range=0.7, stencil=7, layer_scale=1.3)
+    want = reference.loop_filter_bank(basis, 3, 2, 0.7, 7, 1.3)
+    assert reference.array_digest(bank.values) == reference.array_digest(want)
 
 
 def test_identity_slice_is_direct_sampling():

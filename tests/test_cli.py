@@ -124,7 +124,7 @@ def test_idx_sweep_runs_and_echoes_height_by_width(tmp_path, net_cfg, monkeypatc
 
     def recorded_input(cfg, seed):
         x = sweep_input(cfg, seed)
-        shapes.append(x.shape)
+        shapes.append(x.values.shape)
         return x
 
     monkeypatch.setattr(experiments, "sweep_input", recorded_input)
@@ -305,12 +305,28 @@ def test_missing_file_exits_four(tmp_path, capsys):
         (["stab", "trials", "--trials", "1"], "config error", "n_scales", "N_s = 0\n"),
         (["equi", "sweep"], "config error", "scale_range", "T = 0\n"),
         (["stab", "trials", "--trials", "1"], "config error", "scale_range", "T = 0\n"),
+        # past 2^52 channel steps the quotient has no fractional bits left and no C long holds the shift
+        (["equi", "sweep", "--height", "24", "--width", "24", "--beta", "1e308"], "off-lattice group element", "beta=1e+308", ""),
+        (["equi", "sweep", "--height", "24", "--width", "24", "--beta", "1e300"], "off-lattice group element", "beta=1e+300", ""),
+        (["equi", "sweep", "--height", "24", "--width", "24", "--eta", "1e20"], "off-lattice group element", "eta=1e+20", ""),
+        (["stab", "trials", "--trials", "1", "--eta", "1e300"], "off-lattice group element", "eta=1e+300", ""),
+        # the lattice check runs before the sweep's reach check computes 2^-beta
+        (["equi", "sweep", "--height", "24", "--width", "24", "--beta=-1e300"], "off-lattice group element", "beta=-1e+300", ""),
+        (["equi", "sweep", "--height", "24", "--width", "24"], "config error", "T=inf", "T = inf\n"),
+        (["stab", "trials", "--trials", "1"], "config error", "T=1e+308", "T = 1e308\n"),
+        # 2^(-2(alpha + j)) underflows to 0 (every bank zero), 2^j overflows, 2^(-2(alpha + j)) overflows
+        (["equi", "sweep", "--height", "24", "--width", "24"], "config error", "j=600.0", "j = 600\n"),
+        (["bounds", "report"], "config error", "j=1100.0", "j = 1100\n"),
+        (["stab", "trials", "--trials", "1"], "config error", "j=-600.0", "j = -600\n"),
+        (["stab", "trials", "--trials", "1", "--grad-levels", "inf"], "config error", "grad_levels", ""),
     ],
     ids=["off-lattice", "assumption", "pool-exhaustion", "pool-exhaustion-fb-101", "idx-not-square", "margin-too-wide",
          "margin-negative", "layers-zero", "stencil-one", "sweep-seed-negative", "bounds-seed-negative", "k-list-zero",
          "grad-level-negative", "grad-levels-empty", "grad-level-nan", "eta-nan", "vx-nan", "beta-inf", "sweep-j-nan", "bounds-j-inf",
          "vx-off-canvas", "vx-1e300", "vx-off-interior", "beta-above-axis", "beta-below-axis", "stab-beta-above-axis",
-         "sweep-n-r-zero", "stab-n-r-zero", "sweep-n-s-zero", "stab-n-s-zero", "sweep-t-zero", "stab-t-zero"],
+         "sweep-n-r-zero", "stab-n-r-zero", "sweep-n-s-zero", "stab-n-s-zero", "sweep-t-zero", "stab-t-zero",
+         "beta-1e308", "beta-1e300", "eta-1e20", "stab-eta-1e300", "beta-minus-1e300", "sweep-t-inf", "stab-t-1e308",
+         "sweep-j-600", "bounds-j-1100", "stab-j-minus-600", "grad-level-inf"],
 )
 def test_bad_input_exits_two_naming_the_cause(net_cfg, capsys, argv, cause, detail, cfg_lines):
     with open(net_cfg, "a") as fh:

@@ -50,7 +50,7 @@ def test_defaults_fill_missing_keys():
     assert net.n_rotations == 8 and net.n_scales == 9
     assert net.layers[0].in_channels == 1 and net.layers[0].out_channels == 1
     assert net.layers[1].L_theta == 4 and net.layers[1].L_alpha == 1
-    assert net.layers[0].layer_scale is None and net.seed == 0
+    assert net.layers[0].layer_scale == 2.0 and net.seed == 0
 
 
 def test_parse_comments_blanks_and_values():
@@ -76,7 +76,7 @@ def test_parse_comments_blanks_and_values():
     assert net.layers[1].L_alpha == 3
     assert net.layers[1].n_scale == 3
     assert net.scale_range == 0.5
-    assert [spec.resolved_scale for spec in net.layers] == [2.5, 2.5]
+    assert [spec.layer_scale for spec in net.layers] == [2.5, 2.5]
 
 
 def test_parse_errors_name_line_numbers():

@@ -12,7 +12,6 @@ from rstcnn import (
     ImageTensor,
     act_on_image,
     apply_deformation,
-    make_tau,
     make_tau_targeting_grad,
     tau_norms,
 )
@@ -21,8 +20,8 @@ from conftest import interior_image
 from rstcnn.group import pixel_axes
 
 
-def random_field(seed=0, max_freq=3, height=17, width=19, amplitude=2.0):
-    return make_tau(seed, amplitude, max_freq, height, width)
+def random_field(seed=0, max_freq=3, height=17, width=19, sup_grad=0.3):
+    return make_tau_targeting_grad(seed, sup_grad, max_freq, height, width)
 
 
 def test_on_grid_matches_loop_oracle():
@@ -60,23 +59,6 @@ def test_jacobian_matches_finite_differences():
     np.testing.assert_allclose(J[:, 1], fd_y, atol=1e-7)
 
 
-def test_sup_bound_dominates_measured_supremum():
-    for seed in range(5):
-        f = random_field(seed=seed, amplitude=1.0 + seed)
-        sup_tau, _ = tau_norms(f)
-        assert sup_tau <= f.sup_bound() + 1e-12
-
-
-def test_make_tau_hits_requested_amplitude():
-    f = make_tau(3, 0.75, 2, 15, 15)
-    assert f.sup_bound() == pytest.approx(0.75, rel=1e-12)
-    g = make_tau(3, 1.5, 2, 15, 15)
-    np.testing.assert_allclose(g.coeffs, 2.0 * f.coeffs, rtol=1e-14)
-    z = make_tau(3, 0.0, 2, 15, 15)
-    tau, jac = z.on_grid(*pixel_axes(z.height, z.width))
-    assert np.all(z.coeffs == 0.0) and np.all(tau == 0.0) and np.all(jac == 0.0)
-
-
 def test_targeting_hits_requested_gradient():
     for level in (0.02, 0.05, 0.1):
         f = make_tau_targeting_grad([7, 4242], level, 3, 29, 29)
@@ -112,7 +94,7 @@ def test_apply_constant_field_equals_translation_action():
 
 def test_apply_matches_pointwise_bilinear_oracle():
     x = interior_image(height=15, width=18, margin=4, seed=5, channels=2)
-    f = random_field(seed=6, height=15, width=18, amplitude=1.5)
+    f = random_field(seed=6, height=15, width=18, sup_grad=0.25)
     out = apply_deformation(f, x)
     H, W = 15, 18
     rng = np.random.default_rng(8)
@@ -129,7 +111,7 @@ def test_apply_matches_pointwise_bilinear_oracle():
 
 def test_apply_to_a_batch_deforms_each_sample():
     x = ImageTensor(np.stack([interior_image(height=12, width=12, margin=3, seed=s).values for s in (3, 4)]))
-    f = random_field(seed=2, height=12, width=12, amplitude=1.2)
+    f = random_field(seed=2, height=12, width=12)
     out = apply_deformation(f, x)
     assert out.values.shape == (2, 1, 12, 12)
     for b in range(2):
@@ -145,8 +127,6 @@ def test_error_paths():
         DeformationField(np.full((2, 1, 1, 4), np.nan), 5, 5)
     with pytest.raises(ValueError):
         DeformationField(np.zeros((2, 1, 1, 4)), 0, 5)
-    with pytest.raises(ValueError):
-        make_tau(0, -1.0, 2, 9, 9)
     with pytest.raises(ValueError):
         make_tau_targeting_grad(0, -0.5, 2, 9, 9)
     with pytest.raises(ValueError):

@@ -653,7 +653,7 @@ def test_batched_shape_mismatches_raise():
 
 
 def test_batched_containers_read_group_sizes_from_trailing_axes():
-    assert ImageTensor(np.zeros((3, 2, 5, 4))).channels == 2
+    assert ImageTensor(np.zeros((3, 2, 5, 4))).values.shape[-3] == 2
     FeatureMap(np.zeros((3, 2, 4, 2, 5, 5)), math.pi / 2, np.array([-1.0, 1.0]))
     with pytest.raises(ValueError, match="rotation_step"):
         FeatureMap(np.zeros((4, 2, 3, 2, 5, 5)), math.pi / 2, np.array([-1.0, 1.0]))
