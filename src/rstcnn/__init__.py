@@ -109,6 +109,7 @@ from .net import (
     layer_bank,
     layer_basis,
     lifting_conv,
+    live_slices,
     normalize_coeffs_A2,
     synthesize_filters,
     theta_taps,

@@ -95,14 +95,18 @@ def equivariance_curve(net, coeffs, x, g, margin=4):
     source = (rot[0], sc[mid]) if 0 <= sc[mid] < n_s else None
     if source is not None:
         keep[source] = True
-    errors = []
     pair = ImageTensor(np.stack([act_on_image(g, x).values, x.values]))
-    for f in forward_layers(net, coeffs, pair, keep=keep):
-        direct, plain = f.values
-        chan = plain[:, source[0], source[1]] if source is not None else np.zeros_like(plain[:, 0, 0])
-        num, den = _slice_error(direct[:, 0, mid], act_on_image(g, ImageTensor(chan)).values, margin)
-        errors.append(num / den if den > 0.0 else math.inf)
-    return EquivarianceCurve(tuple(errors))
+    layers = forward_layers(net, coeffs, pair, keep=keep)
+    # each map goes straight into the call that reduces it, so none is held while the next is computed
+    return EquivarianceCurve(tuple(_pair_error(next(layers).values, g, mid, source, margin) for _ in range(net.depth)))
+
+
+def _pair_error(vals, g, mid, source, margin):
+    """The relative error between channel (0, mid) of vals[0] and D_g of channel source of vals[1] (zero when None)."""
+    direct, plain = vals
+    chan = plain[:, source[0], source[1]] if source is not None else np.zeros_like(plain[:, 0, 0])
+    num, den = _slice_error(direct[:, 0, mid], act_on_image(g, ImageTensor(chan)).values, margin)
+    return num / den if den > 0.0 else math.inf
 
 
 @dataclass(frozen=True)
@@ -157,10 +161,9 @@ def stability_certificate(net, coeffs, x, g, tau):
         )
 
     pair = ImageTensor(np.stack([act_on_image(g, apply_deformation(tau, x)).values, x.values]))
-    per_layer = tuple(
-        feature_norm(f.values[0] - act_on_feature(g, replace(f, values=f.values[1])).values)
-        for f in forward_layers(net, coeffs, pair)
-    )
+    layers = forward_layers(net, coeffs, pair)
+    # each map goes straight into the call that reduces it, so none is held while the next is computed
+    per_layer = tuple(_pair_deviation(next(layers), g) for _ in range(net.depth))
     lhs = per_layer[-1]
 
     L = net.depth
@@ -188,6 +191,11 @@ def stability_certificate(net, coeffs, x, g, tau):
     )
 
 
+def _pair_deviation(f, g):
+    """||f[0] - D_g f[1]|| of a pair's feature map f."""
+    return feature_norm(f.values[0] - act_on_feature(g, replace(f, values=f.values[1])).values)
+
+
 @dataclass(frozen=True)
 class NonexpansivenessReport:
     """Worst-case layer ratios over random input pairs.
@@ -206,10 +214,10 @@ class NonexpansivenessReport:
 
 
 # Trial pairs per forward of nonexpansiveness_report.  Larger batches run
-# faster but raise the memory peak: 4 pairs (8 samples at 28x28) peak at 34
-# MB traced, below the 43 MB of a full forward of a fig3 K=10, L_alpha=3 pair
-# at 56x56, and 10 pairs at 75 MB, well above it.  The sweep forwards only
-# the cone of its compared channels, which peaks at 27 MB for that pair.
+# faster but raise the memory peak: 4 pairs (8 samples at 28x28) peak at 22
+# MB traced, below the 28 MB of a full forward of a fig3 K=10, L_alpha=3 pair
+# at 56x56, and 10 pairs at 53 MB, well above it.  The sweep forwards only
+# the cone of its compared channels, which peaks at 14 MB for that pair.
 REPORT_PAIRS = 4
 
 
@@ -240,14 +248,18 @@ def nonexpansiveness_report(net, coeffs, n_trials, seed, height=28, width=28):
         x1s, x2s = images[0::2], images[1::2]
         d0 = [feature_norm(x1 - x2) for x1, x2 in zip(x1s, x2s)]
         prev = [feature_norm(x1) for x1 in x1s]  # norm of the centered input to layer l
-        for l, f in enumerate(forward_layers(net, coeffs, ImageTensor(np.stack(images)))):
+        layers = forward_layers(net, coeffs, ImageTensor(np.stack(images)))
+        for l in range(net.depth):
+            # no name holds the map (or a view of it) while the next is computed
+            vals = next(layers).values
             for j in range(len(x1s)):
-                f1, f2 = f.values[2 * j], f.values[2 * j + 1]
+                f1, f2 = vals[2 * j], vals[2 * j + 1]
                 per_layer[l] = max(per_layer[l], feature_norm(f1 - f2) / d0[j])
                 cur = feature_norm(f1 - zero_feats[l].values)
                 if prev[j] > 0.0:
                     centered_worst = max(centered_worst, cur / prev[j])
                 prev[j] = cur
+            del vals, f1, f2
     return NonexpansivenessReport(
         worst_ratio=max(per_layer) if per_layer else 0.0,
         per_layer_worst=tuple(per_layer),

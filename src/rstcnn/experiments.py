@@ -118,30 +118,34 @@ class ExperimentConfig:
     def group_element(self):
         return GroupElement(self.eta, self.beta, tuple(self.v))
 
-    def echo_lines(self):
+    def echo(self):
+        """The run's settings by echo key, in echo order; a tuple holds one value per sweep entry or vector component."""
         g = self.group_element
-        pairs = [
-            ("kind", self.kind),
-            ("layers", self.layers),
-            ("channels", self.channels),
-            ("K", ",".join(str(k) for k in self.k_list)),
-            ("L_alpha", ",".join(str(v) for v in self.l_alpha_list)),
-            ("seeds", ",".join(str(s) for s in self.seeds)),
-            ("N_r", self.n_rotations),
-            ("N_s", self.n_scales),
-            ("T", repr(float(self.scale_range))),
-            ("L_theta", self.L_theta),
-            ("L", self.stencil),
-            ("eta", repr(g.eta)),
-            ("beta", repr(g.beta)),
-            ("v", f"{g.v[0]!r},{g.v[1]!r}"),
-            ("margin", self.margin),
-            ("height", self.height),
-            ("width", self.width),
-            ("j", "default" if self.layer_scale is None else repr(float(self.layer_scale))),
-            ("source", self.idx_images or "synthetic"),
-        ]
-        return [f"# {k} = {v}" for k, v in pairs]
+        return {
+            "kind": self.kind,
+            "layers": self.layers,
+            "channels": self.channels,
+            "K": self.k_list,
+            "L_alpha": self.l_alpha_list,
+            "seeds": self.seeds,
+            "N_r": self.n_rotations,
+            "N_s": self.n_scales,
+            "T": float(self.scale_range),
+            "L_theta": self.L_theta,
+            "L": self.stencil,
+            "eta": g.eta,
+            "beta": g.beta,
+            "v": g.v,
+            "margin": self.margin,
+            "height": self.height,
+            "width": self.width,
+            "j": "default" if self.layer_scale is None else float(self.layer_scale),
+            "source": self.idx_images or "synthetic",
+        }
+
+    def echo_lines(self):
+        """The sweep CSV's "# key = value" lines; a tuple is written comma-separated."""
+        return [f"# {k} = {','.join(map(str, v)) if isinstance(v, tuple) else v}" for k, v in self.echo().items()]
 
 
 def fig3_config(**overrides):
@@ -151,7 +155,7 @@ def fig3_config(**overrides):
 
 def stability_config(**overrides):
     """The 3-layer stability-trials preset over 20 seeds."""
-    base = dict(kind="stability-trials", layers=3, seeds=tuple(range(20)), k_list=(5,))
+    base = dict(kind="stability-trials", layers=3, seeds=tuple(range(20)), k_list=(5,), l_alpha_list=(1,))
     base.update(overrides)
     return ExperimentConfig(**base)
 
@@ -244,15 +248,10 @@ def run_stability_trials(cfg):
 
 def stability_json(cfg, reports):
     """Deterministic JSON text for a list of stability reports."""
+    # the echo but the sweep's margin, which the trials do not read
+    config = {k: list(v) if isinstance(v, tuple) else v for k, v in cfg.echo().items() if k != "margin"}
     body = {
-        "config": {
-            "kind": cfg.kind,
-            "layers": cfg.layers,
-            "seeds": list(cfg.seeds),
-            "grad_levels": list(cfg.grad_levels),
-            "beta": cfg.beta,
-            "eta": cfg.eta,
-        },
+        "config": config | {"grad_levels": list(cfg.grad_levels)},
         "trials": [r.to_dict() for r in reports],
         "violations": sum(1 for r in reports if r.violation),
     }

@@ -151,35 +151,43 @@ def bilinear_sample(values, x, y):
     """
     framed = _zero_frame(values.shape)
     framed[..., 1:-2, 1:-2] = values
-    return _sample_framed(framed, x, y)
+    taps = _bilinear_taps(x, y, *values.shape[-2:])
+    out = np.zeros(values.shape[:-2] + taps[0][0].shape, dtype=np.float64)
+    _sample_framed(framed, taps, out)
+    return out
 
 
-def _sample_framed(framed, x, y):
-    """bilinear_sample of the map held in the interior [..., 1:-2, 1:-2] of a _zero_frame array."""
-    H, W = framed.shape[-2] - 3, framed.shape[-1] - 3
+def _bilinear_taps(x, y, H, W):
+    """bilinear_sample's four taps of the points (x, y) on an H x W map: (flat index into a _zero_frame plane, weight) pairs."""
     col = np.clip(np.asarray(x, dtype=np.float64) + (W - 1) / 2.0, -1.0, W)
     row = np.clip(np.asarray(y, dtype=np.float64) + (H - 1) / 2.0, -1.0, H)
     r0 = np.floor(row).astype(np.int64)
     c0 = np.floor(col).astype(np.int64)
     fr = row - r0
     fc = col - c0
+    top_left = (r0 + 1) * (W + 3) + c0 + 1
+    return [
+        (top_left + offset, w)
+        for offset, w in (
+            (0, (1.0 - fr) * (1.0 - fc)),
+            (1, (1.0 - fr) * fc),
+            (W + 3, fr * (1.0 - fc)),
+            (W + 4, fr * fc),
+        )
+    ]
+
+
+def _sample_framed(framed, taps, out):
+    """Add the weighted taps (_bilinear_taps) of the map in the interior of the _zero_frame array framed into out (zeros)."""
     flat = framed.reshape(framed.shape[:-2] + (-1,))
     # take writes straight into tap only in a mode other than "raise"; the
     # last tap index, (H + 2)(W + 3) + W + 2, is inside the framed plane, so
     # "clip" clips nothing.
-    top_left = (r0 + 1) * (W + 3) + c0 + 1
-    out = np.zeros(flat.shape[:-1] + top_left.shape, dtype=np.float64)
     tap = np.empty_like(out)
-    for offset, w in (
-        (0, (1.0 - fr) * (1.0 - fc)),
-        (1, (1.0 - fr) * fc),
-        (W + 3, fr * (1.0 - fc)),
-        (W + 4, fr * fc),
-    ):
-        np.take(flat, top_left + offset, axis=-1, out=tap, mode="clip")
+    for index, w in taps:
+        np.take(flat, index, axis=-1, out=tap, mode="clip")
         tap *= w
         out += tap
-    return out
 
 
 def _warp_grid(g, H, W):
@@ -230,6 +238,15 @@ def channel_sources(g, n_rotations, scale_grid):
     return (np.arange(n_rotations) - d_rot) % n_rotations, np.arange(n_s) - d_sc
 
 
+# act_on_feature frames, gathers and warps as many whole planes at a time as
+# fit this many bytes framed (at least one plane).  A block's frame, gathered
+# planes, tap buffer and output are then about 1 MB together, which stays in
+# a 2 MB L2 cache.  On a 2-vCPU VM a [2, 8, 9, 56, 56] map took 3.4 ms here
+# and at 512 KB, 3.8 ms at 128 KB, 4.0 ms at 1 MB and 5.4 ms at 2 MB, and its
+# traced peak grows with the block: 4.3 MB here, 4.8 MB at 512 KB.
+_BLOCK_BYTES = 2**18
+
+
 def act_on_feature(g, feat):
     """Transformed feature map: shift rotation/scale channels, warp space.
 
@@ -237,14 +254,26 @@ def act_on_feature(g, feat):
     alpha - beta).  eta must be a multiple of rotation_step and beta a
     multiple of the scale-channel step (OffLatticeError otherwise); scale
     channels shifted in from beyond the truncated axis are zero.  The
-    channel each output channel reads is channel_sources(g, N_r, scale_grid):
-    those planes are gathered straight into bilinear_sample's zero frame,
-    zero planes off the scale axis, and one pass then warps them all.
+    channel each output channel reads is channel_sources(g, N_r, scale_grid).
+    The output planes go in blocks of whole planes: each block's sources
+    are gathered straight into bilinear_sample's zero frame, zero planes off
+    the scale axis, and warped into the output, which is the only map-sized
+    array formed.
     """
-    rot, sc = channel_sources(g, feat.values.shape[-4], feat.scale_grid)
-    framed = _zero_frame(feat.values.shape)
-    for s, src in enumerate(sc):
-        if 0 <= src < len(sc):
-            framed[..., s, 1:-2, 1:-2] = feat.values[..., rot, src, :, :]
-    warped = _sample_framed(framed, *_warp_grid(g, *feat.values.shape[-2:]))
-    return replace(feat, values=warped)
+    vals = feat.values
+    n_r, n_s, H, W = vals.shape[-4:]
+    rot, sc = channel_sources(g, n_r, feat.scale_grid)
+    # output plane (sample, channel, r, s) reads input plane (sample, channel, rot[r], sc[s]) if sc[s] is stored
+    planes = vals.reshape(-1, H, W)
+    reads = (np.arange(0, len(planes), n_r * n_s)[:, None] + (rot[:, None] * n_s + sc).ravel()).ravel()
+    stored = np.tile((sc >= 0) & (sc < n_s), len(planes) // n_s)
+    taps = _bilinear_taps(*_warp_grid(g, H, W), H, W)
+    out = np.zeros(vals.shape)
+    flat_out = out.reshape(planes.shape)
+    block = max(1, _BLOCK_BYTES // ((H + 3) * (W + 3) * 8))
+    for lo in range(0, len(planes), block):
+        hi = min(lo + block, len(planes))
+        framed = _zero_frame((hi - lo, H, W))
+        framed[stored[lo:hi], 1:-2, 1:-2] = planes[reads[lo:hi][stored[lo:hi]]]
+        _sample_framed(framed, taps, flat_out[lo:hi])
+    return replace(feat, values=out)

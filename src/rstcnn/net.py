@@ -29,26 +29,29 @@ The convolutions and forward also take a leading batch axis: images [N, M,
 H, W] give feature maps [N, M, N_r, N_s, H, W].  Each filter spectrum is
 built once per call and multiplied into every sample, in the same order as
 for a single sample, so each sample's output is bit-identical whatever else
-is in the batch.  forward_layers yields the layers one at a time, and the
-analysis runners reduce each layer before the next is computed: the
-equivariance and stability runners send each image pair they compare
-through as one batch of 2, and the non-expansiveness report sends 4 trial
-pairs (8 samples) per batch.  Larger batches would run faster but raise the
-memory peak, which grows with the batch.
+is in the batch.  forward_layers yields the layers one at a time, synthesizes
+each layer's filters when it runs and drops its input map once its spectra
+exist.  The analysis runners reduce each layer and drop it before the next
+is computed, so they hold one layer's map at a time: the equivariance and
+stability runners send each image pair they compare through as one batch of
+2, and the non-expansiveness report sends 4 trial pairs (8 samples) per
+batch.  Larger batches would run faster but raise the memory peak, which
+grows with the batch.
 
 forward_layers(..., keep) computes only what the channels of keep, one
 boolean [N_r, N_s] mask read at every layer, depend on.  A joint layer's
 tap t reads rotation r + t * N_r / L_theta, so each residue class of
 rotations mod N_r / L_theta reads only itself, and its live scale taps q
-(the filter slices nonzero for some channel pair) read scale s + q, nothing
-above the top channel.  channel_cone walks back from the last layer and
-gives each layer the whole residue classes and the scale window that cover
-keep and what the next layer reads there.  Those channels are
+(the filter slices nonzero for some channel pair, which live_slices reads
+from the coefficients' profile rows before any filter is synthesized) read
+scale s + q, nothing above the top channel.  channel_cone walks back from
+the last layer and gives each layer the whole residue classes and the scale
+window that cover keep and what the next layer reads there.  Those channels are
 bit-identical to the full forward's; every other channel holds NaN, so a
 missed dependency cannot pass unseen.  equivariance_curve keeps its two
 compared channels, which on the fig3 sweep leaves 4 of 8 rotations and 3
-to 5 of 9 scales per layer.  keep=None keeps every channel, through the
-same code.
+to 5 of 9 scales per layer.  keep=None computes every channel, through
+the same correlation with no window.
 
 Each correlation runs on every CPU the process may use, through
 parts.run_parts: the forward rfft2 is split over the flattened (sample,
@@ -67,7 +70,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -244,6 +247,15 @@ def layer_bank(net, layer_index):
     )
 
 
+def _profile_rows(a, basis, spec):
+    """[M_in, M_out, L_theta, L_alpha, K]: joint coefficients a times the angular and scale profiles on the tap grids."""
+    if a.shape[3:] != (spec.n_angular, spec.n_scale):
+        raise ConfigError(f"coefficient mode axes {a.shape[3:]} != spec ({spec.n_angular}, {spec.n_scale})")
+    phi = angular_matrix(basis, theta_taps(spec.L_theta))  # [n_ang, L_theta]
+    xi = scale_matrix(basis, alpha_taps(spec.L_alpha))  # [n_scale, L_alpha]
+    return np.einsum("abkmn,mt,nq->abtqk", a, phi, xi, optimize=True)
+
+
 def synthesize_filters(coeffs, bank, spec):
     """Expand coefficients against the bank into explicit filter tensors.
 
@@ -257,20 +269,14 @@ def synthesize_filters(coeffs, bank, spec):
         raise ConfigError(f"coefficient K={a.shape[2]} != bank K={bank.K}")
     if coeffs.is_lifting:
         return np.einsum("abk,krsij->abrsij", a, bank.values)
-    if a.shape[3] != spec.n_angular or a.shape[4] != spec.n_scale:
-        raise ConfigError(
-            f"coefficient mode axes {a.shape[3:]} != spec ({spec.n_angular}, {spec.n_scale})"
-        )
     basis = build_basis(bank.spatial_kind, spec.K, max_angular=spec.max_angular, n_scale=spec.n_scale)
-    phi = angular_matrix(basis, theta_taps(spec.L_theta))  # [n_ang, L_theta]
-    xi = scale_matrix(basis, alpha_taps(spec.L_alpha))  # [n_scale, L_alpha]
     # The steps of einsum("abkmn,krsij,mt,nq->abrtsqij", ..., optimize=True):
-    # the m and n sums in the order it picks, then one [(a b t q), K] @
-    # [K, (r s i j)] GEMM, here in column blocks of at most BLAS_ONE_THREAD
-    # multiply-adds, which OpenBLAS runs on the calling thread (see
-    # rstcnn.parts).  Each element is the same K products summed in the same
-    # order, so the filters keep the whole-layer einsum's bits.
-    rows = np.einsum("abkmn,mt,nq->abtqk", a, phi, xi, optimize=True).reshape(-1, bank.K)
+    # the m and n sums in the order it picks (_profile_rows), then one
+    # [(a b t q), K] @ [K, (r s i j)] GEMM, here in column blocks of at most
+    # BLAS_ONE_THREAD multiply-adds, which OpenBLAS runs on the calling thread
+    # (see rstcnn.parts).  Each element is the same K products summed in the
+    # same order, so the filters keep the whole-layer einsum's bits.
+    rows = _profile_rows(a, basis, spec).reshape(-1, bank.K)
     cols = bank.values.reshape(bank.K, -1)
     n = cols.shape[1]
     flat = np.empty((rows.shape[0], n))
@@ -341,6 +347,19 @@ def _live_taps(filters):
     return filters.any(axis=(1, 2, 4, 6, 7))
 
 
+def live_slices(net, coeffs, layer_index):
+    """[M_in, L_theta, L_alpha]: _live_taps of a joint layer's filters, read from its profile rows instead.
+
+    The filters of an (input channel, tap) slice are its _profile_rows times
+    the bank, so a slice whose rows are zero for every output channel has
+    zero filters, and the rows are far smaller than the filters.  A nonzero
+    row whose bank sum vanished at every tap would only widen channel_cone's
+    windows.
+    """
+    spec = net.layers[layer_index]
+    return _profile_rows(coeffs[layer_index].a, layer_basis(net, layer_index), spec).any(axis=(1, 4))
+
+
 def _rotation_reads(rows, l_theta):
     """The rotations that the rotation mask rows [N_r] reads through L_theta taps, as a mask.
 
@@ -394,11 +413,14 @@ def _row_spectra(row, live, n_val, ey, wex):
                 yield t, q, i, ey @ (row[i, t, : n_val[q], q] @ wex[q])
 
 
-def _group_correlate(vals, filters, bias, window=None):
+def _group_correlate(held, filters, bias, window=None):
     """relu(bias + tap-weighted spatial correlations), evaluated on rfft2 spectra.
 
-    vals [N, M_in, R, S, H, W] (N samples; R, S the input's group sizes, or 1
-    to broadcast one image over every output channel); filters [M_in, M_out,
+    held is a one-element list of the input vals [N, M_in, R, S, H, W] (N
+    samples; R, S the input's group sizes, or 1 to broadcast one image over
+    every output channel).  It is emptied, and vals is dropped once its
+    spectra exist, so an input no caller holds is freed before the output
+    is allocated.  filters [M_in, M_out,
     N_r, L_theta, N_s, L_alpha, L, L].  Tap t reads rotation (r + t * R /
     L_theta) mod R, tap q reads scale s + q (nothing above the top channel)
     and carries weight alpha_weights(L_alpha)[q] / L_theta.  Returns [N,
@@ -425,6 +447,7 @@ def _group_correlate(vals, filters, bias, window=None):
     scales from N_s - q0 on get no inverse transform: they are relu(bias),
     as the inverse transform of zeros plus bias would give.
     """
+    vals = held.pop()
     m_in, m_out, n_r, l_th, n_s, l_al, L, _ = filters.shape
     n, _, R, S, H, W = vals.shape
     rows, s_lo, s_hi = window if window is not None else (np.ones(n_r, dtype=bool), 0, n_s)
@@ -459,6 +482,7 @@ def _group_correlate(vals, filters, bias, window=None):
             rows_xf[j] = np.fft.rfft2(padded)
 
     run_parts(transform, n_rows)
+    del vals, rows_in  # the input map, unless a caller still holds it
     # allocated after the transform, whose temporaries are gone by then
     out = np.empty((n, m_out, n_r, n_s, H, W))
     if r_n < n_r or s_hi - s_lo < n_s:
@@ -509,13 +533,12 @@ def lifting_conv(x, filters, bias, scale_grid, window=None):
     window (rows, lo, hi) computes only those channels (_group_correlate).
     """
     m_in, _, n_r = filters.shape[:3]
-    vals = x.values
-    if vals.shape[-3] != m_in:
-        raise ConfigError(f"input channels {vals.shape[-3]} != filter in_channels {m_in}")
-    batch = vals.reshape((-1,) + vals.shape[-3:])[:, :, None, None]
-    out = _group_correlate(batch, filters[:, :, :, None, :, None], bias, window=window)
-    out = out.reshape(vals.shape[:-3] + out.shape[1:])
-    return FeatureMap(out, 2.0 * math.pi / n_r, np.asarray(scale_grid, dtype=np.float64))
+    shape = x.values.shape
+    if shape[-3] != m_in:
+        raise ConfigError(f"input channels {shape[-3]} != filter in_channels {m_in}")
+    held = [x.values.reshape((-1,) + shape[-3:])[:, :, None, None]]
+    out = _group_correlate(held, filters[:, :, :, None, :, None], bias, window=window)
+    return FeatureMap(out.reshape(shape[:-3] + out.shape[1:]), 2.0 * math.pi / n_r, np.asarray(scale_grid, dtype=np.float64))
 
 
 def joint_conv(x, filters, bias, spec, window=None):
@@ -528,10 +551,12 @@ def joint_conv(x, filters, bias, spec, window=None):
     weight (1/L_theta) * trapezoid(l_alpha); then bias and ReLU.  A batched
     feature map [N, M, N_r, N_s, H, W] gives a batch of the same rank.  A
     window (rows, lo, hi) computes only those channels (_group_correlate).
+    No reference to x is kept here, so when the caller holds none either, x
+    is freed once its spectra exist.
     """
     m_in, _, n_r_f, l_th, n_s_f, l_al = filters.shape[:6]
-    vals = x.values
-    m_x, n_r, n_s = vals.shape[-5:-2]
+    shape = x.values.shape
+    m_x, n_r, n_s = shape[-5:-2]
     if m_x != m_in or n_r_f != n_r or n_s_f != n_s:
         raise ConfigError(
             f"filter group shape {(m_in, n_r_f, n_s_f)} does not match input {(m_x, n_r, n_s)}"
@@ -540,12 +565,13 @@ def joint_conv(x, filters, bias, spec, window=None):
         raise ConfigError("filter tap axes do not match the layer spec")
     if n_r % l_th != 0:
         raise ConfigError(f"L_theta={l_th} does not divide N_r={n_r}")
-    out = _group_correlate(vals.reshape((-1,) + vals.shape[-5:]), filters, bias, window=window)
-    out = out.reshape(vals.shape[:-5] + out.shape[1:])
-    return replace(x, values=out)
+    held, lattice = [x.values.reshape((-1,) + shape[-5:])], (x.rotation_step, x.scale_grid)
+    del x
+    out = _group_correlate(held, filters, bias, window=window)
+    return FeatureMap(out.reshape(shape[:-5] + out.shape[1:]), *lattice)
 
 
-def channel_cone(net, filters, keep):
+def channel_cone(net, live, keep):
     """Per layer, the window (rows, lo, hi) that forward_layers computes for keep.
 
     keep [N_r, N_s] is a boolean mask of the channels the caller reads at
@@ -553,8 +579,7 @@ def channel_cone(net, filters, keep):
     the rotation mask rows [N_r] and the scales [lo, hi) that cover keep and
     every channel the next layer's window reads: whole residue classes of
     rotations (_rotation_reads) and the scales its live taps reach
-    (_scale_reads).  filters are the layers' synthesized filters; only the
-    joint layers' live taps are read.
+    (_scale_reads).  live[idx - 1] is joint layer idx's live_slices mask.
     """
     keep = np.asarray(keep)
     shape = (net.n_rotations, net.n_scales)
@@ -569,7 +594,7 @@ def channel_cone(net, filters, keep):
         lo, hi = int(scales[0]), int(scales[-1]) + 1
         if idx > 0:
             rows = _rotation_reads(rows, net.layers[idx].L_theta)
-            live_q = np.flatnonzero(_live_taps(filters[idx]).any(axis=(0, 1)))
+            live_q = np.flatnonzero(live[idx - 1].any(axis=(0, 1)))
             i0, i1 = _scale_reads(lo, hi, live_q, shape[1])
             rows_read = rows & (i1 > i0)
             scales_read = np.zeros_like(keep_scales)
@@ -583,9 +608,14 @@ def forward_layers(net, coeffs, x, keep=None):
 
     x may hold one image [M, H, W] or a batch [N, M, H, W]; a batch runs every
     layer once for all N samples, and each sample's features are bit-identical
-    to its own single-image run.  Only the layer being computed and its input
-    are held here, so a caller that reduces each map before asking for the
-    next never holds every layer at once.
+    to its own single-image run.  Each layer's filters are synthesized when it
+    runs, and its input map is dropped here once the layer's input spectra
+    exist.  So a caller that drops each map before asking for the next holds
+    one layer's map at a time: the next map is allocated after the previous
+    one is freed.  A loop variable, a view (a reshape or an index), an
+    enumerate or a generator expression over this generator keeps the
+    previous map alive until the next is computed; pass each map into the
+    call that reduces it (next(layers)) or del it first.
 
     keep, a boolean [N_r, N_s] mask of the channels the caller reads at every
     layer, limits each layer to its channel_cone window: those channels are
@@ -594,31 +624,29 @@ def forward_layers(net, coeffs, x, keep=None):
     """
     if len(coeffs) != net.depth:
         raise ConfigError(f"expected {net.depth} coefficient tensors, got {len(coeffs)}")
-    # Every layer's filters are synthesized before the first correlation, as
-    # channel_cone reads the live taps of them all.
-    filters = [synthesize_filters(coeffs[idx], layer_bank(net, idx), spec) for idx, spec in enumerate(net.layers)]
-    if keep is None:
-        keep = np.ones((net.n_rotations, net.n_scales), dtype=bool)
-    windows = channel_cone(net, filters, keep)
-    cur = x
+    windows = [None] * net.depth
+    if keep is not None:
+        windows = channel_cone(net, [live_slices(net, coeffs, idx) for idx in range(1, net.depth)], keep)
+    maps = [x]  # the next layer's input, popped into the call that reads it
     for idx, spec in enumerate(net.layers):
-        filt, filters[idx] = filters[idx], None  # freed once used
+        filters = synthesize_filters(coeffs[idx], layer_bank(net, idx), spec)
         if idx == 0:
-            cur = lifting_conv(cur, filt, coeffs[idx].b, net.scale_grid, window=windows[idx])
+            maps.append(lifting_conv(maps.pop(), filters, coeffs[idx].b, net.scale_grid, window=windows[idx]))
         else:
-            cur = joint_conv(cur, filt, coeffs[idx].b, spec, window=windows[idx])
-        yield cur
+            maps.append(joint_conv(maps.pop(), filters, coeffs[idx].b, spec, window=windows[idx]))
+        del filters
+        yield maps[0]
 
 
 def forward(net, coeffs, x, return_all=False):
     """Run the full network; returns the last FeatureMap, or the list of every layer's.
 
-    The features are forward_layers'; without return_all only the current
-    layer is kept.
+    The features are forward_layers'; without return_all each layer is
+    dropped as soon as it is returned, so one layer is held at a time.
     """
     layers = forward_layers(net, coeffs, x)
     if return_all:
         return list(layers)
-    for cur in layers:
-        pass
-    return cur
+    for _ in range(net.depth - 1):
+        next(layers)
+    return next(layers)

@@ -531,3 +531,44 @@ def cone_dependence(net, coeffs, x, windows, seed=0):
             moved = moved or not np.array_equal(got[:, :, ~inside], want[:, :, ~inside])
         flags.append((kept, moved))
     return flags
+
+
+def whole_map_act_on_feature(g, feat):
+    """act_on_feature in one pass over the whole map, the oracle of its blocked pass.
+
+    This is the package's code before it went in blocks of planes: the
+    channels each output channel reads (channel_sources) are gathered into
+    one zero frame of the whole map, one row and column before the grid and
+    two after, zero planes off the scale axis, and its four bilinear taps
+    are then gathered, weighted and added over every plane at once, in the
+    same order as the blocked pass, so the two agree bit for bit.
+    """
+    from dataclasses import replace
+
+    from rstcnn.group import channel_sources, pixel_coords, rotation_matrix
+
+    vals = feat.values
+    H, W = vals.shape[-2:]
+    rot, sc = channel_sources(g, vals.shape[-4], feat.scale_grid)
+    framed = np.zeros(vals.shape[:-2] + (H + 3, W + 3))
+    for s, src in enumerate(sc):
+        if 0 <= src < len(sc):
+            framed[..., s, 1:-2, 1:-2] = vals[..., rot, src, :, :]
+    # source points R_{-eta} 2^{-beta} (u - v) of every output pixel u
+    X, Y = pixel_coords(H, W)
+    R = rotation_matrix(-g.eta)
+    scale = 2.0**-g.beta
+    dx, dy = X - g.v[0], Y - g.v[1]
+    x = scale * (R[0, 0] * dx + R[0, 1] * dy)
+    y = scale * (R[1, 0] * dx + R[1, 1] * dy)
+    col = np.clip(x + (W - 1) / 2.0, -1.0, W)
+    row = np.clip(y + (H - 1) / 2.0, -1.0, H)
+    r0 = np.floor(row).astype(np.int64)
+    c0 = np.floor(col).astype(np.int64)
+    fr, fc = row - r0, col - c0
+    flat = framed.reshape(framed.shape[:-2] + (-1,))
+    top_left = (r0 + 1) * (W + 3) + c0 + 1
+    out = np.zeros(flat.shape[:-1] + top_left.shape)
+    for offset, w in ((0, (1.0 - fr) * (1.0 - fc)), (1, (1.0 - fr) * fc), (W + 3, fr * (1.0 - fc)), (W + 4, fr * fc)):
+        out += np.take(flat, top_left + offset, axis=-1) * w
+    return replace(feat, values=out)

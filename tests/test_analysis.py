@@ -31,12 +31,12 @@ from rstcnn import (
     isometry_deviation,
     layer_bank,
     layer_basis,
+    live_slices,
     make_tau_targeting_grad,
     nonexpansiveness_report,
     normalize_coeffs_A2,
     smooth_feature_values,
     stability_certificate,
-    synthesize_filters,
     sweep_input,
     tau_norms,
 )
@@ -224,8 +224,8 @@ def test_sweep_cell_transforms_only_its_cone(monkeypatch):
     coeffs = init_coeffs(net)
     keep = np.zeros((8, 9), dtype=bool)
     keep[0, 4] = keep[2, 6] = True
-    filters = [synthesize_filters(coeffs[i], layer_bank(net, i), spec) for i, spec in enumerate(net.layers)]
-    windows = channel_cone(net, filters, keep)
+    live = [live_slices(net, coeffs, idx) for idx in range(1, net.depth)]
+    windows = channel_cone(net, live, keep)
     assert [(w[0].tolist(), w[1], w[2]) for w in windows] == [([True, False] * 4, 4, 7)] * 5
     slices = []
     for name in ("rfft2", "ifft"):

@@ -414,7 +414,7 @@ def _character_cases(cfg, data_dir):
     stab_flags = ["--trials", "3", "--grad-levels", "0.01,0.2", "--beta", "0", "--eta", "1.5707963267948966",
                   "--channels", "3"]
     stab_fields = dict(seeds=(0, 1, 2), grad_levels=(0.01, 0.2), beta=0.0, eta=math.pi / 2, channels=3)
-    stab_preset = dict(layers=3, k_list=(5,), seeds=tuple(range(20)))
+    stab_preset = dict(layers=3, k_list=(5,), l_alpha_list=(1,), seeds=tuple(range(20)))
     return [
         # equi sweep: the fig3 preset, flags alone, the file alone, file then flags
         (["equi", "sweep"], "equivariance-sweep", {}),

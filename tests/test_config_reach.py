@@ -5,7 +5,8 @@ and `equi sweep` and `stab trials` are run on the base and on the changed
 file.  Only what the network produces is compared, so an echo of the key
 cannot pass for its effect: the sweep's error column (a row-count change
 moves it too), counted as moved only beyond 1e-9 relative, and the JSON's
-`trials`.
+`trials`.  The JSON's `config` echo is checked on its own: it must name
+every key the trials read, so two files for different networks differ.
 """
 
 import json
@@ -82,7 +83,11 @@ def test_changed_values_cover_every_key_and_the_allow_list_names_them():
 @pytest.mark.parametrize("command", sorted(RUNS))
 def test_every_config_key_reaches_the_run_or_has_a_reason(tmp_path, command):
     base = _run(tmp_path, command, BASE, "base")
-    moved = {key for key, value in CHANGED.items() if _moved(command, base, _run(tmp_path, command, BASE | {key: value}, key))}
+    changed = {key: _run(tmp_path, command, BASE | {key: value}, key) for key, value in CHANGED.items()}
+    moved = {key for key, text in changed.items() if _moved(command, base, text)}
     allowed = {key for cmd, key in ALLOWED if cmd == command}
     assert set(CHANGED) - moved - allowed == set(), "a config key leaves the output unchanged; make the run read it or give a reason"
     assert moved & allowed == set(), "an allow-list entry moves the output now; drop it"
+    if command == "stab trials":
+        echoed = {key for key, text in changed.items() if json.loads(text)["config"] != json.loads(base)["config"]}
+        assert echoed == moved, "a key the trials read is missing from the JSON's config echo"

@@ -302,6 +302,17 @@ def test_stability_json_deterministic():
     assert text.endswith("\n")
 
 
+def test_stability_json_config_is_the_echo_but_margin():
+    # the CSV echo's keys and values, as JSON types, so each is stated once
+    cfg = stability_test_config(seeds=(0, 1), layer_scale=1.5, v=(1.0, -2.0))
+    config = json.loads(stability_json(cfg, []))["config"]
+    assert set(config) == set(cfg.echo()) - {"margin"} | {"grad_levels"}
+    assert config["seeds"] == [0, 1] and config["grad_levels"] == list(cfg.grad_levels)
+    assert (config["K"], config["L_alpha"], config["v"], config["j"]) == ([3], [1], [1.0, -2.0], 1.5)
+    assert (config["channels"], config["N_r"], config["L"], config["source"]) == (1, 4, cfg.stencil, "synthetic")
+    assert type(config["eta"]) is float and type(config["beta"]) is float and type(config["layers"]) is int
+
+
 def test_basis_validate_report():
     cfg = ExperimentConfig(kind="basis-validate", k_list=(3,))
     report = run_basis_validate(cfg)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
+import rstcnn.group
 from conftest import interior_image
 from rstcnn.group import (
     FeatureMap,
@@ -298,3 +299,29 @@ def test_feature_action_on_a_batch_acts_on_each_sample():
     out = act_on_feature(g, batch)
     for b, f in enumerate(samples):
         assert np.array_equal(out.values[b], act_on_feature(g, f).values)
+
+
+@pytest.mark.parametrize("side", [28, 56])
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["single", "batched"])
+@pytest.mark.parametrize(
+    "d_rot, d_sc, v",
+    [(0, 0, (0.0, 0.0)), (-2, -2, (0.0, 0.0)), (1, 3, (2.5, -1.25)), (5, -1, (-0.5, 4.0))],
+    ids=["identity", "sweep-g", "low-zero-planes", "high-zero-plane"],
+)
+@pytest.mark.parametrize("block_bytes", [None, 1], ids=["default-blocks", "one-plane-blocks"])
+def test_blocked_feature_action_matches_the_whole_map(side, lead, d_rot, d_sc, v, block_bytes, monkeypatch):
+    # fig3's lattice: 8 rotations, 9 scales 0.25 apart.  A beta of d_sc steps
+    # reads |d_sc| planes from beyond the scale axis.  The blocks (34 planes
+    # of 28 x 28, 9 of 56 x 56 by default) do not divide the 144 planes a
+    # sample holds.  Bytes are compared, so zero signs count.
+    if block_bytes is not None:
+        monkeypatch.setattr(rstcnn.group, "_BLOCK_BYTES", block_bytes)
+    rng = np.random.default_rng(side + d_sc)
+    vals = rng.standard_normal(lead + (2, 8, 9, side, side))
+    vals[rng.uniform(size=vals.shape) < 0.2] = -0.0
+    feat = FeatureMap(vals, math.pi / 4, np.linspace(-1.0, 1.0, 9))
+    g = GroupElement(d_rot * math.pi / 4, d_sc * 0.25, v)
+    got = act_on_feature(g, feat)
+    want = reference.whole_map_act_on_feature(g, feat)
+    assert got.values.shape == vals.shape
+    assert got.values.tobytes() == want.values.tobytes()

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ import pytest
 import reference
 import rstcnn.net
 import rstcnn.parts
+from rstcnn.analysis import REPORT_PAIRS
 from rstcnn import (
     ConfigError,
     CoeffTensor,
@@ -40,6 +42,7 @@ from rstcnn import (
     layer_bank,
     layer_basis,
     lifting_conv,
+    live_slices,
     normalize_coeffs_A2,
     scale_matrix,
     stability_config,
@@ -515,8 +518,8 @@ def _window_mask(net, window):
     return mask
 
 
-def _layer_filters(net, coeffs):
-    return [synthesize_filters(coeffs[i], layer_bank(net, i), spec) for i, spec in enumerate(net.layers)]
+def _live(net, coeffs):
+    return [live_slices(net, coeffs, idx) for idx in range(1, net.depth)]
 
 
 def _keep(*channels):
@@ -540,9 +543,9 @@ def test_cone_forward_equals_full_forward_on_the_cone(depth, L_theta, L_alpha, m
     coeffs = init_coeffs(net, seed=L_theta + 10 * L_alpha)
     xs = np.stack([interior_image(height=11, width=10, margin=2, seed=s).values for s in range(3)])
     full = [f.values for f in forward_layers(net, coeffs, ImageTensor(xs))]
-    filters = _layer_filters(net, coeffs)
+    live = _live(net, coeffs)
     for keep in CONE_MASKS.values():
-        masks = [_window_mask(net, w) for w in channel_cone(net, filters, keep)]
+        masks = [_window_mask(net, w) for w in channel_cone(net, live, keep)]
         for mask in masks:
             assert (mask | keep).tolist() == mask.tolist()
         orders = iter(([2, 0, 1], [1, 2], [0, 1, 2]))
@@ -562,8 +565,8 @@ def test_cone_of_a_one_live_scale_tap_network():
     # L_theta = 4 on 8 rotations: residue classes mod 2.  Only the middle of
     # the 3 scale taps lives, so each joint layer reads one channel higher.
     net = _cone_net(5, 4, 3)
-    filters = _layer_filters(net, init_coeffs(net, seed=0))
-    windows = channel_cone(net, filters, CONE_MASKS["one-class"])
+    live = _live(net, init_coeffs(net, seed=0))
+    windows = channel_cone(net, live, CONE_MASKS["one-class"])
     assert [(w[0].tolist(), w[1], w[2]) for w in windows] == [
         ([True, False] * 4, 2, 5),  # the lifting layer reads no channel
         ([True, False] * 4, 2, 5),
@@ -571,7 +574,7 @@ def test_cone_of_a_one_live_scale_tap_network():
         ([True, False] * 4, 2, 4),
         ([True, False] * 4, 2, 3),
     ]
-    windows = channel_cone(net, filters, CONE_MASKS["two-classes"])
+    windows = channel_cone(net, live, CONE_MASKS["two-classes"])
     assert [(w[0].all(), w[1], w[2]) for w in windows] == [(True, 1, 5)] * 3 + [(True, 1, 4), (True, 1, 3)]
 
 
@@ -582,7 +585,7 @@ def test_cone_passes_the_dependence_oracle(L_theta, L_alpha, mask):
     # the windows above it, and does move some channel outside them
     net = _cone_net(4, L_theta, L_alpha)
     coeffs = init_coeffs(net, seed=3)
-    windows = channel_cone(net, _layer_filters(net, coeffs), CONE_MASKS[mask])
+    windows = channel_cone(net, _live(net, coeffs), CONE_MASKS[mask])
     x = ImageTensor(np.stack([interior_image(height=11, width=10, margin=2, seed=s).values for s in range(2)]))
     flags = reference.cone_dependence(net, coeffs, x, windows, seed=4)
     assert all(kept for kept, _ in flags)
@@ -621,6 +624,113 @@ def test_joint_conv_window_reads_only_its_cone(window, dead_q):
     assert np.array_equal(got[:, :, mask], full.values[:, :, mask])
     assert np.array_equal(np.signbit(got[:, :, mask]), np.signbit(full.values[:, :, mask]))
     assert np.isnan(got[:, :, ~mask]).all()
+
+
+@pytest.mark.parametrize("kind", ["fb", "sl"])
+@pytest.mark.parametrize("K", [5, 10])
+@pytest.mark.parametrize("L_alpha", [1, 3])
+def test_live_slices_are_the_live_taps_of_the_synthesized_filters(kind, K, L_alpha):
+    # the fig3 networks: at L_alpha = 3 every Dirichlet scale profile is 0 at
+    # the end taps, so only the middle one lives; an input channel with zero
+    # coefficients has no live slice
+    net = build_network(fig3_config(spatial_kind=kind), K, L_alpha, seed=0)
+    coeffs = init_coeffs(net)
+    coeffs[2] = CoeffTensor(coeffs[2].a * (np.arange(2) > 0)[:, None, None, None, None], coeffs[2].b)
+    for idx in range(1, net.depth):
+        live = live_slices(net, coeffs, idx)
+        filters = synthesize_filters(coeffs[idx], layer_bank(net, idx), net.layers[idx])
+        assert np.array_equal(live, rstcnn.net._live_taps(filters))
+        taps = [[q == L_alpha // 2 for q in range(L_alpha)]] * 4
+        assert live.tolist() == ([[[False] * L_alpha] * 4] if idx == 2 else [taps]) + [taps]
+
+
+def _owner(a):
+    """The array that owns a's memory (NumPy points a view's base at it)."""
+    return a if a.base is None else a.base
+
+
+@pytest.mark.parametrize("cone", [False, True], ids=["full", "cone"])
+def test_forward_layers_drops_each_input_once_its_spectra_exist(cone, monkeypatch):
+    # Each correlation calls run_parts for its input transform, then for its
+    # row passes.  A consumer that keeps only a weakref to the memory of each
+    # map's values (the array that owns it, as a reshape view of it outlives
+    # the values) finds the previous layer's alive during the transform and
+    # dead by the row passes, so the next map is allocated after the previous
+    # one is freed.
+    net = _cone_net(4, 4, 3)
+    coeffs = init_coeffs(net, seed=2)
+    x = ImageTensor(np.stack([interior_image(height=11, width=10, margin=2, seed=s).values for s in range(2)]))
+    previous = [None]  # a weakref to the last map taken
+    alive = []
+    run_parts = rstcnn.net.run_parts
+
+    def probe(fn, count):
+        alive.append(previous[0] is not None and previous[0]() is not None)
+        return run_parts(fn, count)
+
+    monkeypatch.setattr(rstcnn.net, "run_parts", probe)
+    layers = forward_layers(net, coeffs, x, keep=CONE_MASKS["one-class"] if cone else None)
+    for idx in range(net.depth):
+        alive.clear()
+        previous[0] = weakref.ref(_owner(next(layers).values))
+        assert alive == [idx > 0, False]
+
+
+def test_forward_holds_one_layer_at_a_time(monkeypatch):
+    # every map forward takes from forward_layers is gone once the next exists
+    net = _cone_net(4, 2, 3)
+    coeffs = init_coeffs(net, seed=2)
+    refs, alive = [], []
+    original = rstcnn.net.forward_layers
+
+    def recorded(*args, **kwargs):
+        layers = original(*args, **kwargs)
+        for _ in range(net.depth):
+            f = next(layers)
+            alive.append(sum(ref() is not None for ref in refs))
+            refs.append(weakref.ref(_owner(f.values)))
+            yield f
+            del f
+
+    monkeypatch.setattr(rstcnn.net, "forward_layers", recorded)
+    last = forward(net, coeffs, interior_image(height=11, width=10, margin=2))
+    assert alive == [0] * net.depth
+    assert refs[-1]() is _owner(last.values)
+
+
+@pytest.mark.parametrize("parts", [1, 2])
+def test_forward_layers_step_holds_no_input_map(parts, monkeypatch):
+    # One joint step of a criterion-5 report batch (REPORT_PAIRS pairs of the
+    # fig3 K = 5, L_alpha = 1 network at 28 x 28), traced from before its
+    # input map was formed, peaks at the input spectra, the output and the
+    # part buffers of test_joint_conv_memory_is_input_spectra_output_and_row_blocks,
+    # with the layer's filters in the slack.  The input map has no term: it is
+    # freed once its spectra exist.  Held beside them, it does not fit.
+    monkeypatch.setattr(rstcnn.parts, "_PARTS", parts)
+    net = build_network(fig3_config(), 5, 1, seed=0)
+    coeffs = init_coeffs(net)
+    x = ImageTensor(np.random.default_rng(0).uniform(size=(2 * REPORT_PAIRS, 1, 28, 28)))
+    forward(net, coeffs, x)  # warm-up: banks, bases and profiles are cached
+    n, m, n_r, n_s, H, W, L = 2 * REPORT_PAIRS, 2, 8, 9, 28, 28, 9
+    P, Q = H + (L - 1) // 2, W + (L - 1) // 2
+    spectra = n * m * n_r * n_s * P * (Q // 2 + 1) * 16
+    out = n * m * n_r * n_s * H * W * 8
+    row = 2 * n * n_s * P * (Q // 2 + 1) * 16 + n * n_s * H * Q * 8
+    slack = m * m * n_r * 4 * n_s * L * L * 8 + (parts + 1) * 2**18
+    bound = spectra + out + parts * row + slack
+    assert out + spectra + out + parts * row > bound
+    layers = forward_layers(net, coeffs, x)
+    next(layers)
+    tracemalloc.start()
+    try:
+        vals = next(layers).values  # layer 2, the input of the measured step
+        tracemalloc.reset_peak()
+        del vals
+        next(layers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
 
 
 @pytest.mark.parametrize(
