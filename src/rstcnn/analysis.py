@@ -22,7 +22,7 @@ import numpy as np
 from .basis import SpatialRecipe, angular_matrix
 from .deform import apply_deformation, tau_norms
 from .group import ImageTensor, act_on_feature, act_on_image, channel_sources
-from .net import aggregate_channels, filter_amplitude, forward, forward_layers, layer_basis, theta_taps
+from .net import aggregate_channels, filter_amplitude, forward_layers, layer_basis, theta_taps
 from .norms import feature_norm
 from .parts import run_parts
 
@@ -214,11 +214,12 @@ class NonexpansivenessReport:
 
 
 # Trial pairs per forward of nonexpansiveness_report.  Larger batches run
-# faster but raise the memory peak: 4 pairs (8 samples at 28x28) peak at 22
-# MB traced, below the 28 MB of a full forward of a fig3 K=10, L_alpha=3 pair
-# at 56x56, and 10 pairs at 53 MB, well above it.  The sweep forwards only
-# the cone of its compared channels, which peaks at 14 MB for that pair.
-REPORT_PAIRS = 4
+# faster but raise the memory peak, which must stay below that of a full
+# forward of a fig3 K=10, L_alpha=3 pair at 56x56 (20.8 MB traced): the first
+# batch, 3 pairs and the zero input (7 samples at 28x28), peaks at 19.7 MB,
+# and 4 pairs and the zero input (9 samples) at 24.9 MB.  The sweep forwards
+# only the cone of its compared channels, which peaks at 14 MB for that pair.
+REPORT_PAIRS = 3
 
 
 def nonexpansiveness_report(net, coeffs, n_trials, seed, height=28, width=28):
@@ -226,42 +227,48 @@ def nonexpansiveness_report(net, coeffs, n_trials, seed, height=28, width=28):
 
     Pairs are uniform [0, 1] images drawn per trial from (seed, trial)
     streams.  REPORT_PAIRS consecutive trials' pairs go through one forward
-    as a batch, and each layer of it is reduced to its norms before the next
-    is computed.  Every sample's features are bit-identical to its own run,
-    so the report does not depend on the grouping.
+    as a batch, the first batch led by the zero input, and each layer of it
+    is reduced to its norms before the next is computed; only the zero
+    input's features are kept.  Every sample's features are bit-identical to
+    its own run, so the report does not depend on the grouping.  n_trials,
+    height and width must be >= 1 (ValueError otherwise).
     """
-    zero = np.zeros((net.layers[0].in_channels, height, width))
-    zero_feats = forward(net, coeffs, ImageTensor(zero), return_all=True)
+    for name, value in (("n_trials", n_trials), ("height", height), ("width", width)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+    shape = (net.layers[0].in_channels, height, width)
+    zero_feats = []  # per layer, the zero input's features: sample 0 of the first batch
     constancy = 0.0
-    for f in zero_feats:
-        flat = f.values.reshape(f.values.shape[0], -1)
-        constancy = max(constancy, float((flat.max(axis=1) - flat.min(axis=1)).max()))
-
     per_layer = [0.0] * net.depth
     centered_worst = 0.0
     for start in range(0, n_trials, REPORT_PAIRS):
-        images = []
+        images = [np.zeros(shape)] if start == 0 else []
+        lead = len(images)  # the pairs follow the zero input
         for t in range(start, min(start + REPORT_PAIRS, n_trials)):
             rng = np.random.default_rng([seed, t])
-            images.append(rng.uniform(0.0, 1.0, size=zero.shape))
-            images.append(rng.uniform(0.0, 1.0, size=zero.shape))
-        x1s, x2s = images[0::2], images[1::2]
+            images.append(rng.uniform(0.0, 1.0, size=shape))
+            images.append(rng.uniform(0.0, 1.0, size=shape))
+        x1s, x2s = images[lead::2], images[lead + 1 :: 2]
         d0 = [feature_norm(x1 - x2) for x1, x2 in zip(x1s, x2s)]
         prev = [feature_norm(x1) for x1 in x1s]  # norm of the centered input to layer l
         layers = forward_layers(net, coeffs, ImageTensor(np.stack(images)))
         for l in range(net.depth):
             # no name holds the map (or a view of it) while the next is computed
             vals = next(layers).values
+            if lead:
+                zero_feats.append(vals[0].copy())
+                flat = zero_feats[l].reshape(zero_feats[l].shape[0], -1)
+                constancy = max(constancy, float((flat.max(axis=1) - flat.min(axis=1)).max()))
             for j in range(len(x1s)):
-                f1, f2 = vals[2 * j], vals[2 * j + 1]
+                f1, f2 = vals[lead + 2 * j], vals[lead + 2 * j + 1]
                 per_layer[l] = max(per_layer[l], feature_norm(f1 - f2) / d0[j])
-                cur = feature_norm(f1 - zero_feats[l].values)
+                cur = feature_norm(f1 - zero_feats[l])
                 if prev[j] > 0.0:
                     centered_worst = max(centered_worst, cur / prev[j])
                 prev[j] = cur
             del vals, f1, f2
     return NonexpansivenessReport(
-        worst_ratio=max(per_layer) if per_layer else 0.0,
+        worst_ratio=max(per_layer),
         per_layer_worst=tuple(per_layer),
         centered_worst=centered_worst,
         constancy_dev=constancy,

@@ -34,9 +34,9 @@ each layer's filters when it runs and drops its input map once its spectra
 exist.  The analysis runners reduce each layer and drop it before the next
 is computed, so they hold one layer's map at a time: the equivariance and
 stability runners send each image pair they compare through as one batch of
-2, and the non-expansiveness report sends 4 trial pairs (8 samples) per
-batch.  Larger batches would run faster but raise the memory peak, which
-grows with the batch.
+2, and the non-expansiveness report sends 3 trial pairs per batch, the first
+led by the zero input (7 samples).  Larger batches would run faster but
+raise the memory peak, which grows with the batch.
 
 forward_layers(..., keep) computes only what the channels of keep, one
 boolean [N_r, N_s] mask read at every layer, depend on.  A joint layer's
@@ -55,15 +55,21 @@ the same correlation with no window.
 
 Each correlation runs on every CPU the process may use, through
 parts.run_parts: the forward rfft2 is split over the flattened (sample,
-input channel) rows, and then one pass per (output channel, output
-rotation) row over those rows.  A row's pass forms its filter spectra,
-adds their products with every sample's input spectra into one block of
-that row's spectra (every sample, the scales it writes), inverse-transforms
-the block and applies bias and ReLU into the output.  The block is a few
-hundred KB at the report's and the sweep's shapes, so the multiply-adds run
-in cache, and no accumulator of the whole layer is ever held.  Every output
-element goes through the same operations in the same order whatever the
-split, so the results are bit-identical for every part count.
+input channel) rows, each transformed straight into the layer's input
+spectra with no temporary of its size, and then one pass per (output
+channel, output rotation) row over those rows.  A row's pass forms its
+filter spectra, adds their products with every sample's input spectra into
+one block of that row's spectra (every sample, the scales it writes),
+inverse-transforms the block and applies bias and ReLU into the output.
+The block is a few hundred KB at the report's and the sweep's shapes, so
+the multiply-adds run in cache, and no accumulator of the whole layer is
+ever held.  The filter spectra are formed in runs of live slices that share
+a scale tap, one stacked pair of matmuls per run into a buffer of at most
+group.BLOCK_BYTES (256 KB, or one slice when that is larger), so a row
+makes a few large NumPy calls rather than two per slice.  The run plan is
+made once per correlation.  Every output element goes through the same
+operations in the same order whatever the split, so the results are
+bit-identical for every part count.
 """
 
 from __future__ import annotations
@@ -76,7 +82,7 @@ import numpy as np
 
 from .bank import default_layer_scale, sample_filter_bank, scale_channel_grid
 from .basis import angular_matrix, build_basis, scale_matrix
-from .group import FeatureMap
+from .group import BLOCK_BYTES, FeatureMap
 from .norms import fb_norm, fb_norm_joint
 from .parts import BLAS_ONE_THREAD, run_parts
 
@@ -395,22 +401,56 @@ def _conj_dft(L, P, Q):
     return ey, ex
 
 
-def _row_spectra(row, live, n_val, ey, wex):
+def _spectra_runs(live, n_val, plane):
+    """The runs _row_spectra forms its spectra in: [(q, ts, is_)], covering the live slices in (t, q, i) order.
+
+    live [M_in, L_theta, L_alpha] is _live_taps of the layer's filters and
+    n_val[q] the number of output scales tap q writes; a tap that writes none
+    (n_val[q] <= 0) has no slices.  A run is consecutive slices (t, q, i) for t in ts and i in
+    is_ that share the scale tap q, as many as fit BLOCK_BYTES as spectra of
+    n_val[q] planes of plane complex elements each, and at least one: the
+    byte rule of group.act_on_feature's blocks.  With L_alpha = 1 every slice
+    shares q = 0, so a run crosses rotation taps.
+    """
+    l_th, l_al = live.shape[1:]
+    runs = []
+    for t in range(l_th):
+        for q in range(l_al):
+            if n_val[q] <= 0:
+                continue
+            cap = max(1, BLOCK_BYTES // (16 * n_val[q] * plane))
+            for i in np.flatnonzero(live[:, t, q]):
+                if runs and runs[-1][0] == q and len(runs[-1][1]) < cap:
+                    runs[-1][1].append(t)
+                    runs[-1][2].append(int(i))
+                else:
+                    runs.append((q, [t], [int(i)]))
+    return runs
+
+
+def _row_spectra(row, runs, n_val, ey, wex, buf):
     """The conjugate spectra of one output row's live (input channel, tap) slices, in the defining sum's order.
 
     row [M_in, L_theta, n_w, L_alpha, L, L] holds the filters of one (output
-    channel, rotation) row over the output scales it writes; live [M_in,
-    L_theta, L_alpha] is _live_taps of the layer's filters; n_val[q] is the
-    number of those scales that tap q writes; ey and wex[q] are _conj_dft's
-    factors, wex[q] carrying tap q's quadrature weight.  Yields (t, q, i,
-    spectrum [n_val[q], P, Q/2+1]) with t outermost and i innermost: ey @ f @
-    wex[q] for each weighted slice f.  A dead slice gets no spectrum.
+    channel, rotation) row over the output scales it writes; runs are
+    _spectra_runs of the layer's live slices; n_val[q] is the number of those
+    scales that tap q writes; ey and wex[q] are _conj_dft's factors, wex[q]
+    carrying tap q's quadrature weight.  Yields (t, q, i, spectrum [n_val[q],
+    P, Q/2+1]) with t outermost and i innermost: ey @ f @ wex[q] for each
+    weighted slice f.  A dead slice gets no spectrum.  Each run's spectra
+    come from one stacked pair of matmuls on the real filters, written into
+    the flat complex buffer buf, which must hold the largest run (256 KB,
+    or one slice when that is larger); so each spectrum is a view of buf, to
+    be used before the next is asked for.
+    Every spectrum is the same per-matrix products as one pair of matmuls on
+    its slice alone, so its bits do not depend on the run it was formed in.
     """
-    l_th, l_al = live.shape[1:]
-    for t in range(l_th):
-        for q in range(l_al):
-            for i in np.flatnonzero(live[:, t, q]) if n_val[q] > 0 else ():
-                yield t, q, i, ey @ (row[i, t, : n_val[q], q] @ wex[q])
+    P, cols = ey.shape[0], wex[0].shape[1]
+    for q, ts, is_ in runs:
+        n = n_val[q]
+        spectra = buf[: len(ts) * n * P * cols].reshape(len(ts), n, P, cols)
+        np.matmul(ey, row[is_, ts, :n, q] @ wex[q], out=spectra)
+        yield from zip(ts, [q] * len(ts), is_, spectra)
 
 
 def _group_correlate(held, filters, bias, window=None):
@@ -474,12 +514,12 @@ def _group_correlate(held, filters, bias, window=None):
 
     def transform(lo, hi):
         # One (sample, input channel) row at a time, through one zero-padded
-        # buffer per part: the temporaries of the running parts stay small,
-        # without np.pad's cost per call.
+        # buffer per part and transformed straight into the row's spectra:
+        # no part allocates per row, and np.pad's cost per call is avoided.
         padded = np.zeros(xf.shape[2:4] + (P, Q))
         for j in range(lo, hi):
             padded[..., p : p + H, p : p + W] = rows_in[j][rot_in, i0:i1]
-            rows_xf[j] = np.fft.rfft2(padded)
+            np.fft.rfft2(padded, out=rows_xf[j])
 
     run_parts(transform, n_rows)
     del vals, rows_in  # the input map, unless a caller still holds it
@@ -491,19 +531,22 @@ def _group_correlate(held, filters, bias, window=None):
     wex = [w_alpha[q] / l_th * ex for q in range(l_al)]
     n_val = [min(w_hi, n_s - q) - s_lo for q in range(l_al)]  # outputs [s_lo, s_lo + n_val[q]) read s + q
     filt = filters[:, :, rows_sel, :, s_lo:w_hi]  # the window's output channels
+    plane = P * (Q // 2 + 1)
+    runs = _spectra_runs(live, n_val, plane)
+    run_size = max((len(ts) * n_val[q] * plane for q, ts, _ in runs), default=0)
 
     def row_pass(lo, hi):
-        # One (output channel, rotation) row at a time, through three buffers
+        # One (output channel, rotation) row at a time, through four buffers
         # per part: the row's spectra block, its products (then its column
-        # transform) and its row transform.
+        # transform), its row transform and one run of filter spectra.
         block = np.empty((n, n_w) + xf.shape[-2:], dtype=complex)
         scratch = np.empty_like(block)
         planes = np.empty((n, n_w, H, Q))
+        buf = np.empty(run_size, dtype=complex)
         for j in range(lo, hi):
             o, r = divmod(j, r_n)
             block.fill(0.0)
-            row = filt[:, o, r].astype(complex)  # cast once, not in each slice's matmul
-            for t, q, i, spec in _row_spectra(row, live, n_val, ey, wex):
+            for t, q, i, spec in _row_spectra(filt[:, o, r], runs, n_val, ey, wex, buf):
                 # Output row r reads input row (r + t * d_step) mod r_in whole, and
                 # outputs [s_lo, s_lo + n_val[q]) read the inputs from s_lo + q on.
                 k = s_lo + q - i0 if S > 1 else 0

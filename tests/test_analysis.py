@@ -163,6 +163,19 @@ def test_nonexpansiveness_with_normalized_coefficients():
     assert report.constancy_dev < 1e-10  # zero bias: zero input stays zero
 
 
+@pytest.mark.parametrize(
+    "kw, name",
+    [({"n_trials": -3}, "n_trials"), ({"n_trials": 0}, "n_trials"), ({"height": 0}, "height"), ({"width": 0}, "width")],
+    ids=["negative-trials", "no-trials", "no-height", "no-width"],
+)
+def test_nonexpansiveness_report_rejects_empty_runs(kw, name):
+    # no trial or an empty image would report a ratio of 0.0 or a vacuous pass
+    net = small_net(layers=2, channels=2, L_alpha=3, max_angular=2)
+    args = {"n_trials": 2, "seed": 11, "height": 15, "width": 15} | kw
+    with pytest.raises(ValueError, match=rf"{name} must be >= 1, got {kw[name]}"):
+        nonexpansiveness_report(net, init_coeffs(net, seed=6), **args)
+
+
 @pytest.mark.parametrize("n_trials", [1, 3, 4, 5, 9])
 def test_nonexpansiveness_report_equals_per_pair_oracle(n_trials):
     # partial and whole batches of REPORT_PAIRS trial pairs give the per-pair report exactly
@@ -243,12 +256,13 @@ def test_sweep_cell_transforms_only_its_cone(monkeypatch):
 
 
 def test_batched_report_forward_peaks_below_a_sweep_forward():
-    # one REPORT_PAIRS batch of the criterion-5 network at 28x28 against a full
-    # forward (every channel) of one fig3 K=10, L_alpha=3 pair at 56x56; the
-    # sweep forwards only the cone of its compared channels, which peaks lower
+    # the criterion-5 report's largest batch (REPORT_PAIRS pairs and the zero
+    # input) at 28x28 against a full forward (every channel) of one fig3 K=10,
+    # L_alpha=3 pair at 56x56; the sweep forwards only the cone of its compared
+    # channels, which peaks lower
     cfg = fig3_config()
     runs = []
-    for K, L_alpha, samples, side in ((5, 1, 2 * REPORT_PAIRS, 28), (10, 3, 2, 56)):
+    for K, L_alpha, samples, side in ((5, 1, 2 * REPORT_PAIRS + 1, 28), (10, 3, 2, 56)):
         net = build_network(cfg, K, L_alpha, seed=0)
         coeffs = init_coeffs(net)
         for idx in range(net.depth):

@@ -315,7 +315,7 @@ def test_blocked_feature_action_matches_the_whole_map(side, lead, d_rot, d_sc, v
     # of 28 x 28, 9 of 56 x 56 by default) do not divide the 144 planes a
     # sample holds.  Bytes are compared, so zero signs count.
     if block_bytes is not None:
-        monkeypatch.setattr(rstcnn.group, "_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(rstcnn.group, "BLOCK_BYTES", block_bytes)
     rng = np.random.default_rng(side + d_sc)
     vals = rng.standard_normal(lead + (2, 8, 9, side, side))
     vals[rng.uniform(size=vals.shape) < 0.2] = -0.0
