@@ -20,8 +20,14 @@ import numpy as np
 from .basis import eval_spatial_stack
 
 
+def _check_stencil(stencil):
+    if stencil < 3 or stencil % 2 == 0:
+        raise ValueError(f"stencil width must be odd and >= 3, got {stencil}")
+
+
 def default_layer_scale(stencil):
     """The j that makes an L-point stencil sample its support at 1-pixel pitch."""
+    _check_stencil(stencil)
     return math.log2((stencil - 1) / 2.0)
 
 
@@ -73,11 +79,13 @@ def sample_filter_bank(basis, n_rotations, n_scales, scale_range, stencil, layer
     layer_scale is j (a LayerSpec's layer_scale).  Sample points that fall
     on or outside the (rescaled) domain boundary are exactly zero.
     """
-    if stencil < 1 or stencil % 2 == 0:
-        raise ValueError(f"stencil width must be odd, got {stencil}")
+    _check_stencil(stencil)
     if n_rotations < 1 or n_scales < 1:
         raise ValueError("n_rotations and n_scales must be >= 1")
     j = float(layer_scale)
+    for name, value in (("layer_scale", j), ("scale_range", float(scale_range))):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     grid = scale_channel_grid(n_scales, scale_range)
     bank = FilterBank(
         basis.spatial_kind, np.empty((basis.n_spatial, n_rotations, n_scales, stencil, stencil)), grid, j

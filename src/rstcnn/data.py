@@ -49,30 +49,30 @@ class LabeledImageSet:
         return self.images.shape[0]
 
 
-def _read_header(data, n_dims, expected_magic, what):
-    need = 4 * (1 + n_dims)
-    if len(data) < need:
+def _parse_idx(data, magic, n_dims, what):
+    """IDX bytes -> the uint8 payload, shaped by the header's n_dims sizes."""
+    head = 4 * (1 + n_dims)
+    if len(data) < head:
+        raise IdxParseError(f"truncated {what} header: need {head} bytes, have {len(data)}")
+    found, *dims = struct.unpack(f">{1 + n_dims}I", data[:head])
+    if found != magic:
+        raise IdxParseError(f"bad {what} magic 0x{found:08x} at offset 0, expected 0x{magic:08x}")
+    need = math.prod(dims)
+    if len(data) - head < need:
         raise IdxParseError(
-            f"truncated {what} header: need {need} bytes, have {len(data)}"
+            f"truncated {what} payload at offset {head}: need {need} bytes, have {len(data) - head}"
         )
-    fields = struct.unpack(f">{1 + n_dims}I", data[:need])
-    if fields[0] != expected_magic:
-        raise IdxParseError(
-            f"bad {what} magic 0x{fields[0]:08x} at offset 0, expected 0x{expected_magic:08x}"
-        )
-    return fields[1:], data[need:]
+    return np.frombuffer(data[head : head + need], dtype=np.uint8).reshape(dims)
+
+
+def _dump_idx(magic, raw):
+    """uint8 array -> IDX bytes: magic, one size per axis, payload."""
+    return struct.pack(f">{1 + raw.ndim}I", magic, *raw.shape) + raw.tobytes()
 
 
 def _raw_idx_images(data):
     """IDX image bytes -> the unconverted uint8 array [N, 1, H, W]."""
-    (count, height, width), payload = _read_header(data, 3, IMAGES_MAGIC, "image")
-    need = count * height * width
-    if len(payload) < need:
-        raise IdxParseError(
-            f"truncated image payload at offset {len(data) - len(payload)}: "
-            f"need {need} bytes, have {len(payload)}"
-        )
-    return np.frombuffer(payload[:need], dtype=np.uint8).reshape(count, 1, height, width)
+    return _parse_idx(data, IMAGES_MAGIC, 3, "image")[:, None]
 
 
 def _unit_scale(raw):
@@ -86,13 +86,7 @@ def parse_idx_images(data):
 
 def parse_idx_labels(data):
     """IDX label bytes -> int array [N]."""
-    (count,), payload = _read_header(data, 1, LABELS_MAGIC, "label")
-    if len(payload) < count:
-        raise IdxParseError(
-            f"truncated label payload at offset {len(data) - len(payload)}: "
-            f"need {count} bytes, have {len(payload)}"
-        )
-    return np.frombuffer(payload[:count], dtype=np.uint8).astype(np.int64)
+    return _parse_idx(data, LABELS_MAGIC, 1, "label").astype(np.int64)
 
 
 def _read_raw_idx(images_path, labels_path):
@@ -129,16 +123,14 @@ def read_idx_image(images_path, labels_path, seed):
 
 def dump_idx_images(images):
     """Float images [N, 1, H, W] in [0, 1] -> IDX bytes (values scaled to bytes)."""
-    images = np.asarray(images)
-    n, _, h, w = images.shape
-    raw = np.clip(np.rint(images * 255.0), 0, 255).astype(np.uint8)
-    return struct.pack(">4I", IMAGES_MAGIC, n, h, w) + raw.tobytes()
+    raw = np.clip(np.rint(np.asarray(images) * 255.0), 0, 255).astype(np.uint8)
+    n, _, h, w = raw.shape
+    return _dump_idx(IMAGES_MAGIC, raw.reshape(n, h, w))
 
 
 def dump_idx_labels(labels):
     """Integer labels [N] -> IDX bytes."""
-    labels = np.asarray(labels)
-    return struct.pack(">2I", LABELS_MAGIC, labels.shape[0]) + labels.astype(np.uint8).tobytes()
+    return _dump_idx(LABELS_MAGIC, np.asarray(labels).astype(np.uint8))
 
 
 def write_idx(images_path, labels_path, dataset):

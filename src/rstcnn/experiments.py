@@ -184,7 +184,7 @@ def build_network(cfg, K, L_alpha, seed=0):
 
 
 def sweep_input(cfg, seed):
-    """The height x width input image for one sweep seed: synthetic, or image seed % N of the IDX pair.
+    """The height x width input image of one sweep or stability-trial seed: synthetic, or image seed % N of the IDX pair.
 
     An IDX cell reads the file pair, converts to float and transforms only its
     own image, with the stream make_rs_dataset(..., seed=INPUT_SALT) gives it.
@@ -234,7 +234,7 @@ def parse_sweep_csv(text):
 def _stability_trial(cfg, seed, level):
     net = build_network(cfg, cfg.k_list[0], cfg.l_alpha_list[0], seed=seed)
     coeffs = init_coeffs(net)
-    x = ImageTensor(synthetic_blobs(cfg.height, cfg.width, np.random.default_rng([seed, INPUT_SALT])))
+    x = sweep_input(cfg, seed)
     tau = make_tau_targeting_grad([seed, TAU_SALT], level, TAU_MAX_FREQ, cfg.height, cfg.width)
     return analysis.stability_certificate(net, coeffs, x, cfg.group_element, tau)
 

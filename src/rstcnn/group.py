@@ -244,8 +244,7 @@ def channel_sources(g, n_rotations, scale_grid):
 # a 2 MB L2 cache.  On a 2-vCPU VM a [2, 8, 9, 56, 56] map took 3.4 ms here
 # and at 512 KB, 3.8 ms at 128 KB, 4.0 ms at 1 MB and 5.4 ms at 2 MB, and its
 # traced peak grows with the block: 4.3 MB here, 4.8 MB at 512 KB.
-# net._spectra_runs sizes its runs of filter spectra by the same rule.
-BLOCK_BYTES = 2**18
+_BLOCK_BYTES = 2**18
 
 
 def act_on_feature(g, feat):
@@ -271,7 +270,7 @@ def act_on_feature(g, feat):
     taps = _bilinear_taps(*_warp_grid(g, H, W), H, W)
     out = np.zeros(vals.shape)
     flat_out = out.reshape(planes.shape)
-    block = max(1, BLOCK_BYTES // ((H + 3) * (W + 3) * 8))
+    block = max(1, _BLOCK_BYTES // ((H + 3) * (W + 3) * 8))
     for lo in range(0, len(planes), block):
         hi = min(lo + block, len(planes))
         framed = _zero_frame((hi - lo, H, W))

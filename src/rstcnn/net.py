@@ -63,13 +63,11 @@ one block of that row's spectra (every sample, the scales it writes),
 inverse-transforms the block and applies bias and ReLU into the output.
 The block is a few hundred KB at the report's and the sweep's shapes, so
 the multiply-adds run in cache, and no accumulator of the whole layer is
-ever held.  The filter spectra are formed in runs of live slices that share
-a scale tap, one stacked pair of matmuls per run into a buffer of at most
-group.BLOCK_BYTES (256 KB, or one slice when that is larger), so a row
-makes a few large NumPy calls rather than two per slice.  The run plan is
-made once per correlation.  Every output element goes through the same
-operations in the same order whatever the split, so the results are
-bit-identical for every part count.
+ever held.  Each live filter slice's spectrum is formed by one pair of
+matmuls into a buffer of one slice's spectra per part, used before the
+next slice's.  Every output element goes through the same operations in
+the same order whatever the split, so the results are bit-identical for
+every part count.
 """
 
 from __future__ import annotations
@@ -82,7 +80,7 @@ import numpy as np
 
 from .bank import default_layer_scale, sample_filter_bank, scale_channel_grid
 from .basis import angular_matrix, build_basis, scale_matrix
-from .group import BLOCK_BYTES, FeatureMap
+from .group import FeatureMap
 from .norms import fb_norm, fb_norm_joint
 from .parts import BLAS_ONE_THREAD, run_parts
 
@@ -401,56 +399,24 @@ def _conj_dft(L, P, Q):
     return ey, ex
 
 
-def _spectra_runs(live, n_val, plane):
-    """The runs _row_spectra forms its spectra in: [(q, ts, is_)], covering the live slices in (t, q, i) order.
-
-    live [M_in, L_theta, L_alpha] is _live_taps of the layer's filters and
-    n_val[q] the number of output scales tap q writes; a tap that writes none
-    (n_val[q] <= 0) has no slices.  A run is consecutive slices (t, q, i) for t in ts and i in
-    is_ that share the scale tap q, as many as fit BLOCK_BYTES as spectra of
-    n_val[q] planes of plane complex elements each, and at least one: the
-    byte rule of group.act_on_feature's blocks.  With L_alpha = 1 every slice
-    shares q = 0, so a run crosses rotation taps.
-    """
-    l_th, l_al = live.shape[1:]
-    runs = []
-    for t in range(l_th):
-        for q in range(l_al):
-            if n_val[q] <= 0:
-                continue
-            cap = max(1, BLOCK_BYTES // (16 * n_val[q] * plane))
-            for i in np.flatnonzero(live[:, t, q]):
-                if runs and runs[-1][0] == q and len(runs[-1][1]) < cap:
-                    runs[-1][1].append(t)
-                    runs[-1][2].append(int(i))
-                else:
-                    runs.append((q, [t], [int(i)]))
-    return runs
-
-
-def _row_spectra(row, runs, n_val, ey, wex, buf):
+def _row_spectra(row, live, n_val, ey, wex, buf):
     """The conjugate spectra of one output row's live (input channel, tap) slices, in the defining sum's order.
 
     row [M_in, L_theta, n_w, L_alpha, L, L] holds the filters of one (output
-    channel, rotation) row over the output scales it writes; runs are
-    _spectra_runs of the layer's live slices; n_val[q] is the number of those
-    scales that tap q writes; ey and wex[q] are _conj_dft's factors, wex[q]
-    carrying tap q's quadrature weight.  Yields (t, q, i, spectrum [n_val[q],
-    P, Q/2+1]) with t outermost and i innermost: ey @ f @ wex[q] for each
-    weighted slice f.  A dead slice gets no spectrum.  Each run's spectra
-    come from one stacked pair of matmuls on the real filters, written into
-    the flat complex buffer buf, which must hold the largest run (256 KB,
-    or one slice when that is larger); so each spectrum is a view of buf, to
-    be used before the next is asked for.
-    Every spectrum is the same per-matrix products as one pair of matmuls on
-    its slice alone, so its bits do not depend on the run it was formed in.
+    channel, rotation) row over the output scales it writes; live [M_in,
+    L_theta, L_alpha] is _live_taps of the layer's filters; n_val[q] is the
+    number of those scales that tap q writes; ey and wex[q] are _conj_dft's
+    factors, wex[q] carrying tap q's quadrature weight.  Yields (t, q, i,
+    spectrum [n_val[q], P, Q/2+1]) with t outermost and i innermost: ey @ f @
+    wex[q] for each weighted slice f.  A dead slice gets no spectrum.  Each
+    spectrum is written into buf [n_w, P, Q/2+1] (complex), so it is a view
+    of buf, to be used before the next is asked for.
     """
-    P, cols = ey.shape[0], wex[0].shape[1]
-    for q, ts, is_ in runs:
-        n = n_val[q]
-        spectra = buf[: len(ts) * n * P * cols].reshape(len(ts), n, P, cols)
-        np.matmul(ey, row[is_, ts, :n, q] @ wex[q], out=spectra)
-        yield from zip(ts, [q] * len(ts), is_, spectra)
+    l_th, l_al = live.shape[1:]
+    for t in range(l_th):
+        for q in range(l_al):
+            for i in np.flatnonzero(live[:, t, q]) if n_val[q] > 0 else ():
+                yield t, q, i, np.matmul(ey, row[i, t, : n_val[q], q] @ wex[q], out=buf[: n_val[q]])
 
 
 def _group_correlate(held, filters, bias, window=None):
@@ -475,17 +441,18 @@ def _group_correlate(held, filters, bias, window=None):
 
     After the forward transform, one pass per (output channel, output
     rotation) row does all of that row's work in a block of every sample's
-    spectra, small enough to stay in cache: it forms the row's spectra
-    (_row_spectra), adds their products with the input spectra into the
-    block in the defining sum's (t, q, i) order, then inverse-transforms,
-    crops, adds the bias and applies the ReLU into the output.  A (tap,
-    input channel) slice whose filters are zero for every output channel
-    (the end scale taps of a Dirichlet profile, say) gets no spectrum and
-    adds no products: the block starts at +0 and never becomes -0, so
-    adding its +-0 products would change no bit.  With q0 the lowest live
-    scale tap, the window reads input scales from lo + q0 on, and output
-    scales from N_s - q0 on get no inverse transform: they are relu(bias),
-    as the inverse transform of zeros plus bias would give.
+    spectra, small enough to stay in cache: it forms the row's spectra one
+    live slice at a time into one slice's buffer (_row_spectra), adds each
+    one's products with the input spectra into the block in the defining
+    sum's (t, q, i) order, then inverse-transforms, crops, adds the bias and
+    applies the ReLU into the output.  A (tap, input channel) slice whose
+    filters are zero for every output channel (the end scale taps of a
+    Dirichlet profile, say) gets no spectrum and adds no products: the block
+    starts at +0 and never becomes -0, so adding its +-0 products would
+    change no bit.  With q0 the lowest live scale tap, the window reads
+    input scales from lo + q0 on, and output scales from N_s - q0 on get no
+    inverse transform: they are relu(bias), as the inverse transform of
+    zeros plus bias would give.
     """
     vals = held.pop()
     m_in, m_out, n_r, l_th, n_s, l_al, L, _ = filters.shape
@@ -531,22 +498,19 @@ def _group_correlate(held, filters, bias, window=None):
     wex = [w_alpha[q] / l_th * ex for q in range(l_al)]
     n_val = [min(w_hi, n_s - q) - s_lo for q in range(l_al)]  # outputs [s_lo, s_lo + n_val[q]) read s + q
     filt = filters[:, :, rows_sel, :, s_lo:w_hi]  # the window's output channels
-    plane = P * (Q // 2 + 1)
-    runs = _spectra_runs(live, n_val, plane)
-    run_size = max((len(ts) * n_val[q] * plane for q, ts, _ in runs), default=0)
 
     def row_pass(lo, hi):
         # One (output channel, rotation) row at a time, through four buffers
         # per part: the row's spectra block, its products (then its column
-        # transform), its row transform and one run of filter spectra.
+        # transform), its row transform and one filter spectrum.
         block = np.empty((n, n_w) + xf.shape[-2:], dtype=complex)
         scratch = np.empty_like(block)
         planes = np.empty((n, n_w, H, Q))
-        buf = np.empty(run_size, dtype=complex)
+        buf = np.empty(block.shape[1:], dtype=complex)
         for j in range(lo, hi):
             o, r = divmod(j, r_n)
             block.fill(0.0)
-            for t, q, i, spec in _row_spectra(filt[:, o, r], runs, n_val, ey, wex, buf):
+            for t, q, i, spec in _row_spectra(filt[:, o, r], live, n_val, ey, wex, buf):
                 # Output row r reads input row (r + t * d_step) mod r_in whole, and
                 # outputs [s_lo, s_lo + n_val[q]) read the inputs from s_lo + q on.
                 k = s_lo + q - i0 if S > 1 else 0

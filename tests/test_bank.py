@@ -29,6 +29,23 @@ def test_even_stencil_rejected():
         sample_filter_bank(basis, 4, 3, 1.0, 8, layer_scale=0.0)
 
 
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        # pitch divides by L - 1, and log2((L - 1) / 2) has no value at L = 1
+        (lambda basis: sample_filter_bank(basis, 4, 3, 1.0, 1, layer_scale=0.0), "stencil"),
+        (lambda basis: default_layer_scale(1), "stencil"),
+        # non-finite values would sample an all-NaN bank
+        (lambda basis: sample_filter_bank(basis, 4, 3, 1.0, 5, layer_scale=math.inf), "layer_scale"),
+        (lambda basis: sample_filter_bank(basis, 4, 3, math.nan, 5, layer_scale=0.0), "scale_range"),
+    ],
+    ids=["bank-stencil-1", "default-scale-stencil-1", "layer-scale-inf", "scale-range-nan"],
+)
+def test_bank_inputs_fail_naming_the_argument(call, name):
+    with pytest.raises(ValueError, match=name):
+        call(build_basis("fb", 3))
+
+
 @pytest.mark.parametrize("evaluate", ["bank", "grid"])
 def test_many_chunk_evaluation_stays_on_the_callers_thread_and_keeps_its_bytes(evaluate, monkeypatch):
     # At K = 100 a chunk holds 409 points: the fig3-shaped bank's 5,832

@@ -302,6 +302,23 @@ def test_stability_json_deterministic():
     assert text.endswith("\n")
 
 
+def test_stability_trials_read_the_idx_source(tmp_path, monkeypatch):
+    # The source stability_json echoes is the input every trial certifies.
+    import rstcnn.analysis
+
+    ip, lp = str(tmp_path / "im.idx"), str(tmp_path / "lb.idx")
+    write_idx(ip, lp, synthetic_blob_set(3, 12, 12, seed=1))
+    cfg = stability_test_config(seeds=(0, 4), idx_images=ip, idx_labels=lp)
+    seen = []
+    certify = rstcnn.analysis.stability_certificate
+    monkeypatch.setattr(rstcnn.analysis, "stability_certificate", lambda net, coeffs, x, *a: seen.append(x.values) or certify(net, coeffs, x, *a))
+    reports, _ = run_stability_trials(cfg)
+    assert json.loads(stability_json(cfg, reports))["config"]["source"] == ip
+    assert len(seen) == 2
+    for seed, x in zip(cfg.seeds, seen):
+        assert np.array_equal(x, sweep_input(cfg, seed).values)
+
+
 def test_stability_json_config_is_the_echo_but_margin():
     # the CSV echo's keys and values, as JSON types, so each is stated once
     cfg = stability_test_config(seeds=(0, 1), layer_scale=1.5, v=(1.0, -2.0))

@@ -363,17 +363,17 @@ def test_joint_conv_skips_all_zero_tap_slices_exactly(m_out, monkeypatch):
 
 
 def row_spectra(row, live, n_val, ey, wex):
-    """The runs of one row's live slices and a copy of each (t, q, i, spectrum) _row_spectra yields over them."""
-    plane = ey.shape[0] * wex[0].shape[1]
-    runs = rstcnn.net._spectra_runs(live, n_val, plane)
-    buf = np.empty(max(len(ts) * n_val[q] for q, ts, _ in runs) * plane, dtype=complex)
-    return runs, [(t, q, i, spec.copy()) for t, q, i, spec in rstcnn.net._row_spectra(row, runs, n_val, ey, wex, buf)]
+    """A copy of each (t, q, i, spectrum) _row_spectra yields for one row, through a one-slice buffer."""
+    buf = np.empty((row.shape[2], ey.shape[0], wex[0].shape[1]), dtype=complex)
+    return [(t, q, i, spec.copy()) for t, q, i, spec in rstcnn.net._row_spectra(row, live, n_val, ey, wex, buf)]
 
 
 @pytest.mark.parametrize("P, Q", [(11, 9), (8, 12)])
 def test_row_spectra_are_the_conjugate_rfft2_of_the_live_slices(P, Q):
     # One row's slices over (M_in, L_theta, n_w, L_alpha) = (2, 3, 4, 3);
     # tap q writes n_val[q] output scales, and the top tap writes none.
+    # Each spectrum is also the bytes of the per-slice product ey @ (f @
+    # wex[q]) of its slice f cast to complex.
     rng = np.random.default_rng(56)
     L = 5
     row = rng.standard_normal((2, 3, 4, 3, L, L))
@@ -383,11 +383,13 @@ def test_row_spectra_are_the_conjugate_rfft2_of_the_live_slices(P, Q):
     n_val = [4, 2, 0]
     weights = rng.uniform(0.1, 1.0, size=3)
     ey, ex = rstcnn.net._conj_dft(L, P, Q)
-    got = row_spectra(row, live, n_val, ey, [w * ex for w in weights])[1]
+    wex = [w * ex for w in weights]
+    got = row_spectra(row, live, n_val, ey, wex)
     want_keys = [(t, q, i) for t in range(3) for q in range(3) for i in range(2) if live[i, t, q] and n_val[q] > 0]
     assert [(t, q, i) for t, q, i, _ in got] == want_keys
     for t, q, i, spec in got:
         assert spec.shape == (n_val[q], P, Q // 2 + 1)
+        assert np.array_equal(spec, ey @ (row[i, t, : n_val[q], q].astype(complex) @ wex[q]))
         for s in range(n_val[q]):
             laid = np.zeros((P, Q))
             laid[:L, :L] = weights[q] * row[i, t, s, q]
@@ -395,45 +397,15 @@ def test_row_spectra_are_the_conjugate_rfft2_of_the_live_slices(P, Q):
             assert np.abs(spec[s] - want).max() <= 1e-12 * np.abs(want).max()
 
 
-@pytest.mark.parametrize(
-    "shape, n_val, P, Q, runs",
-    [
-        # L_alpha = 3, live taps q = 0 and 1 in turn: each run stops where q changes
-        ((2, 3, 4, 3), [4, 2, 0], 11, 9, [(0, 2), (1, 1), (0, 1), (1, 2), (0, 2), (1, 1)]),
-        # L_alpha = 1: the runs cross rotation taps; three slices' spectra (2 x 64 x
-        # 33 x 16 B each) fit in 256 KB and four do not, so the cap splits them
-        ((2, 4, 2, 1), [2], 64, 64, [(0, 3), (0, 3), (0, 2)]),
-    ],
-    ids=["scale-taps", "capped"],
-)
-def test_grouped_row_spectra_keep_the_bytes_of_each_slice(shape, n_val, P, Q, runs):
-    # Each spectrum of a run is the bytes of the per-slice product ey @ (f @
-    # wex[q]) of its slice f cast to complex, whatever run formed it.
-    rng = np.random.default_rng(59)
-    L = 5
-    m_in, l_th, n_w, l_al = shape
-    row = rng.standard_normal(shape + (L, L))
-    live = np.ones((m_in, l_th, l_al), dtype=bool)
-    if l_al == 3:  # tap 2 is live but writes no scale (n_val 0), so it has no slices
-        live[1, 0, 1] = live[0, 1, 0] = live[0, 2, 1] = False
-    ey, ex = rstcnn.net._conj_dft(L, P, Q)
-    wex = [w * ex for w in rng.uniform(0.1, 1.0, size=l_al)]
-    got_runs, got = row_spectra(row, live, n_val, ey, wex)
-    assert [(q, len(ts)) for q, ts, _ in got_runs] == runs
-    assert len(got) == sum(k for _, k in runs)
-    for t, q, i, spec in got:
-        assert np.array_equal(spec, ey @ (row[i, t, : n_val[q], q].astype(complex) @ wex[q]))
-
-
 @pytest.mark.parametrize("parts", [1, 2])
 def test_joint_conv_memory_is_input_spectra_output_and_row_blocks(parts, monkeypatch):
     # A joint layer of the criterion-5 report (batch 8, 2 -> 2 channels, N_r = 8,
     # N_s = 9, 28 x 28, L = 9, L_theta = 4) holds the input spectra, the output
     # and, per part, one row's block, products and row transform; the slack
-    # covers, per part, one run of filter spectra with its factors (about
-    # 0.3 MB here: three slices' spectra of 78 KB each).  An accumulator of
-    # the whole layer is as large as the input spectra here, and held beside
-    # them it does not fit even in one part's bound.
+    # covers, per part, one slice's filter spectra (78 KB here) with its
+    # factors.  An accumulator of the whole layer is as large as the input
+    # spectra here, and held beside them it does not fit even in one part's
+    # bound.
     monkeypatch.setattr(rstcnn.parts, "_PARTS", parts)
     rng = np.random.default_rng(57)
     n, m, n_r, n_s, H, W, L = 8, 2, 8, 9, 28, 28, 9
@@ -464,8 +436,8 @@ def test_sweep_joint_conv_memory_has_no_transform_temporaries(parts, monkeypatch
     # A joint layer of a full forward of a fig3 K = 10, L_alpha = 3 pair (batch
     # 2, 2 -> 2 channels, N_r = 8, N_s = 9, 56 x 56, L = 9, L_theta = 4), every
     # tap live, under the bound of test_joint_conv_memory_is_input_spectra_output_and_row_blocks.
-    # Its slack holds, per part, one run of filter spectra (one slice of 0.27
-    # MB here) and its factors, with no room for the row's filters cast to
+    # Its slack holds, per part, one slice's filter spectra (0.27 MB here)
+    # and its factors, with no room for the row's filters cast to
     # complex (0.28 MB).  The bound has no term for the forward transform:
     # each part writes its rfft2 straight into the input spectra, and two
     # spectrum-sized temporaries per part (2.1 MB each) do not fit it at 2 parts.
