@@ -45,18 +45,18 @@ def _slice_error(direct, reference, margin):
     return num, den
 
 
-def equivariance_error(net, coeffs, x, g, layer, margin=4):
+def equivariance_error(net, coeffs, x, g, layer):
     """Relative L2 error of Eq.-style equivariance at one layer.
 
     ||(x^(l)[D_g x] - D_g x^(l)[x])|| / ||D_g x^(l)[x]|| on the spatial slice
-    at rotation index 0 and the middle scale channel, restricted to an
-    interior margin (pixels) to exclude padding artifacts.  layer is
+    at rotation index 0 and the middle scale channel, inside the default
+    margin of equivariance_curve, which excludes padding artifacts.  layer is
     1-indexed; the value is entry layer - 1 of equivariance_curve.  Raises
     UndefinedEquivarianceError when the reference slice is identically zero.
     """
     if not 1 <= layer <= net.depth:
         raise ValueError(f"layer must be in 1..{net.depth}, got {layer}")
-    err = equivariance_curve(net, coeffs, x, g, margin=margin).errors[layer - 1]
+    err = equivariance_curve(net, coeffs, x, g).errors[layer - 1]
     if math.isinf(err):
         raise UndefinedEquivarianceError(
             f"reference slice is zero at layer {layer}; the relative error is undefined"
@@ -220,23 +220,23 @@ class NonexpansivenessReport:
 # and 4 pairs and the zero input (9 samples) at 24.9 MB.  The sweep forwards
 # only the cone of its compared channels, which peaks at 14 MB for that pair.
 REPORT_PAIRS = 3
+REPORT_SIDE = 28
 
 
-def nonexpansiveness_report(net, coeffs, n_trials, seed, height=28, width=28):
+def nonexpansiveness_report(net, coeffs, n_trials, seed):
     """Measure layer non-expansiveness plus zero-input constancy and contraction.
 
-    Pairs are uniform [0, 1] images drawn per trial from (seed, trial)
-    streams.  REPORT_PAIRS consecutive trials' pairs go through one forward
-    as a batch, the first batch led by the zero input, and each layer of it
-    is reduced to its norms before the next is computed; only the zero
-    input's features are kept.  Every sample's features are bit-identical to
-    its own run, so the report does not depend on the grouping.  n_trials,
-    height and width must be >= 1 (ValueError otherwise).
+    Pairs are uniform [0, 1] images of side REPORT_SIDE drawn per trial from
+    (seed, trial) streams.  REPORT_PAIRS consecutive trials' pairs go through
+    one forward as a batch, the first batch led by the zero input, and each
+    layer of it is reduced to its norms before the next is computed; only
+    the zero input's features are kept.  Every sample's features are
+    bit-identical to its own run, so the report does not depend on the
+    grouping.  n_trials must be >= 1 (ValueError otherwise).
     """
-    for name, value in (("n_trials", n_trials), ("height", height), ("width", width)):
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
-    shape = (net.layers[0].in_channels, height, width)
+    if n_trials < 1:
+        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
+    shape = (net.layers[0].in_channels, REPORT_SIDE, REPORT_SIDE)
     zero_feats = []  # per layer, the zero input's features: sample 0 of the first batch
     constancy = 0.0
     per_layer = [0.0] * net.depth
@@ -309,6 +309,7 @@ _DiskQuadrature = namedtuple("_DiskQuadrature", "spatial recipe points radius we
 # rule is 1.9e-5 (fb, in B) and 4.7e-6 (sl); at K = 100 (fb) 1.6e-4, in B
 # (BENCH_bounds_gauss.json).
 BOUND_QUAD_N = 128
+BOUND_THETAS = 64
 
 
 def disk_quadrature(basis, n=BOUND_QUAD_N):
@@ -364,17 +365,15 @@ def _block_sums(cs, vals, grads, weights, radius_weights):
     return sums
 
 
-def filter_bound_report(coeffs, bases, specs, quad, n_theta=64):
+def filter_bound_report(coeffs, bases, specs, quad):
     """Quadrature B, C, D aggregates of layers against their amplitude bounds: one report per layer.
 
     coeffs, bases and specs hold one entry per layer.  Spatial integrals are
     weighted sums over the nodes of quad, a disk_quadrature of the layers'
     common spatial elements; joint layers integrate over theta with the
-    normalized S^1 measure on n_theta uniform samples.  Gradients come from
-    the analytic basis derivatives.
+    normalized S^1 measure on BOUND_THETAS uniform samples.  Gradients come
+    from the analytic basis derivatives.
     """
-    if n_theta < 1:
-        raise ValueError(f"n_theta must be >= 1, got {n_theta}")
     if not len(coeffs) == len(bases) == len(specs):
         raise ValueError(f"{len(coeffs)} coefficient tensors, {len(bases)} bases and {len(specs)} layer specs")
     if any(quad.spatial != basis.spatial for basis in bases):
@@ -385,8 +384,8 @@ def filter_bound_report(coeffs, bases, specs, quad, n_theta=64):
         if c.is_lifting:
             layers.append([c.a.reshape(-1, K)])
         else:
-            phi = angular_matrix(basis, theta_taps(n_theta))  # [n_ang, n_theta]
-            layers.append([np.einsum("abkmn,m->abnk", c.a, phi[:, t]).reshape(-1, K) for t in range(n_theta)])
+            phi = angular_matrix(basis, theta_taps(BOUND_THETAS))  # [n_ang, BOUND_THETAS]
+            layers.append([np.einsum("abkmn,m->abnk", c.a, phi[:, t]).reshape(-1, K) for t in range(BOUND_THETAS)])
     # The nodes go in the recipe's chunks, the last one short, split over
     # the part pool.  Each chunk is assembled once and every layer's theta
     # samples run their small GEMMs on it while it is in cache, so no
@@ -414,7 +413,7 @@ def filter_bound_report(coeffs, bases, specs, quad, n_theta=64):
         per_theta = np.zeros(blocks.shape[1:])
         for block in blocks:
             per_theta += block
-        sums = per_theta[0] if c.is_lifting else per_theta.sum(axis=0) / n_theta
+        sums = per_theta[0] if c.is_lifting else per_theta.sum(axis=0) / BOUND_THETAS
         m_in, m_out = c.a.shape[:2]
         B, C, Du = (aggregate_channels(p, joint=not c.is_lifting) for p in sums.reshape(3, m_in, m_out, -1))
         j = spec.layer_scale

@@ -188,22 +188,18 @@ class SpatialRecipe:
         return vals, grads
 
 
-def eval_spatial_stack(elements, points, grad=False):
+def eval_spatial_stack(elements, points):
     """Spatial elements at points[..., 2] in unit-domain coordinates: values [K, ...].
 
-    With grad=True returns (values, gradients [2, K, ...]), the x and y
-    components of the Cartesian gradients, each contiguous.  Both are zero
-    on and outside each element's domain.  One SpatialRecipe of the points
-    does the shared work once per call, and its chunks are filled in turn.
+    Values are zero on and outside each element's domain.  One SpatialRecipe
+    of the points does the shared work once, and its chunks are filled in turn.
     """
     pts = np.asarray(points, dtype=np.float64)
-    recipe = SpatialRecipe(elements, pts, grad)
+    recipe = SpatialRecipe(elements, pts)
     vals = np.empty((len(elements), recipe.size))
-    grads = np.empty((2,) + vals.shape) if grad else None
     for lo, hi in recipe.chunks:
-        recipe.fill(lo, hi, vals[:, lo:hi], None if grads is None else grads[..., lo:hi])
-    vals = vals.reshape((len(elements),) + pts.shape[:-1])
-    return (vals, grads.reshape((2,) + vals.shape)) if grad else vals
+        recipe.fill(lo, hi, vals[:, lo:hi])
+    return vals.reshape((len(elements),) + pts.shape[:-1])
 
 
 def _zero_outside(factors, sel, arrays):
@@ -330,8 +326,9 @@ def eval_spatial(element, points):
 
 
 def eval_spatial_grad(element, points):
-    """Cartesian gradient [..., 2] of one spatial element; a view of eval_spatial_stack."""
-    return np.moveaxis(eval_spatial_stack((element,), points, grad=True)[1][:, 0], 0, -1)
+    """Cartesian gradient [..., 2] of one spatial element, assembled from a SpatialRecipe of the points."""
+    recipe = SpatialRecipe((element,), points, grad=True)
+    return np.moveaxis(recipe.assemble(0, recipe.size)[1][:, 0].reshape((2,) + np.shape(points)[:-1]), 0, -1)
 
 
 def angular_matrix(basis, thetas):

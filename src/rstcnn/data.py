@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -28,22 +29,25 @@ class IdxParseError(ValueError):
 
 @dataclass
 class LabeledImageSet:
-    """images[N, 1, H, W] in [0, 1] plus integer labels[N]."""
+    """images[N, 1, H, W] in [0, 1] plus integer labels[N]; NaN images and non-integral labels raise ValueError."""
 
     images: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self):
         self.images = np.asarray(self.images, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
         if self.images.ndim != 4 or self.images.shape[1] != 1:
             raise ValueError(f"images must be [N, 1, H, W], got {self.images.shape}")
-        if self.labels.shape != (self.images.shape[0],):
-            raise ValueError(
-                f"label count {self.labels.shape} does not match {self.images.shape[0]} images"
-            )
-        if self.images.size and (self.images.min() < 0.0 or self.images.max() > 1.0):
-            raise ValueError("image values must lie in [0, 1]")
+        if labels.shape != (self.images.shape[0],):
+            raise ValueError(f"label count {labels.shape} does not match {self.images.shape[0]} images")
+        # a NaN fails both comparisons
+        if self.images.size and not (self.images.min() >= 0.0 and self.images.max() <= 1.0):
+            raise ValueError(f"image values must lie in [0, 1], got {self.images.min()} to {self.images.max()}")
+        whole = np.isfinite(labels) & (np.round(labels) == labels)
+        if not whole.all():
+            raise ValueError(f"labels must be integers, got {labels[~whole][0]} at index {np.argmin(whole)}")
+        self.labels = labels.astype(np.int64)
 
     def __len__(self):
         return self.images.shape[0]
@@ -91,10 +95,8 @@ def parse_idx_labels(data):
 
 def _read_raw_idx(images_path, labels_path):
     """The uint8 images [N, 1, H, W] and int labels [N] of an IDX file pair."""
-    with open(images_path, "rb") as fh:
-        images = _raw_idx_images(fh.read())
-    with open(labels_path, "rb") as fh:
-        labels = parse_idx_labels(fh.read())
+    images = _raw_idx_images(Path(images_path).read_bytes())
+    labels = parse_idx_labels(Path(labels_path).read_bytes())
     if images.shape[0] != labels.shape[0]:
         raise IdxParseError(
             f"image count {images.shape[0]} does not match label count {labels.shape[0]}"
@@ -129,16 +131,19 @@ def dump_idx_images(images):
 
 
 def dump_idx_labels(labels):
-    """Integer labels [N] -> IDX bytes."""
-    return _dump_idx(LABELS_MAGIC, np.asarray(labels).astype(np.uint8))
+    """Integer labels [N] in 0..255 -> IDX bytes; ValueError names the first label outside that range."""
+    labels = np.asarray(labels)
+    fits = (labels >= 0) & (labels <= 255)
+    if not fits.all():
+        raise ValueError(f"label {labels[~fits][0]} at index {np.argmin(fits)} is outside 0..255")
+    return _dump_idx(LABELS_MAGIC, labels.astype(np.uint8))
 
 
 def write_idx(images_path, labels_path, dataset):
-    """Write a LabeledImageSet as an IDX file pair."""
-    with open(images_path, "wb") as fh:
-        fh.write(dump_idx_images(dataset.images))
-    with open(labels_path, "wb") as fh:
-        fh.write(dump_idx_labels(dataset.labels))
+    """Write a LabeledImageSet as an IDX file pair; labels that do not fit a byte raise before either file is written."""
+    labels = dump_idx_labels(dataset.labels)
+    Path(images_path).write_bytes(dump_idx_images(dataset.images))
+    Path(labels_path).write_bytes(labels)
 
 
 def upsample(values, out_h, out_w):

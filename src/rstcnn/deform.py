@@ -21,6 +21,9 @@ import numpy as np
 
 from .group import ImageTensor, bilinear_sample, pixel_axes
 
+# highest Fourier frequency of make_tau_targeting_grad's fields
+TAU_MAX_FREQ = 3
+
 
 @dataclass(frozen=True)
 class DeformationField:
@@ -96,8 +99,8 @@ def tau_norms(field):
     return sup_tau, sup_grad
 
 
-def make_tau_targeting_grad(seed, sup_grad, max_freq, height, width):
-    """Random field rescaled so tau_norms reports exactly the requested sup-grad.
+def make_tau_targeting_grad(seed, sup_grad, height, width):
+    """Random field of degree TAU_MAX_FREQ rescaled so tau_norms reports exactly the requested sup-grad.
 
     Coefficients are uniform [-1, 1] draws from the seed (sin terms of the
     zero frequency are dropped since sin(0) = 0).  The Jacobian is linear in
@@ -106,9 +109,7 @@ def make_tau_targeting_grad(seed, sup_grad, max_freq, height, width):
     """
     if sup_grad < 0:
         raise ValueError(f"sup_grad must be >= 0, got {sup_grad}")
-    if max_freq < 1:
-        raise ValueError("targeting a gradient needs at least one nonzero frequency")
-    c = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(2, max_freq + 1, max_freq + 1, 4))
+    c = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(2, TAU_MAX_FREQ + 1, TAU_MAX_FREQ + 1, 4))
     c[:, 0, :, 2:] = 0.0  # sin(0 * x) terms
     c[:, :, 0, 1] = 0.0  # sin(0 * y) terms
     _, g0 = tau_norms(DeformationField(c, height, width))

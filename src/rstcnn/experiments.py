@@ -25,8 +25,6 @@ from .net import ConfigError, LayerSpec, NetworkConfig, draw_coeffs, init_coeffs
 
 INPUT_SALT = 7777
 TAU_SALT = 4242
-# highest Fourier frequency of the stability trials' deformation fields
-TAU_MAX_FREQ = 3
 
 EXPERIMENT_KINDS = ("equivariance-sweep", "stability-trials", "basis-validate", "bounds-report", "bank-build")
 # the tuple-valued fields a config file sets to one value
@@ -235,7 +233,7 @@ def _stability_trial(cfg, seed, level):
     net = build_network(cfg, cfg.k_list[0], cfg.l_alpha_list[0], seed=seed)
     coeffs = init_coeffs(net)
     x = sweep_input(cfg, seed)
-    tau = make_tau_targeting_grad([seed, TAU_SALT], level, TAU_MAX_FREQ, cfg.height, cfg.width)
+    tau = make_tau_targeting_grad([seed, TAU_SALT], level, cfg.height, cfg.width)
     return analysis.stability_certificate(net, coeffs, x, cfg.group_element, tau)
 
 

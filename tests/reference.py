@@ -354,6 +354,21 @@ def gauss_rule(kind, n):
     return np.array(nodes), np.array(weights)
 
 
+def spatial_values_and_grads(elements, points):
+    """Values [K, ...] and gradients [2, K, ...] of spatial elements at points[..., 2], from one SpatialRecipe with grad.
+
+    The recipe assembles every point at once; its bits do not depend on how
+    the points are cut into chunks.
+    """
+    from rstcnn.basis import SpatialRecipe
+
+    pts = np.asarray(points, dtype=np.float64)
+    recipe = SpatialRecipe(elements, pts, grad=True)
+    vals, grads = recipe.assemble(0, recipe.size)
+    shape = (len(elements),) + pts.shape[:-1]
+    return vals.reshape(shape), grads.reshape((2,) + shape)
+
+
 def chunked_filter_bounds(coeffs, basis, spec, n, n_theta):
     """B, C, D and A of one layer from einsums over the order-n rule's nodes, theta in chunks of 8.
 
@@ -414,8 +429,8 @@ def chunked_filter_bounds(coeffs, basis, spec, n, n_theta):
     }
 
 
-def pairwise_nonexpansiveness_report(net, coeffs, n_trials, seed, height=28, width=28):
-    """nonexpansiveness_report with one forward per trial pair, every layer held at once.
+def pairwise_nonexpansiveness_report(net, coeffs, n_trials, seed, side):
+    """nonexpansiveness_report on side x side images with one forward per trial pair, every layer held at once.
 
     The report as it was before it grouped trials into batches: each trial's
     pair (x1, x2) from the (seed, trial) stream goes through the package's
@@ -427,7 +442,7 @@ def pairwise_nonexpansiveness_report(net, coeffs, n_trials, seed, height=28, wid
     from rstcnn.net import forward
     from rstcnn.norms import feature_norm
 
-    zero = np.zeros((net.layers[0].in_channels, height, width))
+    zero = np.zeros((net.layers[0].in_channels, side, side))
     zero_feats = forward(net, coeffs, ImageTensor(zero), return_all=True)
     constancy = 0.0
     for f in zero_feats:

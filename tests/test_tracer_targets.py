@@ -71,7 +71,7 @@ def test_basis_evaluation_parts_call_no_traced_function(monkeypatch):
     stages = [
         lambda: disk_quadrature(basis),
         lambda: sample_filter_bank(basis, 8, 9, 1.0, 9, layer_scale=2.0),
-        *(lambda layer=layer: filter_bound_report([coeffs[layer]], [layer_basis(net, layer)], [net.layers[layer]], quad, n_theta=8) for layer in (0, 1)),
+        *(lambda layer=layer: filter_bound_report([coeffs[layer]], [layer_basis(net, layer)], [net.layers[layer]], quad) for layer in (0, 1)),
     ]
     tracer.install()
     try:
